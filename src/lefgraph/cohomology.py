@@ -4,6 +4,14 @@ A k-form is a coefficient vector indexed by the k-simplices in their stored
 order.  The exterior derivative is (df)(x) = sum_i (-1)^i f(x minus vertex i)
 against the ascending-vertex reference orientation.  Betti numbers come from
 rank-nullity: b_k = dim ker(d_k) - rank(d_{k-1}).
+
+The chain level is sparse and integer.  A graph map is injective on every
+clique, so its pullback P_k is a signed permutation, one (target, +-1) pair
+per simplex; a row of d_k holds k+2 entries +-1, found by face lookups.  The
+chain-map identity and d o d = 0 are checked on these integer rows in
+O(nonzeros).  Dense Fraction matrices appear only in the cohomology solve:
+the eliminations behind Betti numbers and representatives, and the matrices
+induced on H^k.
 """
 
 from __future__ import annotations
@@ -22,16 +30,41 @@ from .linalg import (
 )
 
 
+def _faces(cx: CliqueComplex, k: int) -> list[tuple[int, ...]]:
+    """Row pattern of d_k: for each (k+1)-simplex, the indices of its k-faces,
+    face i (the simplex minus vertex i) carrying the coefficient (-1)^i."""
+    index = cx.index[k] if k + 1 < len(cx.by_dim) else {}
+    return [tuple(index[x[:i] + x[i + 1:]] for i in range(len(x)))
+            for x in cx.simplices(k + 1)]
+
+
 def coboundary_matrix(cx: CliqueComplex, k: int) -> RationalMatrix:
     """Matrix of d_k, rows indexed by (k+1)-simplices, columns by k-simplices."""
-    rows = cx.count(k + 1)
-    cols = cx.count(k)
-    m = RationalMatrix(rows, cols)
-    for r, x in enumerate(cx.simplices(k + 1)):
-        for i in range(len(x)):
-            face = x[:i] + x[i + 1:]
-            m.data[r][cx.index_of(face)] = Fraction(-1 if i % 2 else 1)
+    m = RationalMatrix(cx.count(k + 1), cx.count(k))
+    for row, faces in zip(m.data, _faces(cx, k)):
+        for i, f in enumerate(faces):
+            row[f] = Fraction(-1 if i % 2 else 1)
     return m
+
+
+def _sparse_row(terms) -> dict[int, int]:
+    """Sum (column, coefficient) terms into a row without zero entries."""
+    row: dict[int, int] = {}
+    for col, c in terms:
+        row[col] = row.get(col, 0) + c
+    return {col: c for col, c in row.items() if c}
+
+
+def coboundary_squares_to_zero(cx: CliqueComplex) -> bool:
+    """Check d_{k+1} d_k == 0 in every degree, on integer sparse rows."""
+    for k in range(cx.dim):
+        inner = _faces(cx, k)
+        for faces in _faces(cx, k + 1):
+            if _sparse_row((col, (-1) ** (i + j))
+                           for i, f in enumerate(faces)
+                           for j, col in enumerate(inner[f])):
+                return False
+    return True
 
 
 def permutation_parity_sign(seq) -> int:
@@ -61,7 +94,17 @@ class Pullback:
         self.sign = sign
 
     def apply(self, f: Vector) -> Vector:
-        return [Fraction(s) * f[t] for s, t in zip(self.sign, self.target_index)]
+        return [f[t] if s > 0 else -f[t] for s, t in zip(self.sign, self.target_index)]
+
+    def __mul__(self, other: "Pullback") -> "Pullback":
+        """Matrix product self * other, again a signed permutation.
+
+        The pullback of a composite reverses the order, P(S o T) = P(T) P(S),
+        so the pullback of T^n is P(T^(n-1)) * P(T).
+        """
+        targets = [other.target_index[y] for y in self.target_index]
+        signs = [s * other.sign[y] for s, y in zip(self.sign, self.target_index)]
+        return Pullback(self.k, self.size, targets, signs)
 
     def to_matrix(self) -> RationalMatrix:
         m = RationalMatrix(self.size, self.size)
@@ -93,15 +136,28 @@ def pullback_matrix(cx: CliqueComplex, image: tuple[int, ...], k: int) -> Ration
 
 def verify_chain_map(cx: CliqueComplex, image: tuple[int, ...]) -> bool:
     """Check d_k P_k == P_{k+1} d_k in every degree."""
-    for k in range(cx.dim + 1):
-        d = coboundary_matrix(cx, k)
-        pk = pullback(cx, image, k).to_matrix()
-        pk1 = pullback(cx, image, k + 1).to_matrix() if k + 1 <= cx.dim \
-            else RationalMatrix(0, 0)
-        left = d * pk
-        right = pk1 * d if k + 1 <= cx.dim else RationalMatrix(0, d.cols)
-        if left != right:
-            return False
+    return pullbacks_commute(cx, [pullback(cx, image, k) for k in range(cx.dim + 1)])
+
+
+def pullbacks_commute(cx: CliqueComplex, pullbacks: list[Pullback]) -> bool:
+    """Check d_k P_k == P_{k+1} d_k for the given P_0..P_dim, row by row.
+
+    Both sides are built in full as integer rows {column: coefficient}:
+    row x of d_k P_k sums (-1)^i sign_k(f_i) at target_k(f_i) over the faces
+    f_i of x; row x of P_{k+1} d_k is sign_{k+1}(x) times row target_{k+1}(x)
+    of d_k.
+    """
+    for k in range(cx.dim):
+        faces = _faces(cx, k)
+        pk, pk1 = pullbacks[k], pullbacks[k + 1]
+        for x, x_faces in enumerate(faces):
+            left = _sparse_row((pk.target_index[f], pk.sign[f] * (-1) ** i)
+                               for i, f in enumerate(x_faces))
+            s = pk1.sign[x]
+            right = _sparse_row((f, s * (-1) ** i)
+                                for i, f in enumerate(faces[pk1.target_index[x]]))
+            if left != right:
+                return False
     return True
 
 
@@ -121,6 +177,11 @@ class CochainSpaces:
         self._images: dict[int, list[Vector]] = {}
         self._reps: dict[int, list[Vector]] = {}
         self._solver: dict[int, SpanSolver | None] = {}
+        # Matrices induced on H^k by the most recent map only, so memory does
+        # not grow with the number of maps; Lefschetz numbers of every map.
+        self._induced_image: tuple[int, ...] | None = None
+        self._induced: dict[int, RationalMatrix] = {}
+        self._lefschetz: dict[tuple[int, ...], int] = {}
 
     @property
     def dim(self) -> int:
@@ -205,24 +266,47 @@ class CochainSpaces:
         basis; the pullback of each representative is solved against
         [representatives | image basis], which is legitimate because pullbacks
         of cocycles are cocycles and ker(d_k) = span(reps) + im(d_{k-1}).
+
+        The matrices of the latest map are kept until another map is asked
+        for, so the trace and the determinant of one map share one solve.
+        The result is shared: callers must not modify it.
         """
         b = self.betti(k)
         if b == 0:
             return RationalMatrix(0, 0)
-        pb = pullback(self.cx, image, k)
-        solver = self._span_solver(k)
-        cols = []
-        for h in self.representatives(k):
-            coeffs = solver.solve(pb.apply(h))
-            cols.append(coeffs[:b])
-        out = RationalMatrix(b, b)
-        for j, col in enumerate(cols):
-            for i, x in enumerate(col):
-                out.data[i][j] = x
-        return out
+        image = tuple(image)
+        if image != self._induced_image:
+            self._induced_image = image
+            self._induced = {}
+        if k not in self._induced:
+            pb = pullback(self.cx, image, k)
+            solver = self._span_solver(k)
+            out = RationalMatrix(b, b)
+            for j, h in enumerate(self.representatives(k)):
+                coeffs = solver.solve(pb.apply(h))
+                for i in range(b):
+                    out.data[i][j] = coeffs[i]
+            self._induced[k] = out
+        return self._induced[k]
 
     def induced_matrices(self, image: tuple[int, ...]) -> list[RationalMatrix]:
         return [self.induced_matrix(image, k) for k in range(self.dim + 1)]
+
+    def lefschetz_number(self, image: tuple[int, ...]) -> int:
+        """sum_k (-1)^k tr(T_k) over the maps T_k induced on H^k.
+
+        Kept per map (one integer each), so that a group average reuses the
+        numbers its elements were already checked with.
+        """
+        image = tuple(image)
+        if image not in self._lefschetz:
+            total = Fraction(0)
+            for k in range(self.dim + 1):
+                if self.betti(k):
+                    total += (-1) ** k * self.induced_matrix(image, k).trace()
+            assert total.denominator == 1, "cohomological trace sum must be an integer"
+            self._lefschetz[image] = int(total)
+        return self._lefschetz[image]
 
 
 def betti_numbers(cx: CliqueComplex) -> tuple[int, ...]:

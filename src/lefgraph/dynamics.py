@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .complexes import CliqueComplex, Simplex, build_complex
 from .cohomology import CochainSpaces, permutation_parity_sign, pullback
@@ -174,12 +173,7 @@ def lefschetz_cohomological(g: Graph, t: GraphMap,
         spaces = CochainSpaces(build_complex(g))
     if t.is_identity():
         return sum((-1) ** k * spaces.betti(k) for k in range(spaces.dim + 1))
-    total = Fraction(0)
-    for k in range(spaces.dim + 1):
-        if spaces.betti(k):
-            total += (-1) ** k * spaces.induced_matrix(t.image, k).trace()
-    assert total.denominator == 1, "cohomological trace sum must be an integer"
-    return int(total)
+    return spaces.lefschetz_number(t.image)
 
 
 @dataclass(frozen=True)
@@ -246,30 +240,33 @@ def random_endomorphism(g: Graph, rng: random.Random) -> GraphMap:
 
     Vertices are assigned in a shuffled order; each assignment must keep all
     already-mapped neighbors adjacent.  The identity always exists, so the
-    search cannot fail outright.
+    search cannot fail outright.  The search keeps its own stack, one
+    iterator over the shuffled candidates per assigned vertex, so its depth
+    is not bounded by Python's recursion limit.
     """
     order = list(range(g.n))
     rng.shuffle(order)
     image = [-1] * g.n
     full = (1 << g.n) - 1
-
-    def assign(i: int) -> bool:
-        if i == g.n:
-            return True
-        v = order[i]
+    stack = []
+    while len(stack) < g.n:
+        v = order[len(stack)]
         allowed = full
         for w in g.neighbors(v):
             if image[w] >= 0:
                 allowed &= g.adj[image[w]]
         candidates = [u for u in range(g.n) if allowed >> u & 1]
         rng.shuffle(candidates)
-        for u in candidates:
-            image[v] = u
-            if assign(i + 1):
-                return True
-        image[v] = -1
-        return False
-
-    found = assign(0)
-    assert found
+        stack.append(iter(candidates))
+        # Take the next candidate of the deepest vertex that has one left,
+        # unassigning the vertices whose candidates ran out.
+        while stack:
+            v = order[len(stack) - 1]
+            u = next(stack[-1], None)
+            if u is not None:
+                image[v] = u
+                break
+            image[v] = -1
+            stack.pop()
+        assert stack, "the identity is always an endomorphism"
     return GraphMap(g, image)

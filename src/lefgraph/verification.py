@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .cohomology import CochainSpaces, verify_chain_map
+from .cohomology import CochainSpaces, coboundary_squares_to_zero, verify_chain_map
 from .complexes import CliqueComplex, build_complex
 from .dynamics import (
     GraphMap,
@@ -56,9 +56,8 @@ def structural_checks(g: Graph, cx: CliqueComplex | None = None,
     if spaces is None:
         spaces = CochainSpaces(cx)
     checks = []
-    dd_ok = all((spaces.coboundary(k + 1) * spaces.coboundary(k)).is_zero()
-                for k in range(cx.dim))
-    checks.append(TheoremCheck("d_squared_zero", dd_ok, "d(k+1)*d(k)", "0"))
+    checks.append(TheoremCheck("d_squared_zero", coboundary_squares_to_zero(cx),
+                               "d(k+1)*d(k)", "0"))
     chi_f = cx.euler_characteristic()
     chi_b = sum((-1) ** k * b for k, b in enumerate(spaces.betti_numbers()))
     checks.append(TheoremCheck("euler_poincare", chi_f == chi_b, chi_f, chi_b))
@@ -103,7 +102,13 @@ def attractor_checks(g: Graph, t: GraphMap, cx: CliqueComplex | None = None,
 def zeta_checks(g: Graph, t: GraphMap, cx: CliqueComplex | None = None,
                 spaces: CochainSpaces | None = None,
                 series_order: int | None = None) -> list[TheoremCheck]:
-    """Determinant = orbit product, and log-derivative series consistency."""
+    """Determinant = orbit product, and log-derivative series consistency.
+
+    The series is compared up to `series_order` terms, 2 * order(T) by
+    default; an order below 1 would compare nothing and is refused.
+    """
+    if series_order is not None and series_order < 1:
+        raise ValueError(f"series order must be at least 1 (got {series_order})")
     if cx is None:
         cx = build_complex(g)
     if spaces is None:

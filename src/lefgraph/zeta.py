@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .complexes import CliqueComplex, build_complex
-from .cohomology import CochainSpaces, permutation_parity_sign
-from .dynamics import GraphMap, lefschetz_chain
+from .cohomology import CochainSpaces, permutation_parity_sign, pullback
+from .dynamics import GraphMap
 from .graphs import Graph
 from .linalg import (
     cyclotomic_factor,
@@ -356,12 +356,18 @@ def series_consistency(zeta: RationalFunctionZ, lefschetz_values: list[int]) -> 
 
 
 def lefschetz_iterates(cx: CliqueComplex, t: GraphMap, count: int) -> list[int]:
-    """L(T^n) for n = 1..count, by the chain-trace route."""
+    """L(T^n) for n = 1..count, by the chain-trace route.
+
+    P_k is built once per degree; the pullback of T^n is the signed
+    permutation P_k(T^(n-1)) * P_k, whose alternating trace sum is L(T^n).
+    """
+    base = [pullback(cx, t.image, k) for k in range(cx.dim + 1)]
+    current = base
     out = []
-    current = t
-    for _ in range(count):
-        out.append(lefschetz_chain(cx, current))
-        current = t.compose(current)
+    for n in range(count):
+        if n:
+            current = [c * p for c, p in zip(current, base)]
+        out.append(sum((-1) ** k * p.trace() for k, p in enumerate(current)))
     return out
 
 

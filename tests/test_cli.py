@@ -137,6 +137,14 @@ def test_zeta_series_order_flag(capsys, c4_file):
     assert series["lhs"] == [2, 0, 2, 0, 2, 0]
 
 
+def test_zeta_series_order_below_one_is_an_input_error(capsys):
+    for order in ("0", "-3"):
+        code, out, err = run(capsys, "zeta", "--named", "cycle:5", "--map", "1,2,3,4,0",
+                             "--series-order", order)
+        assert code == 1 and out == ""
+        assert "series order must be at least 1" in err
+
+
 def test_zeta_group(capsys):
     code, report = run_json(capsys, "zeta", "--named", "cycle:5", "--group")
     assert code == 0

@@ -5,26 +5,34 @@ from fractions import Fraction
 
 from lefgraph.cohomology import (
     CochainSpaces,
+    Pullback,
     betti_numbers,
     coboundary_matrix,
+    coboundary_squares_to_zero,
     permutation_parity_sign,
     pullback,
     pullback_matrix,
+    pullbacks_commute,
     verify_chain_map,
 )
 from lefgraph.complexes import build_complex
+from lefgraph.dynamics import random_endomorphism
 from lefgraph.graphs import (
     all_graphs,
     complete_graph,
     connected_components,
     cycle_graph,
     discrete_graph,
+    disjoint_union,
     octahedron_graph,
     path_graph,
     petersen_graph,
     star_graph,
 )
-from lefgraph.symmetry import automorphism_group
+from lefgraph.linalg import RationalMatrix
+from lefgraph.symmetry import automorphism_group, lefschetz_numbers
+from lefgraph.verification import named_corpus
+from lefgraph.zeta import zeta_det
 
 
 def test_permutation_parity_sign():
@@ -179,3 +187,138 @@ def test_induced_identity_matrix():
             b = spaces.betti(k)
             assert m.data == [[Fraction(i == j) for j in range(b)]
                               for i in range(b)]
+
+
+def _dense_commutes(cx, matrices):
+    """Dense reference for the chain-map identity: d_k P_k == P_{k+1} d_k
+    as Fraction matrix products, given the dense P_0..P_dim."""
+    for k in range(cx.dim + 1):
+        d = coboundary_matrix(cx, k)
+        left = d * matrices[k]
+        right = matrices[k + 1] * d if k < cx.dim else RationalMatrix(0, d.cols)
+        if left != right:
+            return False
+    return True
+
+
+def _flipped(p, row):
+    """A copy of the pullback p with the sign of one row reversed."""
+    signs = list(p.sign)
+    signs[row] = -signs[row]
+    return Pullback(p.k, p.size, list(p.target_index), signs)
+
+
+def _corpus_maps(endomorphisms_per_graph):
+    rng = random.Random(17)
+    for name, g in named_corpus():
+        cx = build_complex(g)
+        for t in automorphism_group(g):
+            yield name, cx, t
+        for _ in range(endomorphisms_per_graph):
+            yield name, cx, random_endomorphism(g, rng)
+
+
+def test_sparse_chain_map_check_matches_dense_reference():
+    for name, cx, t in _corpus_maps(3):
+        dense = [pullback_matrix(cx, t.image, k) for k in range(cx.dim + 1)]
+        sparse = verify_chain_map(cx, t.image)
+        assert sparse == _dense_commutes(cx, dense), (name, t.image)
+        assert sparse, (name, t.image)
+
+
+def test_sparse_chain_map_check_matches_dense_reference_on_corrupted_pullbacks():
+    rng = random.Random(23)
+    verdicts = set()
+    for i, (name, cx, t) in enumerate(_corpus_maps(3)):
+        if i % 5 or cx.dim < 0:
+            continue
+        pullbacks = [pullback(cx, t.image, k) for k in range(cx.dim + 1)]
+        k = rng.randrange(cx.dim + 1)
+        pullbacks[k] = _flipped(pullbacks[k], rng.randrange(pullbacks[k].size))
+        sparse = pullbacks_commute(cx, pullbacks)
+        assert sparse == _dense_commutes(cx, [p.to_matrix() for p in pullbacks]), \
+            (name, t.image, k)
+        verdicts.add(sparse)
+    assert verdicts == {True, False}  # K_1 has no rows to compare
+
+
+def test_chain_map_check_detects_every_single_sign_flip():
+    cx = build_complex(octahedron_graph())
+    for image in [(3, 4, 5, 0, 1, 2), (1, 2, 0, 4, 5, 3), tuple(range(6))]:
+        pullbacks = [pullback(cx, image, k) for k in range(cx.dim + 1)]
+        assert pullbacks_commute(cx, pullbacks)
+        for k, p in enumerate(pullbacks):
+            for row in range(p.size):
+                broken = pullbacks[:k] + [_flipped(p, row)] + pullbacks[k + 1:]
+                assert not pullbacks_commute(cx, broken), (image, k, row)
+
+
+def test_sparse_d_squared_matches_dense_reference():
+    for _, g in named_corpus():
+        cx = build_complex(g)
+        dense = all((coboundary_matrix(cx, k + 1) * coboundary_matrix(cx, k)).is_zero()
+                    for k in range(cx.dim))
+        assert coboundary_squares_to_zero(cx) == dense
+        assert dense
+
+
+def test_sparse_d_squared_detects_a_wrong_face():
+    cx = build_complex(complete_graph(3))
+    # point the face (0, 1) of the triangle at the index of (0, 2)
+    cx.index[1][(0, 1)] = cx.index[1][(0, 2)]
+    assert not coboundary_squares_to_zero(cx)
+    assert not (coboundary_matrix(cx, 1) * coboundary_matrix(cx, 0)).is_zero()
+
+
+def test_pullback_product_is_pullback_of_composite():
+    rng = random.Random(3)
+    for g in [octahedron_graph(), petersen_graph(), complete_graph(4)]:
+        cx = build_complex(g)
+        elements = list(automorphism_group(g))
+        for _ in range(6):
+            s, t = rng.choice(elements), rng.choice(elements)
+            composite = s.compose(t)  # apply t first, then s
+            for k in range(cx.dim + 1):
+                product = pullback(cx, t.image, k) * pullback(cx, s.image, k)
+                direct = pullback(cx, composite.image, k)
+                assert (product.target_index, product.sign) == \
+                    (direct.target_index, direct.sign)
+                assert product.to_matrix() == \
+                    pullback_matrix(cx, t.image, k) * pullback_matrix(cx, s.image, k)
+
+
+def test_pullback_apply_matches_matrix():
+    cx = build_complex(octahedron_graph())
+    image = (1, 2, 0, 4, 5, 3)
+    signs = set()
+    for k in range(cx.dim + 1):
+        f = [Fraction(i + 1, 3) for i in range(cx.count(k))]
+        pb = pullback(cx, image, k)
+        assert pb.apply(f) == pullback_matrix(cx, image, k).apply(f)
+        signs.update(pb.sign)
+    assert signs == {1, -1}
+
+
+def test_shared_induced_matrices_equal_fresh_ones():
+    g = disjoint_union(cycle_graph(5), octahedron_graph())  # betti (2, 1, 1)
+    cx = build_complex(g)
+    shared = CochainSpaces(cx)
+    group = list(automorphism_group(g, cap=11))
+    rng = random.Random(11)
+    for t in rng.sample(group, 12) + group[:3]:
+        fresh = CochainSpaces(cx)
+        for k in (2, 0, 1, 0, 2):
+            assert shared.induced_matrix(t.image, k) == fresh.induced_matrix(t.image, k)
+        assert shared.lefschetz_number(t.image) == \
+            CochainSpaces(cx).lefschetz_number(t.image)
+
+
+def test_stored_induced_matrices_stay_bounded():
+    g = petersen_graph()
+    spaces = CochainSpaces(build_complex(g))
+    group = automorphism_group(g)
+    assert group.order == 120
+    for t in group:
+        zeta_det(g, t, spaces)
+    lefschetz_numbers(g, group, spaces)
+    assert len(spaces._induced) <= spaces.dim + 1

@@ -21,6 +21,7 @@ from lefgraph.dynamics import (
     validate_map,
 )
 from lefgraph.graphs import (
+    Graph,
     complete_graph,
     cycle_graph,
     discrete_graph,
@@ -234,6 +235,54 @@ def test_random_endomorphism_is_valid_and_seeded():
         for u, v in g.edges:
             assert g.adjacent(t.image[u], t.image[v])
     assert len(seen) > 10
+
+
+def _recursive_random_endomorphism(g, rng):
+    """Recursive form of random_endomorphism's backtracking search: the
+    reference for which random numbers it draws, and in what order."""
+    order = list(range(g.n))
+    rng.shuffle(order)
+    image = [-1] * g.n
+    full = (1 << g.n) - 1
+
+    def assign(i):
+        if i == g.n:
+            return True
+        v = order[i]
+        allowed = full
+        for w in g.neighbors(v):
+            if image[w] >= 0:
+                allowed &= g.adj[image[w]]
+        candidates = [u for u in range(g.n) if allowed >> u & 1]
+        rng.shuffle(candidates)
+        for u in candidates:
+            image[v] = u
+            if assign(i + 1):
+                return True
+        image[v] = -1
+        return False
+
+    assert assign(0)
+    return tuple(image)
+
+
+def test_random_endomorphism_matches_recursive_search():
+    graphs = [petersen_graph(), octahedron_graph(), cycle_graph(7), path_graph(5),
+              star_graph(4), wheel_graph(5), two_triangles_shared_edge(),
+              complete_graph(4), discrete_graph(3), Graph(0), Graph(6, [(0, 1), (2, 3)])]
+    for seed in range(20):
+        for g in graphs:
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                assert random_endomorphism(g, ours).image == \
+                    _recursive_random_endomorphism(g, theirs)
+            assert ours.random() == theirs.random()
+
+
+def test_random_endomorphism_on_many_vertices():
+    g = Graph(1200, [])  # deeper than the default recursion limit
+    t = random_endomorphism(g, random.Random(0))
+    assert len(t.image) == 1200 and all(0 <= w < 1200 for w in t.image)
 
 
 def test_map_equality_and_hash():

@@ -58,6 +58,16 @@ def test_attractor_and_zeta_checks():
     assert all(c.passed for c in checks)
 
 
+def test_zeta_checks_refuse_an_empty_series():
+    c5 = cycle_graph(5)
+    rotation = validate_map(c5, (1, 2, 3, 4, 0))
+    for order in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            zeta_checks(c5, rotation, series_order=order)
+    series = zeta_checks(c5, rotation, series_order=1)[1]
+    assert series.passed and series.lhs == series.rhs == [0]
+
+
 def test_corpus_report_accounting():
     report = CorpusReport()
     report.absorb("x", [TheoremCheck("good", True, 1, 1)])

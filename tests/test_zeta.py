@@ -6,7 +6,13 @@ import pytest
 
 from lefgraph.cohomology import CochainSpaces
 from lefgraph.complexes import build_complex, euler_characteristic
-from lefgraph.dynamics import identity_map, validate_map
+from lefgraph.dynamics import (
+    fixed_index_sum,
+    identity_map,
+    lefschetz_chain,
+    random_endomorphism,
+    validate_map,
+)
 from lefgraph.graphs import (
     all_graphs,
     complete_graph,
@@ -18,6 +24,7 @@ from lefgraph.graphs import (
 )
 from lefgraph.linalg import poly_pow
 from lefgraph.symmetry import automorphism_group
+from lefgraph.verification import named_corpus
 from lefgraph.zeta import (
     OrbitCensus,
     RationalFunctionZ,
@@ -249,3 +256,22 @@ def test_graph_zeta_of_rigid_graph_is_identity_zeta():
     assert group.order == 1
     chi = euler_characteristic(g)
     assert graph_zeta(g, group) == RationalFunctionZ.from_factors({1: (-chi, 0)})
+
+
+def test_composed_iterates_match_rebuilt_powers():
+    """L(T^n) from composed signed permutations equals the chain trace and
+    the fixed-simplex index sum of T^n built as a map, for n <= 2 order(T)
+    on every corpus automorphism, and for n <= 6 on seeded endomorphisms."""
+    rng = random.Random(31)
+    for name, g in named_corpus():
+        cx = build_complex(g)
+        maps = [(t, 2 * t.order()) for t in automorphism_group(g)]
+        maps += [(random_endomorphism(g, rng), 6) for _ in range(3)]
+        for t, count in maps:
+            iterates = lefschetz_iterates(cx, t, count)
+            assert len(iterates) == count
+            power = t
+            for n, value in enumerate(iterates, start=1):
+                assert value == lefschetz_chain(cx, power) == fixed_index_sum(cx, power), \
+                    (name, t.image, n)
+                power = t.compose(power)
