@@ -43,7 +43,6 @@ from .symmetry import (
     SymmetryError,
     automorphism_group,
     average_lefschetz,
-    lefschetz_curvature,
     lefschetz_multiset,
     orbigraph,
     verify_averaging_theorems,
@@ -266,10 +265,9 @@ def cmd_aut(args) -> int:
             "euler_characteristic": build_complex(quotient.graph).euler_characteristic(),
         }
     if args.curvature:
-        table = lefschetz_curvature(g, group, cx)
         report["curvature"] = [
             {"simplex": list(x), "kappa": _encode(v)}
-            for x, v in table.values.items()]
+            for x, v in averaging.curvature.values.items()]
     report["findings"] = averaging.findings
     report["checks"] = [_check_dict(c) for c in averaging.checks]
     _emit(report, args.format)

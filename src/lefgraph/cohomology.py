@@ -134,21 +134,28 @@ def pullback_matrix(cx: CliqueComplex, image: tuple[int, ...], k: int) -> Ration
     return pullback(cx, image, k).to_matrix()
 
 
-def verify_chain_map(cx: CliqueComplex, image: tuple[int, ...]) -> bool:
-    """Check d_k P_k == P_{k+1} d_k in every degree."""
-    return pullbacks_commute(cx, [pullback(cx, image, k) for k in range(cx.dim + 1)])
+def verify_chain_map(cx: CliqueComplex, image: tuple[int, ...],
+                     spaces: CochainSpaces | None = None) -> bool:
+    """Check d_k P_k == P_{k+1} d_k in every degree, on the map's pullbacks
+    and the face rows kept by `spaces` (of the same complex)."""
+    if spaces is None:
+        spaces = CochainSpaces(cx)
+    return pullbacks_commute(cx, [spaces.pullback(image, k) for k in range(cx.dim + 1)],
+                             spaces.face_rows)
 
 
-def pullbacks_commute(cx: CliqueComplex, pullbacks: list[Pullback]) -> bool:
+def pullbacks_commute(cx: CliqueComplex, pullbacks: list[Pullback],
+                      face_rows=None) -> bool:
     """Check d_k P_k == P_{k+1} d_k for the given P_0..P_dim, row by row.
 
     Both sides are built in full as integer rows {column: coefficient}:
     row x of d_k P_k sums (-1)^i sign_k(f_i) at target_k(f_i) over the faces
     f_i of x; row x of P_{k+1} d_k is sign_{k+1}(x) times row target_{k+1}(x)
-    of d_k.
+    of d_k.  `face_rows(k)` gives the row pattern of d_k; by default it is
+    rebuilt from the complex.
     """
     for k in range(cx.dim):
-        faces = _faces(cx, k)
+        faces = face_rows(k) if face_rows else _faces(cx, k)
         pk, pk1 = pullbacks[k], pullbacks[k + 1]
         for x, x_faces in enumerate(faces):
             left = _sparse_row((pk.target_index[f], pk.sign[f] * (-1) ** i)
@@ -162,30 +169,62 @@ def pullbacks_commute(cx: CliqueComplex, pullbacks: list[Pullback]) -> bool:
 
 
 class CochainSpaces:
-    """Cached coboundaries, ranks, and canonical bases for one complex.
+    """The one owner of a complex's shared chain and cochain data.
 
+    Built once per graph, on first use: the face rows of each d_k, the
+    coboundary matrices and their ranks, the canonical bases of cocycles,
+    coboundaries and representatives, and the solvers against them.
     Building kernels and solvers is the expensive part of the whole library,
     so anything that iterates over many maps of the same graph should share
     one instance.
+
+    Kept for the latest map only, so memory does not grow with the number of
+    maps: its pullbacks P_k and the matrices it induces on H^k, each degree
+    built when first asked for.  Every map's Lefschetz number is kept, as one
+    integer.
     """
 
     def __init__(self, cx: CliqueComplex):
         self.cx = cx
+        self._faces: dict[int, list[tuple[int, ...]]] = {}
         self._d: dict[int, RationalMatrix] = {}
         self._rank: dict[int, int] = {}
         self._cocycles: dict[int, list[Vector]] = {}
         self._images: dict[int, list[Vector]] = {}
         self._reps: dict[int, list[Vector]] = {}
         self._solver: dict[int, SpanSolver | None] = {}
-        # Matrices induced on H^k by the most recent map only, so memory does
-        # not grow with the number of maps; Lefschetz numbers of every map.
-        self._induced_image: tuple[int, ...] | None = None
+        # Pullbacks and induced matrices of the map `_image` only.
+        self._image: tuple[int, ...] | None = None
+        self._pullbacks: dict[int, Pullback] = {}
         self._induced: dict[int, RationalMatrix] = {}
         self._lefschetz: dict[tuple[int, ...], int] = {}
 
     @property
     def dim(self) -> int:
         return self.cx.dim
+
+    def face_rows(self, k: int) -> list[tuple[int, ...]]:
+        """Row pattern of d_k: for each (k+1)-simplex, the indices of its
+        k-faces, face i carrying the coefficient (-1)^i."""
+        if k not in self._faces:
+            self._faces[k] = _faces(self.cx, k)
+        return self._faces[k]
+
+    def _select_map(self, image: tuple[int, ...]):
+        """Make `image` the latest map, dropping the previous map's data."""
+        if image != self._image:
+            self._image = image
+            self._pullbacks = {}
+            self._induced = {}
+
+    def pullback(self, image: tuple[int, ...], k: int) -> Pullback:
+        """The pullback P_k of the vertex map, shared by every caller that
+        asks for the same map until another map is asked for.  The result
+        is shared: callers must not modify it."""
+        self._select_map(tuple(image))
+        if k not in self._pullbacks:
+            self._pullbacks[k] = pullback(self.cx, self._image, k)
+        return self._pullbacks[k]
 
     def coboundary(self, k: int) -> RationalMatrix:
         if k not in self._d:
@@ -274,12 +313,9 @@ class CochainSpaces:
         b = self.betti(k)
         if b == 0:
             return RationalMatrix(0, 0)
-        image = tuple(image)
-        if image != self._induced_image:
-            self._induced_image = image
-            self._induced = {}
+        self._select_map(tuple(image))
         if k not in self._induced:
-            pb = pullback(self.cx, image, k)
+            pb = self.pullback(self._image, k)
             solver = self._span_solver(k)
             out = RationalMatrix(b, b)
             for j, h in enumerate(self.representatives(k)):

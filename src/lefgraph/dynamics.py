@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .complexes import CliqueComplex, Simplex, build_complex
-from .cohomology import CochainSpaces, permutation_parity_sign, pullback
+from .cohomology import CochainSpaces, permutation_parity_sign
 from .graphs import Graph, induced_subgraph
 
 
@@ -153,11 +153,15 @@ def fixed_index_sum(cx: CliqueComplex, t: GraphMap) -> int:
     return sum(rec.index for rec in fixed_simplices(cx, t))
 
 
-def lefschetz_chain(cx: CliqueComplex, t: GraphMap) -> int:
-    """Alternating sum of chain-level pullback traces, sum_k (-1)^k tr(P_k)."""
+def lefschetz_chain(cx: CliqueComplex, t: GraphMap,
+                    spaces: CochainSpaces | None = None) -> int:
+    """Alternating sum of chain-level pullback traces, sum_k (-1)^k tr(P_k),
+    on the map's pullbacks kept by `spaces` (of the same complex)."""
+    if spaces is None:
+        spaces = CochainSpaces(cx)
     total = 0
     for k in range(cx.dim + 1):
-        total += (-1) ** k * pullback(cx, t.image, k).trace()
+        total += (-1) ** k * spaces.pullback(t.image, k).trace()
     return total
 
 

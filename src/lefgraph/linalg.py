@@ -8,6 +8,7 @@ from the reduced row echelon form, so equal inputs give identical bases.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -171,8 +172,8 @@ def rank(m: RationalMatrix) -> int:
     a: list[list[int]] = []
     for row in m.data:
         scale = 1
-        for x in row:
-            scale = scale * x.denominator // _gcd(scale, x.denominator)
+        for x in row:  # pairwise, so no argument tuple is built per row
+            scale = math.lcm(scale, x.denominator)
         a.append([int(x * scale) for x in row])
     nrows, ncols = m.rows, m.cols
     r = 0
@@ -195,12 +196,6 @@ def rank(m: RationalMatrix) -> int:
         prev = a[r][c]
         r += 1
     return r
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def nullspace(m: RationalMatrix) -> list[Vector]:
@@ -345,18 +340,12 @@ def det_one_minus_z(m: RationalMatrix) -> list[Fraction]:
                 shifted.data[i][i] += coeffs[-1]
             mk = m * shifted
         coeffs.append(-mk.trace() / k)
-    return _poly_trim_fractions(coeffs)
-
-
-def _poly_trim_fractions(c: list[Fraction]) -> list[Fraction]:
-    out = list(c)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+    return poly_trim(coeffs)
 
 
 # ---------------------------------------------------------------------------
-# Integer polynomials in z, stored as ascending coefficient lists.
+# Polynomials in z, stored as ascending coefficient lists of ints; trimming
+# and multiplication take Fraction coefficients as well.
 
 
 def poly_trim(c: list[int]) -> list[int]:
@@ -364,20 +353,6 @@ def poly_trim(c: list[int]) -> list[int]:
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return out if out else [0]
-
-
-def poly_add(a: list[int], b: list[int]) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    return poly_trim(out)
-
-
-def poly_neg(a: list[int]) -> list[int]:
-    return [-x for x in a]
 
 
 def poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -407,13 +382,6 @@ def poly_pow(a: list[int], e: int) -> list[int]:
     return out
 
 
-def poly_eval(a: list[int], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
 def poly_derivative(a: list[int]) -> list[int]:
     if len(a) <= 1:
         return [0]
@@ -436,13 +404,13 @@ def poly_divmod(a: list[int], b: list[int]):
         if coeff != 0:
             for j, x in enumerate(d):
                 r[i + j] -= coeff * x
-    return q, _poly_trim_fractions(r)
+    return q, poly_trim(r)
 
 
 def poly_div_exact(a: list[int], b: list[int]) -> list[int]:
     """Exact division of integer polynomials; raises if not divisible."""
     q, r = poly_divmod(a, b)
-    if _poly_trim_fractions(r) != [Fraction(0)]:
+    if poly_trim(r) != [Fraction(0)]:
         raise LinearAlgebraError("polynomials do not divide exactly")
     out = []
     for x in q:
@@ -462,32 +430,18 @@ def poly_gcd(a: list[int], b: list[int]) -> list[int]:
     while fb != [Fraction(0)]:
         _, r = poly_divmod([x for x in fa], [x for x in fb])
         fa, fb = fb, r
-        fa = _poly_trim_fractions(fa)
-        fb = _poly_trim_fractions(fb)
+        fa = poly_trim(fa)
+        fb = poly_trim(fb)
     if fa == [Fraction(0)]:
         return [0]
-    denom = 1
-    for x in fa:
-        denom = denom * x.denominator // _gcd(denom, x.denominator)
+    denom = math.lcm(*(x.denominator for x in fa))
     ints = [int(x * denom) for x in fa]
-    content = 0
-    for x in ints:
-        content = _gcd(content, x)
+    content = math.gcd(*ints)
     ints = [x // content for x in ints]
     low = next(x for x in ints if x != 0)
     if low < 0:
         ints = [-x for x in ints]
     return poly_trim(ints)
-
-
-def poly_content_free(a: list[int]) -> list[int]:
-    """Divide out the integer content, keeping the lowest nonzero sign."""
-    c = 0
-    for x in a:
-        c = _gcd(c, x)
-    if c == 0:
-        return [0]
-    return [x // c for x in a]
 
 
 _CYCLOTOMIC_CACHE: dict[int, list[int]] = {}

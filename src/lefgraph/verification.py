@@ -76,9 +76,9 @@ def lefschetz_checks(g: Graph, t: GraphMap, cx: CliqueComplex | None = None,
         spaces = CochainSpaces(cx)
     coh = lefschetz_cohomological(g, t, spaces)
     idx = fixed_index_sum(cx, t)
-    chain = lefschetz_chain(cx, t)
+    chain = lefschetz_chain(cx, t, spaces)
     return [
-        TheoremCheck("chain_map_commutes", verify_chain_map(cx, t.image),
+        TheoremCheck("chain_map_commutes", verify_chain_map(cx, t.image, spaces),
                      "d*P", "P*d"),
         TheoremCheck("lefschetz_cohomological_equals_index_sum",
                      coh == idx, coh, idx),
@@ -89,12 +89,18 @@ def lefschetz_checks(g: Graph, t: GraphMap, cx: CliqueComplex | None = None,
 
 def attractor_checks(g: Graph, t: GraphMap, cx: CliqueComplex | None = None,
                      spaces: CochainSpaces | None = None) -> list[TheoremCheck]:
-    """L is unchanged when an endomorphism is restricted to its attractor."""
+    """L is unchanged when an endomorphism is restricted to its attractor.
+
+    When the attractor is the whole graph with the same map (every
+    automorphism), its Lefschetz number is the caller's, taken from the
+    caller's spaces; a proper attractor gets its own complex and spaces.
+    """
     if spaces is None:
         spaces = CochainSpaces(build_complex(g))
     core = attractor(t)
     l_full = lefschetz_cohomological(g, t, spaces)
-    l_core = lefschetz_cohomological(core.graph, core.map)
+    whole = core.graph == g and core.map.image == t.image
+    l_core = lefschetz_cohomological(core.graph, core.map, spaces if whole else None)
     return [TheoremCheck("lefschetz_invariant_on_attractor",
                          l_full == l_core, l_full, l_core)]
 
@@ -117,7 +123,7 @@ def zeta_checks(g: Graph, t: GraphMap, cx: CliqueComplex | None = None,
     z_prod = zeta_product(orbit_census(cx, t))
     if series_order is None:
         series_order = 2 * t.order()
-    expected = lefschetz_iterates(cx, t, series_order)
+    expected = lefschetz_iterates(cx, t, series_order, spaces)
     actual = z_prod.log_derivative_series(series_order)
     return [
         TheoremCheck("zeta_det_equals_product",

@@ -9,11 +9,12 @@ per-automorphism zetas over the whole group.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .complexes import CliqueComplex, build_complex
-from .cohomology import CochainSpaces, permutation_parity_sign, pullback
+from .cohomology import CochainSpaces, permutation_parity_sign
 from .dynamics import GraphMap
 from .graphs import Graph
 from .linalg import (
@@ -21,6 +22,7 @@ from .linalg import (
     det_one_minus_z,
     one_minus_z_to_the,
     one_plus_z_to_the,
+    poly_derivative,
     poly_div_exact,
     poly_gcd,
     poly_mul,
@@ -165,7 +167,7 @@ class RationalFunctionZ:
         """
         num, den = list(self.num), list(self.den)
         a = poly_trim([x - y for x, y in _pad(
-            poly_mul(_derivative(num), den), poly_mul(num, _derivative(den)))])
+            poly_mul(poly_derivative(num), den), poly_mul(num, poly_derivative(den)))])
         b = poly_mul(num, den)
         scale = b[0]
         series = []
@@ -213,34 +215,18 @@ def _pad(a: list[int], b: list[int]) -> list[tuple[int, int]]:
             for i in range(n)]
 
 
-def _derivative(a: list[int]) -> list[int]:
-    if len(a) <= 1:
-        return [0]
-    return poly_trim([i * c for i, c in enumerate(a)][1:])
-
-
 def _joint_integer_scale(num, den) -> tuple[list[int], list[int]]:
     """Scale both coefficient lists by one factor to make everything integer."""
     fn = [Fraction(x) for x in num]
     fd = [Fraction(x) for x in den]
-    scale = 1
-    for x in fn + fd:
-        scale = scale * x.denominator // _int_gcd(scale, x.denominator)
+    scale = math.lcm(*(x.denominator for x in fn + fd))
     return (poly_trim([int(x * scale) for x in fn]),
             poly_trim([int(x * scale) for x in fd]))
 
 
-def _int_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 def _common_content_and_sign(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     """Divide by the shared integer content only, keeping the quotient's value."""
-    g = 0
-    for x in num + den:
-        g = _int_gcd(g, x)
+    g = math.gcd(*num, *den)
     if g > 1:
         num = [x // g for x in num]
         den = [x // g for x in den]
@@ -334,20 +320,10 @@ def zeta_det(g: Graph, t: GraphMap,
             continue
         det = det_one_minus_z(spaces.induced_matrix(t.image, k))
         if k % 2:
-            num = _fraction_poly_mul(num, det)
+            num = poly_mul(num, det)
         else:
-            den = _fraction_poly_mul(den, det)
+            den = poly_mul(den, det)
     return RationalFunctionZ.from_quotient(num, den)
-
-
-def _fraction_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def series_consistency(zeta: RationalFunctionZ, lefschetz_values: list[int]) -> bool:
@@ -355,13 +331,17 @@ def series_consistency(zeta: RationalFunctionZ, lefschetz_values: list[int]) -> 
     return zeta.log_derivative_series(len(lefschetz_values)) == list(lefschetz_values)
 
 
-def lefschetz_iterates(cx: CliqueComplex, t: GraphMap, count: int) -> list[int]:
+def lefschetz_iterates(cx: CliqueComplex, t: GraphMap, count: int,
+                       spaces: CochainSpaces | None = None) -> list[int]:
     """L(T^n) for n = 1..count, by the chain-trace route.
 
-    P_k is built once per degree; the pullback of T^n is the signed
-    permutation P_k(T^(n-1)) * P_k, whose alternating trace sum is L(T^n).
+    P_k is the map's pullback kept by `spaces` (of the same complex); the
+    pullback of T^n is the signed permutation P_k(T^(n-1)) * P_k, whose
+    alternating trace sum is L(T^n).
     """
-    base = [pullback(cx, t.image, k) for k in range(cx.dim + 1)]
+    if spaces is None:
+        spaces = CochainSpaces(cx)
+    base = [spaces.pullback(t.image, k) for k in range(cx.dim + 1)]
     current = base
     out = []
     for n in range(count):

@@ -105,6 +105,23 @@ def test_aut_curvature_table(capsys):
     assert table[(0, 1, 2)] == 0
 
 
+def test_aut_curvature_scans_each_element_once(capsys, monkeypatch):
+    import lefgraph.symmetry as symmetry
+
+    scanned = []
+    real = symmetry.fixed_simplices
+
+    def counting(cx, t):
+        scanned.append(t.image)
+        return real(cx, t)
+
+    monkeypatch.setattr(symmetry, "fixed_simplices", counting)
+    code, report = run_json(capsys, "aut", "--named", "petersen", "--curvature")
+    assert code == 0
+    assert len(report["curvature"]) == 25
+    assert len(scanned) == len(set(scanned)) == report["group"]["order"] == 120
+
+
 def test_aut_orbigraph(capsys):
     code, report = run_json(capsys, "aut", "--named", "petersen", "--orbigraph")
     assert code == 0

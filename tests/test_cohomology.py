@@ -322,3 +322,64 @@ def test_stored_induced_matrices_stay_bounded():
         zeta_det(g, t, spaces)
     lefschetz_numbers(g, group, spaces)
     assert len(spaces._induced) <= spaces.dim + 1
+
+
+def _corpus_maps_with_spaces(endomorphisms_per_graph):
+    """The corpus maps of _corpus_maps, each graph's maps sharing one
+    CochainSpaces, so that a pullback kept from an earlier map would show."""
+    spaces = None
+    for name, cx, t in _corpus_maps(endomorphisms_per_graph):
+        if spaces is None or spaces.cx is not cx:
+            spaces = CochainSpaces(cx)
+        yield name, cx, spaces, t
+
+
+def test_shared_pullbacks_equal_fresh_ones():
+    for name, cx, spaces, t in _corpus_maps_with_spaces(3):
+        for k in list(range(cx.dim, -1, -1)) + [0, cx.dim]:
+            shared = spaces.pullback(t.image, k)
+            fresh = pullback(cx, t.image, k)
+            assert (shared.k, shared.size, shared.target_index, shared.sign) == \
+                (fresh.k, fresh.size, fresh.target_index, fresh.sign), (name, t.image, k)
+        assert verify_chain_map(cx, t.image, spaces), (name, t.image)
+
+
+def test_face_rows_are_built_once_and_match_the_coboundary():
+    cx = build_complex(octahedron_graph())
+    spaces = CochainSpaces(cx)
+    for k in range(cx.dim + 1):
+        rows = spaces.face_rows(k)
+        assert spaces.face_rows(k) is rows
+        dense = coboundary_matrix(cx, k)
+        assert len(rows) == dense.rows
+        for faces, row in zip(rows, dense.data):
+            assert {f: (-1) ** i for i, f in enumerate(faces)} == \
+                {c: x for c, x in enumerate(row) if x}
+
+
+def test_stored_pullbacks_stay_bounded():
+    g = petersen_graph()
+    cx = build_complex(g)
+    spaces = CochainSpaces(cx)
+    group = automorphism_group(g)
+    assert group.order == 120
+    for t in group:
+        assert verify_chain_map(cx, t.image, spaces)
+        zeta_det(g, t, spaces)
+        assert len(spaces._pullbacks) <= spaces.dim + 1
+    assert len(spaces._pullbacks) == spaces.dim + 1
+    assert len(spaces._induced) <= spaces.dim + 1
+
+
+def test_chain_map_check_reads_the_shared_pullbacks():
+    cx = build_complex(octahedron_graph())
+    spaces = CochainSpaces(cx)
+    image = (1, 2, 0, 4, 5, 3)
+    for k in range(cx.dim + 1):
+        assert verify_chain_map(cx, image, spaces)
+        stored = spaces.pullback(image, k)
+        for row in (0, stored.size - 1):
+            stored.sign[row] = -stored.sign[row]
+            assert not verify_chain_map(cx, image, spaces), (k, row)
+            assert verify_chain_map(cx, image), (k, row)
+            stored.sign[row] = -stored.sign[row]

@@ -263,3 +263,23 @@ def test_group_repr_mentions_order():
     group = automorphism_group(cycle_graph(3))
     assert "6" in repr(group)
     assert isinstance(group, AutomorphismGroup)
+
+
+def test_averaging_scans_each_element_once(monkeypatch):
+    import lefgraph.symmetry as symmetry
+
+    scanned = []
+    real = symmetry.fixed_simplices
+
+    def counting(cx, t):
+        scanned.append(t.image)
+        return real(cx, t)
+
+    monkeypatch.setattr(symmetry, "fixed_simplices", counting)
+    for g in [petersen_graph(), octahedron_graph(), wheel_graph(5), path_graph(3)]:
+        group = automorphism_group(g)
+        scanned.clear()
+        report = verify_averaging_theorems(g, group)
+        assert report.passed
+        assert sorted(scanned) == sorted(t.image for t in group)
+        assert report.curvature == lefschetz_curvature(g, group)

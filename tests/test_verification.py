@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from lefgraph.dynamics import identity_map, validate_map
+from lefgraph.cohomology import CochainSpaces
+from lefgraph.complexes import build_complex
+from lefgraph.dynamics import attractor, identity_map, lefschetz_cohomological, validate_map
 from lefgraph.experiments import (
     expectation_exhaustive,
     expectation_sampled,
     graph_average_lefschetz,
 )
-from lefgraph.graphs import cycle_graph, named_graph, petersen_graph
+from lefgraph.graphs import cycle_graph, named_graph, path_graph, petersen_graph
 from lefgraph.reporting import TheoremCheck
 from lefgraph.verification import (
     CorpusReport,
@@ -109,3 +111,45 @@ def test_expectation_sampled_is_seeded():
     assert isinstance(a, Fraction)
     with pytest.raises(ValueError):
         expectation_sampled(4, Fraction(1, 2), samples=0, seed=0)
+
+
+def _count_spaces_built(monkeypatch):
+    """Record the graph of every CochainSpaces built from now on."""
+    built = []
+    real = CochainSpaces.__init__
+
+    def counting(self, cx):
+        built.append(cx.graph)
+        real(self, cx)
+
+    monkeypatch.setattr(CochainSpaces, "__init__", counting)
+    return built
+
+
+def test_attractor_checks_reuse_the_callers_spaces_for_the_whole_graph(monkeypatch):
+    g = named_graph("octahedron")
+    cx = build_complex(g)
+    spaces = CochainSpaces(cx)
+    maps = [validate_map(g, image)
+            for image in [(1, 2, 0, 4, 5, 3), (3, 4, 5, 0, 1, 2), tuple(range(6))]]
+    expected = [lefschetz_cohomological(g, t) for t in maps]
+    built = _count_spaces_built(monkeypatch)
+    for t, value in zip(maps, expected):
+        checks = attractor_checks(g, t, cx, spaces)
+        assert [c.passed for c in checks] == [True]
+        assert checks[0].rhs == value
+    assert built == []
+
+
+def test_attractor_checks_build_spaces_for_a_proper_attractor(monkeypatch):
+    g = path_graph(6)
+    cx = build_complex(g)
+    spaces = CochainSpaces(cx)
+    t = validate_map(g, (1, 0, 1, 0, 1, 0))
+    core = attractor(t)
+    assert core.graph.n == 2 < g.n
+    built = _count_spaces_built(monkeypatch)
+    checks = attractor_checks(g, t, cx, spaces)
+    assert built == [core.graph]
+    assert [c.passed for c in checks] == [True]
+    assert checks[0].rhs == lefschetz_cohomological(core.graph, core.map) == 1

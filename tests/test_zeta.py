@@ -261,15 +261,20 @@ def test_graph_zeta_of_rigid_graph_is_identity_zeta():
 def test_composed_iterates_match_rebuilt_powers():
     """L(T^n) from composed signed permutations equals the chain trace and
     the fixed-simplex index sum of T^n built as a map, for n <= 2 order(T)
-    on every corpus automorphism, and for n <= 6 on seeded endomorphisms."""
+    on every corpus automorphism, and for n <= 6 on seeded endomorphisms.
+    The maps of one graph follow each other on one CochainSpaces, whose
+    shared pullbacks must give the same values as fresh ones."""
     rng = random.Random(31)
     for name, g in named_corpus():
         cx = build_complex(g)
+        spaces = CochainSpaces(cx)
         maps = [(t, 2 * t.order()) for t in automorphism_group(g)]
         maps += [(random_endomorphism(g, rng), 6) for _ in range(3)]
         for t, count in maps:
-            iterates = lefschetz_iterates(cx, t, count)
+            iterates = lefschetz_iterates(cx, t, count, spaces)
             assert len(iterates) == count
+            assert iterates == lefschetz_iterates(cx, t, count), (name, t.image)
+            assert lefschetz_chain(cx, t, spaces) == iterates[0], (name, t.image)
             power = t
             for n, value in enumerate(iterates, start=1):
                 assert value == lefschetz_chain(cx, power) == fixed_index_sum(cx, power), \
