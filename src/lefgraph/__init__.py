@@ -51,7 +51,6 @@ from .linalg import (
     det_one_minus_z,
     nullspace,
     rank,
-    solve_in_span,
 )
 from .reporting import TheoremCheck
 from .symmetry import (

@@ -9,13 +9,16 @@ The chain level is sparse and integer.  A graph map is injective on every
 clique, so its pullback P_k is a signed permutation, one (target, +-1) pair
 per simplex; a row of d_k holds k+2 entries +-1, found by face lookups.  The
 chain-map identity and d o d = 0 are checked on these integer rows in
-O(nonzeros).  Dense Fraction matrices appear only in the cohomology solve:
-the eliminations behind Betti numbers and representatives, and the matrices
-induced on H^k.
+O(nonzeros).  The eliminations behind Betti numbers, representatives and
+solves run in integers as well, in the one fraction-free kernel of
+`linalg`.  Fractions remain only at its edges: the dense coboundary
+matrices it reads, and the bases, solved coefficients and matrices induced
+on H^k it gives.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .complexes import CliqueComplex
@@ -38,11 +41,16 @@ def _faces(cx: CliqueComplex, k: int) -> list[tuple[int, ...]]:
             for x in cx.simplices(k + 1)]
 
 
-def coboundary_matrix(cx: CliqueComplex, k: int) -> RationalMatrix:
-    """Matrix of d_k, rows indexed by (k+1)-simplices, columns by k-simplices."""
+def coboundary_matrix(cx: CliqueComplex, k: int,
+                      faces: list[tuple[int, ...]] | None = None) -> RationalMatrix:
+    """Matrix of d_k, rows indexed by (k+1)-simplices, columns by k-simplices.
+
+    `faces` is the row pattern of d_k; by default it is rebuilt from the
+    complex.
+    """
     m = RationalMatrix(cx.count(k + 1), cx.count(k))
-    for row, faces in zip(m.data, _faces(cx, k)):
-        for i, f in enumerate(faces):
+    for row, row_faces in zip(m.data, faces if faces is not None else _faces(cx, k)):
+        for i, f in enumerate(row_faces):
             row[f] = Fraction(-1 if i % 2 else 1)
     return m
 
@@ -55,11 +63,17 @@ def _sparse_row(terms) -> dict[int, int]:
     return {col: c for col, c in row.items() if c}
 
 
-def coboundary_squares_to_zero(cx: CliqueComplex) -> bool:
-    """Check d_{k+1} d_k == 0 in every degree, on integer sparse rows."""
+def coboundary_squares_to_zero(cx: CliqueComplex, face_rows=None) -> bool:
+    """Check d_{k+1} d_k == 0 in every degree, on integer sparse rows.
+
+    Every row of the product is built in full.  `face_rows(k)` gives the row
+    pattern of d_k; by default it is rebuilt from the complex.
+    """
+    if face_rows is None:
+        face_rows = functools.partial(_faces, cx)
     for k in range(cx.dim):
-        inner = _faces(cx, k)
-        for faces in _faces(cx, k + 1):
+        inner = face_rows(k)
+        for faces in face_rows(k + 1):
             if _sparse_row((col, (-1) ** (i + j))
                            for i, f in enumerate(faces)
                            for j, col in enumerate(inner[f])):
@@ -228,7 +242,7 @@ class CochainSpaces:
 
     def coboundary(self, k: int) -> RationalMatrix:
         if k not in self._d:
-            self._d[k] = coboundary_matrix(self.cx, k)
+            self._d[k] = coboundary_matrix(self.cx, k, self.face_rows(k))
         return self._d[k]
 
     def coboundary_rank(self, k: int) -> int:

@@ -1,9 +1,15 @@
 """Exact dense linear algebra over the rationals.
 
-Everything here works with arbitrary-precision ``fractions.Fraction`` scalars
-(or plain ints, which are upgraded on entry).  No floating point is used
-anywhere.  Bases returned by kernel/image routines are canonical: they come
-from the reduced row echelon form, so equal inputs give identical bases.
+Matrices hold arbitrary-precision ``fractions.Fraction`` scalars (plain ints
+are upgraded on entry).  No floating point is used anywhere.
+
+Every elimination runs through one integer kernel, `_eliminate`: Bareiss's
+fraction-free Gauss-Jordan elimination on rows cleared of their
+denominators.  `rank` counts its pivots, `rref` divides its rows by its
+scale once, and `nullspace` and `column_space_basis` read the RREF.
+`SpanSolver` makes one kernel call on [C^T | I], which picks its rows and
+inverts them at once.  Bases are canonical: they come from the reduced row
+echelon form, so equal inputs give identical bases.
 """
 
 from __future__ import annotations
@@ -24,7 +30,9 @@ Vector = list[Fraction]
 
 
 def _as_fraction_rows(data) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in data]
+    """Copy the rows, keeping Fraction entries (they are immutable) and
+    converting the others."""
+    return [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in data]
 
 
 class RationalMatrix:
@@ -62,13 +70,9 @@ class RationalMatrix:
 
     @classmethod
     def from_columns(cls, columns: list[Vector], height: int) -> "RationalMatrix":
-        m = cls(height, len(columns))
-        for j, col in enumerate(columns):
-            if len(col) != height:
-                raise LinearAlgebraError("column length does not match height")
-            for i, x in enumerate(col):
-                m.data[i][j] = Fraction(x)
-        return m
+        if any(len(col) != height for col in columns):
+            raise LinearAlgebraError("column length does not match height")
+        return cls(height, len(columns), [[col[i] for col in columns] for i in range(height)])
 
     def __getitem__(self, key) -> Fraction:
         i, j = key
@@ -130,72 +134,72 @@ class RationalMatrix:
                     Fraction(0)) for row in self.data]
 
 
+def _integer_row(row) -> tuple[int, list[int]]:
+    """(d, d * row) for d the lcm of the row's denominators."""
+    d = 1
+    for x in row:  # pairwise, so no argument tuple is built per row
+        d = math.lcm(d, x.denominator)
+    return d, [x.numerator * (d // x.denominator) for x in row]
+
+
+def _eliminate(rows: list[list[int]], ncols: int) -> tuple[int, list[int]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Each pivot is taken from the first remaining row with a nonzero entry in
+    its column, and that row is swapped up to follow the earlier pivot rows.
+    With p the new pivot, prev the one before it (1 at the start), y the
+    pivot row and f a row's entry in the pivot column, every other row x
+    becomes (p*x - f*y) // prev; a row with f = 0 is still rescaled, to
+    p*x // prev (skipped where that is a no-op: p == prev, or a zero row).
+    By Sylvester's identity every entry stays a minor of the input, so each
+    division is exact (Bareiss, Math. Comp. 22, 1968).
+
+    Returns (scale, pivot columns), scale being the last pivot: the first
+    len(pivots) rows divided by scale are the reduced row echelon form, and
+    the remaining rows are zero.
+    """
+    nrows = len(rows)
+    pivots: list[int] = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        y = rows[r]
+        p = y[c]
+        for i, x in enumerate(rows):
+            if i == r:
+                continue
+            f = x[c]
+            if f:
+                rows[i] = [(p * a - f * b) // prev for a, b in zip(x, y)]
+            elif p != prev and any(x):
+                rows[i] = [p * a // prev for a in x]
+        pivots.append(c)
+        prev = p
+    return prev, pivots
+
+
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns.
 
-    RREF is unique, so the result does not depend on pivot choices; rows are
-    picked by smallest numerator+denominator bit length purely to keep
-    intermediate coefficients small.
+    The kernel's rows divided by its scale; RREF is unique, so the result
+    does not depend on the pivot rows chosen.
     """
-    a = _as_fraction_rows(m.data)
-    nrows, ncols = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        best = None
-        for i in range(r, nrows):
-            x = a[i][c]
-            if x != 0:
-                size = x.numerator.bit_length() + x.denominator.bit_length()
-                if best is None or size < best[0]:
-                    best = (size, i)
-        if best is None:
-            continue
-        a[r], a[best[1]] = a[best[1]], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return RationalMatrix(nrows, ncols, a), pivots
+    rows = [_integer_row(row)[1] for row in m.data]
+    scale, pivots = _eliminate(rows, m.cols)
+    zero = Fraction(0)
+    reduced = [[Fraction(x, scale) if x else zero for x in row] for row in rows]
+    return RationalMatrix(m.rows, m.cols, reduced), pivots
 
 
 def rank(m: RationalMatrix) -> int:
-    """Rank via fraction-free Bareiss elimination on an integer rescaling."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    a: list[list[int]] = []
-    for row in m.data:
-        scale = 1
-        for x in row:  # pairwise, so no argument tuple is built per row
-            scale = math.lcm(scale, x.denominator)
-        a.append([int(x * scale) for x in row])
-    nrows, ncols = m.rows, m.cols
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = None
-        for i in range(r, nrows):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-    return r
+    """Number of pivots of the kernel's elimination."""
+    return len(_eliminate([_integer_row(row)[1] for row in m.data], m.cols)[1])
 
 
 def nullspace(m: RationalMatrix) -> list[Vector]:
@@ -223,102 +227,50 @@ def column_space_basis(m: RationalMatrix) -> list[Vector]:
     return [reduced.data[r][:] for r in range(len(pivots))]
 
 
-def solve_in_span(columns: list[Vector], target: Vector) -> Vector | None:
-    """Coefficients expressing target in the span of the given columns.
-
-    Returns None when the target lies outside the span.  Free coefficients
-    are set to zero, so the answer is deterministic.
-    """
-    width = len(columns)
-    height = len(target)
-    aug = RationalMatrix(height, width + 1)
-    for j, col in enumerate(columns):
-        if len(col) != height:
-            raise LinearAlgebraError("column height does not match target")
-        for i, x in enumerate(col):
-            aug.data[i][j] = Fraction(x)
-    for i, x in enumerate(target):
-        aug.data[i][width] = Fraction(x)
-    reduced, pivots = rref(aug)
-    if width in pivots:
-        return None
-    x = [Fraction(0)] * width
-    for r, c in enumerate(pivots):
-        x[c] = reduced.data[r][width]
-    return x
-
-
 class SpanSolver:
-    """Repeated exact solves against a fixed independent set of columns.
+    """Repeated exact solves against a fixed independent set of columns C.
 
-    Picks a row subset on which the columns form an invertible square matrix,
-    inverts it once, then each solve is a small matrix-vector product plus a
-    full verification that the reconstruction matches the target.
+    One kernel call on [C^T | I] does all the elimination.  Its pivots are
+    the first rows of C on which the columns are independent, and its right
+    block is scale * E with E the inverse of C^T on those rows.  Each solve
+    is then c = E^T t[rows] / scale in integers, plus a full verification
+    that the reconstruction matches the target on every row.
     """
 
     def __init__(self, columns: list[Vector], height: int):
-        self.columns = [[Fraction(x) for x in col] for col in columns]
+        self.columns = _as_fraction_rows(columns)
         self.height = height
         self.width = len(columns)
         for col in self.columns:
             if len(col) != height:
                 raise LinearAlgebraError("column height mismatch")
-        self._select_rows()
-
-    def _select_rows(self):
-        # Greedy: keep the first rows (as width-vectors) that are independent.
-        selected: list[int] = []
-        reducer: list[tuple[int, Vector]] = []  # (pivot position, unit row)
-        for i in range(self.height):
-            v = [col[i] for col in self.columns]
-            for pos, unit in reducer:
-                if v[pos] != 0:
-                    f = v[pos]
-                    v = [x - f * y for x, y in zip(v, unit)]
-            lead = next((j for j, x in enumerate(v) if x != 0), None)
-            if lead is None:
-                continue
-            inv = Fraction(1) / v[lead]
-            reducer.append((lead, [x * inv for x in v]))
-            selected.append(i)
-            if len(selected) == self.width:
-                break
-        if len(selected) != self.width:
+        # Row j is column j cleared of denominators by d, then d * e_j, so
+        # the right block stays a row operation applied to I.
+        rows = []
+        for j, col in enumerate(self.columns):
+            d, ints = _integer_row(col)
+            unit = [0] * self.width
+            unit[j] = d
+            rows.append(ints + unit)
+        self.scale, pivots = _eliminate(rows, height + self.width)
+        if any(c >= height for c in pivots):
             raise LinearAlgebraError("columns are linearly dependent")
-        self.row_indices = selected
-        square = RationalMatrix(self.width, self.width,
-                                [[self.columns[j][i] for j in range(self.width)]
-                                 for i in selected])
-        self.inverse = _invert(square)
+        self.row_indices = pivots
+        self._inverse_columns = list(zip(*(row[height:] for row in rows)))
 
     def solve(self, target: Vector) -> Vector:
         """Unique coefficient vector c with columns . c == target."""
         if len(target) != self.height:
             raise LinearAlgebraError("target height mismatch")
-        restricted = [Fraction(target[i]) for i in self.row_indices]
-        coeffs = self.inverse.apply(restricted)
+        d, t = _integer_row([target[i] for i in self.row_indices])
+        coeffs = [Fraction(sum(e * x for e, x in zip(col, t)), d * self.scale)
+                  for col in self._inverse_columns]
         # The restricted system has a unique solution; verify on all rows.
+        terms = [(c, col) for c, col in zip(coeffs, self.columns) if c]
         for i in range(self.height):
-            acc = Fraction(0)
-            for j, c in enumerate(coeffs):
-                if c != 0:
-                    acc += c * self.columns[j][i]
-            if acc != target[i]:
+            if sum(c * col[i] for c, col in terms) != target[i]:
                 raise NotInSpanError("target is not in the span")
         return coeffs
-
-
-def _invert(m: RationalMatrix) -> RationalMatrix:
-    n = m.rows
-    aug = RationalMatrix(n, 2 * n)
-    for i in range(n):
-        for j in range(n):
-            aug.data[i][j] = m.data[i][j]
-        aug.data[i][n + i] = Fraction(1)
-    reduced, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise LinearAlgebraError("matrix is singular")
-    return RationalMatrix(n, n, [row[n:] for row in reduced.data])
 
 
 def det_one_minus_z(m: RationalMatrix) -> list[Fraction]:
@@ -335,7 +287,7 @@ def det_one_minus_z(m: RationalMatrix) -> list[Fraction]:
     mk = m
     for k in range(1, n + 1):
         if k > 1:
-            shifted = RationalMatrix(n, n, [row[:] for row in mk.data])
+            shifted = RationalMatrix(n, n, mk.data)
             for i in range(n):
                 shifted.data[i][i] += coeffs[-1]
             mk = m * shifted

@@ -56,7 +56,8 @@ def structural_checks(g: Graph, cx: CliqueComplex | None = None,
     if spaces is None:
         spaces = CochainSpaces(cx)
     checks = []
-    checks.append(TheoremCheck("d_squared_zero", coboundary_squares_to_zero(cx),
+    checks.append(TheoremCheck("d_squared_zero",
+                               coboundary_squares_to_zero(cx, spaces.face_rows),
                                "d(k+1)*d(k)", "0"))
     chi_f = cx.euler_characteristic()
     chi_b = sum((-1) ** k * b for k, b in enumerate(spaces.betti_numbers()))

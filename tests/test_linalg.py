@@ -1,15 +1,15 @@
 """Exact linear algebra and polynomial helpers.
 
-The oracles here are deliberately independent implementations: a textbook
-fraction elimination for rank, and permutation cycle decomposition for the
-determinant polynomial.
+The oracles here are deliberately independent implementations: textbook
+fraction eliminations for rank and for the reduced row echelon form, and
+permutation cycle decomposition for the determinant polynomial.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lefgraph.linalg import (
@@ -31,7 +31,6 @@ from lefgraph.linalg import (
     poly_trim,
     rank,
     rref,
-    solve_in_span,
 )
 
 
@@ -51,6 +50,66 @@ def naive_rank(rows):
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         r += 1
     return r
+
+
+def naive_rref(rows, ncols):
+    """Oracle: plain Gauss-Jordan elimination with Fractions, first nonzero
+    pivot, each pivot row divided by its pivot at once."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+FRACTIONS = st.fractions(-4, 4, max_denominator=6)
+ENTRIES = st.one_of(st.just(Fraction(0)), FRACTIONS)
+
+
+@st.composite
+def fraction_rows(draw, nrows, ncols, max_zero_columns=2):
+    """nrows x ncols Fractions with some rows and columns zeroed, and some
+    rows replaced by combinations of two others, so the rank drops."""
+    rows = [[draw(ENTRIES) for _ in range(ncols)] for _ in range(nrows)]
+    for i in range(nrows):
+        kind = draw(st.sampled_from(("keep", "keep", "zero", "combine")))
+        if kind == "zero":
+            rows[i] = [Fraction(0)] * ncols
+        elif kind == "combine":
+            a, b = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+            s, t = draw(FRACTIONS), draw(FRACTIONS)
+            rows[i] = [s * x + t * y for x, y in zip(rows[a], rows[b])]
+    zero_columns = draw(st.sets(st.integers(0, ncols - 1),
+                                max_size=max_zero_columns)) if ncols else ()
+    for j in zero_columns:
+        for row in rows:
+            row[j] = Fraction(0)
+    return rows
+
+
+@st.composite
+def fraction_matrices(draw):
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    return RationalMatrix(nrows, ncols, draw(fraction_rows(nrows, ncols)))
+
+
+def test_matrix_constructor_copies_rows_and_converts_ints():
+    data = [[1, Fraction(1, 2)], [0, -3]]
+    m = RationalMatrix(2, 2, data)
+    data[0][0] = 7
+    data[1].append(5)
+    assert m.data == [[Fraction(1), Fraction(1, 2)], [Fraction(0), Fraction(-3)]]
+    assert all(type(x) is Fraction for row in m.data for x in row)
 
 
 def test_rank_examples():
@@ -101,6 +160,23 @@ def test_nullspace_vectors_are_in_kernel():
             assert all(x == 0 for x in m.apply(v))
 
 
+@settings(max_examples=100, deadline=None)
+@given(fraction_matrices())
+def test_rref_matches_naive_gauss_jordan(m):
+    reduced, pivots = rref(m)
+    expected, expected_pivots = naive_rref(m.data, m.cols)
+    assert (reduced.rows, reduced.cols) == (m.rows, m.cols)
+    assert pivots == expected_pivots
+    assert reduced.data == expected
+    assert rank(m) == len(expected_pivots)
+
+
+def test_rref_empty_shapes():
+    for rows, cols in ((0, 3), (3, 0), (0, 0)):
+        reduced, pivots = rref(RationalMatrix(rows, cols))
+        assert reduced == RationalMatrix(rows, cols) and pivots == []
+
+
 def test_rref_is_canonical():
     # Same row space entered in different orders gives the same RREF.
     a = RationalMatrix.from_rows([[2, 4, 0], [1, 2, 1]])
@@ -114,16 +190,19 @@ def test_column_space_basis_spans():
     m = RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     basis = column_space_basis(m)
     assert len(basis) == rank(m)
+    solver = SpanSolver(basis, m.rows)
     for col in m.columns():
-        assert solve_in_span(basis, col) is not None
+        coeffs = solver.solve(col)
+        assert [sum(c * v[i] for c, v in zip(coeffs, basis)) for i in range(m.rows)] == col
 
 
-def test_solve_in_span_examples():
+def test_span_solver_examples():
     cols = RationalMatrix.identity(2).columns()
-    assert solve_in_span(cols, [Fraction(3), Fraction(-1, 2)]) == \
+    assert SpanSolver(cols, 2).solve([Fraction(3), Fraction(-1, 2)]) == \
         [Fraction(3), Fraction(-1, 2)]
-    assert solve_in_span([[Fraction(1), Fraction(1)]], [2, 2]) == [Fraction(2)]
-    assert solve_in_span([[Fraction(1), Fraction(0)]], [0, 1]) is None
+    assert SpanSolver([[Fraction(1), Fraction(1)]], 2).solve([2, 2]) == [Fraction(2)]
+    with pytest.raises(NotInSpanError):
+        SpanSolver([[Fraction(1), Fraction(0)]], 2).solve([0, 1])
 
 
 def test_span_solver_roundtrip_and_rejection():
@@ -140,6 +219,26 @@ def test_span_solver_roundtrip_and_rejection():
 def test_span_solver_rejects_dependent_columns():
     with pytest.raises(LinearAlgebraError):
         SpanSolver([[1, 2], [2, 4]], 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_span_solver_on_independent_fractional_columns(data):
+    width = data.draw(st.integers(1, 4))
+    height = data.draw(st.integers(width, 6))
+    rows = data.draw(fraction_rows(height, width, max_zero_columns=0))
+    assume(naive_rank(rows) == width)
+    columns = [[row[j] for row in rows] for j in range(width)]
+    solver = SpanSolver(columns, height)
+    # The rows kept are the first ones on which the columns are independent.
+    greedy = []
+    for i in range(height):
+        if naive_rank([rows[k] for k in greedy + [i]]) > len(greedy):
+            greedy.append(i)
+    assert solver.row_indices == greedy
+    coeffs = data.draw(st.lists(FRACTIONS, min_size=width, max_size=width))
+    target = [sum(c * x for c, x in zip(coeffs, row)) for row in rows]
+    assert solver.solve(target) == coeffs
 
 
 def test_det_one_minus_z_examples():
