@@ -3,7 +3,8 @@
 Subcommands: analyze, aut, zeta, random, verify-corpus.  Graphs come from an
 edge-list file or from --named; maps from --map (inline comma list or a map
 file).  Reports render as text (default) or JSON with exact numbers only.
-Exit codes: 0 success, 1 input error, 2 when a verification check failed.
+Exit codes: 0 success, 1 input error, 2 when a verification check failed
+or an internal linear-algebra step failed (a bug in lefgraph, not the input).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .graphs import (
     named_graph_names,
     read_graph,
 )
+from .linalg import LinearAlgebraError
 from .reporting import TheoremCheck
 from .symmetry import (
     SymmetryError,
@@ -60,7 +62,8 @@ from .zeta import ZetaError, graph_zeta, orbit_census, zeta_product
 class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage errors exit 1, not 2.
 
-    Exit code 2 is reserved for failed theorem verifications.
+    Exit code 2 is reserved for failed theorem verifications and internal
+    failures.
     """
 
     def error(self, message):
@@ -194,10 +197,10 @@ def _graph_section(g: Graph, cx, spaces) -> dict:
 
 def _map_section(g: Graph, t: GraphMap, cx, spaces,
                  series_order: int | None = None) -> tuple[dict, list[TheoremCheck]]:
-    checks = lefschetz_checks(g, t, cx, spaces)
-    checks += attractor_checks(g, t, cx, spaces)
     core = attractor(t)
     records = fixed_simplices(cx, t)
+    checks = lefschetz_checks(g, t, cx, spaces, records)
+    checks += attractor_checks(g, t, cx, spaces, core)
     section = {
         "image": list(t.image),
         "kind": t.kind,
@@ -209,13 +212,14 @@ def _map_section(g: Graph, t: GraphMap, cx, spaces,
         "lefschetz": sum(r.index for r in records),
     }
     if g.n > 0 and spaces.betti(0) == 1 and is_star_shaped(g, spaces):
-        br = brouwer_check(g, t, spaces)
+        br = brouwer_check(g, t, spaces, records)
         checks.append(TheoremCheck("brouwer_fixed_clique_exists",
                                    br.fixed_count > 0, br.fixed_count, "> 0"))
         section["brouwer_witness"] = list(br.witness) if br.witness else None
     if t.is_automorphism():
-        checks += zeta_checks(g, t, cx, spaces, series_order)
-        section["zeta"] = zeta_product(orbit_census(cx, t)).to_json()
+        product = zeta_product(orbit_census(cx, t))
+        checks += zeta_checks(g, t, cx, spaces, series_order, product)
+        section["zeta"] = product.to_json()
     else:
         section["zeta"] = None
     return section, checks
@@ -287,9 +291,10 @@ def cmd_zeta(args) -> int:
         if not t.is_automorphism():
             raise MapError("zeta functions are defined for automorphisms; "
                            "this map is a non-bijective endomorphism")
-        checks += zeta_checks(g, t, cx, spaces, args.series_order)
+        product = zeta_product(orbit_census(cx, t))
+        checks += zeta_checks(g, t, cx, spaces, args.series_order, product)
         report["map"] = {"image": list(t.image), "kind": t.kind}
-        report["zeta"] = zeta_product(orbit_census(cx, t)).to_json()
+        report["zeta"] = product.to_json()
     elif args.group:
         group = automorphism_group(g)
         report["group"] = {"order": group.order}
@@ -413,6 +418,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except LinearAlgebraError as exc:
+        # A ValueError, but raised by lefgraph's own arithmetic, not input.
+        print(f"lefgraph: error: {exc}", file=sys.stderr)
+        return 2
     except (GraphError, MapError, SymmetryError, ZetaError, ValueError) as exc:
         print(f"lefgraph: error: {exc}", file=sys.stderr)
         return 1

@@ -9,25 +9,36 @@ The chain level is sparse and integer.  A graph map is injective on every
 clique, so its pullback P_k is a signed permutation, one (target, +-1) pair
 per simplex; a row of d_k holds k+2 entries +-1, found by face lookups.  The
 chain-map identity and d o d = 0 are checked on these integer rows in
-O(nonzeros).  The eliminations behind Betti numbers, representatives and
-solves run in integers as well, in the one fraction-free kernel of
-`linalg`.  Fractions remain only at its edges: the dense coboundary
-matrices it reads, and the bases, solved coefficients and matrices induced
-on H^k it gives.
+O(nonzeros).
+
+Cohomology takes two routes, both through the one fraction-free kernel of
+`linalg`.  Betti numbers come from rank-nullity on the dense coboundary
+matrices.  The maps induced on H^k come from free-column coordinates: the
+integer rows of d_k, built from its face rows, are eliminated once, and a
+cocycle's values on the free columns are its coordinates in ker(d_k).  The
+rows of d_{k-1} at the free k-simplices span im(d_{k-1}) in those
+coordinates; one `rref` of them picks the representatives (its non-pivot
+columns) and reads a cocycle's class (reduction modulo its rows).  Every
+pulled-back representative is checked to be a cocycle on the face rows
+before it is read, and the two routes must agree on the number of
+representatives.  Fractions remain only where a division is unavoidable:
+the dense coboundary matrices behind `rank`, the reduced image rows and the
+induced matrices.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from typing import NamedTuple
 
 from .complexes import CliqueComplex
 from .linalg import (
+    LinearAlgebraError,
+    NotInSpanError,
     RationalMatrix,
-    SpanSolver,
     Vector,
-    column_space_basis,
-    nullspace,
+    _eliminate,
     rank,
     rref,
 )
@@ -182,15 +193,32 @@ def pullbacks_commute(cx: CliqueComplex, pullbacks: list[Pullback],
     return True
 
 
+def _exact(x: Fraction) -> int | Fraction:
+    """x as an int when it is one, so integer sums stay in ints."""
+    return x.numerator if x.denominator == 1 else x
+
+
+class _CohomologyBasis(NamedTuple):
+    """Representatives h_j of H^k, integer cocycles, and the functionals
+    reading classes: sum(c * w[x] for x, c in readers[i]) is `scale` times
+    the coefficient of h_i in the class of the cocycle w."""
+
+    scale: int
+    reps: list[list[int]]
+    readers: list[list[tuple[int, int | Fraction]]]
+
+
 class CochainSpaces:
     """The one owner of a complex's shared chain and cochain data.
 
     Built once per graph, on first use: the face rows of each d_k, the
-    coboundary matrices and their ranks, the canonical bases of cocycles,
-    coboundaries and representatives, and the solvers against them.
-    Building kernels and solvers is the expensive part of the whole library,
-    so anything that iterates over many maps of the same graph should share
-    one instance.
+    coboundary matrices and their ranks (behind the Betti numbers), and for
+    each H^k its representatives with the functionals that read a class.
+    Those come from one integer elimination of d_k in free-column
+    coordinates and one `rref` of the image rows (see the module
+    docstring); every pulled-back representative is checked to be a cocycle
+    before it is read.  Anything that iterates over many maps of the same
+    graph should share one instance.
 
     Kept for the latest map only, so memory does not grow with the number of
     maps: its pullbacks P_k and the matrices it induces on H^k, each degree
@@ -203,10 +231,7 @@ class CochainSpaces:
         self._faces: dict[int, list[tuple[int, ...]]] = {}
         self._d: dict[int, RationalMatrix] = {}
         self._rank: dict[int, int] = {}
-        self._cocycles: dict[int, list[Vector]] = {}
-        self._images: dict[int, list[Vector]] = {}
-        self._reps: dict[int, list[Vector]] = {}
-        self._solver: dict[int, SpanSolver | None] = {}
+        self._basis: dict[int, _CohomologyBasis] = {}
         # Pullbacks and induced matrices of the map `_image` only.
         self._image: tuple[int, ...] | None = None
         self._pullbacks: dict[int, Pullback] = {}
@@ -253,24 +278,6 @@ class CochainSpaces:
             self._rank[k] = rank(self.coboundary(k))
         return self._rank[k]
 
-    def cocycle_basis(self, k: int) -> list[Vector]:
-        """Canonical basis of ker(d_k) in degree k."""
-        if not 0 <= k <= self.dim:
-            return []
-        if k not in self._cocycles:
-            self._cocycles[k] = nullspace(self.coboundary(k))
-            self._rank.setdefault(
-                k, self.cx.count(k) - len(self._cocycles[k]))
-        return self._cocycles[k]
-
-    def coboundary_image_basis(self, k: int) -> list[Vector]:
-        """Canonical basis of im(d_{k-1}) inside degree k; empty for k = 0."""
-        if not 1 <= k <= self.dim:
-            return []
-        if k not in self._images:
-            self._images[k] = column_space_basis(self.coboundary(k - 1))
-        return self._images[k]
-
     def betti(self, k: int) -> int:
         if not 0 <= k <= self.dim:
             return 0
@@ -280,48 +287,79 @@ class CochainSpaces:
     def betti_numbers(self) -> tuple[int, ...]:
         return tuple(self.betti(k) for k in range(self.dim + 1))
 
-    def representatives(self, k: int) -> list[Vector]:
-        """Cocycles whose classes form a basis of H^k.
+    def _cohomology_basis(self, k: int) -> _CohomologyBasis:
+        """Representatives of H^k and the functionals that read classes.
 
-        Chosen by running RREF over the columns [image basis | cocycle basis]
-        and keeping the cocycles that become pivots, so the choice is
-        deterministic.
+        The kernel's rows of d_k are the RREF scaled by `scale`, so the
+        cocycle that is `scale` on free column c, zero on the other free
+        columns and -row_r[c] on pivot column p_r is an integer cocycle.  A
+        cocycle w has free-column coordinates w[free]; subtracting
+        w[free[q_r]] times RREF row r of the image rows for each image pivot
+        q_r leaves its class, read on the image's non-pivot columns.
         """
-        if k in self._reps:
-            return self._reps[k]
-        images = self.coboundary_image_basis(k)
-        cocycles = self.cocycle_basis(k)
-        if not cocycles:
-            self._reps[k] = []
-            return self._reps[k]
-        height = self.cx.count(k)
-        m = RationalMatrix.from_columns(images + cocycles, height)
-        _, pivots = rref(m)
-        reps = [cocycles[p - len(images)] for p in pivots if p >= len(images)]
-        assert len(reps) == self.betti(k)
-        self._reps[k] = reps
-        return reps
+        if not 0 <= k <= self.dim:
+            return _CohomologyBasis(1, [], [])
+        if k in self._basis:
+            return self._basis[k]
+        n = self.cx.count(k)
+        rows = []
+        for faces in self.face_rows(k):
+            row = [0] * n
+            for i, f in enumerate(faces):
+                row[f] = -1 if i % 2 else 1
+            rows.append(row)
+        scale, pivots = _eliminate(rows, n)
+        pivot_set = set(pivots)
+        free = [c for c in range(n) if c not in pivot_set]
+        if k == 0:
+            kept = list(range(len(free)))
+            readers = [[(c, 1)] for c in free]
+        else:
+            lower = self.face_rows(k - 1)
+            image = [[0] * len(free) for _ in range(self.cx.count(k - 1))]
+            for i, x in enumerate(free):
+                for s, f in enumerate(lower[x]):
+                    image[f][i] = -1 if s % 2 else 1
+            reduced, image_pivots = rref(
+                RationalMatrix(self.cx.count(k - 1), len(free), image))
+            image_pivot_set = set(image_pivots)
+            kept = [i for i in range(len(free)) if i not in image_pivot_set]
+            readers = [[(free[i], 1)] + [(free[q], -_exact(row[i]))
+                                         for row, q in zip(reduced.data, image_pivots)
+                                         if row[i]]
+                       for i in kept]
+        reps = []
+        for i in kept:
+            h = [0] * n
+            h[free[i]] = scale
+            for row, p in zip(rows, pivots):
+                h[p] = -row[free[i]]
+            reps.append(h)
+        if len(reps) != self.betti(k):
+            raise LinearAlgebraError(
+                f"H^{k}: {len(reps)} representatives but Betti number {self.betti(k)}")
+        self._basis[k] = _CohomologyBasis(scale, reps, readers)
+        return self._basis[k]
 
-    def _span_solver(self, k: int) -> SpanSolver | None:
-        if k not in self._solver:
-            reps = self.representatives(k)
-            images = self.coboundary_image_basis(k)
-            if not reps:
-                self._solver[k] = None
-            else:
-                self._solver[k] = SpanSolver(reps + images, self.cx.count(k))
-        return self._solver[k]
+    def representatives(self, k: int) -> list[list[int]]:
+        """Integer cocycles whose classes form a basis of H^k.
+
+        One per free column of d_k that is not a pivot of the reduced image
+        rows, so the choice is deterministic.
+        """
+        return self._cohomology_basis(k).reps
 
     def induced_matrix(self, image: tuple[int, ...], k: int) -> RationalMatrix:
         """Matrix of the map induced on H^k by pulling back along the vertex map.
 
         Column j holds the coordinates of [P_k h_j] in the representative
-        basis; the pullback of each representative is solved against
-        [representatives | image basis], which is legitimate because pullbacks
-        of cocycles are cocycles and ker(d_k) = span(reps) + im(d_{k-1}).
+        basis, read off the free-column values of P_k h_j modulo the image
+        rows.  That reading is only valid for a cocycle, so P_k h_j is first
+        checked against every face row of d_k; NotInSpanError is raised if
+        it is not one.
 
         The matrices of the latest map are kept until another map is asked
-        for, so the trace and the determinant of one map share one solve.
+        for, so the trace and the determinant of one map share one reading.
         The result is shared: callers must not modify it.
         """
         b = self.betti(k)
@@ -330,12 +368,17 @@ class CochainSpaces:
         self._select_map(tuple(image))
         if k not in self._induced:
             pb = self.pullback(self._image, k)
-            solver = self._span_solver(k)
+            basis = self._cohomology_basis(k)
+            faces = self.face_rows(k)
             out = RationalMatrix(b, b)
-            for j, h in enumerate(self.representatives(k)):
-                coeffs = solver.solve(pb.apply(h))
-                for i in range(b):
-                    out.data[i][j] = coeffs[i]
+            for j, h in enumerate(basis.reps):
+                w = pb.apply(h)
+                if any(sum(w[f] for f in x[::2]) != sum(w[f] for f in x[1::2])
+                       for x in faces):
+                    raise NotInSpanError(
+                        f"the pullback of an H^{k} representative is not a cocycle")
+                for i, reader in enumerate(basis.readers):
+                    out.data[i][j] = Fraction(sum(c * w[x] for x, c in reader), basis.scale)
             self._induced[k] = out
         return self._induced[k]
 
@@ -354,8 +397,10 @@ class CochainSpaces:
             for k in range(self.dim + 1):
                 if self.betti(k):
                     total += (-1) ** k * self.induced_matrix(image, k).trace()
-            assert total.denominator == 1, "cohomological trace sum must be an integer"
-            self._lefschetz[image] = int(total)
+            if total.denominator != 1:
+                raise LinearAlgebraError(
+                    f"cohomological trace sum {total} is not an integer")
+            self._lefschetz[image] = total.numerator
         return self._lefschetz[image]
 
 

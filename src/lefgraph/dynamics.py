@@ -219,19 +219,20 @@ class BrouwerReport:
     witness: Simplex | None   # some fixed simplex, when one exists
 
 
-def brouwer_check(g: Graph, t: GraphMap,
-                  spaces: CochainSpaces | None = None) -> BrouwerReport:
+def brouwer_check(g: Graph, t: GraphMap, spaces: CochainSpaces | None = None,
+                  fixed: list[FixedSimplexRecord] | None = None) -> BrouwerReport:
     """Fixed-clique guarantee for connected star-shaped graphs.
 
     In that case L(t) = 1 for every endomorphism, so the signed fixed-simplex
-    count cannot be empty.
+    count cannot be empty.  `fixed` is the map's fixed-simplex scan, when the
+    caller already made it.
     """
     if spaces is None:
         spaces = CochainSpaces(build_complex(g))
-    cx = spaces.cx
     connected = g.n > 0 and spaces.betti(0) == 1
     applicable = connected and is_star_shaped(g, spaces)
-    fixed = fixed_simplices(cx, t)
+    if fixed is None:
+        fixed = fixed_simplices(spaces.cx, t)
     lef = lefschetz_cohomological(g, t, spaces)
     if applicable:
         assert fixed, "a connected star-shaped graph must leave a clique fixed"

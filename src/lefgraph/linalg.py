@@ -6,10 +6,10 @@ are upgraded on entry).  No floating point is used anywhere.
 Every elimination runs through one integer kernel, `_eliminate`: Bareiss's
 fraction-free Gauss-Jordan elimination on rows cleared of their
 denominators.  `rank` counts its pivots, `rref` divides its rows by its
-scale once, and `nullspace` and `column_space_basis` read the RREF.
-`SpanSolver` makes one kernel call on [C^T | I], which picks its rows and
-inverts them at once.  Bases are canonical: they come from the reduced row
-echelon form, so equal inputs give identical bases.
+scale once, and `nullspace` reads the RREF.  Callers holding integer rows
+(the cohomology module, on coboundaries) call the kernel directly.  Bases
+are canonical: they come from the reduced row echelon form, so equal inputs
+give identical bases.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ class LinearAlgebraError(ValueError):
 
 
 class NotInSpanError(LinearAlgebraError):
-    """Raised when a solve is attempted against a vector outside the span."""
+    """Raised when a vector that must lie in a subspace does not, such as
+    a pulled-back cocycle that is not a cocycle."""
 
 
 Vector = list[Fraction]
@@ -68,12 +69,6 @@ class RationalMatrix:
             m.data[i][i] = Fraction(1)
         return m
 
-    @classmethod
-    def from_columns(cls, columns: list[Vector], height: int) -> "RationalMatrix":
-        if any(len(col) != height for col in columns):
-            raise LinearAlgebraError("column length does not match height")
-        return cls(height, len(columns), [[col[i] for col in columns] for i in range(height)])
-
     def __getitem__(self, key) -> Fraction:
         i, j = key
         return self.data[i][j]
@@ -89,19 +84,6 @@ class RationalMatrix:
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
-
-    def column(self, j: int) -> Vector:
-        return [row[j] for row in self.data]
-
-    def columns(self) -> list[Vector]:
-        return [self.column(j) for j in range(self.cols)]
-
-    def transpose(self) -> "RationalMatrix":
-        t = RationalMatrix(self.cols, self.rows)
-        for i, row in enumerate(self.data):
-            for j, x in enumerate(row):
-                t.data[j][i] = x
-        return t
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
@@ -219,58 +201,6 @@ def nullspace(m: RationalMatrix) -> list[Vector]:
             v[c] = -reduced.data[r][f]
         basis.append(v)
     return basis
-
-
-def column_space_basis(m: RationalMatrix) -> list[Vector]:
-    """Canonical basis of the column space: nonzero rows of RREF(transpose)."""
-    reduced, pivots = rref(m.transpose())
-    return [reduced.data[r][:] for r in range(len(pivots))]
-
-
-class SpanSolver:
-    """Repeated exact solves against a fixed independent set of columns C.
-
-    One kernel call on [C^T | I] does all the elimination.  Its pivots are
-    the first rows of C on which the columns are independent, and its right
-    block is scale * E with E the inverse of C^T on those rows.  Each solve
-    is then c = E^T t[rows] / scale in integers, plus a full verification
-    that the reconstruction matches the target on every row.
-    """
-
-    def __init__(self, columns: list[Vector], height: int):
-        self.columns = _as_fraction_rows(columns)
-        self.height = height
-        self.width = len(columns)
-        for col in self.columns:
-            if len(col) != height:
-                raise LinearAlgebraError("column height mismatch")
-        # Row j is column j cleared of denominators by d, then d * e_j, so
-        # the right block stays a row operation applied to I.
-        rows = []
-        for j, col in enumerate(self.columns):
-            d, ints = _integer_row(col)
-            unit = [0] * self.width
-            unit[j] = d
-            rows.append(ints + unit)
-        self.scale, pivots = _eliminate(rows, height + self.width)
-        if any(c >= height for c in pivots):
-            raise LinearAlgebraError("columns are linearly dependent")
-        self.row_indices = pivots
-        self._inverse_columns = list(zip(*(row[height:] for row in rows)))
-
-    def solve(self, target: Vector) -> Vector:
-        """Unique coefficient vector c with columns . c == target."""
-        if len(target) != self.height:
-            raise LinearAlgebraError("target height mismatch")
-        d, t = _integer_row([target[i] for i in self.row_indices])
-        coeffs = [Fraction(sum(e * x for e, x in zip(col, t)), d * self.scale)
-                  for col in self._inverse_columns]
-        # The restricted system has a unique solution; verify on all rows.
-        terms = [(c, col) for c, col in zip(coeffs, self.columns) if c]
-        for i in range(self.height):
-            if sum(c * col[i] for c, col in terms) != target[i]:
-                raise NotInSpanError("target is not in the span")
-        return coeffs
 
 
 def det_one_minus_z(m: RationalMatrix) -> list[Fraction]:

@@ -12,10 +12,12 @@ from dataclasses import dataclass, field
 from .cohomology import CochainSpaces, coboundary_squares_to_zero, verify_chain_map
 from .complexes import CliqueComplex, build_complex
 from .dynamics import (
+    Attractor,
+    FixedSimplexRecord,
     GraphMap,
     attractor,
     brouwer_check,
-    fixed_index_sum,
+    fixed_simplices,
     is_star_shaped,
     lefschetz_chain,
     lefschetz_cohomological,
@@ -24,7 +26,13 @@ from .dynamics import (
 from .graphs import Graph, connected_components, named_graph
 from .reporting import TheoremCheck
 from .symmetry import AutomorphismGroup, automorphism_group, verify_averaging_theorems
-from .zeta import lefschetz_iterates, orbit_census, zeta_det, zeta_product
+from .zeta import (
+    RationalFunctionZ,
+    lefschetz_iterates,
+    orbit_census,
+    zeta_det,
+    zeta_product,
+)
 
 
 def named_corpus() -> list[tuple[str, Graph]]:
@@ -69,14 +77,20 @@ def structural_checks(g: Graph, cx: CliqueComplex | None = None,
 
 
 def lefschetz_checks(g: Graph, t: GraphMap, cx: CliqueComplex | None = None,
-                     spaces: CochainSpaces | None = None) -> list[TheoremCheck]:
-    """Three-way Lefschetz agreement plus the chain-map identity for one map."""
+                     spaces: CochainSpaces | None = None,
+                     fixed: list[FixedSimplexRecord] | None = None) -> list[TheoremCheck]:
+    """Three-way Lefschetz agreement plus the chain-map identity for one map.
+
+    `fixed` is the map's fixed-simplex scan, when the caller already made it.
+    """
     if cx is None:
         cx = build_complex(g)
     if spaces is None:
         spaces = CochainSpaces(cx)
     coh = lefschetz_cohomological(g, t, spaces)
-    idx = fixed_index_sum(cx, t)
+    if fixed is None:
+        fixed = fixed_simplices(cx, t)
+    idx = sum(r.index for r in fixed)
     chain = lefschetz_chain(cx, t, spaces)
     return [
         TheoremCheck("chain_map_commutes", verify_chain_map(cx, t.image, spaces),
@@ -89,16 +103,19 @@ def lefschetz_checks(g: Graph, t: GraphMap, cx: CliqueComplex | None = None,
 
 
 def attractor_checks(g: Graph, t: GraphMap, cx: CliqueComplex | None = None,
-                     spaces: CochainSpaces | None = None) -> list[TheoremCheck]:
+                     spaces: CochainSpaces | None = None,
+                     core: Attractor | None = None) -> list[TheoremCheck]:
     """L is unchanged when an endomorphism is restricted to its attractor.
 
     When the attractor is the whole graph with the same map (every
     automorphism), its Lefschetz number is the caller's, taken from the
     caller's spaces; a proper attractor gets its own complex and spaces.
+    `core` is the map's attractor, when the caller already computed it.
     """
     if spaces is None:
         spaces = CochainSpaces(build_complex(g))
-    core = attractor(t)
+    if core is None:
+        core = attractor(t)
     l_full = lefschetz_cohomological(g, t, spaces)
     whole = core.graph == g and core.map.image == t.image
     l_core = lefschetz_cohomological(core.graph, core.map, spaces if whole else None)
@@ -108,11 +125,14 @@ def attractor_checks(g: Graph, t: GraphMap, cx: CliqueComplex | None = None,
 
 def zeta_checks(g: Graph, t: GraphMap, cx: CliqueComplex | None = None,
                 spaces: CochainSpaces | None = None,
-                series_order: int | None = None) -> list[TheoremCheck]:
+                series_order: int | None = None,
+                product: RationalFunctionZ | None = None) -> list[TheoremCheck]:
     """Determinant = orbit product, and log-derivative series consistency.
 
     The series is compared up to `series_order` terms, 2 * order(T) by
     default; an order below 1 would compare nothing and is refused.
+    `product` is the orbit-product zeta of the map, when the caller already
+    computed it.
     """
     if series_order is not None and series_order < 1:
         raise ValueError(f"series order must be at least 1 (got {series_order})")
@@ -121,7 +141,7 @@ def zeta_checks(g: Graph, t: GraphMap, cx: CliqueComplex | None = None,
     if spaces is None:
         spaces = CochainSpaces(cx)
     z_det = zeta_det(g, t, spaces)
-    z_prod = zeta_product(orbit_census(cx, t))
+    z_prod = product if product is not None else zeta_product(orbit_census(cx, t))
     if series_order is None:
         series_order = 2 * t.order()
     expected = lefschetz_iterates(cx, t, series_order, spaces)

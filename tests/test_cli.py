@@ -122,6 +122,32 @@ def test_aut_curvature_scans_each_element_once(capsys, monkeypatch):
     assert len(scanned) == len(set(scanned)) == report["group"]["order"] == 120
 
 
+def test_analyze_computes_each_per_map_input_once(capsys, monkeypatch):
+    import lefgraph.cli as cli
+    import lefgraph.dynamics as dynamics
+    import lefgraph.verification as verification
+    import lefgraph.zeta as zeta
+
+    calls = []
+    for name in ("attractor", "fixed_simplices", "orbit_census"):
+        real = getattr(dynamics if name != "orbit_census" else zeta, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        for module in (cli, dynamics, verification, zeta):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    # wheel:5 is connected and star-shaped, so the Brouwer check runs too.
+    code, report = run_json(capsys, "analyze", "--named", "wheel:5", "--map", "1,2,3,4,0,5")
+    assert code == 0
+    assert report["map"]["kind"] == "automorphism"
+    assert "brouwer_witness" in report["map"]
+    assert len(report["checks"]) == 10
+    assert sorted(calls) == ["attractor", "fixed_simplices", "orbit_census"]
+
+
 def test_aut_orbigraph(capsys):
     code, report = run_json(capsys, "aut", "--named", "petersen", "--orbigraph")
     assert code == 0
@@ -265,3 +291,17 @@ def test_usage_errors_exit_1(capsys):
 def test_exit_code_two_flags_failed_checks():
     assert _exit_code([{"passed": True}, {"passed": True}]) == 0
     assert _exit_code([{"passed": True}, {"passed": False}]) == 2
+
+
+def test_internal_linear_algebra_failure_exits_2(capsys, monkeypatch):
+    from lefgraph.cohomology import CochainSpaces
+    from lefgraph.linalg import NotInSpanError
+
+    def failing(self, image, k):
+        raise NotInSpanError("target is not in the span")
+
+    monkeypatch.setattr(CochainSpaces, "induced_matrix", failing)
+    code, out, err = run(capsys, "analyze", "--named", "cycle:5", "--map", "1,2,3,4,0")
+    assert code == 2
+    assert out == ""
+    assert err == "lefgraph: error: target is not in the span\n"

@@ -1,7 +1,14 @@
 """Coboundary operators, pullbacks, Betti numbers, induced maps on cohomology."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from lefgraph.cohomology import (
     CochainSpaces,
@@ -16,8 +23,15 @@ from lefgraph.cohomology import (
     verify_chain_map,
 )
 from lefgraph.complexes import build_complex
-from lefgraph.dynamics import random_endomorphism
+from lefgraph.dynamics import (
+    GraphMap,
+    fixed_index_sum,
+    lefschetz_chain,
+    lefschetz_cohomological,
+    random_endomorphism,
+)
 from lefgraph.graphs import (
+    Graph,
     all_graphs,
     complete_graph,
     connected_components,
@@ -29,7 +43,7 @@ from lefgraph.graphs import (
     petersen_graph,
     star_graph,
 )
-from lefgraph.linalg import RationalMatrix
+from lefgraph.linalg import NotInSpanError, RationalMatrix, rank
 from lefgraph.symmetry import automorphism_group, lefschetz_numbers
 from lefgraph.verification import named_corpus
 from lefgraph.zeta import zeta_det
@@ -383,3 +397,112 @@ def test_chain_map_check_reads_the_shared_pullbacks():
             assert not verify_chain_map(cx, image, spaces), (k, row)
             assert verify_chain_map(cx, image), (k, row)
             stored.sign[row] = -stored.sign[row]
+
+
+def _image_columns(cx, k):
+    """The columns of the dense d_{k-1}, spanning im(d_{k-1}); none for k = 0."""
+    if k == 0:
+        return []
+    d = coboundary_matrix(cx, k - 1)
+    return [[row[j] for row in d.data] for j in range(d.cols)]
+
+
+def _rank_modulo(columns, base_rank, vectors):
+    """Rank of the vectors modulo the span of the columns: 0 when all lie in
+    it, len(vectors) when they are independent modulo it."""
+    if not vectors:
+        return 0
+    return rank(RationalMatrix.from_rows(columns + vectors)) - base_rank
+
+
+def test_induced_matrix_is_the_pullback_modulo_coboundaries():
+    images = {}
+    for name, cx, spaces, t in _corpus_maps_with_spaces(3):
+        for k in range(cx.dim + 1):
+            reps = spaces.representatives(k)
+            if (name, k) not in images:
+                columns = _image_columns(cx, k)
+                base_rank = rank(RationalMatrix.from_rows(columns)) if columns else 0
+                images[name, k] = columns, base_rank
+                assert len(reps) == spaces.betti(k)
+                assert _rank_modulo(columns, base_rank, reps) == len(reps), (name, k)
+            m = spaces.induced_matrix(t.image, k)
+            pb = pullback(cx, t.image, k)
+            residues = []
+            for j, h in enumerate(reps):
+                pulled = pb.apply(h)
+                residues.append([x - sum(m.data[i][j] * reps[i][c] for i in range(len(reps)))
+                                 for c, x in enumerate(pulled)])
+            assert _rank_modulo(*images[name, k], residues) == 0, (name, t.image, k)
+
+
+def test_a_pullback_that_breaks_a_cocycle_is_refused():
+    g = octahedron_graph()
+    spaces = CochainSpaces(build_complex(g))
+    image = (1, 2, 0, 4, 5, 3)
+    stored = spaces.pullback(image, 0)
+    for row in range(stored.size):
+        stored.sign[row] = -stored.sign[row]
+        with pytest.raises(NotInSpanError):
+            spaces.induced_matrix(image, 0)
+        stored.sign[row] = -stored.sign[row]
+    assert spaces.induced_matrix(image, 0).data == [[Fraction(1)]]
+
+
+def test_grid_lefschetz_routes_agree():
+    side = 8
+    edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
+    edges += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
+    g = Graph(side * side, edges)
+    cx = build_complex(g)
+    spaces = CochainSpaces(cx)
+    assert spaces.betti_numbers() == (1, 49)
+    rotation = tuple(side * side - 1 - v for v in range(side * side))
+    reflection = tuple((v // side) * side + side - 1 - v % side for v in range(side * side))
+    for image, expected in ((rotation, 0), (reflection, 8)):
+        t = GraphMap(g, image)
+        assert t.is_automorphism()
+        assert lefschetz_cohomological(g, t, spaces) == fixed_index_sum(cx, t) == \
+            lefschetz_chain(cx, t, spaces) == expected
+
+
+OPTIMIZED_CHECKS = textwrap.dedent("""
+    from fractions import Fraction
+    from lefgraph import build_complex, named_graph
+    from lefgraph.cohomology import CochainSpaces
+    from lefgraph.linalg import LinearAlgebraError, RationalMatrix
+
+    def outcome(call):
+        try:
+            return f"returned {call()}"
+        except LinearAlgebraError as exc:
+            return f"raised {exc}"
+
+    print("debug", __debug__)
+    cx = build_complex(named_graph("cycle", 5))
+    real = CochainSpaces.induced_matrix
+
+    def half_trace(self, image, k):
+        if k == 1:
+            return RationalMatrix.from_rows([[Fraction(1, 2)]])
+        return real(self, image, k)
+
+    CochainSpaces.induced_matrix = half_trace
+    print(outcome(lambda: CochainSpaces(cx).lefschetz_number((1, 2, 3, 4, 0))))
+    CochainSpaces.induced_matrix = real
+    CochainSpaces.betti = lambda self, k: 2
+    print(outcome(lambda: CochainSpaces(cx).representatives(1)))
+""")
+
+
+def test_integrality_and_representative_count_are_checked_under_optimization():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "debug False",
+        "raised cohomological trace sum 1/2 is not an integer",
+        "raised H^1: 1 representatives but Betti number 2",
+    ]
