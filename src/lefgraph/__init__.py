@@ -7,13 +7,7 @@ functions with their orbit-census factorizations.
 """
 
 from .complexes import CliqueComplex, Simplex, build_complex, euler_characteristic
-from .cohomology import (
-    CochainSpaces,
-    betti_numbers,
-    coboundary_matrix,
-    pullback,
-    pullback_matrix,
-)
+from .cohomology import CochainSpaces, betti_numbers, pullback
 from .dynamics import (
     Attractor,
     BrouwerReport,
@@ -48,6 +42,7 @@ from .graphs import (
 )
 from .linalg import (
     RationalMatrix,
+    SparseMatrix,
     det_one_minus_z,
     nullspace,
     rank,

@@ -11,19 +11,18 @@ per simplex; a row of d_k holds k+2 entries +-1, found by face lookups.  The
 chain-map identity and d o d = 0 are checked on these integer rows in
 O(nonzeros).
 
-Cohomology takes two routes, both through the one fraction-free kernel of
-`linalg`.  Betti numbers come from rank-nullity on the dense coboundary
-matrices.  The maps induced on H^k come from free-column coordinates: the
-integer rows of d_k, built from its face rows, are eliminated once, and a
-cocycle's values on the free columns are its coordinates in ker(d_k).  The
-rows of d_{k-1} at the free k-simplices span im(d_{k-1}) in those
-coordinates; one `rref` of them picks the representatives (its non-pivot
-columns) and reads a cocycle's class (reduction modulo its rows).  Every
-pulled-back representative is checked to be a cocycle on the face rows
-before it is read, and the two routes must agree on the number of
+Cohomology takes two routes, both through the one sparse fraction-free
+kernel of `linalg`, each with its own elimination of the sparse integer
+d_k.  Betti numbers come from rank-nullity on `rank(d_k)`.  The maps
+induced on H^k come from free-column coordinates: d_k is eliminated once,
+and a cocycle's values on the free columns are its coordinates in
+ker(d_k).  The rows of d_{k-1} at the free k-simplices span im(d_{k-1}) in
+those coordinates; one sparse `rref` of them picks the representatives (its
+non-pivot columns) and reads a cocycle's class (reduction modulo its rows).
+Every pulled-back representative is checked to be a cocycle on the face
+rows before it is read, and the two routes must agree on the number of
 representatives.  Fractions remain only where a division is unavoidable:
-the dense coboundary matrices behind `rank`, the reduced image rows and the
-induced matrices.
+the reduced image rows and the induced matrices.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from .linalg import (
     LinearAlgebraError,
     NotInSpanError,
     RationalMatrix,
+    SparseMatrix,
     Vector,
     _eliminate,
     rank,
@@ -50,20 +50,6 @@ def _faces(cx: CliqueComplex, k: int) -> list[tuple[int, ...]]:
     index = cx.index[k] if k + 1 < len(cx.by_dim) else {}
     return [tuple(index[x[:i] + x[i + 1:]] for i in range(len(x)))
             for x in cx.simplices(k + 1)]
-
-
-def coboundary_matrix(cx: CliqueComplex, k: int,
-                      faces: list[tuple[int, ...]] | None = None) -> RationalMatrix:
-    """Matrix of d_k, rows indexed by (k+1)-simplices, columns by k-simplices.
-
-    `faces` is the row pattern of d_k; by default it is rebuilt from the
-    complex.
-    """
-    m = RationalMatrix(cx.count(k + 1), cx.count(k))
-    for row, row_faces in zip(m.data, faces if faces is not None else _faces(cx, k)):
-        for i, f in enumerate(row_faces):
-            row[f] = Fraction(-1 if i % 2 else 1)
-    return m
 
 
 def _sparse_row(terms) -> dict[int, int]:
@@ -131,12 +117,6 @@ class Pullback:
         signs = [s * other.sign[y] for s, y in zip(self.sign, self.target_index)]
         return Pullback(self.k, self.size, targets, signs)
 
-    def to_matrix(self) -> RationalMatrix:
-        m = RationalMatrix(self.size, self.size)
-        for r, (s, t) in enumerate(zip(self.sign, self.target_index)):
-            m.data[r][t] = Fraction(s)
-        return m
-
     def trace(self) -> int:
         return sum(s for r, (s, t) in enumerate(zip(self.sign, self.target_index))
                    if r == t)
@@ -153,10 +133,6 @@ def pullback(cx: CliqueComplex, image: tuple[int, ...], k: int) -> Pullback:
         targets.append(cx.index_of(y))
         signs.append(permutation_parity_sign(mapped))
     return Pullback(k, len(simplices), targets, signs)
-
-
-def pullback_matrix(cx: CliqueComplex, image: tuple[int, ...], k: int) -> RationalMatrix:
-    return pullback(cx, image, k).to_matrix()
 
 
 def verify_chain_map(cx: CliqueComplex, image: tuple[int, ...],
@@ -193,28 +169,24 @@ def pullbacks_commute(cx: CliqueComplex, pullbacks: list[Pullback],
     return True
 
 
-def _exact(x: Fraction) -> int | Fraction:
-    """x as an int when it is one, so integer sums stay in ints."""
-    return x.numerator if x.denominator == 1 else x
-
-
 class _CohomologyBasis(NamedTuple):
     """Representatives h_j of H^k, integer cocycles, and the functionals
-    reading classes: sum(c * w[x] for x, c in readers[i]) is `scale` times
-    the coefficient of h_i in the class of the cocycle w."""
+    reading classes, kept by k-simplex: the sum of c * w[x] over the pairs
+    (i, c) in readers[x] is `scale` times the coefficient of h_i in the
+    class of the cocycle w.  A cocycle is read on its nonzeros only."""
 
     scale: int
     reps: list[list[int]]
-    readers: list[list[tuple[int, int | Fraction]]]
+    readers: dict[int, list[tuple[int, int | Fraction]]]
 
 
 class CochainSpaces:
     """The one owner of a complex's shared chain and cochain data.
 
     Built once per graph, on first use: the face rows of each d_k, the
-    coboundary matrices and their ranks (behind the Betti numbers), and for
-    each H^k its representatives with the functionals that read a class.
-    Those come from one integer elimination of d_k in free-column
+    sparse integer coboundaries and their ranks (behind the Betti numbers),
+    and for each H^k its representatives with the functionals that read a
+    class.  Those come from one elimination of d_k in free-column
     coordinates and one `rref` of the image rows (see the module
     docstring); every pulled-back representative is checked to be a cocycle
     before it is read.  Anything that iterates over many maps of the same
@@ -229,7 +201,7 @@ class CochainSpaces:
     def __init__(self, cx: CliqueComplex):
         self.cx = cx
         self._faces: dict[int, list[tuple[int, ...]]] = {}
-        self._d: dict[int, RationalMatrix] = {}
+        self._d: dict[int, SparseMatrix] = {}
         self._rank: dict[int, int] = {}
         self._basis: dict[int, _CohomologyBasis] = {}
         # Pullbacks and induced matrices of the map `_image` only.
@@ -265,9 +237,13 @@ class CochainSpaces:
             self._pullbacks[k] = pullback(self.cx, self._image, k)
         return self._pullbacks[k]
 
-    def coboundary(self, k: int) -> RationalMatrix:
+    def coboundary(self, k: int) -> SparseMatrix:
+        """d_k as sparse integer rows, one per (k+1)-simplex, over the
+        k-simplices.  The result is shared: callers must not modify it."""
         if k not in self._d:
-            self._d[k] = coboundary_matrix(self.cx, k, self.face_rows(k))
+            rows = [{f: -1 if i % 2 else 1 for i, f in enumerate(faces)}
+                    for faces in self.face_rows(k)]
+            self._d[k] = SparseMatrix(len(rows), self.cx.count(k), rows)
         return self._d[k]
 
     def coboundary_rank(self, k: int) -> int:
@@ -302,38 +278,38 @@ class CochainSpaces:
         if k in self._basis:
             return self._basis[k]
         n = self.cx.count(k)
-        rows = []
-        for faces in self.face_rows(k):
-            row = [0] * n
-            for i, f in enumerate(faces):
-                row[f] = -1 if i % 2 else 1
-            rows.append(row)
+        rows = list(self.coboundary(k).data)
         scale, pivots = _eliminate(rows, n)
         pivot_set = set(pivots)
         free = [c for c in range(n) if c not in pivot_set]
+        # (pivot column, entry) of every kernel row with a nonzero in column c
+        in_column: dict[int, list[tuple[int, int]]] = {c: [] for c in free}
+        for row, p in zip(rows, pivots):
+            for c, x in row.items():
+                if c != p:
+                    in_column[c].append((p, x))
         if k == 0:
             kept = list(range(len(free)))
-            readers = [[(c, 1)] for c in free]
+            readers = {c: [(i, 1)] for i, c in enumerate(free)}
         else:
             lower = self.face_rows(k - 1)
-            image = [[0] * len(free) for _ in range(self.cx.count(k - 1))]
+            image: list[dict[int, int]] = [{} for _ in range(self.cx.count(k - 1))]
             for i, x in enumerate(free):
                 for s, f in enumerate(lower[x]):
                     image[f][i] = -1 if s % 2 else 1
-            reduced, image_pivots = rref(
-                RationalMatrix(self.cx.count(k - 1), len(free), image))
+            reduced, image_pivots = rref(SparseMatrix(len(image), len(free), image))
             image_pivot_set = set(image_pivots)
             kept = [i for i in range(len(free)) if i not in image_pivot_set]
-            readers = [[(free[i], 1)] + [(free[q], -_exact(row[i]))
-                                         for row, q in zip(reduced.data, image_pivots)
-                                         if row[i]]
-                       for i in kept]
+            readers = {free[i]: [(j, 1)] for j, i in enumerate(kept)}
+            class_of = {i: j for j, i in enumerate(kept)}
+            for row, q in zip(reduced.data, image_pivots):
+                readers[free[q]] = [(class_of[i], -x) for i, x in row.items() if i != q]
         reps = []
         for i in kept:
             h = [0] * n
             h[free[i]] = scale
-            for row, p in zip(rows, pivots):
-                h[p] = -row[free[i]]
+            for p, x in in_column[free[i]]:
+                h[p] = -x
             reps.append(h)
         if len(reps) != self.betti(k):
             raise LinearAlgebraError(
@@ -377,8 +353,14 @@ class CochainSpaces:
                        for x in faces):
                     raise NotInSpanError(
                         f"the pullback of an H^{k} representative is not a cocycle")
-                for i, reader in enumerate(basis.readers):
-                    out.data[i][j] = Fraction(sum(c * w[x] for x, c in reader), basis.scale)
+                column = [0] * b
+                for x, a in enumerate(w):
+                    if a:
+                        for i, c in basis.readers.get(x, ()):
+                            column[i] += c * a
+                for i, total in enumerate(column):
+                    if total:
+                        out.data[i][j] = Fraction(total, basis.scale)
             self._induced[k] = out
         return self._induced[k]
 

@@ -12,6 +12,11 @@ from fractions import Fraction
 from itertools import combinations
 
 
+# Larger vertex counts are refused up front with a message, instead of
+# failing while the per-vertex tables are allocated.
+MAX_VERTICES = 10**6
+
+
 class GraphError(ValueError):
     pass
 
@@ -26,6 +31,8 @@ class Graph:
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
+        if n > MAX_VERTICES:
+            raise GraphError(f"vertex count {n} is above the limit of {MAX_VERTICES}")
         normalized = set()
         for e in edges:
             u, v = e
@@ -206,6 +213,8 @@ def named_graph(name: str, k: int | None = None) -> Graph:
     if name in _PARAMETRIC_FAMILIES:
         if k is None:
             raise GraphError(f"family {name!r} needs a size parameter")
+        if k > MAX_VERTICES:  # before a family lists k edges
+            raise GraphError(f"size {k} is above the vertex limit of {MAX_VERTICES}")
         return _PARAMETRIC_FAMILIES[name](k)
     if name in _FIXED_GRAPHS:
         if k is not None:

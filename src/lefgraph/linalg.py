@@ -1,15 +1,21 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Matrices hold arbitrary-precision ``fractions.Fraction`` scalars (plain ints
-are upgraded on entry).  No floating point is used anywhere.
+Scalars are arbitrary-precision ints and ``fractions.Fraction``s; no floating
+point is used anywhere.  A `RationalMatrix` is dense (the small matrices
+induced on cohomology); a `SparseMatrix` keeps one {column: value} dict per
+row (coboundaries and the image rows of cohomology, which are mostly zero).
 
-Every elimination runs through one integer kernel, `_eliminate`: Bareiss's
-fraction-free Gauss-Jordan elimination on rows cleared of their
-denominators.  `rank` counts its pivots, `rref` divides its rows by its
+Every elimination runs through one kernel, `_eliminate`: Bareiss's
+fraction-free Gauss-Jordan elimination on sparse integer rows.  `rank` and
+`rref` take either kind of matrix and clear each row of its denominators
+first; `rank` counts the kernel's pivots, `rref` divides its rows by its
 scale once, and `nullspace` reads the RREF.  Callers holding integer rows
 (the cohomology module, on coboundaries) call the kernel directly.  Bases
 are canonical: they come from the reduced row echelon form, so equal inputs
 give identical bases.
+
+`det_one_minus_z` reduces a square matrix to Hessenberg form by similarity
+and reads the characteristic polynomial off the Hessenberg recurrence.
 """
 
 from __future__ import annotations
@@ -36,11 +42,16 @@ def _as_fraction_rows(data) -> list[list[Fraction]]:
     return [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in data]
 
 
+def _exact(x: int | Fraction) -> int | Fraction:
+    """x as an int when it is one, so that sums of ints stay in ints."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class RationalMatrix:
     """A dense matrix of Fractions with explicit shape.
 
-    The explicit shape matters because coboundary matrices routinely have
-    zero rows or zero columns and the arithmetic must still make sense.
+    The explicit shape matters because a matrix may have zero rows or zero
+    columns, like the map induced on a zero cohomology group.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -90,98 +101,144 @@ class RationalMatrix:
             raise LinearAlgebraError("trace needs a square matrix")
         return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
 
-    def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise LinearAlgebraError(
-                f"shape mismatch: {self.rows}x{self.cols} times "
-                f"{other.rows}x{other.cols}")
-        out = RationalMatrix(self.rows, other.cols)
-        for i in range(self.rows):
-            srow = self.data[i]
-            orow = out.data[i]
-            for k in range(self.cols):
-                s = srow[k]
-                if s == 0:
-                    continue
-                prow = other.data[k]
-                for j in range(other.cols):
-                    if prow[j] != 0:
-                        orow[j] += s * prow[j]
-        return out
 
-    def apply(self, v: Vector) -> Vector:
-        if len(v) != self.cols:
-            raise LinearAlgebraError("vector length does not match column count")
-        return [sum((row[j] * v[j] for j in range(self.cols) if v[j] != 0),
-                    Fraction(0)) for row in self.data]
+class SparseMatrix:
+    """A matrix with explicit shape kept as one {column: value} dict per row,
+    zero entries left out; values are ints or Fractions."""
+
+    __slots__ = ("rows", "cols", "data")
+
+    def __init__(self, rows: int, cols: int, data: list[dict[int, int | Fraction]]):
+        if len(data) != rows or any(not 0 <= c < cols for row in data for c in row):
+            raise LinearAlgebraError(f"data does not match declared shape {rows}x{cols}")
+        self.rows = rows
+        self.cols = cols
+        self.data = data
+
+    def __repr__(self) -> str:
+        return f"SparseMatrix({self.rows}x{self.cols})"
 
 
-def _integer_row(row) -> tuple[int, list[int]]:
-    """(d, d * row) for d the lcm of the row's denominators."""
-    d = 1
-    for x in row:  # pairwise, so no argument tuple is built per row
-        d = math.lcm(d, x.denominator)
-    return d, [x.numerator * (d // x.denominator) for x in row]
+def _integer_rows(m: RationalMatrix | SparseMatrix) -> list[dict[int, int]]:
+    """The rows of m as sparse integer rows, each multiplied by the lcm of
+    its denominators.  Integer rows of a SparseMatrix are shared, not
+    copied: the kernel never modifies a row in place."""
+    if isinstance(m, SparseMatrix):
+        rows = m.data
+    else:
+        rows = [{c: x for c, x in enumerate(row) if x} for row in m.data]
+    out = []
+    for row in rows:
+        d = 1
+        for x in row.values():  # pairwise, so no argument tuple is built per row
+            d = math.lcm(d, x.denominator)
+        if d == 1 and all(type(x) is int for x in row.values()):
+            out.append(row)
+        else:
+            out.append({c: x.numerator * (d // x.denominator) for c, x in row.items()})
+    return out
 
 
-def _eliminate(rows: list[list[int]], ncols: int) -> tuple[int, list[int]]:
-    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+def _eliminate(rows: list[dict[int, int]], ncols: int) -> tuple[int, list[int]]:
+    """Fraction-free Gauss-Jordan elimination of sparse integer rows.
 
-    Each pivot is taken from the first remaining row with a nonzero entry in
-    its column, and that row is swapped up to follow the earlier pivot rows.
-    With p the new pivot, prev the one before it (1 at the start), y the
-    pivot row and f a row's entry in the pivot column, every other row x
-    becomes (p*x - f*y) // prev; a row with f = 0 is still rescaled, to
-    p*x // prev (skipped where that is a no-op: p == prev, or a zero row).
-    By Sylvester's identity every entry stays a minor of the input, so each
-    division is exact (Bareiss, Math. Comp. 22, 1968).
+    The list is reordered and its rows replaced; no row dict is modified,
+    so the caller's rows may be shared.  Each pivot is taken from the first
+    remaining row with a nonzero entry in its column, and that row is moved
+    up to follow the earlier pivot rows; a negative pivot's row is negated
+    first.  With p the new pivot, prev the one before it (1 at the start),
+    y the pivot row and f a row's entry in the pivot column, every other
+    row x becomes (p*x - f*y) // prev; a row with f = 0 becomes p*x // prev,
+    which leaves it as it is while p == prev.  By Sylvester's identity every
+    entry stays a minor of the input (with the negated rows negated), so
+    each division is exact (Bareiss, Math. Comp. 22, 1968).  Coboundary
+    pivots are almost always 1, so a step usually touches only the rows
+    with a nonzero in its column.
 
     Returns (scale, pivot columns), scale being the last pivot: the first
     len(pivots) rows divided by scale are the reduced row echelon form, and
-    the remaining rows are zero.
+    the remaining rows are empty.
     """
     nrows = len(rows)
+    # Rows keep their input index i; order[r] is the row at position r.
+    order = list(range(nrows))
+    position = list(range(nrows))
+    holders: dict[int, set[int]] = {}  # column -> rows with a nonzero there
+    for i, row in enumerate(rows):
+        for c in row:
+            holders.setdefault(c, set()).add(i)
     pivots: list[int] = []
     prev = 1
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
             break
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if piv is None:
+        candidates = [position[i] for i in holders.get(c, ()) if position[i] >= r]
+        if not candidates:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        y = rows[r]
+        at = min(candidates)
+        piv = order[at]
+        order[r], order[at] = piv, order[r]
+        position[piv], position[order[at]] = r, at
+        y = rows[piv]
         p = y[c]
-        for i, x in enumerate(rows):
-            if i == r:
-                continue
+        if p < 0:
+            y = rows[piv] = {col: -a for col, a in y.items()}
+            p = -p
+        hit = holders[c] - {piv}
+        for i in hit:
+            x = rows[i]
             f = x[c]
-            if f:
-                rows[i] = [(p * a - f * b) // prev for a, b in zip(x, y)]
-            elif p != prev and any(x):
-                rows[i] = [p * a // prev for a in x]
+            new = {col: p * a for col, a in x.items()} if p != 1 else dict(x)
+            for col, b in y.items():
+                a = new.get(col, 0) - f * b
+                if a:
+                    new[col] = a
+                else:
+                    del new[col]
+            if prev != 1:
+                new = {col: a // prev for col, a in new.items()}
+            for col in y:
+                if col in new:
+                    if col not in x:
+                        holders.setdefault(col, set()).add(i)
+                elif col in x:
+                    holders[col].discard(i)
+            rows[i] = new
+        if p != prev:
+            for i, x in enumerate(rows):
+                if x and i != piv and i not in hit:
+                    rows[i] = {col: p * a // prev for col, a in x.items()}
         pivots.append(c)
         prev = p
+    rows[:] = [rows[i] for i in order]
     return prev, pivots
 
 
-def rref(m: RationalMatrix) -> tuple[RationalMatrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns.
+def rref(m: RationalMatrix | SparseMatrix):
+    """Reduced row echelon form and the list of pivot columns, as a matrix
+    of the same kind as m (a SparseMatrix's entries are ints where exact).
 
     The kernel's rows divided by its scale; RREF is unique, so the result
     does not depend on the pivot rows chosen.
     """
-    rows = [_integer_row(row)[1] for row in m.data]
+    rows = _integer_rows(m)
     scale, pivots = _eliminate(rows, m.cols)
-    zero = Fraction(0)
-    reduced = [[Fraction(x, scale) if x else zero for x in row] for row in rows]
-    return RationalMatrix(m.rows, m.cols, reduced), pivots
+    reduced = rows if scale == 1 else \
+        [{c: _exact(Fraction(x, scale)) for c, x in row.items()} for row in rows]
+    if isinstance(m, SparseMatrix):
+        return SparseMatrix(m.rows, m.cols, reduced), pivots
+    dense = RationalMatrix(m.rows, m.cols)
+    for out, row in zip(dense.data, reduced):
+        for c, x in row.items():
+            out[c] = Fraction(x)
+    return dense, pivots
 
 
-def rank(m: RationalMatrix) -> int:
-    """Number of pivots of the kernel's elimination."""
-    return len(_eliminate([_integer_row(row)[1] for row in m.data], m.cols)[1])
+def rank(m: RationalMatrix | SparseMatrix) -> int:
+    """Number of pivots of the kernel's elimination of m, a RationalMatrix
+    or a SparseMatrix."""
+    return len(_eliminate(_integer_rows(m), m.cols)[1])
 
 
 def nullspace(m: RationalMatrix) -> list[Vector]:
@@ -203,26 +260,78 @@ def nullspace(m: RationalMatrix) -> list[Vector]:
     return basis
 
 
+def _hessenberg(h: list[list]) -> None:
+    """Reduce the square matrix h to upper Hessenberg form in place, by
+    similarity (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.2.9).
+
+    For each column m - 1, a nonzero below the subdiagonal is swapped up to
+    row m (rows and columns swapped together), then each row i below it
+    loses u times row m, u = h[i][m-1] / h[m][m-1], and column m gains u
+    times column i, which undoes the row operation's effect on the
+    eigenvalues.  Zero entries cost nothing, so a permutation matrix or a
+    block diagonal matrix is cheap.
+    """
+    n = len(h)
+    for m in range(1, n - 1):
+        i = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if i is None:
+            continue
+        if i != m:
+            h[i], h[m] = h[m], h[i]
+            for row in h:
+                row[i], row[m] = row[m], row[i]
+        t = h[m][m - 1]
+        pivot_row = [(j, a) for j, a in enumerate(h[m]) if a]
+        for i in range(m + 1, n):
+            if not h[i][m - 1]:
+                continue
+            u = _exact(Fraction(h[i][m - 1]) / t)
+            row = h[i]
+            for j, a in pivot_row:
+                row[j] -= u * a
+            for row in h:
+                if row[i]:
+                    row[m] += u * row[i]
+            pivot_row = [(j, a) for j, a in enumerate(h[m]) if a]
+
+
 def det_one_minus_z(m: RationalMatrix) -> list[Fraction]:
     """Coefficients of det(I - z*M), ascending in z.
 
-    Uses the Faddeev-LeVerrier recurrence for the characteristic polynomial:
-    with M_1 = M, c_k = -trace(M * N_k)/k, the coefficients c_k are exactly
-    the z^k coefficients of det(I - z*M).
+    det(I - z*M) is the characteristic polynomial det(x*I - M) with its
+    coefficients reversed.  M is reduced to Hessenberg form H, and the
+    characteristic polynomial p_j of the leading j x j block of H follows
+    from the earlier ones (Cohen, Alg. 2.2.9):
+
+        p_j = (x - H[j][j]) p_(j-1)
+              - sum_(i<j) H[i][j] H[i+1][i] ... H[j][j-1] p_i,
+
+    indices from 0 and p_0 = 1.  The sum stops at the first zero
+    subdiagonal entry, where H splits into blocks.
     """
     n = m.rows
     if n != m.cols:
         raise LinearAlgebraError("determinant needs a square matrix")
-    coeffs = [Fraction(1)]
-    mk = m
-    for k in range(1, n + 1):
-        if k > 1:
-            shifted = RationalMatrix(n, n, mk.data)
-            for i in range(n):
-                shifted.data[i][i] += coeffs[-1]
-            mk = m * shifted
-        coeffs.append(-mk.trace() / k)
-    return poly_trim(coeffs)
+    h = [[x.numerator if x.denominator == 1 else x for x in row] for row in m.data]
+    _hessenberg(h)
+    polys = [[1]]  # polys[j]: characteristic polynomial of the leading j x j block
+    for j in range(n):
+        last = polys[j]
+        p = [0] + last
+        for d, c in enumerate(last):
+            p[d] -= h[j][j] * c
+        t = 1
+        for i in range(j - 1, -1, -1):
+            t *= h[i + 1][i]
+            if not t:
+                break
+            factor = t * h[i][j]
+            if factor:
+                for d, c in enumerate(polys[i]):
+                    p[d] -= factor * c
+        polys.append(p)
+    return poly_trim([Fraction(c) for c in reversed(polys[n])])
 
 
 # ---------------------------------------------------------------------------

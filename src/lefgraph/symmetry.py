@@ -15,6 +15,7 @@ from .complexes import CliqueComplex, Simplex, build_complex
 from .cohomology import CochainSpaces
 from .dynamics import GraphMap, fixed_simplices, lefschetz_cohomological
 from .graphs import Graph
+from .linalg import LinearAlgebraError
 from .reporting import TheoremCheck
 
 DEFAULT_GROUP_CAP = 12
@@ -232,11 +233,17 @@ def lefschetz_multiset(g: Graph, group: AutomorphismGroup | None = None,
 
 def average_lefschetz(g: Graph, group: AutomorphismGroup | None = None,
                       spaces: CochainSpaces | None = None) -> int:
-    """Mean of L(T) over the automorphism group; asserted to be an integer."""
+    """Mean of L(T) over the automorphism group.
+
+    The average of a trace over a finite group is the dimension of the
+    subspace the group fixes, so the mean is the alternating sum of the
+    dimensions of the fixed subspaces of H^k; LinearAlgebraError is raised
+    if it is not an integer."""
     values = lefschetz_numbers(g, group, spaces)
     avg = Fraction(sum(values), len(values))
-    assert avg.denominator == 1, f"average Lefschetz number {avg} is not an integer"
-    return int(avg)
+    if avg.denominator != 1:
+        raise LinearAlgebraError(f"average Lefschetz number {avg} is not an integer")
+    return avg.numerator
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from dense import matmul
 from lefgraph.cohomology import CochainSpaces, verify_chain_map
 from lefgraph.complexes import build_complex
 from lefgraph.dynamics import (
@@ -301,7 +302,7 @@ def test_criterion_6_structural(small_sweep, corpus, corpus_endos):
 
     def structural(g, cx, spaces, label):
         for k in range(cx.dim):
-            if not (spaces.coboundary(k + 1) * spaces.coboundary(k)).is_zero():
+            if not matmul(spaces.coboundary(k + 1), spaces.coboundary(k)).is_zero():
                 failures.append(f"{label}: d_{k + 1} d_{k} != 0")
         chi_f = cx.euler_characteristic()
         chi_b = sum((-1) ** k * b for k, b in enumerate(spaces.betti_numbers()))

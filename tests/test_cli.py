@@ -268,6 +268,18 @@ def test_input_errors_exit_1(capsys, tmp_path, c4_file):
     assert code == 1 and "no graph given" in err
 
 
+def test_huge_vertices_header_exits_1(capsys, tmp_path):
+    huge = tmp_path / "huge.graph"
+    huge.write_text("vertices 100000000000\n")
+    code, _, err = run(capsys, "analyze", str(huge))
+    assert code == 1 and "above the limit" in err
+
+
+def test_huge_named_size_exits_1(capsys):
+    code, _, err = run(capsys, "analyze", "--named", "discrete:100000000000")
+    assert code == 1 and "above the vertex limit" in err
+
+
 def test_map_file_errors(capsys, c4_file, tmp_path):
     twice = tmp_path / "twice.map"
     twice.write_text("map 0 1 2 3\nmap 1 2 3 0\n")

@@ -14,15 +14,14 @@ from lefgraph.cohomology import (
     CochainSpaces,
     Pullback,
     betti_numbers,
-    coboundary_matrix,
     coboundary_squares_to_zero,
     permutation_parity_sign,
     pullback,
-    pullback_matrix,
     pullbacks_commute,
     verify_chain_map,
 )
 from lefgraph.complexes import build_complex
+from dense import apply, coboundary_matrix, matmul, pullback_matrix, to_matrix
 from lefgraph.dynamics import (
     GraphMap,
     fixed_index_sum,
@@ -46,7 +45,7 @@ from lefgraph.graphs import (
 from lefgraph.linalg import NotInSpanError, RationalMatrix, rank
 from lefgraph.symmetry import automorphism_group, lefschetz_numbers
 from lefgraph.verification import named_corpus
-from lefgraph.zeta import zeta_det
+from lefgraph.zeta import orbit_census, zeta_det, zeta_product
 
 
 def test_permutation_parity_sign():
@@ -82,7 +81,7 @@ def test_d_squared_is_zero():
     for g in [complete_graph(5), octahedron_graph(), cycle_graph(6)]:
         cx = build_complex(g)
         for k in range(cx.dim):
-            prod = coboundary_matrix(cx, k + 1) * coboundary_matrix(cx, k)
+            prod = matmul(coboundary_matrix(cx, k + 1), coboundary_matrix(cx, k))
             assert prod.is_zero()
 
 
@@ -188,8 +187,8 @@ def test_induced_map_reverses_composition_order():
         composed = t.compose(s)  # apply s first, then t
         for k in (0, 1):
             lhs = spaces.induced_matrix(composed.image, k)
-            rhs = spaces.induced_matrix(s.image, k) * \
-                spaces.induced_matrix(t.image, k)
+            rhs = matmul(spaces.induced_matrix(s.image, k),
+                         spaces.induced_matrix(t.image, k))
             assert lhs.data == rhs.data
 
 
@@ -208,8 +207,8 @@ def _dense_commutes(cx, matrices):
     as Fraction matrix products, given the dense P_0..P_dim."""
     for k in range(cx.dim + 1):
         d = coboundary_matrix(cx, k)
-        left = d * matrices[k]
-        right = matrices[k + 1] * d if k < cx.dim else RationalMatrix(0, d.cols)
+        left = matmul(d, matrices[k])
+        right = matmul(matrices[k + 1], d) if k < cx.dim else RationalMatrix(0, d.cols)
         if left != right:
             return False
     return True
@@ -250,7 +249,7 @@ def test_sparse_chain_map_check_matches_dense_reference_on_corrupted_pullbacks()
         k = rng.randrange(cx.dim + 1)
         pullbacks[k] = _flipped(pullbacks[k], rng.randrange(pullbacks[k].size))
         sparse = pullbacks_commute(cx, pullbacks)
-        assert sparse == _dense_commutes(cx, [p.to_matrix() for p in pullbacks]), \
+        assert sparse == _dense_commutes(cx, [to_matrix(p) for p in pullbacks]), \
             (name, t.image, k)
         verdicts.add(sparse)
     assert verdicts == {True, False}  # K_1 has no rows to compare
@@ -270,7 +269,7 @@ def test_chain_map_check_detects_every_single_sign_flip():
 def test_sparse_d_squared_matches_dense_reference():
     for _, g in named_corpus():
         cx = build_complex(g)
-        dense = all((coboundary_matrix(cx, k + 1) * coboundary_matrix(cx, k)).is_zero()
+        dense = all((matmul(coboundary_matrix(cx, k + 1), coboundary_matrix(cx, k))).is_zero()
                     for k in range(cx.dim))
         assert coboundary_squares_to_zero(cx) == dense
         assert dense
@@ -281,7 +280,7 @@ def test_sparse_d_squared_detects_a_wrong_face():
     # point the face (0, 1) of the triangle at the index of (0, 2)
     cx.index[1][(0, 1)] = cx.index[1][(0, 2)]
     assert not coboundary_squares_to_zero(cx)
-    assert not (coboundary_matrix(cx, 1) * coboundary_matrix(cx, 0)).is_zero()
+    assert not matmul(coboundary_matrix(cx, 1), coboundary_matrix(cx, 0)).is_zero()
 
 
 def test_pullback_product_is_pullback_of_composite():
@@ -297,8 +296,8 @@ def test_pullback_product_is_pullback_of_composite():
                 direct = pullback(cx, composite.image, k)
                 assert (product.target_index, product.sign) == \
                     (direct.target_index, direct.sign)
-                assert product.to_matrix() == \
-                    pullback_matrix(cx, t.image, k) * pullback_matrix(cx, s.image, k)
+                assert to_matrix(product) == \
+                    matmul(pullback_matrix(cx, t.image, k), pullback_matrix(cx, s.image, k))
 
 
 def test_pullback_apply_matches_matrix():
@@ -308,7 +307,7 @@ def test_pullback_apply_matches_matrix():
     for k in range(cx.dim + 1):
         f = [Fraction(i + 1, 3) for i in range(cx.count(k))]
         pb = pullback(cx, image, k)
-        assert pb.apply(f) == pullback_matrix(cx, image, k).apply(f)
+        assert pb.apply(f) == apply(pullback_matrix(cx, image, k), f)
         signs.update(pb.sign)
     assert signs == {1, -1}
 
@@ -450,25 +449,27 @@ def test_a_pullback_that_breaks_a_cocycle_is_refused():
 
 
 def test_grid_lefschetz_routes_agree():
-    side = 8
+    # b_1 = 121: large induced matrices, in the determinant route too.
+    side = 12
     edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
     edges += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
     g = Graph(side * side, edges)
     cx = build_complex(g)
     spaces = CochainSpaces(cx)
-    assert spaces.betti_numbers() == (1, 49)
+    assert spaces.betti_numbers() == (1, 121)
     rotation = tuple(side * side - 1 - v for v in range(side * side))
     reflection = tuple((v // side) * side + side - 1 - v % side for v in range(side * side))
-    for image, expected in ((rotation, 0), (reflection, 8)):
+    for image, expected in ((rotation, 0), (reflection, side)):
         t = GraphMap(g, image)
         assert t.is_automorphism()
         assert lefschetz_cohomological(g, t, spaces) == fixed_index_sum(cx, t) == \
             lefschetz_chain(cx, t, spaces) == expected
+        assert zeta_det(g, t, spaces) == zeta_product(orbit_census(cx, t))
 
 
 OPTIMIZED_CHECKS = textwrap.dedent("""
     from fractions import Fraction
-    from lefgraph import build_complex, named_graph
+    from lefgraph import build_complex, named_graph, symmetry
     from lefgraph.cohomology import CochainSpaces
     from lefgraph.linalg import LinearAlgebraError, RationalMatrix
 
@@ -490,6 +491,8 @@ OPTIMIZED_CHECKS = textwrap.dedent("""
     CochainSpaces.induced_matrix = half_trace
     print(outcome(lambda: CochainSpaces(cx).lefschetz_number((1, 2, 3, 4, 0))))
     CochainSpaces.induced_matrix = real
+    symmetry.lefschetz_numbers = lambda g, group, spaces: [0, 1]
+    print(outcome(lambda: symmetry.average_lefschetz(named_graph("cycle", 5))))
     CochainSpaces.betti = lambda self, k: 2
     print(outcome(lambda: CochainSpaces(cx).representatives(1)))
 """)
@@ -504,5 +507,6 @@ def test_integrality_and_representative_count_are_checked_under_optimization():
     assert proc.stdout.splitlines() == [
         "debug False",
         "raised cohomological trace sum 1/2 is not an integer",
+        "raised average Lefschetz number 1/2 is not an integer",
         "raised H^1: 1 representatives but Betti number 2",
     ]

@@ -2,19 +2,22 @@
 
 The oracles here are deliberately independent implementations: textbook
 fraction eliminations for rank and for the reduced row echelon form, and
-permutation cycle decomposition for the determinant polynomial.
+the Leibniz expansion and permutation cycle decomposition for the
+determinant polynomial.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lefgraph.linalg import (
     LinearAlgebraError,
     RationalMatrix,
+    SparseMatrix,
     cyclotomic_factor,
     det_one_minus_z,
     nullspace,
@@ -29,6 +32,7 @@ from lefgraph.linalg import (
     rank,
     rref,
 )
+from dense import apply
 
 
 def naive_rank(rows):
@@ -154,7 +158,7 @@ def test_nullspace_vectors_are_in_kernel():
         rows = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(3)]
         m = RationalMatrix.from_rows(rows)
         for v in nullspace(m):
-            assert all(x == 0 for x in m.apply(v))
+            assert all(x == 0 for x in apply(m, v))
 
 
 @settings(max_examples=100, deadline=None)
@@ -166,6 +170,51 @@ def test_rref_matches_naive_gauss_jordan(m):
     assert pivots == expected_pivots
     assert reduced.data == expected
     assert rank(m) == len(expected_pivots)
+
+
+def sparse(rows, ncols):
+    return SparseMatrix(len(rows), ncols, [{c: x for c, x in enumerate(row) if x}
+                                           for row in rows])
+
+
+# Mostly +-1 entries, as in coboundaries, so -1 pivots are common; the rarer
+# 2, 3 and fractions give non-unit pivots, which rescale the other rows.
+SPARSE_ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def sparse_matrices(draw):
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rows = [[draw(SPARSE_ENTRIES) for _ in range(ncols)] for _ in range(nrows)]
+    for i in draw(st.sets(st.integers(0, nrows - 1), max_size=2)) if nrows else ():
+        rows[i] = [0] * ncols
+    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=2)) if ncols else ():
+        for row in rows:
+            row[j] = 0
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+@example(([[-1, 1, 0], [1, 0, -1], [0, -1, 1]], 3))  # -1 pivots, rank 2
+@example(([[2, 1], [1, 1]], 2))  # pivot 2 then 1: the other rows are rescaled
+@example(([[0, 3, 0], [0, 0, 0], [0, 1, 2]], 3))  # zero row and column
+@example(([], 4))
+@example(([[], [], []], 0))
+def test_sparse_rank_and_rref_match_naive_gauss_jordan(case):
+    rows, ncols = case
+    m = sparse(rows, ncols)
+    before = [dict(row) for row in m.data]
+    reduced, pivots = rref(m)
+    expected, expected_pivots = naive_rref(rows, ncols)
+    assert isinstance(reduced, SparseMatrix)
+    assert (reduced.rows, reduced.cols) == (m.rows, m.cols)
+    assert pivots == expected_pivots
+    assert reduced.data == sparse(expected, ncols).data
+    assert all(type(x) is int for row in reduced.data for x in row.values()
+               if x.denominator == 1)
+    assert rank(m) == len(expected_pivots)
+    assert m.data == before  # rows are shared with the kernel, never modified
 
 
 def test_rref_empty_shapes():
@@ -234,6 +283,54 @@ def test_det_one_minus_z_permutation_cycle_type():
         assert [Fraction(x) for x in expected] == got
 
 
+def leibniz_det_one_minus_z(rows):
+    """Oracle: det(I - z*M) = sum over permutations s of sign(s) times the
+    product of (delta(i, s(i)) - z * M[i][s(i)])."""
+    n = len(rows)
+    total = [Fraction(0)] * (n + 1)
+    for perm in itertools.permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = [Fraction(sign)]
+        for i, j in enumerate(perm):
+            term = convolve(term, [Fraction(int(i == j)), -Fraction(rows[i][j])])
+        total = [a + b for a, b in zip(total, term)]
+    return poly_trim(total)
+
+
+@st.composite
+def square_matrices(draw):
+    """Small square matrices with zeros on the subdiagonal (the Hessenberg
+    form splits into blocks there), permutation matrices and singular ones."""
+    n = draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(("general", "block", "permutation", "singular")))
+    if kind == "permutation":
+        perm = draw(st.permutations(range(n)))
+        signs = [draw(st.sampled_from((1, -1))) for _ in range(n)]
+        return [[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    rows = [[draw(SPARSE_ENTRIES) for _ in range(n)] for _ in range(n)]
+    if kind == "block":
+        for i in range(1, n):
+            if draw(st.booleans()):
+                for r in range(i, n):
+                    for c in range(i):
+                        rows[r][c] = 0
+    elif kind == "singular" and n >= 2:
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[b] = [2 * x for x in rows[a]] if a != b else [0] * n
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+@example([[0, 0, 1], [1, 0, 0], [0, 1, 0]])  # a 3-cycle: det(I - zM) = 1 - z^3
+@example([[1, 0, 0], [0, 1, 0], [0, 0, 1]])  # zero subdiagonal throughout
+@example([[1, 2], [2, 4]])  # singular
+@example([])
+def test_det_one_minus_z_matches_leibniz_expansion(rows):
+    assert det_one_minus_z(RationalMatrix(len(rows), len(rows), rows)) == \
+        leibniz_det_one_minus_z(rows)
+
+
 def test_poly_arithmetic():
     assert poly_mul([1, 1], [1, -1]) == [1, 0, -1]
     assert poly_pow([1, 1], 3) == [1, 3, 3, 1]
@@ -283,7 +380,5 @@ def test_plus_minus_exponent_splits():
 def test_matrix_shape_guards():
     with pytest.raises(LinearAlgebraError):
         det_one_minus_z(RationalMatrix(2, 3))
-    with pytest.raises(LinearAlgebraError):
-        RationalMatrix(2, 3) * RationalMatrix(2, 3)
     with pytest.raises(LinearAlgebraError):
         RationalMatrix(2, 3).trace()
