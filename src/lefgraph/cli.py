@@ -386,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", action="store_true",
                    help="compute the graph zeta function over Aut(G)")
     p.add_argument("--series-order", type=int, default=None,
-                   help="series-consistency order (default 2*order(T))")
+                   help="series-consistency order, at most 10^5 "
+                        "(default min(2*order(T), 2*simplex count))")
     p.set_defaults(func=cmd_zeta)
 
     p = sub.add_parser("random", help="expected Lefschetz number over random graphs")

@@ -6,8 +6,9 @@ against the ascending-vertex reference orientation.  Betti numbers come from
 rank-nullity: b_k = dim ker(d_k) - rank(d_{k-1}).
 
 The chain level is sparse and integer.  A graph map is injective on every
-clique, so its pullback P_k is a signed permutation, one (target, +-1) pair
-per simplex; a row of d_k holds k+2 entries +-1, found by face lookups.  The
+clique, so its pullback P_k is a signed map of the k-simplices (a signed
+permutation for an automorphism), one (target, +-1) pair per simplex; a row
+of d_k holds k+2 entries +-1, found by face lookups.  The
 chain-map identity and d o d = 0 are checked on these integer rows in
 O(nonzeros).
 
@@ -107,19 +108,43 @@ class Pullback:
     def apply(self, f: Vector) -> Vector:
         return [f[t] if s > 0 else -f[t] for s, t in zip(self.sign, self.target_index)]
 
-    def __mul__(self, other: "Pullback") -> "Pullback":
-        """Matrix product self * other, again a signed permutation.
-
-        The pullback of a composite reverses the order, P(S o T) = P(T) P(S),
-        so the pullback of T^n is P(T^(n-1)) * P(T).
-        """
-        targets = [other.target_index[y] for y in self.target_index]
-        signs = [s * other.sign[y] for s, y in zip(self.sign, self.target_index)]
-        return Pullback(self.k, self.size, targets, signs)
-
     def trace(self) -> int:
         return sum(s for r, (s, t) in enumerate(zip(self.sign, self.target_index))
                    if r == t)
+
+    def power_traces(self, count: int) -> list[int]:
+        """tr(P^n) for n = 1..count, from the cycles of the signed map.
+
+        P is a signed functional graph x -> target(x).  The diagonal entry
+        (P^n)_xx is nonzero only on a closed cycle, so simplices on a tail
+        (of a non-injective map) add nothing.  A cycle of length p whose
+        signs multiply to s adds p * s^(n/p) at every n = p, 2p, ...  One
+        walk visits each simplex once: a simplex is new (0), on the current
+        walk (1) or done (2).
+        """
+        state = [0] * self.size
+        weight: dict[tuple[int, int], int] = {}  # (length, sign) -> simplices
+        for start in range(self.size):
+            walk = []
+            x = start
+            while state[x] == 0:
+                state[x] = 1
+                walk.append(x)
+                x = self.target_index[x]
+            if state[x] == 1:
+                cycle = walk[walk.index(x):]
+                s = 1
+                for y in cycle:
+                    s *= self.sign[y]
+                key = (len(cycle), s)
+                weight[key] = weight.get(key, 0) + len(cycle)
+            for y in walk:
+                state[y] = 2
+        out = [0] * count
+        for (p, s), w in weight.items():
+            for n in range(p, count + 1, p):
+                out[n - 1] += w * s ** (n // p)
+        return out
 
 
 def pullback(cx: CliqueComplex, image: tuple[int, ...], k: int) -> Pullback:

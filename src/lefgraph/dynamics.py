@@ -67,12 +67,14 @@ class GraphMap:
         return GraphMap(self.graph, tuple(self.image[w] for w in inner.image))
 
     def power(self, m: int) -> "GraphMap":
+        """The m-fold composite.  The image tuples are composed first, so
+        only the result is built as a GraphMap and validated."""
         if m < 0:
             raise MapError("negative powers are only defined via inverse()")
-        out = GraphMap.identity(self.graph)
+        out = tuple(range(self.graph.n))
         for _ in range(m):
-            out = self.compose(out)
-        return out
+            out = tuple(self.image[v] for v in out)
+        return GraphMap(self.graph, out)
 
     def inverse(self) -> "GraphMap":
         if not self.is_automorphism():

@@ -27,6 +27,7 @@ from .graphs import Graph, connected_components, named_graph
 from .reporting import TheoremCheck
 from .symmetry import AutomorphismGroup, automorphism_group, verify_averaging_theorems
 from .zeta import (
+    MAX_SERIES_ORDER,
     RationalFunctionZ,
     lefschetz_iterates,
     orbit_census,
@@ -129,13 +130,35 @@ def zeta_checks(g: Graph, t: GraphMap, cx: CliqueComplex | None = None,
                 product: RationalFunctionZ | None = None) -> list[TheoremCheck]:
     """Determinant = orbit product, and log-derivative series consistency.
 
-    The series is compared up to `series_order` terms, 2 * order(T) by
-    default; an order below 1 would compare nothing and is refused.
-    `product` is the orbit-product zeta of the map, when the caller already
-    computed it.
+    The series is compared up to `series_order` terms, by default
+    min(2 order(T), 2 |cx|) with |cx| the number of simplices.  That many
+    terms prove agreement for every n:
+
+    - L(T^n) = sum_k (-1)^k tr(P_k^n) is a signed sum of n-th power sums
+      of the eigenvalues of the chain pullbacks P_k, |cx| numbers in all,
+      so it satisfies the linear recurrence of order |cx| given by the
+      characteristic polynomial of the direct sum of the P_k.
+    - The coefficients of zeta'/zeta, for zeta = num/den, are power sums of
+      the inverse roots of den minus those of num, so they satisfy a
+      recurrence of order deg num + deg den.  For the orbit product that
+      is at most the census's total weight sum_p p * (orbits of period p),
+      which is |cx|.
+    - The difference of the two sequences satisfies the product recurrence,
+      of order at most 2 |cx|; if its first 2 |cx| terms vanish, all do.
+
+    When order(T) < |cx|, 2 order(T) terms are fewer and enough: L(T^n)
+    repeats with period order(T), and so does the product's series, since
+    each of its factors (1 - z^p) or (1 + z^p) has p, or 2p for the second,
+    dividing order(T).  An order below 1
+    would compare nothing and is refused, as is one above
+    `MAX_SERIES_ORDER`.  `product` is the orbit-product zeta of the map,
+    when the caller already computed it.
     """
     if series_order is not None and series_order < 1:
         raise ValueError(f"series order must be at least 1 (got {series_order})")
+    if series_order is not None and series_order > MAX_SERIES_ORDER:
+        raise ValueError(f"series order {series_order} is above the limit of "
+                         f"{MAX_SERIES_ORDER}")
     if cx is None:
         cx = build_complex(g)
     if spaces is None:
@@ -143,7 +166,7 @@ def zeta_checks(g: Graph, t: GraphMap, cx: CliqueComplex | None = None,
     z_det = zeta_det(g, t, spaces)
     z_prod = product if product is not None else zeta_product(orbit_census(cx, t))
     if series_order is None:
-        series_order = 2 * t.order()
+        series_order = min(2 * t.order(), 2 * len(cx))
     expected = lefschetz_iterates(cx, t, series_order, spaces)
     actual = z_prod.log_derivative_series(series_order)
     return [

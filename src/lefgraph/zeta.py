@@ -5,6 +5,15 @@ independent constructive routes (a determinant product over cohomology
 degrees and a periodic-orbit product) and checked against the power series
 of its logarithmic derivative.  The graph zeta function multiplies the
 per-automorphism zetas over the whole group.
+
+The series side, L(T^n) = sum_k (-1)^k tr(P_k^n), is read off the cycles of
+the map's signed chain pullbacks P_k: a cycle of length p whose signs
+multiply to s adds p * s^(n/p) at every multiple n of p.  The orbit census
+finds its orbits and signs on the simplices themselves, never through the
+pullbacks, so the two sides share no input.  Agreement on min(2 order(T),
+2 |cx|) terms proves agreement for every n (see
+`verification.zeta_checks`); an explicit order may not exceed
+`MAX_SERIES_ORDER`.
 """
 
 from __future__ import annotations
@@ -30,6 +39,11 @@ from .linalg import (
     poly_trim,
 )
 from .symmetry import AutomorphismGroup, automorphism_group, simplex_orbits_under_map
+
+
+# Largest series order a caller may ask for; the default order never
+# exceeds twice the simplex count.
+MAX_SERIES_ORDER = 10**5
 
 
 class ZetaError(ValueError):
@@ -91,16 +105,18 @@ class RationalFunctionZ:
         """Normalize an arbitrary quotient of polynomials (int or Fraction).
 
         Both lists are scaled by one common factor (so the function is
-        unchanged), divided by their polynomial gcd, then by their common
-        integer content, and sign-fixed to a positive denominator constant.
+        unchanged), divided by their polynomial gcd unless one of them is a
+        constant, then by their common integer content, and sign-fixed to a
+        positive denominator constant.
         """
         num, den = _joint_integer_scale(num, den)
-        if poly_trim(den) == [0]:
+        if den == [0]:
             raise ZetaError("zero denominator")
-        g = poly_gcd(num, den)
-        if g != [1]:
-            num = poly_div_exact(num, g)
-            den = poly_div_exact(den, g)
+        if len(num) > 1 and len(den) > 1:  # a constant side has no common factor
+            g = poly_gcd(num, den)
+            if g != [1]:
+                num = poly_div_exact(num, g)
+                den = poly_div_exact(den, g)
         num, den = _common_content_and_sign(num, den)
         return cls(num, den)
 
@@ -278,20 +294,20 @@ def orbit_census(cx: CliqueComplex, t: GraphMap) -> OrbitCensus:
 
     For an orbit of minimal period p with representative x, the signature of
     T^p restricted to x decides the sign class; the dimension of x decides
-    the parity class.
+    the parity class.  T^p is applied to the vertices of x only, p steps of
+    t each, and the pullbacks are never read: this route must stay apart
+    from the chain traces it is checked against.
     """
     if not t.is_automorphism():
         raise ZetaError("the orbit census needs an automorphism")
     census = OrbitCensus()
-    powers: dict[int, tuple[int, ...]] = {}
     for orbit in simplex_orbits_under_map(cx, t):
         p = orbit.period
-        if p not in powers:
-            powers[p] = t.power(p).image
-        image_p = powers[p]
-        x = orbit.representative
-        sign = permutation_parity_sign([image_p[v] for v in x])
-        odd_dim = len(x) % 2 == 0  # dim = len - 1
+        mapped = list(orbit.representative)
+        for _ in range(p):
+            mapped = [t.image[v] for v in mapped]
+        sign = permutation_parity_sign(mapped)
+        odd_dim = len(mapped) % 2 == 0  # dim = len - 1
         target = (census.a if sign > 0 else census.c) if odd_dim else \
             (census.b if sign > 0 else census.d)
         target[p] = target.get(p, 0) + 1
@@ -335,19 +351,18 @@ def lefschetz_iterates(cx: CliqueComplex, t: GraphMap, count: int,
                        spaces: CochainSpaces | None = None) -> list[int]:
     """L(T^n) for n = 1..count, by the chain-trace route.
 
-    P_k is the map's pullback kept by `spaces` (of the same complex); the
-    pullback of T^n is the signed permutation P_k(T^(n-1)) * P_k, whose
-    alternating trace sum is L(T^n).
+    L(T^n) = sum_k (-1)^k tr(P_k^n) on the map's pullbacks P_k kept by
+    `spaces` (of the same complex).  Each P_k is a signed functional graph
+    on the k-simplices, and `Pullback.power_traces` reads every tr(P_k^n)
+    off its cycles in one walk, so no power of T or of P_k is built.
     """
     if spaces is None:
         spaces = CochainSpaces(cx)
-    base = [spaces.pullback(t.image, k) for k in range(cx.dim + 1)]
-    current = base
-    out = []
-    for n in range(count):
-        if n:
-            current = [c * p for c, p in zip(current, base)]
-        out.append(sum((-1) ** k * p.trace() for k, p in enumerate(current)))
+    out = [0] * count
+    for k in range(cx.dim + 1):
+        sign = -1 if k % 2 else 1
+        for i, x in enumerate(spaces.pullback(t.image, k).power_traces(count)):
+            out[i] += sign * x
     return out
 
 

@@ -64,6 +64,17 @@ def to_matrix(pb: Pullback) -> RationalMatrix:
     return m
 
 
+def pullback_product(a: Pullback, b: Pullback) -> Pullback:
+    """The matrix product a * b of two signed functional maps, row by row.
+
+    The pullback of a composite reverses the order, P(S o T) = P(T) P(S),
+    so the pullback of T^n is the product of n copies of P(T).
+    """
+    targets = [b.target_index[y] for y in a.target_index]
+    signs = [s * b.sign[y] for s, y in zip(a.sign, a.target_index)]
+    return Pullback(a.k, a.size, targets, signs)
+
+
 def pullback_matrix(cx, image: tuple[int, ...], k: int) -> RationalMatrix:
     return to_matrix(pullback(cx, image, k))
 

@@ -188,6 +188,33 @@ def test_zeta_series_order_below_one_is_an_input_error(capsys):
         assert "series order must be at least 1" in err
 
 
+def test_zeta_series_order_above_the_cap_is_an_input_error(capsys):
+    code, out, err = run(capsys, "zeta", "--named", "cycle:5", "--map", "1,2,3,4,0",
+                         "--series-order", "100001")
+    assert code == 1 and out == ""
+    assert "series order 100001 is above the limit of 100000" in err
+
+
+def test_analyze_bounds_the_series_order_of_a_long_rotation(capsys, tmp_path):
+    """Cycles of lengths 3, 5, 7, 11, 13 and 17 under their rotation: the
+    map has order 255255, the complex 113 simplices, so the default series
+    order is 2 * 113, not 2 * 255255."""
+    lengths = (3, 5, 7, 11, 13, 17)
+    edges, image, offset = [], [], 0
+    for n in lengths:
+        edges += [(offset + i, offset + (i + 1) % n) for i in range(n)]
+        image += [offset + (i + 1) % n for i in range(n)]
+        offset += n
+    path = tmp_path / "cycles.graph"
+    path.write_text(f"vertices {offset}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    code, report = run_json(capsys, "analyze", str(path),
+                            "--map", ",".join(map(str, image)))
+    assert code == 0
+    assert report["graph"]["f_vector"] == [56, 56, 1]
+    series = next(c for c in report["checks"] if c["name"] == "zeta_series_consistent")
+    assert series["passed"] and len(series["lhs"]) == 2 * 113
+
+
 def test_zeta_group(capsys):
     code, report = run_json(capsys, "zeta", "--named", "cycle:5", "--group")
     assert code == 0

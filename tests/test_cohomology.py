@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lefgraph.cohomology import (
     CochainSpaces,
@@ -21,7 +23,14 @@ from lefgraph.cohomology import (
     verify_chain_map,
 )
 from lefgraph.complexes import build_complex
-from dense import apply, coboundary_matrix, matmul, pullback_matrix, to_matrix
+from dense import (
+    apply,
+    coboundary_matrix,
+    matmul,
+    pullback_matrix,
+    pullback_product,
+    to_matrix,
+)
 from lefgraph.dynamics import (
     GraphMap,
     fixed_index_sum,
@@ -292,12 +301,39 @@ def test_pullback_product_is_pullback_of_composite():
             s, t = rng.choice(elements), rng.choice(elements)
             composite = s.compose(t)  # apply t first, then s
             for k in range(cx.dim + 1):
-                product = pullback(cx, t.image, k) * pullback(cx, s.image, k)
+                product = pullback_product(pullback(cx, t.image, k), pullback(cx, s.image, k))
                 direct = pullback(cx, composite.image, k)
                 assert (product.target_index, product.sign) == \
                     (direct.target_index, direct.sign)
                 assert to_matrix(product) == \
                     matmul(pullback_matrix(cx, t.image, k), pullback_matrix(cx, s.image, k))
+
+
+@st.composite
+def signed_functional_graphs(draw):
+    """A signed map x -> target(x) on up to 12 nodes, shaped like a pullback.
+
+    Targets are unrestricted, so non-injective maps with tails into their
+    cycles and fixed points of sign -1 both occur."""
+    size = draw(st.integers(1, 12))
+    targets = draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=size, max_size=size))
+    return Pullback(0, size, targets, signs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_functional_graphs(), st.integers(1, 30))
+@example(Pullback(0, 3, [0, 0, 1], [-1, 1, 1]), 4)  # a tail into a -1 fixed point
+@example(Pullback(0, 4, [1, 2, 0, 0], [1, -1, 1, -1]), 2)  # count below the cycle length
+def test_power_traces_match_repeated_products(pb, count):
+    """tr(P^n) from the cycles equals the trace of the dense matrix of the
+    n-fold product, for n = 1..count."""
+    expected = []
+    power = pb
+    for _ in range(count):
+        expected.append(to_matrix(power).trace())
+        power = pullback_product(power, pb)
+    assert pb.power_traces(count) == expected
 
 
 def test_pullback_apply_matches_matrix():

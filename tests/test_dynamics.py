@@ -32,6 +32,7 @@ from lefgraph.graphs import (
     two_triangles_shared_edge,
     wheel_graph,
 )
+from lefgraph.symmetry import automorphism_group
 
 
 def all_three_lefschetz(g, t):
@@ -82,6 +83,19 @@ def test_power_order_inverse_cycles():
     assert refl.cycles() == [(0,), (1, 5), (2, 4), (3,)]
     with pytest.raises(MapError):
         validate_map(star_graph(3), (0, 1, 1, 1)).inverse()
+
+
+def test_power_equals_repeated_composition():
+    rng = random.Random(7)
+    for g in (petersen_graph(), octahedron_graph(), wheel_graph(5), cycle_graph(6),
+              star_graph(4), path_graph(5)):
+        maps = list(automorphism_group(g))[:12]
+        maps += [random_endomorphism(g, rng) for _ in range(3)]
+        for t in maps:
+            composite = identity_map(g)
+            for m in range(9):
+                assert t.power(m) == composite, (t.image, m)
+                composite = t.compose(composite)
 
 
 def test_fixed_simplices_rotation_has_none():

@@ -14,6 +14,7 @@ from lefgraph.experiments import (
 )
 from lefgraph.graphs import cycle_graph, named_graph, path_graph, petersen_graph
 from lefgraph.reporting import TheoremCheck
+from lefgraph.zeta import MAX_SERIES_ORDER
 from lefgraph.verification import (
     CorpusReport,
     attractor_checks,
@@ -68,6 +69,13 @@ def test_zeta_checks_refuse_an_empty_series():
             zeta_checks(c5, rotation, series_order=order)
     series = zeta_checks(c5, rotation, series_order=1)[1]
     assert series.passed and series.lhs == series.rhs == [0]
+
+
+def test_zeta_checks_cap_the_series_order():
+    c5 = cycle_graph(5)
+    rotation = validate_map(c5, (1, 2, 3, 4, 0))
+    with pytest.raises(ValueError, match=f"above the limit of {MAX_SERIES_ORDER}"):
+        zeta_checks(c5, rotation, series_order=MAX_SERIES_ORDER + 1)
 
 
 def test_corpus_report_accounting():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from lefgraph.cohomology import CochainSpaces
+from lefgraph.cohomology import CochainSpaces, Pullback
 from lefgraph.complexes import build_complex, euler_characteristic
 from lefgraph.dynamics import (
     fixed_index_sum,
@@ -24,7 +24,7 @@ from lefgraph.graphs import (
 )
 from lefgraph.linalg import poly_pow
 from lefgraph.symmetry import automorphism_group
-from lefgraph.verification import named_corpus
+from lefgraph.verification import named_corpus, zeta_checks
 from lefgraph.zeta import (
     OrbitCensus,
     RationalFunctionZ,
@@ -280,3 +280,51 @@ def test_composed_iterates_match_rebuilt_powers():
                 assert value == lefschetz_chain(cx, power) == fixed_index_sum(cx, power), \
                     (name, t.image, n)
                 power = t.compose(power)
+
+
+def test_bounded_series_order_is_a_prefix_of_the_full_period():
+    """zeta_checks compares min(2 order(T), 2 |cx|) terms by default.  On
+    every corpus automorphism, and on cycle unions whose rotation has an
+    order above the simplex count, the iterates up to 2 order(T) start with
+    the compared ones and equal the product zeta's series throughout."""
+    cases = [(g, list(automorphism_group(g))) for _, g in named_corpus()]
+    for sizes in ((4, 5), (5, 7)):
+        union = disjoint_union(cycle_graph(sizes[0]), cycle_graph(sizes[1]))
+        image = [(v + 1) % sizes[0] for v in range(sizes[0])] + \
+            [sizes[0] + (v + 1) % sizes[1] for v in range(sizes[1])]
+        cases.append((union, [validate_map(union, image)]))
+    longer = 0
+    for g, maps in cases:
+        cx = build_complex(g)
+        spaces = CochainSpaces(cx)
+        for t in maps:
+            full = lefschetz_iterates(cx, t, 2 * t.order(), spaces)
+            bounded = min(2 * t.order(), 2 * len(cx))
+            longer += bounded < len(full)
+            product = zeta_product(orbit_census(cx, t))
+            checks = zeta_checks(g, t, cx, spaces, product=product)
+            assert all(c.passed for c in checks), (g, t.image)
+            assert checks[1].rhs == full[:bounded], (g, t.image)
+            assert product.log_derivative_series(len(full)) == full, (g, t.image)
+    assert longer == 2
+
+
+def test_orbit_census_reads_no_pullback(monkeypatch):
+    """The census product is checked against the chain traces, so it must
+    not share their input: with no Pullback buildable it still gives the
+    series of the iterates computed before."""
+    graphs = [octahedron_graph(), petersen_graph(), complete_graph(4),
+              cycle_graph(6), star_graph(3)]
+    cases = []
+    for g in graphs:
+        cx = build_complex(g)
+        for t in automorphism_group(g):
+            cases.append((cx, t, lefschetz_iterates(cx, t, 2 * t.order())))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the orbit census built a pullback")
+
+    monkeypatch.setattr(Pullback, "__init__", refuse)
+    for cx, t, iterates in cases:
+        product = zeta_product(orbit_census(cx, t))
+        assert product.log_derivative_series(len(iterates)) == iterates, t.image
