@@ -139,10 +139,11 @@ class FixedSimplexRecord:
 
 def fixed_simplices(cx: CliqueComplex, t: GraphMap) -> list[FixedSimplexRecord]:
     """All simplices x with t(x) == x as a set, with their fixed-point indices."""
+    image = t.image
     out = []
     for level in cx.by_dim:
         for x in level:
-            mapped = [t.image[v] for v in x]
+            mapped = [image[v] for v in x]
             if tuple(sorted(mapped)) != x:
                 continue
             sign = permutation_parity_sign(mapped)

@@ -119,22 +119,24 @@ def simplex_orbits_under_map(cx: CliqueComplex, t: GraphMap) -> list[MapOrbit]:
 
     Orbits are ordered by their representative (dimension, then lexicographic);
     the representative is the first simplex of the orbit in that order.
+    Visited simplices are marked by their index in their dimension.
     """
     if not t.is_automorphism():
         raise SymmetryError("periodic orbits need an automorphism")
+    image = t.image
     orbits = []
-    visited = set()
-    for level in cx.by_dim:
-        for x in level:
-            if x in visited:
+    for level, index in zip(cx.by_dim, cx.index):
+        visited = [False] * len(level)
+        for i, x in enumerate(level):
+            if visited[i]:
                 continue
+            visited[i] = True
             members = [x]
-            visited.add(x)
-            y = t.image_simplex(x)
+            y = tuple(sorted([image[v] for v in x]))
             while y != x:
-                visited.add(y)
+                visited[index[y]] = True
                 members.append(y)
-                y = t.image_simplex(y)
+                y = tuple(sorted([image[v] for v in y]))
             orbits.append(MapOrbit(x, len(members), tuple(members)))
     return orbits
 

@@ -3,13 +3,15 @@
 lefgraph computes on sparse integer rows and signed permutations.  These
 helpers rebuild the same objects as dense `RationalMatrix`es straight from
 the complex, and multiply them by the textbook definition, so the tests can
-check the sparse code against plain matrix algebra.
+check the sparse code against plain matrix algebra.  The orbit walk of a
+single automorphism is kept here too, in its plain set-of-tuples form.
 """
 
 from fractions import Fraction
 
 from lefgraph.cohomology import Pullback, pullback
 from lefgraph.linalg import LinearAlgebraError, RationalMatrix
+from lefgraph.symmetry import MapOrbit, SymmetryError
 
 
 def dense(m):
@@ -46,6 +48,16 @@ def apply(m: RationalMatrix, v: list) -> list[Fraction]:
     return [sum((row[j] * v[j] for j in range(m.cols)), Fraction(0)) for row in m.data]
 
 
+def summed_coboundary(face_rows, cols: int) -> RationalMatrix:
+    """d_k from its row pattern: face i of a row adds (-1)^i in its column,
+    so a column repeated in one row gets the sum of its terms."""
+    m = RationalMatrix(len(face_rows), cols)
+    for row, faces in zip(m.data, face_rows):
+        for i, f in enumerate(faces):
+            row[f] += (-1) ** i
+    return m
+
+
 def coboundary_matrix(cx, k: int) -> RationalMatrix:
     """Matrix of d_k, rows indexed by (k+1)-simplices, columns by k-simplices:
     face i of a simplex (the simplex minus vertex i) carries (-1)^i."""
@@ -78,3 +90,25 @@ def pullback_product(a: Pullback, b: Pullback) -> Pullback:
 def pullback_matrix(cx, image: tuple[int, ...], k: int) -> RationalMatrix:
     return to_matrix(pullback(cx, image, k))
 
+
+
+def simplex_orbits_under_map(cx, t) -> list[MapOrbit]:
+    """The t-orbits of all simplices, walked on simplex tuples with a set of
+    the visited ones: ordered by representative, members in visit order."""
+    if not t.is_automorphism():
+        raise SymmetryError("periodic orbits need an automorphism")
+    orbits = []
+    visited = set()
+    for level in cx.by_dim:
+        for x in level:
+            if x in visited:
+                continue
+            members = [x]
+            visited.add(x)
+            y = t.image_simplex(x)
+            while y != x:
+                visited.add(y)
+                members.append(y)
+                y = t.image_simplex(y)
+            orbits.append(MapOrbit(x, len(members), tuple(members)))
+    return orbits

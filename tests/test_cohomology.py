@@ -1,5 +1,6 @@
 """Coboundary operators, pullbacks, Betti numbers, induced maps on cohomology."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -29,6 +30,7 @@ from dense import (
     matmul,
     pullback_matrix,
     pullback_product,
+    summed_coboundary,
     to_matrix,
 )
 from lefgraph.dynamics import (
@@ -62,6 +64,17 @@ def test_permutation_parity_sign():
     assert permutation_parity_sign((1, 0, 2)) == -1
     assert permutation_parity_sign((2, 0, 1)) == 1
     assert permutation_parity_sign((5,)) == 1
+
+
+def test_permutation_parity_sign_matches_inversion_count():
+    for n in range(7):
+        for perm in itertools.permutations(range(n)):
+            inversions = sum(perm[i] > perm[j]
+                             for i in range(n) for j in range(i + 1, n))
+            assert permutation_parity_sign(perm) == (-1) ** inversions, perm
+            # only the order of the entries counts
+            assert permutation_parity_sign([3 * v + 7 for v in perm]) == \
+                (-1) ** inversions, perm
 
 
 def test_coboundary_single_edge():
@@ -211,11 +224,15 @@ def test_induced_identity_matrix():
                               for i in range(b)]
 
 
-def _dense_commutes(cx, matrices):
+def _dense_commutes(cx, matrices, face_rows=None):
     """Dense reference for the chain-map identity: d_k P_k == P_{k+1} d_k
-    as Fraction matrix products, given the dense P_0..P_dim."""
+    as Fraction matrix products, given the dense P_0..P_dim.  With
+    `face_rows`, d_k is summed from that row pattern instead of the complex."""
     for k in range(cx.dim + 1):
-        d = coboundary_matrix(cx, k)
+        if face_rows is None:
+            d = coboundary_matrix(cx, k)
+        else:
+            d = summed_coboundary(face_rows(k) if k < cx.dim else [], matrices[k].rows)
         left = matmul(d, matrices[k])
         right = matmul(matrices[k + 1], d) if k < cx.dim else RationalMatrix(0, d.cols)
         if left != right:
@@ -273,6 +290,68 @@ def test_chain_map_check_detects_every_single_sign_flip():
             for row in range(p.size):
                 broken = pullbacks[:k] + [_flipped(p, row)] + pullbacks[k + 1:]
                 assert not pullbacks_commute(cx, broken), (image, k, row)
+
+
+def _commute_verdicts(cx, pullbacks, face_rows=None):
+    """The sparse chain-map verdict and the dense reference's, on the same
+    pullbacks and row pattern."""
+    return (pullbacks_commute(cx, pullbacks, face_rows),
+            _dense_commutes(cx, [to_matrix(p) for p in pullbacks], face_rows))
+
+
+def test_chain_map_check_sums_pullbacks_that_collide():
+    """Two faces of one simplex sent to one target: the terms are summed,
+    whether they cancel or add up, as in the matrix product."""
+    cx = build_complex(complete_graph(3))
+    identity = [pullback(cx, (0, 1, 2), k) for k in range(cx.dim + 1)]
+    cases = []
+    # every vertex to vertex 0: each edge's two terms cancel
+    cases.append([Pullback(0, 3, [0, 0, 0], [1, 1, 1])] + identity[1:])
+    # vertices 0 and 1 to 0 with opposite signs: the terms on edge (0, 1) add
+    cases.append([Pullback(0, 3, [0, 0, 2], [1, -1, 1])] + identity[1:])
+    # every edge to edge (1, 2): the triangle's three terms collide
+    cases.append(identity[:1] + [Pullback(1, 3, [2, 2, 2], [1, 1, 1])] + identity[2:])
+    for pullbacks in cases:
+        sparse, dense = _commute_verdicts(cx, pullbacks)
+        assert sparse == dense, [(p.target_index, p.sign) for p in pullbacks]
+    rng = random.Random(31)
+    for name, cx, t in _corpus_maps(1):
+        if cx.dim < 1 or rng.random() < 0.8:
+            continue
+        pullbacks = [pullback(cx, t.image, k) for k in range(cx.dim + 1)]
+        k = rng.randrange(cx.dim + 1)
+        p = pullbacks[k]
+        targets = list(p.target_index)
+        targets[rng.randrange(p.size)] = targets[rng.randrange(p.size)]
+        pullbacks[k] = Pullback(k, p.size, targets, list(p.sign))
+        sparse, dense = _commute_verdicts(cx, pullbacks)
+        assert sparse == dense, (name, t.image, k, targets)
+
+
+def test_chain_map_check_sums_face_rows_with_a_repeated_index():
+    """Face rows that hold one column twice: d_k is their summed matrix, and
+    the verdict is that of the summed rows, never of the first or last term."""
+    # an edge whose two faces are both vertex 0: d_0 is zero, so any pair of
+    # pullbacks commutes, though the two sides' last terms differ in sign
+    cx = build_complex(complete_graph(2))
+    rows = {0: [(0, 0)]}
+    pullbacks = [Pullback(0, 2, [0, 1], [1, 1]), Pullback(1, 1, [0], [-1])]
+    assert _commute_verdicts(cx, pullbacks, rows.get) == (True, True)
+    rng = random.Random(37)
+    cx = build_complex(complete_graph(3))
+    counts = [cx.count(k) for k in range(cx.dim + 1)]
+    verdicts = set()
+    for _ in range(3000):
+        rows = {k: [tuple(rng.randrange(counts[k]) for _ in range(k + 2))
+                    for _ in range(counts[k + 1])]
+                for k in range(cx.dim)}
+        pullbacks = [Pullback(k, n, [rng.randrange(n) for _ in range(n)],
+                              [rng.choice((1, -1)) for _ in range(n)])
+                     for k, n in enumerate(counts)]
+        sparse, dense = _commute_verdicts(cx, pullbacks, rows.get)
+        assert sparse == dense, (rows, [(p.target_index, p.sign) for p in pullbacks])
+        verdicts.add(sparse)
+    assert verdicts == {True, False}
 
 
 def test_sparse_d_squared_matches_dense_reference():

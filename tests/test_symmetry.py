@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import dense
 from lefgraph.complexes import build_complex, euler_characteristic
 from lefgraph.dynamics import identity_map, validate_map
 from lefgraph.graphs import (
@@ -36,6 +37,7 @@ from lefgraph.symmetry import (
     stabilizer,
     verify_averaging_theorems,
 )
+from lefgraph.verification import named_corpus
 
 
 def test_group_orders():
@@ -119,6 +121,19 @@ def test_simplex_orbits_under_map_cover_everything():
         for m in range(1, o.period):
             assert t.power(m).image_simplex(o.representative) != \
                 o.representative
+
+
+def test_orbit_walk_matches_the_tuple_set_walk_on_the_corpus():
+    """Marking visited simplices by index gives the same orbits, in the same
+    order, with the same members in the same visit order."""
+    maps = 0
+    for name, g in named_corpus():
+        cx = build_complex(g)
+        for t in automorphism_group(g):
+            assert simplex_orbits_under_map(cx, t) == \
+                dense.simplex_orbits_under_map(cx, t), (name, t.image)
+            maps += 1
+    assert maps == 2030
 
 
 def test_simplex_orbits_under_group():
