@@ -8,12 +8,19 @@ rank-nullity: b_k = dim ker(d_k) - rank(d_{k-1}).
 The chain level is sparse and integer.  A graph map is injective on every
 clique, so its pullback P_k is a signed map of the k-simplices (a signed
 permutation for an automorphism), one (target, +-1) pair per simplex; a row
-of d_k holds k+2 entries +-1, found by face lookups.  The
-chain-map identity and d o d = 0 are checked on these integer rows in
-O(nonzeros).  Per row of d_k, the chain-map check compares the k+2 keys of
-each side and builds no summed row unless there is a collision (two terms
-on one column, from a corrupt pullback or corrupt face rows) or the sides
-differ.
+of d_k holds k+2 entries +-1, found by face lookups.  P_k is read off
+P_{k-1} of the same map, with no sort and no parity count: a k-simplex x is
+its prefix x[:-1] plus its last vertex w, so image(x) is image(x[:-1]) plus
+T(w), and appending T(w) to the prefix's sorted image and sorting again
+multiplies the prefix's sign by (-1)^(vertices of image(x[:-1]) above T(w)).
+One lookup in the complex's extension table, (y, w) -> (index of y + {w},
+that parity), gives both.  The fixed-simplex index sum and the orbit census
+keep their own sorted walks on the simplices, so they share no step with
+this build.  The chain-map identity and d o d = 0 are checked on these
+integer rows in O(nonzeros).  Per row of d_k, the chain-map check compares
+the k+2 keys of each side and builds no summed row unless there is a
+collision (two terms on one column, from a corrupt pullback or corrupt face
+rows) or the sides differ.
 
 Cohomology takes two routes, both through the one sparse fraction-free
 kernel of `linalg`, each with its own elimination of the sparse integer
@@ -155,20 +162,9 @@ class Pullback:
 
 
 def pullback(cx: CliqueComplex, image: tuple[int, ...], k: int) -> Pullback:
-    """Pullback on k-forms of the vertex map given by the image tuple."""
-    simplices = cx.simplices(k)
-    index = cx.index[k] if simplices else {}
-    targets = []
-    signs = []
-    for x in simplices:
-        mapped = [image[v] for v in x]
-        y = tuple(sorted(mapped))
-        try:
-            targets.append(index[y])
-        except KeyError:
-            raise KeyError(f"{y} is not a simplex of the complex") from None
-        signs.append(permutation_parity_sign(mapped))
-    return Pullback(k, len(simplices), targets, signs)
+    """Pullback on k-forms of the vertex map given by the image tuple, built
+    by the complex's shared `CochainSpaces`."""
+    return CochainSpaces.of(cx).pullback(image, k)
 
 
 def verify_chain_map(cx: CliqueComplex, image: tuple[int, ...],
@@ -176,7 +172,7 @@ def verify_chain_map(cx: CliqueComplex, image: tuple[int, ...],
     """Check d_k P_k == P_{k+1} d_k in every degree, on the map's pullbacks
     and the face rows kept by `spaces` (of the same complex)."""
     if spaces is None:
-        spaces = CochainSpaces(cx)
+        spaces = CochainSpaces.of(cx)
     return pullbacks_commute(cx, [spaces.pullback(image, k) for k in range(cx.dim + 1)],
                              spaces.face_rows)
 
@@ -227,13 +223,14 @@ class CochainSpaces:
     """The one owner of a complex's shared chain and cochain data.
 
     Built once per graph, on first use: the face rows of each d_k, the
-    sparse integer coboundaries and their ranks (behind the Betti numbers),
-    and for each H^k its representatives with the functionals that read a
-    class.  Those come from one elimination of d_k in free-column
+    extension tables the pullbacks are read through, the sparse integer
+    coboundaries and their ranks (behind the Betti numbers), and for each
+    H^k its representatives with the functionals that read a class.  Those come from one elimination of d_k in free-column
     coordinates and one `rref` of the image rows (see the module
     docstring); every pulled-back representative is checked to be a cocycle
     before it is read.  Anything that iterates over many maps of the same
-    graph should share one instance.
+    graph should share one instance; `CochainSpaces.of(cx)` is the one the
+    complex keeps for callers that pass none.
 
     Kept for the latest map only, so memory does not grow with the number of
     maps: its pullbacks P_k and the matrices it induces on H^k, each degree
@@ -244,6 +241,7 @@ class CochainSpaces:
     def __init__(self, cx: CliqueComplex):
         self.cx = cx
         self._faces: dict[int, list[tuple[int, ...]]] = {}
+        self._extension: dict[int, list[dict[int, tuple[int, int]]]] = {}
         self._d: dict[int, SparseMatrix] = {}
         self._rank: dict[int, int] = {}
         self._betti: tuple[int, ...] | None = None
@@ -253,6 +251,14 @@ class CochainSpaces:
         self._pullbacks: dict[int, Pullback] = {}
         self._induced: dict[int, RationalMatrix] = {}
         self._lefschetz: dict[tuple[int, ...], int] = {}
+
+    @classmethod
+    def of(cls, cx: CliqueComplex) -> CochainSpaces:
+        """The complex's own instance, made on first ask and kept on the
+        complex, so one-off calls on one complex share its tables."""
+        if cx.spaces is None:
+            cx.spaces = cls(cx)
+        return cx.spaces
 
     @property
     def dim(self) -> int:
@@ -265,6 +271,22 @@ class CochainSpaces:
             self._faces[k] = _faces(self.cx, k)
         return self._faces[k]
 
+    def extension_table(self, k: int) -> list[dict[int, tuple[int, int]]]:
+        """Extension table into the k-simplices (k >= 1): entry [y][w] is
+        (index of y + {w}, (-1)^(vertices of y above w)) for a (k-1)-simplex
+        y and a vertex w outside it whose union with y is a k-simplex.
+
+        Read off the face rows of d_{k-1}: face i of a k-simplex z is z minus
+        z[i], and z[i] has k - i vertices of z above it.
+        """
+        if k not in self._extension:
+            table: list[dict[int, tuple[int, int]]] = [{} for _ in range(self.cx.count(k - 1))]
+            for j, (z, faces) in enumerate(zip(self.cx.simplices(k), self.face_rows(k - 1))):
+                for i, f in enumerate(faces):
+                    table[f][z[i]] = (j, -1 if (k - i) % 2 else 1)
+            self._extension[k] = table
+        return self._extension[k]
+
     def _select_map(self, image: tuple[int, ...]):
         """Make `image` the latest map, dropping the previous map's data."""
         if image != self._image:
@@ -275,11 +297,46 @@ class CochainSpaces:
     def pullback(self, image: tuple[int, ...], k: int) -> Pullback:
         """The pullback P_k of the vertex map, shared by every caller that
         asks for the same map until another map is asked for.  The result
-        is shared: callers must not modify it."""
+        is shared: callers must not modify it.
+
+        This is the one pullback builder.  P_0 is read off the image.  For
+        j >= 1, row x of P_j is read off row x[:-1] (the last face of x) of
+        P_{j-1}: the extension table's entry for (the prefix's target,
+        T(last vertex of x)) is the target of x and the parity the prefix's
+        sign is multiplied by.  So P_k is built after P_0..P_{k-1}.  A
+        missing entry means the image of x is not a simplex; KeyError is
+        raised naming that sorted image, for the first such simplex of the
+        lowest degree.
+        """
         self._select_map(tuple(image))
-        if k not in self._pullbacks:
-            self._pullbacks[k] = pullback(self.cx, self._image, k)
-        return self._pullbacks[k]
+        built, image, cx = self._pullbacks, self._image, self.cx
+        for j in range(min(k, 0), k + 1):
+            if j in built:
+                continue
+            simplices = cx.simplices(j)
+            targets: list[int] = []
+            signs: list[int] = []
+            add_target, add_sign = targets.append, signs.append
+            try:
+                if j == 0 and simplices:
+                    index = cx.index[0]
+                    for (v,) in simplices:
+                        add_target(index[image[v],])
+                        add_sign(1)
+                elif simplices:
+                    lower = built[j - 1]
+                    lower_target, lower_sign = lower.target_index, lower.sign
+                    table = self.extension_table(j)
+                    for x, faces in zip(simplices, self.face_rows(j - 1)):
+                        p = faces[-1]
+                        t, s = table[lower_target[p]][image[x[-1]]]
+                        add_target(t)
+                        add_sign(s * lower_sign[p])
+            except KeyError:
+                y = tuple(sorted(image[v] for v in simplices[len(targets)]))
+                raise KeyError(f"{y} is not a simplex of the complex") from None
+            built[j] = Pullback(j, len(targets), targets, signs)
+        return built[k]
 
     def coboundary(self, k: int) -> SparseMatrix:
         """d_k as sparse integer rows, one per (k+1)-simplex, over the

@@ -161,7 +161,7 @@ def lefschetz_chain(cx: CliqueComplex, t: GraphMap,
     """Alternating sum of chain-level pullback traces, sum_k (-1)^k tr(P_k),
     on the map's pullbacks kept by `spaces` (of the same complex)."""
     if spaces is None:
-        spaces = CochainSpaces(cx)
+        spaces = CochainSpaces.of(cx)
     total = 0
     for k in range(cx.dim + 1):
         total += (-1) ** k * spaces.pullback(t.image, k).trace()

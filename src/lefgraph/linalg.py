@@ -296,8 +296,9 @@ def _hessenberg(h: list[list]) -> None:
             pivot_row = [(j, a) for j, a in enumerate(h[m]) if a]
 
 
-def det_one_minus_z(m: RationalMatrix) -> list[Fraction]:
-    """Coefficients of det(I - z*M), ascending in z.
+def det_one_minus_z(m: RationalMatrix) -> list[int | Fraction]:
+    """Coefficients of det(I - z*M), ascending in z: each an int where it is
+    integral, else a Fraction.
 
     det(I - z*M) is the characteristic polynomial det(x*I - M) with its
     coefficients reversed.  M is reduced to Hessenberg form H, and the
@@ -331,7 +332,7 @@ def det_one_minus_z(m: RationalMatrix) -> list[Fraction]:
                 for d, c in enumerate(polys[i]):
                     p[d] -= factor * c
         polys.append(p)
-    return poly_trim([Fraction(c) for c in reversed(polys[n])])
+    return poly_trim([_exact(c) for c in reversed(polys[n])])
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .complexes import CliqueComplex, Simplex, build_complex
-from .cohomology import CochainSpaces
-from .dynamics import GraphMap, fixed_simplices, lefschetz_cohomological
+from .cohomology import CochainSpaces, permutation_parity_sign
+from .dynamics import FixedSimplexRecord, GraphMap, fixed_simplices, lefschetz_cohomological
 from .graphs import Graph
 from .linalg import LinearAlgebraError
 from .reporting import TheoremCheck
@@ -107,11 +107,13 @@ def automorphism_group(g: Graph, cap: int = DEFAULT_GROUP_CAP) -> AutomorphismGr
 
 @dataclass(frozen=True)
 class MapOrbit:
-    """A periodic orbit of one automorphism: representative, period, members."""
+    """A periodic orbit of one automorphism: representative, period, members,
+    and the signature of T^period on the representative's vertices."""
 
     representative: Simplex
     period: int
     simplices: tuple[Simplex, ...]  # in visit order from the representative
+    sign: int
 
 
 def simplex_orbits_under_map(cx: CliqueComplex, t: GraphMap) -> list[MapOrbit]:
@@ -119,7 +121,10 @@ def simplex_orbits_under_map(cx: CliqueComplex, t: GraphMap) -> list[MapOrbit]:
 
     Orbits are ordered by their representative (dimension, then lexicographic);
     the representative is the first simplex of the orbit in that order.
-    Visited simplices are marked by their index in their dimension.
+    Visited simplices are marked by their index in their dimension.  The
+    walk carries the unsorted vertex list T^m(x) of the representative x, so
+    after one period it holds T^p on x's own vertices, whose sort parity is
+    the orbit's sign.
     """
     if not t.is_automorphism():
         raise SymmetryError("periodic orbits need an automorphism")
@@ -132,12 +137,15 @@ def simplex_orbits_under_map(cx: CliqueComplex, t: GraphMap) -> list[MapOrbit]:
                 continue
             visited[i] = True
             members = [x]
-            y = tuple(sorted([image[v] for v in x]))
+            mapped = [image[v] for v in x]
+            y = tuple(sorted(mapped))
             while y != x:
                 visited[index[y]] = True
                 members.append(y)
-                y = tuple(sorted([image[v] for v in y]))
-            orbits.append(MapOrbit(x, len(members), tuple(members)))
+                mapped = [image[v] for v in mapped]
+                y = tuple(sorted(mapped))
+            orbits.append(MapOrbit(x, len(members), tuple(members),
+                                   permutation_parity_sign(mapped)))
     return orbits
 
 
@@ -196,22 +204,47 @@ def lefschetz_curvature(g: Graph, group: AutomorphismGroup | None = None,
         group = automorphism_group(g)
     if cx is None:
         cx = build_complex(g)
-    return _fixed_simplex_sweep(cx, group)[0]
+    return _fixed_simplex_sweep(cx, group).curvature(group.order)
 
 
-def _fixed_simplex_sweep(cx: CliqueComplex,
-                         group: AutomorphismGroup) -> tuple[CurvatureTable, int]:
-    """The curvature table and the number of (element, fixed simplex) pairs,
-    from one fixed-simplex scan per group element."""
-    acc: dict[Simplex, int] = {x: 0 for x in cx}
-    fixed_total = 0
+class FixedSimplexSweep:
+    """Running totals of the fixed-simplex scans of a group's elements.
+
+    Per simplex, the sum of the indices i_T(x) over the scanned elements
+    that fix it; overall, the number of (element, fixed simplex) pairs and
+    the set of scanned elements' image tuples.  One integer is kept per
+    simplex, not the scans.
+    """
+
+    __slots__ = ("totals", "fixed_total", "scanned")
+
+    def __init__(self, cx: CliqueComplex):
+        self.totals: dict[Simplex, int] = {x: 0 for x in cx}
+        self.fixed_total = 0
+        self.scanned: set[tuple[int, ...]] = set()
+
+    def add(self, t: GraphMap, fixed: list[FixedSimplexRecord]):
+        """Fold in `fixed`, the fixed-simplex scan of the element t.
+        SymmetryError is raised if t was scanned already."""
+        if t.image in self.scanned:
+            raise SymmetryError(f"{t.image} is already in the fixed-simplex sweep")
+        self.scanned.add(t.image)
+        totals = self.totals
+        for rec in fixed:
+            totals[rec.simplex] += rec.index
+        self.fixed_total += len(fixed)
+
+    def curvature(self, order: int) -> CurvatureTable:
+        return CurvatureTable(
+            {x: Fraction(v, order) for x, v in self.totals.items()}, order)
+
+
+def _fixed_simplex_sweep(cx: CliqueComplex, group: AutomorphismGroup) -> FixedSimplexSweep:
+    """The sweep of one fixed-simplex scan per group element."""
+    sweep = FixedSimplexSweep(cx)
     for t in group:
-        for rec in fixed_simplices(cx, t):
-            acc[rec.simplex] += rec.index
-            fixed_total += 1
-    order = group.order
-    return CurvatureTable(
-        {x: Fraction(v, order) for x, v in acc.items()}, order), fixed_total
+        sweep.add(t, fixed_simplices(cx, t))
+    return sweep
 
 
 def lefschetz_numbers(g: Graph, group: AutomorphismGroup | None = None,
@@ -287,26 +320,34 @@ class AveragingReport:
 
 def verify_averaging_theorems(g: Graph, group: AutomorphismGroup | None = None,
                               cx: CliqueComplex | None = None,
-                              spaces: CochainSpaces | None = None) -> AveragingReport:
+                              spaces: CochainSpaces | None = None,
+                              sweep: FixedSimplexSweep | None = None) -> AveragingReport:
     """Check curvature sum, orbigraph Euler characteristic, and Burnside count.
 
     The curvature table and the Burnside count come from one fixed-simplex
-    scan per group element.  Per-orbit curvature sums outside {+1, -1} are
-    reported as findings, not failures: the averaged identities are the
-    reliable statements.
+    scan per group element, folded into `sweep`: the caller's, when it
+    already scanned every element (SymmetryError is raised unless it
+    scanned exactly the group's elements, each once), else a fresh one.  Per-orbit curvature
+    sums outside {+1, -1} are reported as findings, not failures: the
+    averaged identities are the reliable statements.
     """
     if group is None:
         group = automorphism_group(g)
     if cx is None:
         cx = build_complex(g)
     if spaces is None:
-        spaces = CochainSpaces(cx)
+        spaces = CochainSpaces.of(cx)
+    if sweep is None:
+        sweep = _fixed_simplex_sweep(cx, group)
+    elif sweep.scanned != {t.image for t in group}:
+        raise SymmetryError(f"the fixed-simplex sweep scanned {len(sweep.scanned)} "
+                            f"elements, not the {group.order} of the group")
     avg = average_lefschetz(g, group, spaces)
-    table, fixed_total = _fixed_simplex_sweep(cx, group)
+    table = sweep.curvature(group.order)
     quotient = orbigraph(g, group)
     quotient_chi = build_complex(quotient.graph).euler_characteristic()
     orbits = simplex_orbits_under_group(cx, group)
-    burnside = Fraction(fixed_total, group.order)
+    burnside = Fraction(sweep.fixed_total, group.order)
     checks = [
         TheoremCheck("curvature_sum_equals_average_lefschetz",
                      table.total() == avg, table.total(), avg),

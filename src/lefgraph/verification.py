@@ -25,7 +25,12 @@ from .dynamics import (
 )
 from .graphs import Graph, connected_components, named_graph
 from .reporting import TheoremCheck
-from .symmetry import AutomorphismGroup, automorphism_group, verify_averaging_theorems
+from .symmetry import (
+    AutomorphismGroup,
+    FixedSimplexSweep,
+    automorphism_group,
+    verify_averaging_theorems,
+)
 from .zeta import (
     MAX_SERIES_ORDER,
     RationalFunctionZ,
@@ -63,7 +68,7 @@ def structural_checks(g: Graph, cx: CliqueComplex | None = None,
     if cx is None:
         cx = build_complex(g)
     if spaces is None:
-        spaces = CochainSpaces(cx)
+        spaces = CochainSpaces.of(cx)
     checks = []
     checks.append(TheoremCheck("d_squared_zero",
                                coboundary_squares_to_zero(cx, spaces.face_rows),
@@ -87,7 +92,7 @@ def lefschetz_checks(g: Graph, t: GraphMap, cx: CliqueComplex | None = None,
     if cx is None:
         cx = build_complex(g)
     if spaces is None:
-        spaces = CochainSpaces(cx)
+        spaces = CochainSpaces.of(cx)
     coh = lefschetz_cohomological(g, t, spaces)
     if fixed is None:
         fixed = fixed_simplices(cx, t)
@@ -162,7 +167,7 @@ def zeta_checks(g: Graph, t: GraphMap, cx: CliqueComplex | None = None,
     if cx is None:
         cx = build_complex(g)
     if spaces is None:
-        spaces = CochainSpaces(cx)
+        spaces = CochainSpaces.of(cx)
     z_det = zeta_det(g, t, spaces)
     z_prod = product if product is not None else zeta_product(orbit_census(cx, t))
     if series_order is None:
@@ -205,7 +210,8 @@ def run_corpus_suite(endomorphisms_per_graph: int = 25,
     Per graph: structural checks; per automorphism: Lefschetz three-way and
     zeta three-way; per sampled endomorphism: Lefschetz three-way, attractor
     invariance, and the Brouwer guarantee where applicable; plus the
-    averaging-theorem report.
+    averaging-theorem report.  Each map's fixed simplices are scanned once,
+    for its index sum and for the averaging sweep or the Brouwer check.
     """
     report = CorpusReport()
     rng = random.Random(seed)
@@ -215,23 +221,27 @@ def run_corpus_suite(endomorphisms_per_graph: int = 25,
         spaces = CochainSpaces(cx)
         report.absorb(name, structural_checks(g, cx, spaces))
         group = automorphism_group(g)
+        sweep = FixedSimplexSweep(cx)
         for t in group:
             report.maps += 1
-            report.absorb(f"{name} aut {t.image}", lefschetz_checks(g, t, cx, spaces))
+            fixed = fixed_simplices(cx, t)
+            sweep.add(t, fixed)
+            report.absorb(f"{name} aut {t.image}", lefschetz_checks(g, t, cx, spaces, fixed))
             report.absorb(f"{name} aut {t.image}", zeta_checks(g, t, cx, spaces))
-        averaging = verify_averaging_theorems(g, group, cx, spaces)
+        averaging = verify_averaging_theorems(g, group, cx, spaces, sweep)
         report.absorb(name, averaging.checks)
         report.findings.extend(f"{name}: {f}" for f in averaging.findings)
         applicable = g.n > 0 and spaces.betti(0) == 1 and is_star_shaped(g, spaces)
         for _ in range(endomorphisms_per_graph):
             t = random_endomorphism(g, rng)
             report.maps += 1
+            fixed = fixed_simplices(cx, t)
             report.absorb(f"{name} endo {t.image}",
-                          lefschetz_checks(g, t, cx, spaces))
+                          lefschetz_checks(g, t, cx, spaces, fixed))
             report.absorb(f"{name} endo {t.image}",
                           attractor_checks(g, t, cx, spaces))
             if applicable:
-                br = brouwer_check(g, t, spaces)
+                br = brouwer_check(g, t, spaces, fixed)
                 report.absorb(f"{name} endo {t.image}", [
                     TheoremCheck("brouwer_fixed_clique_exists",
                                  br.fixed_count > 0, br.fixed_count, "> 0")])

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .complexes import CliqueComplex, build_complex
-from .cohomology import CochainSpaces, permutation_parity_sign
+from .cohomology import CochainSpaces
 from .dynamics import GraphMap
 from .graphs import Graph
 from .linalg import (
@@ -232,7 +232,10 @@ def _pad(a: list[int], b: list[int]) -> list[tuple[int, int]]:
 
 
 def _joint_integer_scale(num, den) -> tuple[list[int], list[int]]:
-    """Scale both coefficient lists by one factor to make everything integer."""
+    """Scale both coefficient lists by one factor to make everything integer.
+    Integer lists are returned as they are, trimmed."""
+    if all(type(x) is int for x in num) and all(type(x) is int for x in den):
+        return poly_trim(num), poly_trim(den)
     fn = [Fraction(x) for x in num]
     fd = [Fraction(x) for x in den]
     scale = math.lcm(*(x.denominator for x in fn + fd))
@@ -294,20 +297,18 @@ def orbit_census(cx: CliqueComplex, t: GraphMap) -> OrbitCensus:
 
     For an orbit of minimal period p with representative x, the signature of
     T^p restricted to x decides the sign class; the dimension of x decides
-    the parity class.  T^p is applied to the vertices of x only, p steps of
-    t each, and the pullbacks are never read: this route must stay apart
-    from the chain traces it is checked against.
+    the parity class.  The orbit walk applies t to the vertices of x itself
+    and reads that signature at the end of the period; the pullbacks are
+    never read: this route must stay apart from the chain traces it is
+    checked against.
     """
     if not t.is_automorphism():
         raise ZetaError("the orbit census needs an automorphism")
     census = OrbitCensus()
     for orbit in simplex_orbits_under_map(cx, t):
         p = orbit.period
-        mapped = list(orbit.representative)
-        for _ in range(p):
-            mapped = [t.image[v] for v in mapped]
-        sign = permutation_parity_sign(mapped)
-        odd_dim = len(mapped) % 2 == 0  # dim = len - 1
+        sign = orbit.sign
+        odd_dim = len(orbit.representative) % 2 == 0  # dim = len - 1
         target = (census.a if sign > 0 else census.c) if odd_dim else \
             (census.b if sign > 0 else census.d)
         target[p] = target.get(p, 0) + 1
@@ -330,7 +331,7 @@ def zeta_det(g: Graph, t: GraphMap,
         raise ZetaError("the determinant formula needs finite order, i.e. an automorphism")
     if spaces is None:
         spaces = CochainSpaces(build_complex(g))
-    num, den = [Fraction(1)], [Fraction(1)]
+    num, den = [1], [1]
     for k in range(spaces.dim + 1):
         if spaces.betti(k) == 0:
             continue
@@ -357,7 +358,7 @@ def lefschetz_iterates(cx: CliqueComplex, t: GraphMap, count: int,
     off its cycles in one walk, so no power of T or of P_k is built.
     """
     if spaces is None:
-        spaces = CochainSpaces(cx)
+        spaces = CochainSpaces.of(cx)
     out = [0] * count
     for k in range(cx.dim + 1):
         sign = -1 if k % 2 else 1

@@ -9,7 +9,7 @@ single automorphism is kept here too, in its plain set-of-tuples form.
 
 from fractions import Fraction
 
-from lefgraph.cohomology import Pullback, pullback
+from lefgraph.cohomology import Pullback, permutation_parity_sign
 from lefgraph.linalg import LinearAlgebraError, RationalMatrix
 from lefgraph.symmetry import MapOrbit, SymmetryError
 
@@ -87,14 +87,33 @@ def pullback_product(a: Pullback, b: Pullback) -> Pullback:
     return Pullback(a.k, a.size, targets, signs)
 
 
-def pullback_matrix(cx, image: tuple[int, ...], k: int) -> RationalMatrix:
-    return to_matrix(pullback(cx, image, k))
+def sorted_pullback(cx, image: tuple[int, ...], k: int) -> Pullback:
+    """The pullback on k-forms by its definition: each simplex's image vertex
+    list is sorted and looked up, and its sign is the parity of that sort."""
+    simplices = cx.simplices(k)
+    index = cx.index[k] if simplices else {}
+    targets = []
+    signs = []
+    for x in simplices:
+        mapped = [image[v] for v in x]
+        y = tuple(sorted(mapped))
+        try:
+            targets.append(index[y])
+        except KeyError:
+            raise KeyError(f"{y} is not a simplex of the complex") from None
+        signs.append(permutation_parity_sign(mapped))
+    return Pullback(k, len(simplices), targets, signs)
 
+
+def pullback_matrix(cx, image: tuple[int, ...], k: int) -> RationalMatrix:
+    return to_matrix(sorted_pullback(cx, image, k))
 
 
 def simplex_orbits_under_map(cx, t) -> list[MapOrbit]:
     """The t-orbits of all simplices, walked on simplex tuples with a set of
-    the visited ones: ordered by representative, members in visit order."""
+    the visited ones: ordered by representative, members in visit order.
+    An orbit's sign applies t p times to the representative's vertices, p
+    its period, and counts the parity of the result."""
     if not t.is_automorphism():
         raise SymmetryError("periodic orbits need an automorphism")
     orbits = []
@@ -110,5 +129,9 @@ def simplex_orbits_under_map(cx, t) -> list[MapOrbit]:
                 visited.add(y)
                 members.append(y)
                 y = t.image_simplex(y)
-            orbits.append(MapOrbit(x, len(members), tuple(members)))
+            mapped = list(x)
+            for _ in members:
+                mapped = [t.image[v] for v in mapped]
+            orbits.append(MapOrbit(x, len(members), tuple(members),
+                                   permutation_parity_sign(mapped)))
     return orbits

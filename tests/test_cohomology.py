@@ -30,6 +30,7 @@ from dense import (
     matmul,
     pullback_matrix,
     pullback_product,
+    sorted_pullback,
     summed_coboundary,
     to_matrix,
 )
@@ -140,6 +141,16 @@ def test_pullback_identity_is_identity():
         assert pullback_matrix(cx, identity, k).data == \
             [[Fraction(i == j) for j in range(cx.count(k))]
              for i in range(cx.count(k))]
+
+
+def test_pullbacks_in_degrees_without_simplices_are_empty():
+    """Below degree 0, above the dimension, and in every degree of the empty
+    complex, the pullback has no rows."""
+    for g, image in [(Graph(0, []), ()), (path_graph(2), (1, 0))]:
+        cx = build_complex(g)
+        for k in (-1, cx.dim + 1, cx.dim + 3):
+            for pb in (pullback(cx, image, k), CochainSpaces(cx).pullback(image, k)):
+                assert (pb.k, pb.size, pb.target_index, pb.sign) == (k, 0, [], []), (g, k)
 
 
 def test_pullback_edge_swap_flips_sign():
@@ -462,14 +473,135 @@ def _corpus_maps_with_spaces(endomorphisms_per_graph):
         yield name, cx, spaces, t
 
 
+def _same_pullback(a, b):
+    return (a.k, a.size, a.target_index, a.sign) == (b.k, b.size, b.target_index, b.sign)
+
+
 def test_shared_pullbacks_equal_fresh_ones():
     for name, cx, spaces, t in _corpus_maps_with_spaces(3):
         for k in list(range(cx.dim, -1, -1)) + [0, cx.dim]:
             shared = spaces.pullback(t.image, k)
             fresh = pullback(cx, t.image, k)
-            assert (shared.k, shared.size, shared.target_index, shared.sign) == \
-                (fresh.k, fresh.size, fresh.target_index, fresh.sign), (name, t.image, k)
+            assert _same_pullback(shared, fresh), (name, t.image, k)
         assert verify_chain_map(cx, t.image, spaces), (name, t.image)
+
+
+def test_extension_pullbacks_equal_the_sorted_oracle_on_the_corpus():
+    """Every corpus automorphism and one seeded endomorphism per corpus
+    graph: each P_k read off P_{k-1} through the extension table has the
+    targets and signs of the sort-and-parity definition, built on shared
+    spaces and by the public function alike."""
+    maps = 0
+    for name, cx, spaces, t in _corpus_maps_with_spaces(1):
+        for k in range(cx.dim + 1):
+            expected = sorted_pullback(cx, t.image, k)
+            assert _same_pullback(spaces.pullback(t.image, k), expected), (name, t.image, k)
+            assert _same_pullback(pullback(cx, t.image, k), expected), (name, t.image, k)
+        maps += 1
+    assert maps == 2030 + 32
+
+
+@st.composite
+def graphs_with_endomorphisms(draw):
+    n = draw(st.integers(1, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    kept = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(n, [e for e, keep in zip(pairs, kept) if keep])
+    return g, random_endomorphism(g, random.Random(draw(st.integers(0, 2**32))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_with_endomorphisms())
+def test_extension_pullbacks_equal_the_sorted_oracle_on_random_graphs(case):
+    g, t = case
+    cx = build_complex(g)
+    spaces = CochainSpaces(cx)
+    for k in range(cx.dim + 1):
+        assert _same_pullback(spaces.pullback(t.image, k), sorted_pullback(cx, t.image, k)), k
+
+
+def test_extension_table_entries():
+    """Entry [y][w] is y + {w} with (-1)^(vertices of y above w), for every
+    (k-1)-simplex y and every vertex w that extends it, and nothing else."""
+    for g in [octahedron_graph(), complete_graph(5), petersen_graph()]:
+        cx = build_complex(g)
+        spaces = CochainSpaces(cx)
+        for k in range(1, cx.dim + 1):
+            table = spaces.extension_table(k)
+            for y, row in zip(cx.simplices(k - 1), table):
+                expected = {}
+                for w in range(g.n):
+                    z = tuple(sorted(y + (w,)))
+                    if w not in y and cx.contains(z):
+                        expected[w] = (cx.index_of(z), (-1) ** sum(v > w for v in y))
+                assert row == expected, (k, y)
+            # The builder reads each k-simplex's prefix x[:-1] as its last face.
+            assert [cx.simplices(k - 1)[faces[-1]] + (x[-1],)
+                    for x, faces in zip(cx.simplices(k), spaces.face_rows(k - 1))] == \
+                cx.simplices(k)
+
+
+def _oracle_error(cx, image, k):
+    """The sorted build's KeyError message at the lowest degree <= k at which
+    it fails, or None."""
+    for j in range(k + 1):
+        try:
+            sorted_pullback(cx, image, j)
+        except KeyError as exc:
+            return str(exc)
+    return None
+
+
+def test_non_graph_map_images_raise_the_sorted_builds_key_error():
+    """An image that is not a graph map raises KeyError naming the sorted
+    image of the first simplex, lowest degree first, that does not map to a
+    simplex: the message of the sorted build at that degree."""
+    cases = [
+        (octahedron_graph(), (0, 0, 1, 2, 3, 4)),   # an edge to a vertex
+        (octahedron_graph(), (0, 3, 1, 2, 4, 5)),   # an edge to a non-edge
+        (complete_graph(4), (0, 1, 2, 2)),          # a triangle to an edge
+        (cycle_graph(5), (0, 1, 2, 3, 7)),          # a vertex off the graph
+        (petersen_graph(), (1, 0, 2, 3, 4, 5, 6, 7, 8, 9)),
+    ]
+    raised = 0
+    for g, image in cases:
+        cx = build_complex(g)
+        for k in range(cx.dim + 1):
+            expected = _oracle_error(cx, image, k)
+            for build in (lambda: pullback(cx, image, k),
+                          lambda: CochainSpaces(cx).pullback(image, k)):
+                if expected is None:
+                    build()
+                    continue
+                with pytest.raises(KeyError) as exc:
+                    build()
+                assert str(exc.value) == expected, (image, k)
+                assert "is not a simplex of the complex" in expected
+                raised += 1
+    assert raised >= 10
+
+
+def test_one_off_calls_share_the_complexs_spaces(monkeypatch):
+    """Callers that pass no spaces use the complex's own, so its face rows
+    and extension tables are built once per complex, not once per call."""
+    g = complete_graph(5)
+    cx = build_complex(g)
+    built = []
+    real = CochainSpaces.__init__
+
+    def counting(self, complex_):
+        built.append(complex_)
+        real(self, complex_)
+
+    monkeypatch.setattr(CochainSpaces, "__init__", counting)
+    for t in list(automorphism_group(g))[:20]:
+        assert lefschetz_chain(cx, t) == fixed_index_sum(cx, t)
+        assert verify_chain_map(cx, t.image)
+        for k in range(cx.dim + 1):
+            assert _same_pullback(pullback(cx, t.image, k), sorted_pullback(cx, t.image, k))
+    assert built == [cx]
+    assert CochainSpaces.of(cx) is cx.spaces is CochainSpaces.of(cx)
+    assert CochainSpaces.of(build_complex(g)) is not cx.spaces
 
 
 def test_face_rows_are_built_once_and_match_the_coboundary():

@@ -239,6 +239,18 @@ def test_det_one_minus_z_examples():
     assert det_one_minus_z(swap) == [1, 0, -1]
 
 
+def test_det_one_minus_z_of_an_integer_matrix_has_int_coefficients():
+    rng = random.Random(13)
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        m = RationalMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        coefficients = det_one_minus_z(m)
+        assert all(type(c) is int for c in coefficients), coefficients
+    half = det_one_minus_z(RationalMatrix.from_rows([[Fraction(1, 2)]]))
+    assert half == [1, Fraction(-1, 2)] and type(half[0]) is int
+    assert type(half[1]) is Fraction
+
+
 def test_det_one_minus_z_constant_term():
     rng = random.Random(11)
     for _ in range(10):

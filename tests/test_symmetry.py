@@ -8,7 +8,7 @@ import pytest
 
 import dense
 from lefgraph.complexes import build_complex, euler_characteristic
-from lefgraph.dynamics import identity_map, validate_map
+from lefgraph.dynamics import fixed_simplices, identity_map, validate_map
 from lefgraph.graphs import (
     all_graphs,
     complete_graph,
@@ -24,6 +24,7 @@ from lefgraph.graphs import (
 )
 from lefgraph.symmetry import (
     AutomorphismGroup,
+    FixedSimplexSweep,
     SymmetryError,
     automorphism_group,
     average_lefschetz,
@@ -36,6 +37,7 @@ from lefgraph.symmetry import (
     simplex_orbits_under_map,
     stabilizer,
     verify_averaging_theorems,
+    _fixed_simplex_sweep,
 )
 from lefgraph.verification import named_corpus
 
@@ -298,3 +300,43 @@ def test_averaging_scans_each_element_once(monkeypatch):
         assert report.passed
         assert sorted(scanned) == sorted(t.image for t in group)
         assert report.curvature == lefschetz_curvature(g, group)
+
+
+def test_streamed_sweep_equals_a_fresh_sweep_on_the_corpus():
+    """A sweep fed one scan at a time, as the corpus suite feeds it, gives
+    the curvature table and the Burnside total of a fresh sweep."""
+    for name, g in named_corpus():
+        cx = build_complex(g)
+        group = automorphism_group(g)
+        streamed = FixedSimplexSweep(cx)
+        for t in group:
+            streamed.add(t, fixed_simplices(cx, t))
+        fresh = _fixed_simplex_sweep(cx, group)
+        assert streamed.scanned == fresh.scanned == {t.image for t in group}, name
+        assert streamed.curvature(group.order) == fresh.curvature(group.order), name
+        assert streamed.fixed_total == fresh.fixed_total, name
+        assert verify_averaging_theorems(g, group, cx, sweep=streamed).passed, name
+
+
+def test_averaging_refuses_a_sweep_of_other_elements():
+    g = cycle_graph(6)
+    cx = build_complex(g)
+    group = automorphism_group(g)
+    first = group.elements[0]
+    sweep = FixedSimplexSweep(cx)
+    for t in list(group)[:-1]:
+        sweep.add(t, fixed_simplices(cx, t))
+    with pytest.raises(SymmetryError, match="scanned 11 elements, not the 12 of the group"):
+        verify_averaging_theorems(g, group, cx, sweep=sweep)
+    with pytest.raises(SymmetryError, match="already in the fixed-simplex sweep"):
+        sweep.add(first, fixed_simplices(cx, first))
+    # Twelve scans, one of them of a map outside the group: a count of the
+    # scans alone would pass it.
+    fold = validate_map(g, (0, 1, 0, 1, 0, 1))
+    sweep.add(fold, fixed_simplices(cx, fold))
+    with pytest.raises(SymmetryError, match="scanned 12 elements, not the 12"):
+        verify_averaging_theorems(g, group, cx, sweep=sweep)
+    sweep = FixedSimplexSweep(cx)
+    for t in group:
+        sweep.add(t, fixed_simplices(cx, t))
+    assert verify_averaging_theorems(g, group, cx, sweep=sweep).passed

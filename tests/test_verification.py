@@ -161,3 +161,24 @@ def test_attractor_checks_build_spaces_for_a_proper_attractor(monkeypatch):
     assert built == [core.graph]
     assert [c.passed for c in checks] == [True]
     assert checks[0].rhs == lefschetz_cohomological(core.graph, core.map) == 1
+
+
+def test_corpus_suite_scans_each_map_once(monkeypatch):
+    """Each map's fixed-simplex scan serves its index sum and the averaging
+    sweep or the Brouwer check, so the suite makes one scan per map."""
+    import lefgraph.dynamics as dynamics
+    import lefgraph.symmetry as symmetry
+    import lefgraph.verification as verification
+
+    scans = {"verification": 0, "symmetry": 0, "dynamics": 0}
+    for module in (verification, symmetry, dynamics):
+        real = module.fixed_simplices
+
+        def counting(cx, t, _name=module.__name__.split(".")[-1], _real=real):
+            scans[_name] += 1
+            return _real(cx, t)
+
+        monkeypatch.setattr(module, "fixed_simplices", counting)
+    report = run_corpus_suite(endomorphisms_per_graph=1, seed=3)
+    assert report.passed and report.maps == 2062
+    assert scans == {"verification": 2062, "symmetry": 0, "dynamics": 0}
