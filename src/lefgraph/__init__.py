@@ -7,7 +7,7 @@ functions with their orbit-census factorizations.
 """
 
 from .complexes import CliqueComplex, Simplex, build_complex, euler_characteristic
-from .cohomology import CochainSpaces, betti_numbers, pullback
+from .cohomology import CochainSpaces, betti_numbers
 from .dynamics import (
     Attractor,
     BrouwerReport,

@@ -183,24 +183,25 @@ def _load_map(g: Graph, source: str) -> GraphMap:
     return GraphMap(g, image)
 
 
-def _graph_section(g: Graph, cx, spaces) -> dict:
+def _graph_section(g: Graph, spaces: CochainSpaces) -> dict:
     return {
         "n": g.n,
         "edge_count": g.edge_count,
-        "f_vector": list(cx.f_vector()),
-        "euler_characteristic": cx.euler_characteristic(),
+        "f_vector": list(spaces.cx.f_vector()),
+        "euler_characteristic": spaces.cx.euler_characteristic(),
         "betti": list(spaces.betti_numbers()),
         "star_shaped": is_star_shaped(g, spaces),
         "components": len(connected_components(g)),
     }
 
 
-def _map_section(g: Graph, t: GraphMap, cx, spaces,
-                 series_order: int | None = None) -> tuple[dict, list[TheoremCheck]]:
+def _map_section(g: Graph, t: GraphMap,
+                 spaces: CochainSpaces) -> tuple[dict, list[TheoremCheck]]:
+    cx = spaces.cx
     core = attractor(t)
     records = fixed_simplices(cx, t)
-    checks = lefschetz_checks(g, t, cx, spaces, records)
-    checks += attractor_checks(g, t, cx, spaces, core)
+    checks = lefschetz_checks(g, t, spaces, records)
+    checks += attractor_checks(g, t, spaces, core)
     section = {
         "image": list(t.image),
         "kind": t.kind,
@@ -211,14 +212,14 @@ def _map_section(g: Graph, t: GraphMap, cx, spaces,
             for r in records],
         "lefschetz": sum(r.index for r in records),
     }
-    if g.n > 0 and spaces.betti(0) == 1 and is_star_shaped(g, spaces):
-        br = brouwer_check(g, t, spaces, records)
+    br = brouwer_check(g, t, spaces, records)
+    if br.applicable:
         checks.append(TheoremCheck("brouwer_fixed_clique_exists",
                                    br.fixed_count > 0, br.fixed_count, "> 0"))
         section["brouwer_witness"] = list(br.witness) if br.witness else None
     if t.is_automorphism():
         product = zeta_product(orbit_census(cx, t))
-        checks += zeta_checks(g, t, cx, spaces, series_order, product)
+        checks += zeta_checks(g, t, spaces, product=product)
         section["zeta"] = product.to_json()
     else:
         section["zeta"] = None
@@ -231,13 +232,12 @@ def _exit_code(all_checks: list[dict]) -> int:
 
 def cmd_analyze(args) -> int:
     g = _load_graph(args)
-    cx = build_complex(g)
-    spaces = CochainSpaces(cx)
-    checks = structural_checks(g, cx, spaces)
-    report = {"graph": _graph_section(g, cx, spaces)}
+    spaces = CochainSpaces(build_complex(g))
+    checks = structural_checks(g, spaces)
+    report = {"graph": _graph_section(g, spaces)}
     if args.map:
         t = _load_map(g, args.map)
-        section, map_checks = _map_section(g, t, cx, spaces)
+        section, map_checks = _map_section(g, t, spaces)
         report["map"] = section
         checks += map_checks
     report["checks"] = [_check_dict(c) for c in checks]
@@ -247,14 +247,13 @@ def cmd_analyze(args) -> int:
 
 def cmd_aut(args) -> int:
     g = _load_graph(args)
-    cx = build_complex(g)
-    spaces = CochainSpaces(cx)
+    spaces = CochainSpaces(build_complex(g))
     group = automorphism_group(g)
     multiset = lefschetz_multiset(g, group, spaces)
-    averaging = verify_averaging_theorems(g, group, cx, spaces)
+    averaging = verify_averaging_theorems(g, group, spaces)
     quotient = orbigraph(g, group)
     report = {
-        "graph": _graph_section(g, cx, spaces),
+        "graph": _graph_section(g, spaces),
         "group": {
             "order": group.order,
             "lefschetz_multiset": [[value, count] for value, count in multiset.items()],
@@ -282,7 +281,7 @@ def cmd_zeta(args) -> int:
     g = _load_graph(args)
     cx = build_complex(g)
     spaces = CochainSpaces(cx)
-    report = {"graph": _graph_section(g, cx, spaces)}
+    report = {"graph": _graph_section(g, spaces)}
     checks: list[TheoremCheck] = []
     if args.map and args.group:
         raise GraphError("give either --map or --group, not both")
@@ -292,7 +291,7 @@ def cmd_zeta(args) -> int:
             raise MapError("zeta functions are defined for automorphisms; "
                            "this map is a non-bijective endomorphism")
         product = zeta_product(orbit_census(cx, t))
-        checks += zeta_checks(g, t, cx, spaces, args.series_order, product)
+        checks += zeta_checks(g, t, spaces, args.series_order, product)
         report["map"] = {"image": list(t.image), "kind": t.kind}
         report["zeta"] = product.to_json()
     elif args.group:

@@ -38,7 +38,6 @@ the reduced image rows and the induced matrices.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -55,14 +54,6 @@ from .linalg import (
 )
 
 
-def _faces(cx: CliqueComplex, k: int) -> list[tuple[int, ...]]:
-    """Row pattern of d_k: for each (k+1)-simplex, the indices of its k-faces,
-    face i (the simplex minus vertex i) carrying the coefficient (-1)^i."""
-    index = cx.index[k] if k + 1 < len(cx.by_dim) else {}
-    return [tuple(index[x[:i] + x[i + 1:]] for i in range(len(x)))
-            for x in cx.simplices(k + 1)]
-
-
 def _sparse_row(terms) -> dict[int, int]:
     """Sum (column, coefficient) terms into a row without zero entries."""
     row: dict[int, int] = {}
@@ -71,17 +62,13 @@ def _sparse_row(terms) -> dict[int, int]:
     return {col: c for col, c in row.items() if c}
 
 
-def coboundary_squares_to_zero(cx: CliqueComplex, face_rows=None) -> bool:
-    """Check d_{k+1} d_k == 0 in every degree, on integer sparse rows.
-
-    Every row of the product is built in full.  `face_rows(k)` gives the row
-    pattern of d_k; by default it is rebuilt from the complex.
-    """
-    if face_rows is None:
-        face_rows = functools.partial(_faces, cx)
-    for k in range(cx.dim):
-        inner = face_rows(k)
-        for faces in face_rows(k + 1):
+def coboundary_squares_to_zero(spaces: CochainSpaces) -> bool:
+    """Check d_{k+1} d_k == 0 in every degree, on integer sparse rows built
+    from the face rows kept by `spaces`.  Every row of the product is built
+    in full."""
+    for k in range(spaces.dim):
+        inner = spaces.face_rows(k)
+        for faces in spaces.face_rows(k + 1):
             if _sparse_row((col, (-1) ** (i + j))
                            for i, f in enumerate(faces)
                            for j, col in enumerate(inner[f])):
@@ -161,24 +148,14 @@ class Pullback:
         return out
 
 
-def pullback(cx: CliqueComplex, image: tuple[int, ...], k: int) -> Pullback:
-    """Pullback on k-forms of the vertex map given by the image tuple, built
-    by the complex's shared `CochainSpaces`."""
-    return CochainSpaces.of(cx).pullback(image, k)
-
-
-def verify_chain_map(cx: CliqueComplex, image: tuple[int, ...],
-                     spaces: CochainSpaces | None = None) -> bool:
+def verify_chain_map(spaces: CochainSpaces, image: tuple[int, ...]) -> bool:
     """Check d_k P_k == P_{k+1} d_k in every degree, on the map's pullbacks
-    and the face rows kept by `spaces` (of the same complex)."""
-    if spaces is None:
-        spaces = CochainSpaces.of(cx)
-    return pullbacks_commute(cx, [spaces.pullback(image, k) for k in range(cx.dim + 1)],
+    and the face rows kept by `spaces`."""
+    return pullbacks_commute([spaces.pullback(image, k) for k in range(spaces.dim + 1)],
                              spaces.face_rows)
 
 
-def pullbacks_commute(cx: CliqueComplex, pullbacks: list[Pullback],
-                      face_rows=None) -> bool:
+def pullbacks_commute(pullbacks: list[Pullback], face_rows) -> bool:
     """Check d_k P_k == P_{k+1} d_k for the given P_0..P_dim, row by row.
 
     Row x of d_k P_k holds (-1)^i sign_k(f_i) at target_k(f_i) for the faces
@@ -188,11 +165,10 @@ def pullbacks_commute(cx: CliqueComplex, pullbacks: list[Pullback],
     column, which only a corrupt pullback or corrupt face rows give) or the
     sides differ are the terms summed into rows without zero entries and
     compared, so the verdict is that of the summed rows on every input.
-    `face_rows(k)` gives the row pattern of d_k; by default it is rebuilt
-    from the complex.
+    `face_rows(k)` gives the row pattern of d_k.
     """
-    for k in range(cx.dim):
-        faces = face_rows(k) if face_rows else _faces(cx, k)
+    for k in range(len(pullbacks) - 1):
+        faces = face_rows(k)
         pk, pk1 = pullbacks[k], pullbacks[k + 1]
         target, sign = pk.target_index, pk.sign
         for x_faces, y, s in zip(faces, pk1.target_index, pk1.sign, strict=True):
@@ -220,17 +196,17 @@ class _CohomologyBasis(NamedTuple):
 
 
 class CochainSpaces:
-    """The one owner of a complex's shared chain and cochain data.
+    """The one handle to a graph's cochain data; its complex is `cx`.
 
-    Built once per graph, on first use: the face rows of each d_k, the
+    Each part is built on first use: the face rows of each d_k, the
     extension tables the pullbacks are read through, the sparse integer
     coboundaries and their ranks (behind the Betti numbers), and for each
-    H^k its representatives with the functionals that read a class.  Those come from one elimination of d_k in free-column
-    coordinates and one `rref` of the image rows (see the module
-    docstring); every pulled-back representative is checked to be a cocycle
-    before it is read.  Anything that iterates over many maps of the same
-    graph should share one instance; `CochainSpaces.of(cx)` is the one the
-    complex keeps for callers that pass none.
+    H^k its representatives with the functionals that read a class.  Those
+    come from one elimination of d_k in free-column coordinates and one
+    `rref` of the image rows (see the module docstring); every pulled-back
+    representative is checked to be a cocycle before it is read.  A
+    function that reads cochain data takes an instance, so anything that
+    iterates over many maps of the same graph shares one.
 
     Kept for the latest map only, so memory does not grow with the number of
     maps: its pullbacks P_k and the matrices it induces on H^k, each degree
@@ -252,23 +228,19 @@ class CochainSpaces:
         self._induced: dict[int, RationalMatrix] = {}
         self._lefschetz: dict[tuple[int, ...], int] = {}
 
-    @classmethod
-    def of(cls, cx: CliqueComplex) -> CochainSpaces:
-        """The complex's own instance, made on first ask and kept on the
-        complex, so one-off calls on one complex share its tables."""
-        if cx.spaces is None:
-            cx.spaces = cls(cx)
-        return cx.spaces
-
     @property
     def dim(self) -> int:
         return self.cx.dim
 
     def face_rows(self, k: int) -> list[tuple[int, ...]]:
         """Row pattern of d_k: for each (k+1)-simplex, the indices of its
-        k-faces, face i carrying the coefficient (-1)^i."""
+        k-faces, face i (the simplex minus vertex i) carrying the
+        coefficient (-1)^i."""
         if k not in self._faces:
-            self._faces[k] = _faces(self.cx, k)
+            cx = self.cx
+            index = cx.index[k] if k + 1 < len(cx.by_dim) else {}
+            self._faces[k] = [tuple(index[x[:i] + x[i + 1:]] for i in range(len(x)))
+                              for x in cx.simplices(k + 1)]
         return self._faces[k]
 
     def extension_table(self, k: int) -> list[dict[int, tuple[int, int]]]:

@@ -14,14 +14,12 @@ Simplex = tuple[int, ...]
 
 
 class CliqueComplex:
-    __slots__ = ("graph", "by_dim", "index", "spaces")
+    __slots__ = ("graph", "by_dim", "index")
 
     def __init__(self, graph: Graph, by_dim: list[list[Simplex]]):
         self.graph = graph
         self.by_dim = by_dim
         self.index = [{s: i for i, s in enumerate(level)} for level in by_dim]
-        # The shared cochain data, made by `cohomology.CochainSpaces.of`.
-        self.spaces = None
 
     @property
     def dim(self) -> int:

@@ -156,14 +156,11 @@ def fixed_index_sum(cx: CliqueComplex, t: GraphMap) -> int:
     return sum(rec.index for rec in fixed_simplices(cx, t))
 
 
-def lefschetz_chain(cx: CliqueComplex, t: GraphMap,
-                    spaces: CochainSpaces | None = None) -> int:
+def lefschetz_chain(spaces: CochainSpaces, t: GraphMap) -> int:
     """Alternating sum of chain-level pullback traces, sum_k (-1)^k tr(P_k),
-    on the map's pullbacks kept by `spaces` (of the same complex)."""
-    if spaces is None:
-        spaces = CochainSpaces.of(cx)
+    on the map's pullbacks kept by `spaces`."""
     total = 0
-    for k in range(cx.dim + 1):
+    for k in range(spaces.dim + 1):
         total += (-1) ** k * spaces.pullback(t.image, k).trace()
     return total
 

@@ -60,7 +60,15 @@ class Graph:
         return self.adj[v].bit_count()
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(u for u in range(self.n) if self.adj[v] >> u & 1)
+        """The neighbors of v in ascending order, read off the set bits of
+        its adjacency mask, so the cost is linear in the degree."""
+        out = []
+        m = self.adj[v]
+        while m:
+            low = m & -m
+            out.append(low.bit_length() - 1)
+            m ^= low
+        return tuple(out)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)

@@ -319,7 +319,6 @@ class AveragingReport:
 
 
 def verify_averaging_theorems(g: Graph, group: AutomorphismGroup | None = None,
-                              cx: CliqueComplex | None = None,
                               spaces: CochainSpaces | None = None,
                               sweep: FixedSimplexSweep | None = None) -> AveragingReport:
     """Check curvature sum, orbigraph Euler characteristic, and Burnside count.
@@ -327,16 +326,15 @@ def verify_averaging_theorems(g: Graph, group: AutomorphismGroup | None = None,
     The curvature table and the Burnside count come from one fixed-simplex
     scan per group element, folded into `sweep`: the caller's, when it
     already scanned every element (SymmetryError is raised unless it
-    scanned exactly the group's elements, each once), else a fresh one.  Per-orbit curvature
-    sums outside {+1, -1} are reported as findings, not failures: the
-    averaged identities are the reliable statements.
+    scanned exactly the group's elements, each once), else a fresh one.
+    Per-orbit curvature sums outside {+1, -1} are reported as findings, not
+    failures: the averaged identities are the reliable statements.
     """
     if group is None:
         group = automorphism_group(g)
-    if cx is None:
-        cx = build_complex(g)
     if spaces is None:
-        spaces = CochainSpaces.of(cx)
+        spaces = CochainSpaces(build_complex(g))
+    cx = spaces.cx
     if sweep is None:
         sweep = _fixed_simplex_sweep(cx, group)
     elif sweep.scanned != {t.image for t in group}:

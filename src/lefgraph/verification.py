@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass, field
 
 from .cohomology import CochainSpaces, coboundary_squares_to_zero, verify_chain_map
-from .complexes import CliqueComplex, build_complex
+from .complexes import build_complex
 from .dynamics import (
     Attractor,
     FixedSimplexRecord,
@@ -18,7 +18,6 @@ from .dynamics import (
     attractor,
     brouwer_check,
     fixed_simplices,
-    is_star_shaped,
     lefschetz_chain,
     lefschetz_cohomological,
     random_endomorphism,
@@ -26,7 +25,6 @@ from .dynamics import (
 from .graphs import Graph, connected_components, named_graph
 from .reporting import TheoremCheck
 from .symmetry import (
-    AutomorphismGroup,
     FixedSimplexSweep,
     automorphism_group,
     verify_averaging_theorems,
@@ -62,18 +60,14 @@ def named_corpus() -> list[tuple[str, Graph]]:
     return corpus
 
 
-def structural_checks(g: Graph, cx: CliqueComplex | None = None,
-                      spaces: CochainSpaces | None = None) -> list[TheoremCheck]:
+def structural_checks(g: Graph, spaces: CochainSpaces | None = None) -> list[TheoremCheck]:
     """d∘d = 0, Euler-Poincare, and b_0 = component count."""
-    if cx is None:
-        cx = build_complex(g)
     if spaces is None:
-        spaces = CochainSpaces.of(cx)
+        spaces = CochainSpaces(build_complex(g))
     checks = []
-    checks.append(TheoremCheck("d_squared_zero",
-                               coboundary_squares_to_zero(cx, spaces.face_rows),
+    checks.append(TheoremCheck("d_squared_zero", coboundary_squares_to_zero(spaces),
                                "d(k+1)*d(k)", "0"))
-    chi_f = cx.euler_characteristic()
+    chi_f = spaces.cx.euler_characteristic()
     chi_b = sum((-1) ** k * b for k, b in enumerate(spaces.betti_numbers()))
     checks.append(TheoremCheck("euler_poincare", chi_f == chi_b, chi_f, chi_b))
     b0 = spaces.betti(0)
@@ -82,24 +76,21 @@ def structural_checks(g: Graph, cx: CliqueComplex | None = None,
     return checks
 
 
-def lefschetz_checks(g: Graph, t: GraphMap, cx: CliqueComplex | None = None,
-                     spaces: CochainSpaces | None = None,
+def lefschetz_checks(g: Graph, t: GraphMap, spaces: CochainSpaces | None = None,
                      fixed: list[FixedSimplexRecord] | None = None) -> list[TheoremCheck]:
     """Three-way Lefschetz agreement plus the chain-map identity for one map.
 
     `fixed` is the map's fixed-simplex scan, when the caller already made it.
     """
-    if cx is None:
-        cx = build_complex(g)
     if spaces is None:
-        spaces = CochainSpaces.of(cx)
+        spaces = CochainSpaces(build_complex(g))
     coh = lefschetz_cohomological(g, t, spaces)
     if fixed is None:
-        fixed = fixed_simplices(cx, t)
+        fixed = fixed_simplices(spaces.cx, t)
     idx = sum(r.index for r in fixed)
-    chain = lefschetz_chain(cx, t, spaces)
+    chain = lefschetz_chain(spaces, t)
     return [
-        TheoremCheck("chain_map_commutes", verify_chain_map(cx, t.image, spaces),
+        TheoremCheck("chain_map_commutes", verify_chain_map(spaces, t.image),
                      "d*P", "P*d"),
         TheoremCheck("lefschetz_cohomological_equals_index_sum",
                      coh == idx, coh, idx),
@@ -108,8 +99,7 @@ def lefschetz_checks(g: Graph, t: GraphMap, cx: CliqueComplex | None = None,
     ]
 
 
-def attractor_checks(g: Graph, t: GraphMap, cx: CliqueComplex | None = None,
-                     spaces: CochainSpaces | None = None,
+def attractor_checks(g: Graph, t: GraphMap, spaces: CochainSpaces | None = None,
                      core: Attractor | None = None) -> list[TheoremCheck]:
     """L is unchanged when an endomorphism is restricted to its attractor.
 
@@ -129,8 +119,7 @@ def attractor_checks(g: Graph, t: GraphMap, cx: CliqueComplex | None = None,
                          l_full == l_core, l_full, l_core)]
 
 
-def zeta_checks(g: Graph, t: GraphMap, cx: CliqueComplex | None = None,
-                spaces: CochainSpaces | None = None,
+def zeta_checks(g: Graph, t: GraphMap, spaces: CochainSpaces | None = None,
                 series_order: int | None = None,
                 product: RationalFunctionZ | None = None) -> list[TheoremCheck]:
     """Determinant = orbit product, and log-derivative series consistency.
@@ -164,15 +153,13 @@ def zeta_checks(g: Graph, t: GraphMap, cx: CliqueComplex | None = None,
     if series_order is not None and series_order > MAX_SERIES_ORDER:
         raise ValueError(f"series order {series_order} is above the limit of "
                          f"{MAX_SERIES_ORDER}")
-    if cx is None:
-        cx = build_complex(g)
     if spaces is None:
-        spaces = CochainSpaces.of(cx)
+        spaces = CochainSpaces(build_complex(g))
     z_det = zeta_det(g, t, spaces)
-    z_prod = product if product is not None else zeta_product(orbit_census(cx, t))
+    z_prod = product if product is not None else zeta_product(orbit_census(spaces.cx, t))
     if series_order is None:
-        series_order = min(2 * t.order(), 2 * len(cx))
-    expected = lefschetz_iterates(cx, t, series_order, spaces)
+        series_order = min(2 * t.order(), 2 * len(spaces.cx))
+    expected = lefschetz_iterates(spaces, t, series_order)
     actual = z_prod.log_derivative_series(series_order)
     return [
         TheoremCheck("zeta_det_equals_product",
@@ -219,29 +206,26 @@ def run_corpus_suite(endomorphisms_per_graph: int = 25,
         report.graphs += 1
         cx = build_complex(g)
         spaces = CochainSpaces(cx)
-        report.absorb(name, structural_checks(g, cx, spaces))
+        report.absorb(name, structural_checks(g, spaces))
         group = automorphism_group(g)
         sweep = FixedSimplexSweep(cx)
         for t in group:
             report.maps += 1
             fixed = fixed_simplices(cx, t)
             sweep.add(t, fixed)
-            report.absorb(f"{name} aut {t.image}", lefschetz_checks(g, t, cx, spaces, fixed))
-            report.absorb(f"{name} aut {t.image}", zeta_checks(g, t, cx, spaces))
-        averaging = verify_averaging_theorems(g, group, cx, spaces, sweep)
+            report.absorb(f"{name} aut {t.image}", lefschetz_checks(g, t, spaces, fixed))
+            report.absorb(f"{name} aut {t.image}", zeta_checks(g, t, spaces))
+        averaging = verify_averaging_theorems(g, group, spaces, sweep)
         report.absorb(name, averaging.checks)
         report.findings.extend(f"{name}: {f}" for f in averaging.findings)
-        applicable = g.n > 0 and spaces.betti(0) == 1 and is_star_shaped(g, spaces)
         for _ in range(endomorphisms_per_graph):
             t = random_endomorphism(g, rng)
             report.maps += 1
             fixed = fixed_simplices(cx, t)
-            report.absorb(f"{name} endo {t.image}",
-                          lefschetz_checks(g, t, cx, spaces, fixed))
-            report.absorb(f"{name} endo {t.image}",
-                          attractor_checks(g, t, cx, spaces))
-            if applicable:
-                br = brouwer_check(g, t, spaces, fixed)
+            report.absorb(f"{name} endo {t.image}", lefschetz_checks(g, t, spaces, fixed))
+            report.absorb(f"{name} endo {t.image}", attractor_checks(g, t, spaces))
+            br = brouwer_check(g, t, spaces, fixed)
+            if br.applicable:
                 report.absorb(f"{name} endo {t.image}", [
                     TheoremCheck("brouwer_fixed_clique_exists",
                                  br.fixed_count > 0, br.fixed_count, "> 0")])

@@ -348,19 +348,16 @@ def series_consistency(zeta: RationalFunctionZ, lefschetz_values: list[int]) -> 
     return zeta.log_derivative_series(len(lefschetz_values)) == list(lefschetz_values)
 
 
-def lefschetz_iterates(cx: CliqueComplex, t: GraphMap, count: int,
-                       spaces: CochainSpaces | None = None) -> list[int]:
+def lefschetz_iterates(spaces: CochainSpaces, t: GraphMap, count: int) -> list[int]:
     """L(T^n) for n = 1..count, by the chain-trace route.
 
     L(T^n) = sum_k (-1)^k tr(P_k^n) on the map's pullbacks P_k kept by
-    `spaces` (of the same complex).  Each P_k is a signed functional graph
-    on the k-simplices, and `Pullback.power_traces` reads every tr(P_k^n)
-    off its cycles in one walk, so no power of T or of P_k is built.
+    `spaces`.  Each P_k is a signed functional graph on the k-simplices,
+    and `Pullback.power_traces` reads every tr(P_k^n) off its cycles in one
+    walk, so no power of T or of P_k is built.
     """
-    if spaces is None:
-        spaces = CochainSpaces.of(cx)
     out = [0] * count
-    for k in range(cx.dim + 1):
+    for k in range(spaces.dim + 1):
         sign = -1 if k % 2 else 1
         for i, x in enumerate(spaces.pullback(t.image, k).power_traces(count)):
             out[i] += sign * x

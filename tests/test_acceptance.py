@@ -151,7 +151,7 @@ def test_criterion_2_optional_e6():
 def three_way(g, cx, spaces, t, label, failures):
     coh = lefschetz_cohomological(g, t, spaces)
     idx = fixed_index_sum(cx, t)
-    chain = lefschetz_chain(cx, t)
+    chain = lefschetz_chain(spaces, t)
     if not coh == idx == chain:
         failures.append(f"{label}: {coh} / {idx} / {chain}")
 
@@ -185,7 +185,7 @@ def zeta_three_way(g, cx, spaces, t, label, failures):
     if det_route != product_route:
         failures.append(f"{label}: det != product")
         return
-    series = lefschetz_iterates(cx, t, 2 * t.order())
+    series = lefschetz_iterates(spaces, t, 2 * t.order())
     if not series_consistency(product_route, series):
         failures.append(f"{label}: series mismatch")
 
@@ -236,11 +236,11 @@ def test_criterion_4_zeta_three_way(small_sweep, corpus):
 def test_criterion_5_averaging(small_sweep, corpus):
     failures = []
     for g, cx, spaces, group in small_sweep:
-        report = verify_averaging_theorems(g, group, cx, spaces)
+        report = verify_averaging_theorems(g, group, spaces)
         failures.extend(f"n={g.n} {g.sorted_edges()}: {c.describe()}"
                         for c in report.checks if not c.passed)
     for name, g, cx, spaces, group in corpus:
-        report = verify_averaging_theorems(g, group, cx, spaces)
+        report = verify_averaging_theorems(g, group, spaces)
         failures.extend(f"{name}: {c.describe()}"
                         for c in report.checks if not c.passed)
         average_lefschetz(g, group, spaces)  # asserts integrality
@@ -314,15 +314,15 @@ def test_criterion_6_structural(small_sweep, corpus, corpus_endos):
     for g, cx, spaces, group in small_sweep:
         structural(g, cx, spaces, f"n={g.n} {g.sorted_edges()}")
         for t in group:
-            if not verify_chain_map(cx, t.image):
+            if not verify_chain_map(spaces, t.image):
                 failures.append(f"n={g.n} aut {t.image}: chain map")
     for name, g, cx, spaces, group in corpus:
         structural(g, cx, spaces, name)
         for t in group:
-            if not verify_chain_map(cx, t.image):
+            if not verify_chain_map(spaces, t.image):
                 failures.append(f"{name} aut {t.image}: chain map")
     for name, g, cx, spaces, t in corpus_endos:
-        if not verify_chain_map(cx, t.image):
+        if not verify_chain_map(spaces, t.image):
             failures.append(f"{name} endo {t.image}: chain map")
     conclude("6", failures)
 

@@ -19,7 +19,6 @@ from lefgraph.cohomology import (
     betti_numbers,
     coboundary_squares_to_zero,
     permutation_parity_sign,
-    pullback,
     pullbacks_commute,
     verify_chain_map,
 )
@@ -148,8 +147,9 @@ def test_pullbacks_in_degrees_without_simplices_are_empty():
     complex, the pullback has no rows."""
     for g, image in [(Graph(0, []), ()), (path_graph(2), (1, 0))]:
         cx = build_complex(g)
+        spaces = CochainSpaces(cx)
         for k in (-1, cx.dim + 1, cx.dim + 3):
-            for pb in (pullback(cx, image, k), CochainSpaces(cx).pullback(image, k)):
+            for pb in (spaces.pullback(image, k), CochainSpaces(cx).pullback(image, k)):
                 assert (pb.k, pb.size, pb.target_index, pb.sign) == (k, 0, [], []), (g, k)
 
 
@@ -173,22 +173,21 @@ def test_pullback_of_automorphism_is_signed_permutation():
 
 def test_pullback_trace_matches_matrix_trace():
     cx = build_complex(octahedron_graph())
+    spaces = CochainSpaces(cx)
     image = (3, 4, 5, 0, 1, 2)  # antipodal map
     for k in range(cx.dim + 1):
-        pb = pullback(cx, image, k)
+        pb = spaces.pullback(image, k)
         assert pb.trace() == pullback_matrix(cx, image, k).trace()
 
 
 def test_chain_map_commutes():
-    cx = build_complex(octahedron_graph())
-    assert verify_chain_map(cx, (3, 4, 5, 0, 1, 2))
-    assert verify_chain_map(cx, (1, 2, 0, 4, 5, 3))
+    spaces = CochainSpaces(build_complex(octahedron_graph()))
+    assert verify_chain_map(spaces, (3, 4, 5, 0, 1, 2))
+    assert verify_chain_map(spaces, (1, 2, 0, 4, 5, 3))
     # also for non-injective endomorphisms (edge-preserving, so still
     # injective on every clique)
-    cx2 = build_complex(star_graph(3))
-    assert verify_chain_map(cx2, (0, 1, 1, 1))
-    cx3 = build_complex(path_graph(3))
-    assert verify_chain_map(cx3, (1, 0, 1))
+    assert verify_chain_map(CochainSpaces(build_complex(star_graph(3))), (0, 1, 1, 1))
+    assert verify_chain_map(CochainSpaces(build_complex(path_graph(3))), (1, 0, 1))
 
 
 def test_induced_matrix_examples():
@@ -259,19 +258,23 @@ def _flipped(p, row):
 
 
 def _corpus_maps(endomorphisms_per_graph):
+    """Every corpus automorphism and seeded endomorphisms, each graph's maps
+    sharing one CochainSpaces, so that a pullback kept from an earlier map
+    would show."""
     rng = random.Random(17)
     for name, g in named_corpus():
         cx = build_complex(g)
+        spaces = CochainSpaces(cx)
         for t in automorphism_group(g):
-            yield name, cx, t
+            yield name, cx, spaces, t
         for _ in range(endomorphisms_per_graph):
-            yield name, cx, random_endomorphism(g, rng)
+            yield name, cx, spaces, random_endomorphism(g, rng)
 
 
 def test_sparse_chain_map_check_matches_dense_reference():
-    for name, cx, t in _corpus_maps(3):
+    for name, cx, spaces, t in _corpus_maps(3):
         dense = [pullback_matrix(cx, t.image, k) for k in range(cx.dim + 1)]
-        sparse = verify_chain_map(cx, t.image)
+        sparse = verify_chain_map(spaces, t.image)
         assert sparse == _dense_commutes(cx, dense), (name, t.image)
         assert sparse, (name, t.image)
 
@@ -279,13 +282,13 @@ def test_sparse_chain_map_check_matches_dense_reference():
 def test_sparse_chain_map_check_matches_dense_reference_on_corrupted_pullbacks():
     rng = random.Random(23)
     verdicts = set()
-    for i, (name, cx, t) in enumerate(_corpus_maps(3)):
+    for i, (name, cx, spaces, t) in enumerate(_corpus_maps(3)):
         if i % 5 or cx.dim < 0:
             continue
-        pullbacks = [pullback(cx, t.image, k) for k in range(cx.dim + 1)]
+        pullbacks = [spaces.pullback(t.image, k) for k in range(cx.dim + 1)]
         k = rng.randrange(cx.dim + 1)
         pullbacks[k] = _flipped(pullbacks[k], rng.randrange(pullbacks[k].size))
-        sparse = pullbacks_commute(cx, pullbacks)
+        sparse = pullbacks_commute(pullbacks, spaces.face_rows)
         assert sparse == _dense_commutes(cx, [to_matrix(p) for p in pullbacks]), \
             (name, t.image, k)
         verdicts.add(sparse)
@@ -293,20 +296,21 @@ def test_sparse_chain_map_check_matches_dense_reference_on_corrupted_pullbacks()
 
 
 def test_chain_map_check_detects_every_single_sign_flip():
-    cx = build_complex(octahedron_graph())
+    spaces = CochainSpaces(build_complex(octahedron_graph()))
     for image in [(3, 4, 5, 0, 1, 2), (1, 2, 0, 4, 5, 3), tuple(range(6))]:
-        pullbacks = [pullback(cx, image, k) for k in range(cx.dim + 1)]
-        assert pullbacks_commute(cx, pullbacks)
+        pullbacks = [spaces.pullback(image, k) for k in range(spaces.dim + 1)]
+        assert pullbacks_commute(pullbacks, spaces.face_rows)
         for k, p in enumerate(pullbacks):
             for row in range(p.size):
                 broken = pullbacks[:k] + [_flipped(p, row)] + pullbacks[k + 1:]
-                assert not pullbacks_commute(cx, broken), (image, k, row)
+                assert not pullbacks_commute(broken, spaces.face_rows), (image, k, row)
 
 
 def _commute_verdicts(cx, pullbacks, face_rows=None):
     """The sparse chain-map verdict and the dense reference's, on the same
-    pullbacks and row pattern."""
-    return (pullbacks_commute(cx, pullbacks, face_rows),
+    pullbacks and row pattern: by default the complex's, which the dense
+    reference reads off the complex itself."""
+    return (pullbacks_commute(pullbacks, face_rows or CochainSpaces(cx).face_rows),
             _dense_commutes(cx, [to_matrix(p) for p in pullbacks], face_rows))
 
 
@@ -314,7 +318,8 @@ def test_chain_map_check_sums_pullbacks_that_collide():
     """Two faces of one simplex sent to one target: the terms are summed,
     whether they cancel or add up, as in the matrix product."""
     cx = build_complex(complete_graph(3))
-    identity = [pullback(cx, (0, 1, 2), k) for k in range(cx.dim + 1)]
+    spaces = CochainSpaces(cx)
+    identity = [spaces.pullback((0, 1, 2), k) for k in range(cx.dim + 1)]
     cases = []
     # every vertex to vertex 0: each edge's two terms cancel
     cases.append([Pullback(0, 3, [0, 0, 0], [1, 1, 1])] + identity[1:])
@@ -326,10 +331,10 @@ def test_chain_map_check_sums_pullbacks_that_collide():
         sparse, dense = _commute_verdicts(cx, pullbacks)
         assert sparse == dense, [(p.target_index, p.sign) for p in pullbacks]
     rng = random.Random(31)
-    for name, cx, t in _corpus_maps(1):
+    for name, cx, spaces, t in _corpus_maps(1):
         if cx.dim < 1 or rng.random() < 0.8:
             continue
-        pullbacks = [pullback(cx, t.image, k) for k in range(cx.dim + 1)]
+        pullbacks = [spaces.pullback(t.image, k) for k in range(cx.dim + 1)]
         k = rng.randrange(cx.dim + 1)
         p = pullbacks[k]
         targets = list(p.target_index)
@@ -370,7 +375,7 @@ def test_sparse_d_squared_matches_dense_reference():
         cx = build_complex(g)
         dense = all((matmul(coboundary_matrix(cx, k + 1), coboundary_matrix(cx, k))).is_zero()
                     for k in range(cx.dim))
-        assert coboundary_squares_to_zero(cx) == dense
+        assert coboundary_squares_to_zero(CochainSpaces(cx)) == dense
         assert dense
 
 
@@ -378,7 +383,7 @@ def test_sparse_d_squared_detects_a_wrong_face():
     cx = build_complex(complete_graph(3))
     # point the face (0, 1) of the triangle at the index of (0, 2)
     cx.index[1][(0, 1)] = cx.index[1][(0, 2)]
-    assert not coboundary_squares_to_zero(cx)
+    assert not coboundary_squares_to_zero(CochainSpaces(cx))
     assert not matmul(coboundary_matrix(cx, 1), coboundary_matrix(cx, 0)).is_zero()
 
 
@@ -386,13 +391,15 @@ def test_pullback_product_is_pullback_of_composite():
     rng = random.Random(3)
     for g in [octahedron_graph(), petersen_graph(), complete_graph(4)]:
         cx = build_complex(g)
+        spaces = CochainSpaces(cx)
         elements = list(automorphism_group(g))
         for _ in range(6):
             s, t = rng.choice(elements), rng.choice(elements)
             composite = s.compose(t)  # apply t first, then s
             for k in range(cx.dim + 1):
-                product = pullback_product(pullback(cx, t.image, k), pullback(cx, s.image, k))
-                direct = pullback(cx, composite.image, k)
+                product = pullback_product(spaces.pullback(t.image, k),
+                                           spaces.pullback(s.image, k))
+                direct = spaces.pullback(composite.image, k)
                 assert (product.target_index, product.sign) == \
                     (direct.target_index, direct.sign)
                 assert to_matrix(product) == \
@@ -428,11 +435,12 @@ def test_power_traces_match_repeated_products(pb, count):
 
 def test_pullback_apply_matches_matrix():
     cx = build_complex(octahedron_graph())
+    spaces = CochainSpaces(cx)
     image = (1, 2, 0, 4, 5, 3)
     signs = set()
     for k in range(cx.dim + 1):
         f = [Fraction(i + 1, 3) for i in range(cx.count(k))]
-        pb = pullback(cx, image, k)
+        pb = spaces.pullback(image, k)
         assert pb.apply(f) == apply(pullback_matrix(cx, image, k), f)
         signs.update(pb.sign)
     assert signs == {1, -1}
@@ -463,40 +471,33 @@ def test_stored_induced_matrices_stay_bounded():
     assert len(spaces._induced) <= spaces.dim + 1
 
 
-def _corpus_maps_with_spaces(endomorphisms_per_graph):
-    """The corpus maps of _corpus_maps, each graph's maps sharing one
-    CochainSpaces, so that a pullback kept from an earlier map would show."""
-    spaces = None
-    for name, cx, t in _corpus_maps(endomorphisms_per_graph):
-        if spaces is None or spaces.cx is not cx:
-            spaces = CochainSpaces(cx)
-        yield name, cx, spaces, t
-
-
 def _same_pullback(a, b):
     return (a.k, a.size, a.target_index, a.sign) == (b.k, b.size, b.target_index, b.sign)
 
 
 def test_shared_pullbacks_equal_fresh_ones():
-    for name, cx, spaces, t in _corpus_maps_with_spaces(3):
+    for name, cx, spaces, t in _corpus_maps(3):
+        fresh_spaces = CochainSpaces(cx)
         for k in list(range(cx.dim, -1, -1)) + [0, cx.dim]:
             shared = spaces.pullback(t.image, k)
-            fresh = pullback(cx, t.image, k)
+            fresh = fresh_spaces.pullback(t.image, k)
             assert _same_pullback(shared, fresh), (name, t.image, k)
-        assert verify_chain_map(cx, t.image, spaces), (name, t.image)
+        assert verify_chain_map(spaces, t.image), (name, t.image)
 
 
 def test_extension_pullbacks_equal_the_sorted_oracle_on_the_corpus():
     """Every corpus automorphism and one seeded endomorphism per corpus
     graph: each P_k read off P_{k-1} through the extension table has the
     targets and signs of the sort-and-parity definition, built on shared
-    spaces and by the public function alike."""
+    spaces and on fresh ones alike."""
     maps = 0
-    for name, cx, spaces, t in _corpus_maps_with_spaces(1):
+    for name, cx, spaces, t in _corpus_maps(1):
+        fresh_spaces = CochainSpaces(cx)
         for k in range(cx.dim + 1):
             expected = sorted_pullback(cx, t.image, k)
             assert _same_pullback(spaces.pullback(t.image, k), expected), (name, t.image, k)
-            assert _same_pullback(pullback(cx, t.image, k), expected), (name, t.image, k)
+            assert _same_pullback(fresh_spaces.pullback(t.image, k), expected), \
+                (name, t.image, k)
         maps += 1
     assert maps == 2030 + 32
 
@@ -566,9 +567,10 @@ def test_non_graph_map_images_raise_the_sorted_builds_key_error():
     raised = 0
     for g, image in cases:
         cx = build_complex(g)
+        spaces = CochainSpaces(cx)
         for k in range(cx.dim + 1):
             expected = _oracle_error(cx, image, k)
-            for build in (lambda: pullback(cx, image, k),
+            for build in (lambda: spaces.pullback(image, k),
                           lambda: CochainSpaces(cx).pullback(image, k)):
                 if expected is None:
                     build()
@@ -581,9 +583,10 @@ def test_non_graph_map_images_raise_the_sorted_builds_key_error():
     assert raised >= 10
 
 
-def test_one_off_calls_share_the_complexs_spaces(monkeypatch):
-    """Callers that pass no spaces use the complex's own, so its face rows
-    and extension tables are built once per complex, not once per call."""
+def test_one_held_spaces_serves_many_maps(monkeypatch):
+    """The chain-level routes of 20 maps run on the one CochainSpaces their
+    caller holds, so its face rows and extension tables are built once per
+    complex, not once per call."""
     g = complete_graph(5)
     cx = build_complex(g)
     built = []
@@ -594,14 +597,14 @@ def test_one_off_calls_share_the_complexs_spaces(monkeypatch):
         real(self, complex_)
 
     monkeypatch.setattr(CochainSpaces, "__init__", counting)
+    spaces = CochainSpaces(cx)
     for t in list(automorphism_group(g))[:20]:
-        assert lefschetz_chain(cx, t) == fixed_index_sum(cx, t)
-        assert verify_chain_map(cx, t.image)
+        assert lefschetz_chain(spaces, t) == fixed_index_sum(cx, t)
+        assert verify_chain_map(spaces, t.image)
         for k in range(cx.dim + 1):
-            assert _same_pullback(pullback(cx, t.image, k), sorted_pullback(cx, t.image, k))
+            assert _same_pullback(spaces.pullback(t.image, k),
+                                  sorted_pullback(cx, t.image, k))
     assert built == [cx]
-    assert CochainSpaces.of(cx) is cx.spaces is CochainSpaces.of(cx)
-    assert CochainSpaces.of(build_complex(g)) is not cx.spaces
 
 
 def test_face_rows_are_built_once_and_match_the_coboundary():
@@ -624,7 +627,7 @@ def test_stored_pullbacks_stay_bounded():
     group = automorphism_group(g)
     assert group.order == 120
     for t in group:
-        assert verify_chain_map(cx, t.image, spaces)
+        assert verify_chain_map(spaces, t.image)
         zeta_det(g, t, spaces)
         assert len(spaces._pullbacks) <= spaces.dim + 1
     assert len(spaces._pullbacks) == spaces.dim + 1
@@ -636,12 +639,12 @@ def test_chain_map_check_reads_the_shared_pullbacks():
     spaces = CochainSpaces(cx)
     image = (1, 2, 0, 4, 5, 3)
     for k in range(cx.dim + 1):
-        assert verify_chain_map(cx, image, spaces)
+        assert verify_chain_map(spaces, image)
         stored = spaces.pullback(image, k)
         for row in (0, stored.size - 1):
             stored.sign[row] = -stored.sign[row]
-            assert not verify_chain_map(cx, image, spaces), (k, row)
-            assert verify_chain_map(cx, image), (k, row)
+            assert not verify_chain_map(spaces, image), (k, row)
+            assert verify_chain_map(CochainSpaces(cx), image), (k, row)
             stored.sign[row] = -stored.sign[row]
 
 
@@ -663,7 +666,7 @@ def _rank_modulo(columns, base_rank, vectors):
 
 def test_induced_matrix_is_the_pullback_modulo_coboundaries():
     images = {}
-    for name, cx, spaces, t in _corpus_maps_with_spaces(3):
+    for name, cx, spaces, t in _corpus_maps(3):
         for k in range(cx.dim + 1):
             reps = spaces.representatives(k)
             if (name, k) not in images:
@@ -673,7 +676,7 @@ def test_induced_matrix_is_the_pullback_modulo_coboundaries():
                 assert len(reps) == spaces.betti(k)
                 assert _rank_modulo(columns, base_rank, reps) == len(reps), (name, k)
             m = spaces.induced_matrix(t.image, k)
-            pb = pullback(cx, t.image, k)
+            pb = spaces.pullback(t.image, k)
             residues = []
             for j, h in enumerate(reps):
                 pulled = pb.apply(h)
@@ -710,7 +713,7 @@ def test_grid_lefschetz_routes_agree():
         t = GraphMap(g, image)
         assert t.is_automorphism()
         assert lefschetz_cohomological(g, t, spaces) == fixed_index_sum(cx, t) == \
-            lefschetz_chain(cx, t, spaces) == expected
+            lefschetz_chain(spaces, t) == expected
         assert zeta_det(g, t, spaces) == zeta_product(orbit_census(cx, t))
 
 

@@ -40,7 +40,7 @@ def all_three_lefschetz(g, t):
     spaces = CochainSpaces(cx)
     return (lefschetz_cohomological(g, t, spaces),
             fixed_index_sum(cx, t),
-            lefschetz_chain(cx, t))
+            lefschetz_chain(spaces, t))
 
 
 def test_validate_map():

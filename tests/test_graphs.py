@@ -41,6 +41,21 @@ def test_graph_basics():
     assert g.sorted_edges() == [(0, 1), (1, 2)]
 
 
+def test_neighbors_equal_the_range_scan_definition():
+    """The set-bit walk gives the ascending tuple of a scan over all n
+    vertices, on seeded random graphs, the empty graph and isolated vertices."""
+    rng = random.Random(41)
+    graphs = [Graph(0), discrete_graph(1), discrete_graph(7),
+              disjoint_union(cycle_graph(5), discrete_graph(3))]
+    graphs += [random_graph(n, Fraction(p, 4), rng) for n in (2, 9, 70) for p in (1, 2, 3)]
+    for g in graphs:
+        for v in range(g.n):
+            expected = tuple(u for u in range(g.n) if g.adj[v] >> u & 1)
+            assert g.neighbors(v) == expected, (g, v)
+            assert list(expected) == sorted(expected)
+    assert all(discrete_graph(7).neighbors(v) == () for v in range(7))
+
+
 def test_graph_rejects_bad_edges():
     with pytest.raises(Exception):
         Graph(2, [(0, 0)])

@@ -143,7 +143,7 @@ def test_attractor_checks_reuse_the_callers_spaces_for_the_whole_graph(monkeypat
     expected = [lefschetz_cohomological(g, t) for t in maps]
     built = _count_spaces_built(monkeypatch)
     for t, value in zip(maps, expected):
-        checks = attractor_checks(g, t, cx, spaces)
+        checks = attractor_checks(g, t, spaces)
         assert [c.passed for c in checks] == [True]
         assert checks[0].rhs == value
     assert built == []
@@ -157,7 +157,7 @@ def test_attractor_checks_build_spaces_for_a_proper_attractor(monkeypatch):
     core = attractor(t)
     assert core.graph.n == 2 < g.n
     built = _count_spaces_built(monkeypatch)
-    checks = attractor_checks(g, t, cx, spaces)
+    checks = attractor_checks(g, t, spaces)
     assert built == [core.graph]
     assert [c.passed for c in checks] == [True]
     assert checks[0].rhs == lefschetz_cohomological(core.graph, core.map) == 1

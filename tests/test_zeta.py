@@ -184,7 +184,7 @@ def test_zeta_routes_agree_exhaustively_small():
                 det_route = zeta_det(g, t, spaces)
                 product_route = zeta_product(orbit_census(cx, t))
                 assert det_route == product_route
-                series = lefschetz_iterates(cx, t, 2 * t.order())
+                series = lefschetz_iterates(spaces, t, 2 * t.order())
                 assert series_consistency(det_route, series)
 
 
@@ -201,7 +201,7 @@ def test_series_consistency_rejects_perturbed_series():
     c4 = cycle_graph(4)
     refl = validate_map(c4, (1, 0, 3, 2))
     zeta = zeta_det(c4, refl)
-    series = lefschetz_iterates(build_complex(c4), refl, 4)
+    series = lefschetz_iterates(CochainSpaces(build_complex(c4)), refl, 4)
     assert series == [2, 0, 2, 0]
     assert series_consistency(zeta, series)
     assert not series_consistency(zeta, [2, 0, 2, 1])
@@ -263,21 +263,23 @@ def test_composed_iterates_match_rebuilt_powers():
     the fixed-simplex index sum of T^n built as a map, for n <= 2 order(T)
     on every corpus automorphism, and for n <= 6 on seeded endomorphisms.
     The maps of one graph follow each other on one CochainSpaces, whose
-    shared pullbacks must give the same values as fresh ones."""
+    shared pullbacks must give the same values as a second instance's, which
+    also serves the powers."""
     rng = random.Random(31)
     for name, g in named_corpus():
         cx = build_complex(g)
         spaces = CochainSpaces(cx)
+        other = CochainSpaces(cx)
         maps = [(t, 2 * t.order()) for t in automorphism_group(g)]
         maps += [(random_endomorphism(g, rng), 6) for _ in range(3)]
         for t, count in maps:
-            iterates = lefschetz_iterates(cx, t, count, spaces)
+            iterates = lefschetz_iterates(spaces, t, count)
             assert len(iterates) == count
-            assert iterates == lefschetz_iterates(cx, t, count), (name, t.image)
-            assert lefschetz_chain(cx, t, spaces) == iterates[0], (name, t.image)
+            assert iterates == lefschetz_iterates(other, t, count), (name, t.image)
+            assert lefschetz_chain(spaces, t) == iterates[0], (name, t.image)
             power = t
             for n, value in enumerate(iterates, start=1):
-                assert value == lefschetz_chain(cx, power) == fixed_index_sum(cx, power), \
+                assert value == lefschetz_chain(other, power) == fixed_index_sum(cx, power), \
                     (name, t.image, n)
                 power = t.compose(power)
 
@@ -298,11 +300,11 @@ def test_bounded_series_order_is_a_prefix_of_the_full_period():
         cx = build_complex(g)
         spaces = CochainSpaces(cx)
         for t in maps:
-            full = lefschetz_iterates(cx, t, 2 * t.order(), spaces)
+            full = lefschetz_iterates(spaces, t, 2 * t.order())
             bounded = min(2 * t.order(), 2 * len(cx))
             longer += bounded < len(full)
             product = zeta_product(orbit_census(cx, t))
-            checks = zeta_checks(g, t, cx, spaces, product=product)
+            checks = zeta_checks(g, t, spaces, product=product)
             assert all(c.passed for c in checks), (g, t.image)
             assert checks[1].rhs == full[:bounded], (g, t.image)
             assert product.log_derivative_series(len(full)) == full, (g, t.image)
@@ -318,8 +320,9 @@ def test_orbit_census_reads_no_pullback(monkeypatch):
     cases = []
     for g in graphs:
         cx = build_complex(g)
+        spaces = CochainSpaces(cx)
         for t in automorphism_group(g):
-            cases.append((cx, t, lefschetz_iterates(cx, t, 2 * t.order())))
+            cases.append((cx, t, lefschetz_iterates(spaces, t, 2 * t.order())))
 
     def refuse(*args, **kwargs):
         raise AssertionError("the orbit census built a pullback")
