@@ -35,6 +35,7 @@ from .graphs import (
     disjoint_union,
     format_edge_list,
     graph_count,
+    isomorphism_classes,
     named_graph,
     parse_edge_list,
     random_graph,
@@ -47,7 +48,7 @@ from .linalg import (
     nullspace,
     rank,
 )
-from .reporting import TheoremCheck
+from .reporting import TheoremCheck, VerificationError
 from .symmetry import (
     AutomorphismGroup,
     CurvatureTable,

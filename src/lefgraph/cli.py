@@ -4,7 +4,8 @@ Subcommands: analyze, aut, zeta, random, verify-corpus.  Graphs come from an
 edge-list file or from --named; maps from --map (inline comma list or a map
 file).  Reports render as text (default) or JSON with exact numbers only.
 Exit codes: 0 success, 1 input error, 2 when a verification check failed
-or an internal linear-algebra step failed (a bug in lefgraph, not the input).
+or an internal linear-algebra step or count check failed (a bug in lefgraph,
+not the input).
 """
 
 from __future__ import annotations
@@ -40,13 +41,11 @@ from .graphs import (
     read_graph,
 )
 from .linalg import LinearAlgebraError
-from .reporting import TheoremCheck
+from .reporting import TheoremCheck, VerificationError
 from .symmetry import (
     SymmetryError,
     automorphism_group,
-    average_lefschetz,
     lefschetz_multiset,
-    orbigraph,
     verify_averaging_theorems,
 )
 from .verification import (
@@ -251,21 +250,21 @@ def cmd_aut(args) -> int:
     group = automorphism_group(g)
     multiset = lefschetz_multiset(g, group, spaces)
     averaging = verify_averaging_theorems(g, group, spaces)
-    quotient = orbigraph(g, group)
     report = {
         "graph": _graph_section(g, spaces),
         "group": {
             "order": group.order,
             "lefschetz_multiset": [[value, count] for value, count in multiset.items()],
-            "average_lefschetz": average_lefschetz(g, group, spaces),
+            "average_lefschetz": averaging.average,
         },
     }
     if args.orbigraph:
+        quotient = averaging.quotient
         report["orbigraph"] = {
             "classes": [list(c) for c in quotient.classes],
             "n": quotient.graph.n,
             "edge_count": quotient.graph.edge_count,
-            "euler_characteristic": build_complex(quotient.graph).euler_characteristic(),
+            "euler_characteristic": averaging.quotient_chi,
         }
     if args.curvature:
         report["curvature"] = [
@@ -418,8 +417,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except LinearAlgebraError as exc:
-        # A ValueError, but raised by lefgraph's own arithmetic, not input.
+    except (LinearAlgebraError, VerificationError) as exc:
+        # Raised by lefgraph's own arithmetic or checks, not by the input.
         print(f"lefgraph: error: {exc}", file=sys.stderr)
         return 2
     except (GraphError, MapError, SymmetryError, ZetaError, ValueError) as exc:

@@ -1,39 +1,59 @@
 """Expected Lefschetz numbers over random-graph spaces.
 
 The exhaustive mode averages the average Lefschetz number L(G) over every
-labeled graph on n vertices, exact rational arithmetic throughout.  The
-sampling mode exists for larger n and never replaces the exhaustive runs.
+labeled graph on n vertices, exact rational arithmetic throughout.  L(G) is
+an isomorphism invariant, so it is computed once per isomorphism class and
+weighted by the class's number of labeled graphs.  The sampling mode exists
+for larger n and never replaces the exhaustive runs.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 
-from .complexes import build_complex
-from .cohomology import CochainSpaces
-from .graphs import Graph, all_graphs, graph_count, random_graph
-from .symmetry import automorphism_group, average_lefschetz
+from .graphs import Graph, graph_count, isomorphism_classes, random_graph
+from .reporting import VerificationError
+from .symmetry import AutomorphismGroup, automorphism_group, average_lefschetz
 
 MAX_EXHAUSTIVE_EXPECTATION = 6
 
 
-def graph_average_lefschetz(g: Graph) -> int:
-    """L(G) for a single graph, building everything fresh."""
-    cx = build_complex(g)
-    spaces = CochainSpaces(cx)
-    return average_lefschetz(g, automorphism_group(g), spaces)
+def graph_average_lefschetz(g: Graph, group: AutomorphismGroup | None = None) -> int:
+    """L(G) for a single graph, on a fresh complex and, unless given, a
+    fresh automorphism group."""
+    return average_lefschetz(g, group)
 
 
 def expectation_exhaustive(n: int, cap: int = MAX_EXHAUSTIVE_EXPECTATION) -> Fraction:
-    """E_n[L]: mean of L(G) over all 2^(n(n-1)/2) labeled graphs."""
+    """E_n[L]: mean of L(G) over all 2^(n(n-1)/2) labeled graphs.
+
+    The sum runs over isomorphism classes, each L(G) weighted by the class's
+    orbit size.  Two counts are checked on the way, and VerificationError is
+    raised on a mismatch: orbit size times |Aut| of the representative must
+    be n! (orbit-stabilizer, which compares the orbit walk with the
+    automorphism search), and the orbit sizes must add up to the number of
+    labeled graphs.
+    """
     if n > cap:
         raise ValueError(
             f"exhaustive expectation capped at {cap} vertices (got {n}); "
             "raise the cap explicitly to go further")
     total = 0
-    for g in all_graphs(n):
-        total += graph_average_lefschetz(g)
+    labeled = 0
+    for rep, size in isomorphism_classes(n):
+        group = automorphism_group(rep)
+        if size * group.order != factorial(n):
+            raise VerificationError(
+                f"orbit-stabilizer fails on {rep}: orbit size {size} times "
+                f"|Aut| {group.order} is {size * group.order}, not {n}! = {factorial(n)}")
+        total += size * graph_average_lefschetz(rep, group)
+        labeled += size
+    if labeled != graph_count(n):
+        raise VerificationError(
+            f"the isomorphism classes on {n} vertices hold {labeled} labeled "
+            f"graphs, not 2^C({n},2) = {graph_count(n)}")
     return Fraction(total, graph_count(n))
 
 

@@ -279,22 +279,71 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
 MAX_EXHAUSTIVE_VERTICES = 7
 
 
-def all_graphs(n: int):
-    """Yield every labeled graph on n vertices in a fixed deterministic order.
-
-    Edge slots are the lexicographically sorted vertex pairs; graph number m
-    includes slot i exactly when bit i of m is set.  First graph is discrete,
-    last is complete.  Refuses n > MAX_EXHAUSTIVE_VERTICES (the count doubles
-    per edge slot: n = 8 already means 2^28 graphs).
-    """
+def _exhaustive_slots(n: int) -> list[tuple[int, int]]:
+    """The edge slots of the exhaustive enumerations: the lexicographically
+    sorted vertex pairs.  Refuses n < 0 and n > MAX_EXHAUSTIVE_VERTICES (the
+    count doubles per edge slot: n = 8 already means 2^28 graphs)."""
     if n < 0:
         raise GraphError("vertex count must be nonnegative")
     if n > MAX_EXHAUSTIVE_VERTICES:
         raise GraphError(
             f"exhaustive enumeration is capped at {MAX_EXHAUSTIVE_VERTICES} vertices")
-    pairs = list(combinations(range(n), 2))
+    return list(combinations(range(n), 2))
+
+
+def all_graphs(n: int):
+    """Yield every labeled graph on n vertices in a fixed deterministic order.
+
+    Graph number m includes edge slot i exactly when bit i of m is set.
+    First graph is discrete, last is complete.
+    """
+    pairs = _exhaustive_slots(n)
     for mask in range(1 << len(pairs)):
         yield Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+
+
+def isomorphism_classes(n: int):
+    """Yield (representative, orbit size) for each isomorphism class of graphs
+    on n vertices, in all_graphs order of the representatives.
+
+    The edge masks are walked in all_graphs order.  The first mask not yet
+    visited represents a new class, and its whole S_n-orbit is marked by a
+    stack walk under two generators of S_n, the transposition (0 1) and the
+    n-cycle v -> v + 1.  Each generator acts on a mask through one lookup
+    table per byte of edge slots.  The orbit size is the number of labeled
+    graphs in the class, n!/|Aut| by orbit-stabilizer.
+    """
+    pairs = _exhaustive_slots(n)
+    slots = len(pairs)
+    slot = {p: i for i, p in enumerate(pairs)}
+    generators = []
+    if n >= 2:
+        for perm in ([1, 0, *range(2, n)], [(v + 1) % n for v in range(n)]):
+            target = [slot[min(perm[u], perm[v]), max(perm[u], perm[v])] for u, v in pairs]
+            generators.append([
+                [sum(1 << target[lo + i] for i in range(8) if byte >> i & 1)
+                 for byte in range(1 << min(8, slots - lo))]
+                for lo in range(0, slots, 8)])
+    seen = bytearray(1 << slots)
+    for mask in range(1 << slots):
+        if seen[mask]:
+            continue
+        seen[mask] = 1
+        size = 1
+        stack = [mask]
+        while stack:
+            m = stack.pop()
+            for tables in generators:
+                image = 0
+                rest = m
+                for table in tables:
+                    image |= table[rest & 255]
+                    rest >>= 8
+                if not seen[image]:
+                    seen[image] = 1
+                    size += 1
+                    stack.append(image)
+        yield Graph(n, [pairs[i] for i in range(slots) if mask >> i & 1]), size
 
 
 def graph_count(n: int) -> int:

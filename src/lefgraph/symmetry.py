@@ -8,7 +8,7 @@ characteristic, Burnside count).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import CliqueComplex, Simplex, build_complex
@@ -307,11 +307,15 @@ def orbigraph(g: Graph, group: AutomorphismGroup | None = None) -> Orbigraph:
 @dataclass
 class AveragingReport:
     """Results of the three averaging identities plus informational findings,
-    with the curvature table the first identity was checked on."""
+    with what they were checked on: the average Lefschetz number, the
+    curvature table, and the orbigraph with its Euler characteristic."""
 
     checks: list[TheoremCheck]
-    findings: list[str] = field(default_factory=list)
-    curvature: CurvatureTable | None = None
+    findings: list[str]
+    average: int
+    curvature: CurvatureTable
+    quotient: Orbigraph
+    quotient_chi: int
 
     @property
     def passed(self) -> bool:
@@ -359,4 +363,4 @@ def verify_averaging_theorems(g: Graph, group: AutomorphismGroup | None = None,
         if total not in (1, -1):
             findings.append(
                 f"curvature sum over orbit of {orbit[0]} is {total}, not +-1")
-    return AveragingReport(checks, findings, table)
+    return AveragingReport(checks, findings, avg, table, quotient, quotient_chi)

@@ -5,7 +5,7 @@ import pytest
 
 def pytest_addoption(parser):
     parser.addoption("--runslow", action="store_true", default=False,
-                     help="run long extended checks (exhaustive n=6 expectation)")
+                     help="run long extended checks (labeled E_6, E_7)")
 
 
 def pytest_configure(config):

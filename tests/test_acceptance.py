@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from dense import matmul
+from labeled import expectation_labeled
 from lefgraph.cohomology import CochainSpaces, verify_chain_map
 from lefgraph.complexes import build_complex
 from lefgraph.dynamics import (
@@ -123,8 +124,8 @@ def test_criterion_1_petersen_suite(corpus):
 def test_criterion_2_expectations():
     start = time.monotonic()
     failures = []
-    expected = {2: Fraction(1), 3: Fraction(11, 8),
-                4: Fraction(43, 32), 5: Fraction(1319, 1024)}
+    expected = {2: Fraction(1), 3: Fraction(11, 8), 4: Fraction(43, 32),
+                5: Fraction(1319, 1024), 6: Fraction(8479, 8192)}
     for n, want in expected.items():
         got = expectation_exhaustive(n)
         if got != want:
@@ -136,16 +137,32 @@ def test_criterion_2_expectations():
 
 
 @pytest.mark.slow
-def test_criterion_2_optional_e6():
+def test_criterion_2_labeled_e6():
+    """E_6 by the labeled sum: all 32768 graphs on 6 vertices, each through
+    its own automorphism search and eliminations."""
     start = time.monotonic()
     failures = []
-    got = expectation_exhaustive(6)
+    got = expectation_labeled(6)
     if got != Fraction(8479, 8192):
-        failures.append(f"E_6 = {got}, want 8479/8192")
+        failures.append(f"labeled E_6 = {got}, want 8479/8192")
     elapsed = time.monotonic() - start
     if elapsed >= 1800:
         failures.append(f"took {elapsed:.1f}s, budget 1800s")
-    conclude("2 (optional E_6)", failures)
+    conclude("2 (labeled E_6)", failures)
+
+
+@pytest.mark.slow
+def test_criterion_2_e7():
+    """E_7 over the 1044 isomorphism classes of the 2^21 labeled graphs."""
+    start = time.monotonic()
+    failures = []
+    got = expectation_exhaustive(7, cap=7)
+    if got != Fraction(1289807, 2097152):
+        failures.append(f"E_7 = {got}, want 1289807/2097152")
+    elapsed = time.monotonic() - start
+    if elapsed >= 1800:
+        failures.append(f"took {elapsed:.1f}s, budget 1800s")
+    conclude("2 (E_7)", failures)
 
 
 def three_way(g, cx, spaces, t, label, failures):

@@ -1,6 +1,7 @@
 """End-to-end command-line tests, run in process."""
 
 import json
+import sys
 
 import pytest
 
@@ -155,6 +156,39 @@ def test_aut_orbigraph(capsys):
     assert q["classes"] == [list(range(10))]
     assert q["n"] == 1 and q["edge_count"] == 0
     assert q["euler_characteristic"] == 1
+
+
+def _count_calls(monkeypatch, module, name):
+    """Record every call of module.name, through whichever lefgraph module
+    imported it."""
+    real = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("lefgraph") and vars(mod).get(name) is real:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_aut_reads_the_checked_quotient(capsys, monkeypatch):
+    """The report reuses the average and the quotient that the averaging
+    check computed: one orbigraph, and complexes of the graph and the
+    quotient only."""
+    import lefgraph.complexes as complexes
+    import lefgraph.symmetry as symmetry
+
+    quotients = _count_calls(monkeypatch, symmetry, "orbigraph")
+    complexes_built = _count_calls(monkeypatch, complexes, "build_complex")
+    code, report = run_json(capsys, "aut", "--named", "petersen", "--orbigraph")
+    assert code == 0
+    assert len(quotients) == 1
+    assert len(complexes_built) == 2
+    assert report["orbigraph"]["euler_characteristic"] == 1
+    assert report["group"]["average_lefschetz"] == 1
 
 
 def test_zeta_single_map(capsys, c4_file):

@@ -2,13 +2,16 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lefgraph import graphs
 from lefgraph.graphs import (
     Graph,
+    GraphError,
     GraphFormatError,
     all_graphs,
     complete_graph,
@@ -19,6 +22,7 @@ from lefgraph.graphs import (
     format_edge_list,
     graph_count,
     induced_subgraph,
+    isomorphism_classes,
     named_graph,
     named_graph_names,
     octahedron_graph,
@@ -201,6 +205,47 @@ def test_all_graphs_census():
         assert len({tuple(g.sorted_edges()) for g in graphs}) == len(graphs)
     with pytest.raises(Exception):
         list(all_graphs(8))
+
+
+def test_isomorphism_class_counts_and_sizes():
+    for n, classes in enumerate([1, 1, 2, 4, 11, 34, 156]):
+        found = list(isomorphism_classes(n))
+        assert len(found) == classes
+        assert sum(size for _, size in found) == graph_count(n)
+
+
+def _mask(g):
+    """The number of g in all_graphs order."""
+    slots = {p: i for i, p in enumerate(combinations(range(g.n), 2))}
+    return sum(1 << slots[e] for e in g.edges)
+
+
+def test_each_class_is_represented_by_its_first_labeled_graph():
+    """Against a brute force over all n! relabelings: the representative is
+    the least mask of its class, the size is the number of distinct masks,
+    and every labeled graph falls in exactly one class."""
+    for n in range(6):
+        covered = set()
+        for rep, size in isomorphism_classes(n):
+            orbit = {_mask(Graph(n, [(p[u], p[v]) for u, v in rep.edges]))
+                     for p in permutations(range(n))}
+            assert _mask(rep) == min(orbit)
+            assert size == len(orbit)
+            assert not covered & orbit
+            covered |= orbit
+        assert covered == set(range(graph_count(n)))
+        reps = [_mask(rep) for rep, _ in isomorphism_classes(n)]
+        assert reps == sorted(reps)
+
+
+@pytest.mark.parametrize("n", [8, -1])
+def test_isomorphism_classes_refuse_before_allocating(monkeypatch, n):
+    allocated = []
+    monkeypatch.setattr(graphs, "bytearray",
+                        lambda size: allocated.append(size), raising=False)
+    with pytest.raises(GraphError):
+        next(isomorphism_classes(n))
+    assert allocated == []
 
 
 def test_random_graph_is_seeded_and_valid():

@@ -1,9 +1,19 @@
 """Corpus sweeps and the expectation-over-random-graphs experiments."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from labeled import expectation_labeled
+from lefgraph import experiments
+from lefgraph.cli import main
 from lefgraph.cohomology import CochainSpaces
 from lefgraph.complexes import build_complex
 from lefgraph.dynamics import attractor, identity_map, lefschetz_cohomological, validate_map
@@ -12,8 +22,9 @@ from lefgraph.experiments import (
     expectation_sampled,
     graph_average_lefschetz,
 )
-from lefgraph.graphs import cycle_graph, named_graph, path_graph, petersen_graph
-from lefgraph.reporting import TheoremCheck
+from lefgraph.graphs import Graph, cycle_graph, named_graph, path_graph, petersen_graph
+from lefgraph.reporting import TheoremCheck, VerificationError
+from lefgraph.symmetry import AutomorphismGroup, automorphism_group
 from lefgraph.zeta import MAX_SERIES_ORDER
 from lefgraph.verification import (
     CorpusReport,
@@ -104,6 +115,97 @@ def test_expectation_exhaustive_small():
     assert expectation_exhaustive(2) == 1
     assert expectation_exhaustive(3) == Fraction(11, 8)
     assert expectation_exhaustive(4) == Fraction(43, 32)
+
+
+def test_class_sum_matches_the_labeled_sum():
+    for n in range(6):
+        assert expectation_exhaustive(n) == expectation_labeled(n)
+
+
+@st.composite
+def relabeled_graphs(draw):
+    """A graph on at most 7 vertices and a random relabeling of it."""
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, edges), Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabeled_graphs())
+def test_average_lefschetz_is_an_isomorphism_invariant(pair):
+    """The premise of the class sum: relabeling a graph keeps L(G)."""
+    g, h = pair
+    assert graph_average_lefschetz(g) == graph_average_lefschetz(h)
+
+
+def test_graph_average_lefschetz_uses_a_given_group():
+    g = cycle_graph(5)
+    group = automorphism_group(g)
+    assert graph_average_lefschetz(g, group) == graph_average_lefschetz(g) == 1
+    # The rotations alone average L = 0: the five reflections carry L = 2.
+    rotations = AutomorphismGroup(g, tuple(
+        t for t in group if all((t.image[v] - t.image[0]) % 5 == v for v in range(5))))
+    assert rotations.order == 5
+    assert graph_average_lefschetz(g, rotations) == 0
+
+
+def _drop_one_element(monkeypatch):
+    """Make the automorphism search of the expectations lose its last element."""
+    def short(g):
+        group = automorphism_group(g)
+        return AutomorphismGroup(g, group.elements[:-1])
+
+    monkeypatch.setattr(experiments, "automorphism_group", short)
+
+
+def test_orbit_stabilizer_mismatch_raises_with_both_values(monkeypatch):
+    _drop_one_element(monkeypatch)
+    with pytest.raises(VerificationError) as info:
+        expectation_exhaustive(4)
+    # The first class is the discrete graph: one labeled graph, |Aut| = 24.
+    assert "orbit size 1 times |Aut| 23 is 23, not 4! = 24" in str(info.value)
+
+
+def test_missing_class_raises_with_both_counts(monkeypatch):
+    real = experiments.isomorphism_classes
+    monkeypatch.setattr(experiments, "isomorphism_classes",
+                        lambda n: list(real(n))[:-1])  # drop K_4
+    with pytest.raises(VerificationError, match=r"hold 63 labeled graphs, not 2\^C\(4,2\) = 64"):
+        expectation_exhaustive(4)
+
+
+def test_orbit_stabilizer_mismatch_exits_2(monkeypatch, capsys):
+    _drop_one_element(monkeypatch)
+    assert main(["random", "--n", "4", "--exhaustive"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is 23, not 4! = 24" in captured.err
+
+
+OPTIMIZED_MISMATCH = textwrap.dedent("""
+    import sys
+    from lefgraph import experiments
+    from lefgraph.cli import main
+    from lefgraph.symmetry import AutomorphismGroup, automorphism_group
+
+    def short(g):
+        return AutomorphismGroup(g, automorphism_group(g).elements[:-1])
+
+    experiments.automorphism_group = short
+    sys.exit(main(["random", "--n", "4", "--exhaustive"]))
+""")
+
+
+def test_orbit_stabilizer_mismatch_exits_2_under_optimization():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_MISMATCH],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "is 23, not 4! = 24" in proc.stderr
 
 
 def test_expectation_cap():
