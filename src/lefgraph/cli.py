@@ -198,7 +198,8 @@ def _map_section(g: Graph, t: GraphMap,
                  spaces: CochainSpaces) -> tuple[dict, list[TheoremCheck]]:
     cx = spaces.cx
     core = attractor(t)
-    records = fixed_simplices(cx, t)
+    census = orbit_census(cx, t) if t.is_automorphism() else None
+    records = census.fixed if census is not None else fixed_simplices(cx, t)
     checks = lefschetz_checks(g, t, spaces, records)
     checks += attractor_checks(g, t, spaces, core)
     section = {
@@ -216,8 +217,8 @@ def _map_section(g: Graph, t: GraphMap,
         checks.append(TheoremCheck("brouwer_fixed_clique_exists",
                                    br.fixed_count > 0, br.fixed_count, "> 0"))
         section["brouwer_witness"] = list(br.witness) if br.witness else None
-    if t.is_automorphism():
-        product = zeta_product(orbit_census(cx, t))
+    if census is not None:
+        product = zeta_product(census)
         checks += zeta_checks(g, t, spaces, product=product)
         section["zeta"] = product.to_json()
     else:

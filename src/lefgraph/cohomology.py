@@ -14,11 +14,14 @@ its prefix x[:-1] plus its last vertex w, so image(x) is image(x[:-1]) plus
 T(w), and appending T(w) to the prefix's sorted image and sorting again
 multiplies the prefix's sign by (-1)^(vertices of image(x[:-1]) above T(w)).
 One lookup in the complex's extension table, (y, w) -> (index of y + {w},
-that parity), gives both.  The fixed-simplex index sum and the orbit census
-keep their own sorted walks on the simplices, so they share no step with
-this build.  The chain-map identity and d o d = 0 are checked on these
-integer rows in O(nonzeros).  Per row of d_k, the chain-map check compares
-the k+2 keys of each side and builds no summed row unless there is a
+that parity), gives both.  The orbit census (and, for an endomorphism, the
+fixed-simplex scan) walks the simplices themselves, sorting their images,
+so it shares no step with this build; for an automorphism the census's
+orbits of period 1 are the fixed simplices of the index sum.  The
+chain-map identity and d o d = 0 are checked on these integer rows in
+O(nonzeros).  Per row of d_k, the chain-map check reads the left side,
+times the row's pullback sign, into k+2 keys and compares it with the
+shared signed row of d_k; it builds no summed row unless there is a
 collision (two terms on one column, from a corrupt pullback or corrupt face
 rows) or the sides differ.
 
@@ -150,36 +153,45 @@ class Pullback:
 
 def verify_chain_map(spaces: CochainSpaces, image: tuple[int, ...]) -> bool:
     """Check d_k P_k == P_{k+1} d_k in every degree, on the map's pullbacks
-    and the face rows kept by `spaces`."""
+    and the face rows and coboundaries kept by `spaces`."""
     return pullbacks_commute([spaces.pullback(image, k) for k in range(spaces.dim + 1)],
-                             spaces.face_rows)
+                             spaces.face_rows, lambda k: spaces.coboundary(k).data)
 
 
-def pullbacks_commute(pullbacks: list[Pullback], face_rows) -> bool:
+def signed_rows(faces: list[tuple[int, ...]]) -> list[dict[int, int]]:
+    """The rows of d_k from its face rows: face i carries (-1)^i.  Two
+    equal entries in a face row (corrupt rows) keep only the last one's
+    sign."""
+    return [{f: -1 if i % 2 else 1 for i, f in enumerate(x)} for x in faces]
+
+
+def pullbacks_commute(pullbacks: list[Pullback], face_rows, coboundary_rows) -> bool:
     """Check d_k P_k == P_{k+1} d_k for the given P_0..P_dim, row by row.
 
     Row x of d_k P_k holds (-1)^i sign_k(f_i) at target_k(f_i) for the faces
-    f_i of x; row x of P_{k+1} d_k is sign_{k+1}(x) times row
-    target_{k+1}(x) of d_k.  Each side is read straight into a dict, one key
-    per face.  Only where a side has fewer keys than faces (two terms on one
-    column, which only a corrupt pullback or corrupt face rows give) or the
-    sides differ are the terms summed into rows without zero entries and
-    compared, so the verdict is that of the summed rows on every input.
-    `face_rows(k)` gives the row pattern of d_k.
+    f_i of x; row x of P_{k+1} d_k is s = sign_{k+1}(x) times row
+    y = target_{k+1}(x) of d_k.  The left side times s is read straight
+    into a dict, one key per face, and compared with the signed row y of
+    d_k as `coboundary_rows(k)` holds it.  Only where a side has fewer keys
+    than faces (two terms on one column, which only a corrupt pullback or
+    corrupt face rows give) or the sides differ are the terms of both
+    summed into rows without zero entries and compared, so the verdict is
+    that of the summed rows on every input.  `face_rows(k)` gives the row
+    pattern of d_k and `coboundary_rows(k)` its rows, `signed_rows` of
+    that pattern.
     """
     for k in range(len(pullbacks) - 1):
-        faces = face_rows(k)
+        faces, rows = face_rows(k), coboundary_rows(k)
         pk, pk1 = pullbacks[k], pullbacks[k + 1]
         target, sign = pk.target_index, pk.sign
         for x_faces, y, s in zip(faces, pk1.target_index, pk1.sign, strict=True):
-            y_faces = faces[y]
-            left = {target[f]: -sign[f] if i % 2 else sign[f]
+            left = {target[f]: -s * sign[f] if i % 2 else s * sign[f]
                     for i, f in enumerate(x_faces)}
-            right = {g: -s if j % 2 else s for j, g in enumerate(y_faces)}
-            if left != right or len(left) < len(x_faces) or len(right) < len(y_faces):
-                if _sparse_row((target[f], -sign[f] if i % 2 else sign[f])
+            y_faces = faces[y]
+            if left != rows[y] or len(left) < len(x_faces) or len(rows[y]) < len(y_faces):
+                if _sparse_row((target[f], -s * sign[f] if i % 2 else s * sign[f])
                                for i, f in enumerate(x_faces)) != \
-                        _sparse_row((g, -s if j % 2 else s) for j, g in enumerate(y_faces)):
+                        _sparse_row((g, -1 if j % 2 else 1) for j, g in enumerate(y_faces)):
                     return False
     return True
 
@@ -314,8 +326,7 @@ class CochainSpaces:
         """d_k as sparse integer rows, one per (k+1)-simplex, over the
         k-simplices.  The result is shared: callers must not modify it."""
         if k not in self._d:
-            rows = [{f: -1 if i % 2 else 1 for i, f in enumerate(faces)}
-                    for faces in self.face_rows(k)]
+            rows = signed_rows(self.face_rows(k))
             self._d[k] = SparseMatrix(len(rows), self.cx.count(k), rows)
         return self._d[k]
 

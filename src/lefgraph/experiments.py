@@ -3,8 +3,10 @@
 The exhaustive mode averages the average Lefschetz number L(G) over every
 labeled graph on n vertices, exact rational arithmetic throughout.  L(G) is
 an isomorphism invariant, so it is computed once per isomorphism class and
-weighted by the class's number of labeled graphs.  The sampling mode exists
-for larger n and never replaces the exhaustive runs.
+weighted by the class's number of labeled graphs.  The sampling mode reaches
+past the exhaustive cap, up to the automorphism search's cap of
+`DEFAULT_GROUP_CAP` (12) vertices, since each sample's L(G) averages over
+its automorphism group; it never replaces the exhaustive runs.
 """
 
 from __future__ import annotations
@@ -15,7 +17,12 @@ from math import factorial
 
 from .graphs import Graph, graph_count, isomorphism_classes, random_graph
 from .reporting import VerificationError
-from .symmetry import AutomorphismGroup, automorphism_group, average_lefschetz
+from .symmetry import (
+    DEFAULT_GROUP_CAP,
+    AutomorphismGroup,
+    automorphism_group,
+    average_lefschetz,
+)
 
 MAX_EXHAUSTIVE_EXPECTATION = 6
 
@@ -59,9 +66,16 @@ def expectation_exhaustive(n: int, cap: int = MAX_EXHAUSTIVE_EXPECTATION) -> Fra
 
 def expectation_sampled(n: int, edge_probability: Fraction, samples: int,
                         seed: int) -> Fraction:
-    """Empirical mean of L(G) over seeded Erdos-Renyi samples, exact rational."""
+    """Empirical mean of L(G) over seeded Erdos-Renyi samples, exact rational.
+
+    Every sample's automorphism group is enumerated, so n above that
+    search's cap is refused before any sample is drawn."""
     if samples < 1:
         raise ValueError("need at least one sample")
+    if n > DEFAULT_GROUP_CAP:
+        raise ValueError(
+            f"sampling needs each sample's automorphism group, and automorphism "
+            f"enumeration is capped at {DEFAULT_GROUP_CAP} vertices (got {n})")
     rng = random.Random(seed)
     total = 0
     for _ in range(samples):

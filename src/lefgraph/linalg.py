@@ -16,6 +16,8 @@ give identical bases.
 
 `det_one_minus_z` reduces a square matrix to Hessenberg form by similarity
 and reads the characteristic polynomial off the Hessenberg recurrence.
+`cyclotomic_exponents` peels the cyclotomic factors F_d off such a
+polynomial by exact integer division.
 """
 
 from __future__ import annotations
@@ -374,6 +376,18 @@ def poly_pow(a: list[int], e: int) -> list[int]:
     return out
 
 
+def binomial_power(e: int, s: int, step: int = 1) -> list[int]:
+    """(1 + s z^step)^e for s = +-1 and e >= 0, by binomial coefficients:
+    the coefficient of z^(step (i+1)) is s (e - i) / (i + 1) times that of
+    z^(step i), an exact division."""
+    out = [0] * (e * step + 1)
+    c = 1
+    for i in range(e + 1):
+        out[i * step] = c
+        c = c * s * (e - i) // (i + 1)
+    return out
+
+
 def poly_derivative(a: list[int]) -> list[int]:
     if len(a) <= 1:
         return [0]
@@ -457,6 +471,85 @@ def cyclotomic_factor(d: int) -> list[int]:
             poly = poly_div_exact(poly, cyclotomic_factor(e))
     _CYCLOTOMIC_CACHE[d] = list(poly)
     return poly
+
+
+def euler_phi(d: int) -> int:
+    """Euler's totient of d >= 1, the degree of F_d."""
+    out, m, p = d, d, 2
+    while p * p <= m:
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            out -= out // p
+        p += 1
+    if m > 1:
+        out -= out // m
+    return out
+
+
+def _divide_by_factor(a: list[int], d: int) -> list[int] | None:
+    """a / F_d when F_d divides the integer polynomial a exactly, else None;
+    deg a must be at least deg F_d.
+
+    Power-series division, exact in integers because F_d(0) = 1, followed
+    by a check that nothing remains above the quotient's degree.  For
+    F_1 = 1 - z the quotient is the prefix sums of a, and for F_2 = 1 + z
+    the alternating ones; the last such sum is a(1), resp. +-a(-1), which
+    must vanish.
+    """
+    if d <= 2:
+        q, acc = [], 0
+        if d == 1:
+            for c in a:
+                acc += c
+                q.append(acc)
+        else:
+            for c in a:
+                acc = c - acc
+                q.append(acc)
+        return None if q.pop() else q
+    f = [(j, c) for j, c in enumerate(cyclotomic_factor(d)) if c and j]
+    m = f[-1][0]
+    r = list(a)
+    top = len(r) - m
+    for i in range(top):
+        c = r[i]
+        if c:
+            for j, x in f:
+                r[i + j] -= c * x
+    if any(r[top:]):
+        return None
+    return r[:top]
+
+
+def cyclotomic_exponents(a: list[int], order: int) -> tuple[dict[int, int], list[int]]:
+    """Peel the F_d with d dividing `order` off the integer polynomial a
+    with a(0) = 1, as when the roots of a are order-th roots of unity.
+
+    Returns the exponent of each F_d found and what is left.  Each F_d is
+    divided out until it no longer divides; the F_d are irreducible and
+    pairwise coprime, so the exponents do not depend on the order of
+    division, and what is left is [1] exactly when a is a product of such
+    F_d.  Only F_d of degree phi(d) <= deg a can divide, and
+    phi(d) >= sqrt(d / 2), so d runs up to 2 (deg a)^2 at most and `order`
+    is never factored.
+    """
+    a = poly_trim(a)
+    exponents: dict[int, int] = {}
+    for d in range(1, min(order, 2 * (len(a) - 1) ** 2) + 1):
+        if len(a) == 1:
+            break
+        if order % d:
+            continue
+        phi, e = euler_phi(d), 0
+        while phi < len(a):
+            q = _divide_by_factor(a, d)
+            if q is None:
+                break
+            a, e = q, e + 1
+        if e:
+            exponents[d] = e
+    return exponents, a
 
 
 def one_minus_z_to_the(p: int) -> dict[int, int]:

@@ -4,6 +4,13 @@ Covers group enumeration, orbits and stabilizers of simplices, Lefschetz
 curvature, the average Lefschetz number, the orbigraph quotient, and a
 verifier for the three averaging identities (curvature sum, quotient Euler
 characteristic, Burnside count).
+
+The curvature and Burnside count fold in one fixed-simplex list per group
+element (`FixedSimplexSweep`).  A caller that already walked an element's
+simplices, as `zeta.orbit_census` does, passes that walk's fixed simplices;
+otherwise the sweep scans them.  `simplex_orbits_under_map` lists the
+orbits of one automorphism with their members; the census does not build
+them.
 """
 
 from __future__ import annotations

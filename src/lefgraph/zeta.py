@@ -6,11 +6,19 @@ degrees and a periodic-orbit product) and checked against the power series
 of its logarithmic derivative.  The graph zeta function multiplies the
 per-automorphism zetas over the whole group.
 
+Both routes are products of the cyclotomic factors F_d, so both end as the
+exponent vector {d: e_d} of zeta = prod_d F_d^(e_d) and are compared as
+vectors: the orbit product adds up the exponents of its factors 1 - z^p and
+1 + z^p, and the determinant route peels each det(1 - z T_k) by exact
+division.  The polynomials num and den are expanded only when read, and the
+census product's log-derivative series has a closed form.
+
 The series side, L(T^n) = sum_k (-1)^k tr(P_k^n), is read off the cycles of
 the map's signed chain pullbacks P_k: a cycle of length p whose signs
 multiply to s adds p * s^(n/p) at every multiple n of p.  The orbit census
 finds its orbits and signs on the simplices themselves, never through the
-pullbacks, so the two sides share no input.  Agreement on min(2 order(T),
+pullbacks, so the two sides share no input.  Its walk also hands over the
+map's fixed simplices, the orbits of period 1.  Agreement on min(2 order(T),
 2 |cx|) terms proves agreement for every n (see
 `verification.zeta_checks`); an explicit order may not exceed
 `MAX_SERIES_ORDER`.
@@ -23,10 +31,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .complexes import CliqueComplex, build_complex
-from .cohomology import CochainSpaces
-from .dynamics import GraphMap
+from .cohomology import CochainSpaces, permutation_parity_sign
+from .dynamics import FixedSimplexRecord, GraphMap
 from .graphs import Graph
 from .linalg import (
+    binomial_power,
+    cyclotomic_exponents,
     cyclotomic_factor,
     det_one_minus_z,
     one_minus_z_to_the,
@@ -38,7 +48,7 @@ from .linalg import (
     poly_pow,
     poly_trim,
 )
-from .symmetry import AutomorphismGroup, automorphism_group, simplex_orbits_under_map
+from .symmetry import AutomorphismGroup, automorphism_group
 
 
 # Largest series order a caller may ask for; the default order never
@@ -80,25 +90,34 @@ def _poly_text(c: list[int]) -> str:
 class RationalFunctionZ:
     """A rational function of z with value 1 at z = 0.
 
-    Stored as a coprime pair of primitive integer polynomials (ascending
-    coefficients, denominator constant term positive).  When the function was
-    built from an orbit census, the factor list [(p, e_minus, e_plus), ...]
-    with exponents of (1 - z^p) and (1 + z^p) is retained.
+    Its normal form is a coprime pair `num`, `den` of primitive integer
+    polynomials (ascending coefficients, denominator constant term
+    positive).  A function built from exponents keeps them instead and
+    expands the pair only when `num` or `den` is read:
+
+    - `cyclotomic`, the exponent vector {d: e_d} with zeta = prod_d
+      F_d^(e_d), F_d = `linalg.cyclotomic_factor(d)`, no exponent zero;
+    - `factors`, when the function was built from an orbit census, the list
+      [(p, e_minus, e_plus), ...] of exponents of (1 - z^p) and (1 + z^p).
+
+    The F_d are irreducible and pairwise coprime, so two functions with
+    exponent vectors are equal exactly when the vectors are.
     """
 
-    __slots__ = ("num", "den", "factors")
+    __slots__ = ("_num", "_den", "factors", "cyclotomic")
 
     def __init__(self, num: list[int], den: list[int],
                  factors: tuple[tuple[int, int, int], ...] | None = None):
-        self.num = tuple(poly_trim(num))
-        self.den = tuple(poly_trim(den))
+        self._num = tuple(poly_trim(num))
+        self._den = tuple(poly_trim(den))
         self.factors = factors
-        if self.den[0] <= 0 or self.num[0] != self.den[0]:
+        self.cyclotomic: dict[int, int] | None = None
+        if self._den[0] <= 0 or self._num[0] != self._den[0]:
             raise ZetaError("zeta functions must satisfy zeta(0) = 1")
 
     @classmethod
     def one(cls) -> "RationalFunctionZ":
-        return cls([1], [1], ())
+        return cls.from_factors({})
 
     @classmethod
     def from_quotient(cls, num, den) -> "RationalFunctionZ":
@@ -121,13 +140,22 @@ class RationalFunctionZ:
         return cls(num, den)
 
     @classmethod
+    def from_cyclotomic(cls, exponents: dict[int, int],
+                        factors: tuple[tuple[int, int, int], ...] | None = None
+                        ) -> "RationalFunctionZ":
+        """prod_d F_d^(e_d) for exponents {d: e_d}, kept unexpanded."""
+        out = cls.__new__(cls)
+        out._num = out._den = None
+        out.factors = factors
+        out.cyclotomic = {d: e for d, e in sorted(exponents.items()) if e}
+        return out
+
+    @classmethod
     def from_factors(cls, exponents: dict[int, tuple[int, int]]) -> "RationalFunctionZ":
         """Build from {period p: (exponent of 1-z^p, exponent of 1+z^p)}.
 
-        Expansion goes through the cyclotomic building blocks F_d (constant
-        term 1), whose exponents are added up; positive exponents multiply
-        into the numerator, negative into the denominator, so the pair is
-        coprime by construction with no polynomial gcd needed.
+        The cyclotomic exponents are added up over the F_d that make up
+        each 1 - z^p and 1 + z^p; nothing is expanded.
         """
         cyclo: dict[int, int] = {}
         factors = []
@@ -142,14 +170,27 @@ class RationalFunctionZ:
             if e_plus:
                 for d in one_plus_z_to_the(p):
                     cyclo[d] = cyclo.get(d, 0) + e_plus
-        num, den = [1], [1]
-        for d in sorted(cyclo):
-            e = cyclo[d]
-            if e > 0:
-                num = poly_mul(num, poly_pow(cyclotomic_factor(d), e))
-            elif e < 0:
-                den = poly_mul(den, poly_pow(cyclotomic_factor(d), -e))
-        return cls(num, den, tuple(factors))
+        return cls.from_cyclotomic(cyclo, tuple(factors))
+
+    @property
+    def num(self) -> tuple[int, ...]:
+        if self._num is None:
+            self._expand()
+        return self._num
+
+    @property
+    def den(self) -> tuple[int, ...]:
+        if self._den is None:
+            self._expand()
+        return self._den
+
+    def _expand(self) -> None:
+        """num = product of the F_d^e with e > 0, den that of the F_d^-e
+        with e < 0: coprime, primitive (Gauss) and with constant term 1."""
+        sides = {1: {}, -1: {}}
+        for d, e in self.cyclotomic.items():
+            sides[1 if e > 0 else -1][d] = abs(e)
+        self._num, self._den = (tuple(_expand_product(sides[s])) for s in (1, -1))
 
     def __mul__(self, other: "RationalFunctionZ") -> "RationalFunctionZ":
         if self.factors is not None and other.factors is not None:
@@ -163,8 +204,12 @@ class RationalFunctionZ:
             poly_mul(list(self.den), list(other.den)))
 
     def __eq__(self, other) -> bool:
+        """Exponent vectors when both sides have one, else num/den
+        cross-multiplied."""
         if not isinstance(other, RationalFunctionZ):
             return NotImplemented
+        if self.cyclotomic is not None and other.cyclotomic is not None:
+            return self.cyclotomic == other.cyclotomic
         return poly_mul(list(self.num), list(other.den)) == \
             poly_mul(list(other.num), list(self.den))
 
@@ -177,10 +222,20 @@ class RationalFunctionZ:
     def log_derivative_series(self, count: int) -> list[int]:
         """First `count` coefficients l_1..l_count with zeta'/zeta = sum l_n z^(n-1).
 
-        Exact long division of (num' den - num den') by (num den); all
-        coefficients are integers because both polynomials have constant
-        term 1 up to a common factor.
+        From census factors, the closed form: log(1 - z^p) and log(1 + z^p)
+        have z^n-coefficients -p/n and (-1)^(n/p+1) p/n at the multiples n
+        of p, so l_n = sum over p | n of p (e_plus (-1)^(n/p+1) - e_minus).
+        Otherwise exact long division of (num' den - num den') by (num
+        den); all coefficients are integers because both polynomials have
+        constant term 1 up to a common factor.
         """
+        if self.factors is not None:
+            series = [0] * count
+            for p, e_minus, e_plus in self.factors:
+                odd, even = p * (e_plus - e_minus), -p * (e_plus + e_minus)
+                for m, n in enumerate(range(p - 1, count, p)):
+                    series[n] += even if m % 2 else odd
+            return series
         num, den = list(self.num), list(self.den)
         a = poly_trim([x - y for x, y in _pad(
             poly_mul(poly_derivative(num), den), poly_mul(num, poly_derivative(den)))])
@@ -221,8 +276,25 @@ class RationalFunctionZ:
             return _poly_text(list(self.num))
         return f"({_poly_text(list(self.num))}) / ({_poly_text(list(self.den))})"
 
+    __str__ = text
+
     def __repr__(self) -> str:
         return f"RationalFunctionZ({self.text()})"
+
+
+def _expand_product(exponents: dict[int, int]) -> list[int]:
+    """prod_d F_d^(e_d) for positive exponents.  F_1^a F_2^b is
+    (1 - z^2)^m (1 - z)^(a-m) (1 + z)^(b-m) with m = min(a, b), each power
+    a list of binomial coefficients, so a large a or b costs one product of
+    sizes m and |a - b|."""
+    a, b = exponents.get(1, 0), exponents.get(2, 0)
+    m = min(a, b)
+    out = poly_mul(binomial_power(m, -1, 2),
+                   poly_mul(binomial_power(a - m, -1), binomial_power(b - m, 1)))
+    for d, e in exponents.items():
+        if d > 2:
+            out = poly_mul(out, poly_pow(cyclotomic_factor(d), e))
+    return out
 
 
 def _pad(a: list[int], b: list[int]) -> list[tuple[int, int]]:
@@ -261,12 +333,16 @@ class OrbitCensus:
 
     a(p): odd-dimensional, T^p-signature +1;  b(p): even-dimensional, +1;
     c(p): odd-dimensional, signature -1;      d(p): even-dimensional, -1.
+
+    `fixed` holds the walked map's orbits of period 1, its fixed simplices,
+    as `dynamics.fixed_simplices` lists them; a merged census has none.
     """
 
     a: dict[int, int] = field(default_factory=dict)
     b: dict[int, int] = field(default_factory=dict)
     c: dict[int, int] = field(default_factory=dict)
     d: dict[int, int] = field(default_factory=dict)
+    fixed: list[FixedSimplexRecord] = field(default_factory=list)
 
     def periods(self) -> list[int]:
         return sorted(set(self.a) | set(self.b) | set(self.c) | set(self.d))
@@ -293,25 +369,42 @@ class OrbitCensus:
 
 
 def orbit_census(cx: CliqueComplex, t: GraphMap) -> OrbitCensus:
-    """Classify every periodic orbit of an automorphism.
+    """Classify every periodic orbit of an automorphism, in one walk.
 
     For an orbit of minimal period p with representative x, the signature of
     T^p restricted to x decides the sign class; the dimension of x decides
-    the parity class.  The orbit walk applies t to the vertices of x itself
-    and reads that signature at the end of the period; the pullbacks are
-    never read: this route must stay apart from the chain traces it is
-    checked against.
+    the parity class.  The walk takes each unvisited simplex x in stored
+    order as a representative and applies t to the vertices of x itself,
+    marking each sorted image visited by its index, until the image is x
+    again; the unsorted vertex list then holds T^p on x, whose sort parity
+    is the sign.  A representative of period 1 is a fixed simplex and is
+    kept in `fixed`.  The pullbacks are never read: this route must stay
+    apart from the chain traces it is checked against.
     """
     if not t.is_automorphism():
         raise ZetaError("the orbit census needs an automorphism")
+    image = t.image
     census = OrbitCensus()
-    for orbit in simplex_orbits_under_map(cx, t):
-        p = orbit.period
-        sign = orbit.sign
-        odd_dim = len(orbit.representative) % 2 == 0  # dim = len - 1
-        target = (census.a if sign > 0 else census.c) if odd_dim else \
-            (census.b if sign > 0 else census.d)
-        target[p] = target.get(p, 0) + 1
+    fixed = census.fixed
+    for dim, (level, index) in enumerate(zip(cx.by_dim, cx.index)):
+        plus, minus = (census.a, census.c) if dim % 2 else (census.b, census.d)
+        visited = bytearray(len(level))
+        for i, x in enumerate(level):
+            if visited[i]:
+                continue
+            mapped = [image[v] for v in x]
+            y = tuple(sorted(mapped))
+            p = 1
+            while y != x:
+                visited[index[y]] = 1
+                p += 1
+                mapped = [image[v] for v in mapped]
+                y = tuple(sorted(mapped))
+            sign = permutation_parity_sign(mapped)
+            counts = plus if sign > 0 else minus
+            counts[p] = counts.get(p, 0) + 1
+            if p == 1:
+                fixed.append(FixedSimplexRecord(x, dim, sign, -sign if dim % 2 else sign))
     return census
 
 
@@ -325,17 +418,37 @@ def zeta_det(g: Graph, t: GraphMap,
     """Determinant route: prod_k det(1 - z T_k)^((-1)^(k+1)), k from 0.
 
     T_k is the matrix induced on H^k; even k lands in the denominator, odd k
-    in the numerator.
+    in the numerator.  T^N is the identity for N = order(T), so every
+    eigenvalue of T_k is an N-th root of unity and det(1 - z T_k) is a
+    product of F_d over divisors d of N.  Each det is peeled into those
+    exponents (`linalg.cyclotomic_exponents`), and the result is the
+    exponent vector.  A det that does not peel to 1, which only a wrong
+    T_k gives, makes this side the multiplied-out quotient of the dets,
+    normalized by `from_quotient`.
     """
     if not t.is_automorphism():
         raise ZetaError("the determinant formula needs finite order, i.e. an automorphism")
     if spaces is None:
         spaces = CochainSpaces(build_complex(g))
-    num, den = [1], [1]
+    order = t.order()
+    exponents: dict[int, int] = {}
+    dets: list[tuple[int, list]] = []
+    peeled = True
     for k in range(spaces.dim + 1):
         if spaces.betti(k) == 0:
             continue
         det = det_one_minus_z(spaces.induced_matrix(t.image, k))
+        dets.append((k, det))
+        if peeled:
+            found, rest = ({}, det) if any(type(c) is not int for c in det) else \
+                cyclotomic_exponents(det, order)
+            peeled = rest == [1]
+            for d, e in found.items():
+                exponents[d] = exponents.get(d, 0) + (e if k % 2 else -e)
+    if peeled:
+        return RationalFunctionZ.from_cyclotomic(exponents)
+    num, den = [1], [1]
+    for k, det in dets:
         if k % 2:
             num = poly_mul(num, det)
         else:

@@ -123,7 +123,9 @@ def test_aut_curvature_scans_each_element_once(capsys, monkeypatch):
     assert len(scanned) == len(set(scanned)) == report["group"]["order"] == 120
 
 
-def test_analyze_computes_each_per_map_input_once(capsys, monkeypatch):
+def _per_map_calls(capsys, monkeypatch, *argv):
+    """Run analyze and list the per-map inputs it computed, one entry per
+    call of `attractor`, `fixed_simplices` or `orbit_census`."""
     import lefgraph.cli as cli
     import lefgraph.dynamics as dynamics
     import lefgraph.verification as verification
@@ -140,13 +142,29 @@ def test_analyze_computes_each_per_map_input_once(capsys, monkeypatch):
         for module in (cli, dynamics, verification, zeta):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting)
-    # wheel:5 is connected and star-shaped, so the Brouwer check runs too.
-    code, report = run_json(capsys, "analyze", "--named", "wheel:5", "--map", "1,2,3,4,0,5")
+    code, report = run_json(capsys, "analyze", *argv)
     assert code == 0
+    return report, sorted(calls)
+
+
+def test_analyze_computes_each_per_map_input_once(capsys, monkeypatch):
+    # wheel:5 is connected and star-shaped, so the Brouwer check runs too.
+    # An automorphism's fixed simplices come with its orbit census.
+    report, calls = _per_map_calls(capsys, monkeypatch,
+                                   "--named", "wheel:5", "--map", "1,2,3,4,0,5")
     assert report["map"]["kind"] == "automorphism"
     assert "brouwer_witness" in report["map"]
     assert len(report["checks"]) == 10
-    assert sorted(calls) == ["attractor", "fixed_simplices", "orbit_census"]
+    assert calls == ["attractor", "orbit_census"]
+
+
+def test_analyze_scans_an_endomorphism_once(capsys, monkeypatch):
+    report, calls = _per_map_calls(capsys, monkeypatch,
+                                   "--named", "path:3", "--map", "0,1,0")
+    assert report["map"]["kind"] == "endomorphism"
+    assert "brouwer_witness" in report["map"]
+    assert report["map"]["zeta"] is None
+    assert calls == ["attractor", "fixed_simplices"]
 
 
 def test_aut_orbigraph(capsys):
@@ -297,6 +315,19 @@ def test_random_needs_a_mode(capsys):
     code, _, err = run(capsys, "random", "--n", "3", "--samples", "2",
                        "--p", "2/0")
     assert code == 1 and "probability" in err
+
+
+def test_random_samples_above_the_automorphism_cap_is_an_input_error(capsys, monkeypatch):
+    import lefgraph.experiments as experiments
+
+    def refuse(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(experiments, "random_graph", refuse)
+    code, out, err = run(capsys, "random", "--n", "13", "--samples", "1")
+    assert code == 1 and out == ""
+    assert "capped at 12 vertices (got 13)" in err
+    assert "Traceback" not in err
 
 
 def test_verify_corpus(capsys):

@@ -18,8 +18,11 @@ from lefgraph.linalg import (
     LinearAlgebraError,
     RationalMatrix,
     SparseMatrix,
+    binomial_power,
+    cyclotomic_exponents,
     cyclotomic_factor,
     det_one_minus_z,
+    euler_phi,
     nullspace,
     one_minus_z_to_the,
     one_plus_z_to_the,
@@ -387,6 +390,37 @@ def test_plus_minus_exponent_splits():
         for d in one_plus_z_to_the(p):
             plus = poly_mul(plus, cyclotomic_factor(d))
         assert plus == [1] + [0] * (p - 1) + [1]
+
+
+def test_euler_phi_is_the_degree_of_the_cyclotomic_factor():
+    for d in range(1, 60):
+        assert euler_phi(d) == len(cyclotomic_factor(d)) - 1
+
+
+def test_binomial_power_equals_repeated_products():
+    for e in range(7):
+        for s in (1, -1):
+            for step in (1, 2, 3):
+                assert binomial_power(e, s, step) == \
+                    poly_pow([1] + [0] * (step - 1) + [s], e), (e, s, step)
+
+
+def test_cyclotomic_exponents_peel_products_of_cyclotomic_factors():
+    """Random products of F_d, d | order, times a factor with no root of
+    unity as a root or with roots of another order: the exponents come
+    back, and exactly that factor is left."""
+    rng = random.Random(11)
+    for _ in range(200):
+        order = rng.choice([1, 2, 4, 6, 12, 30, 60, 255255])
+        divisors = [d for d in range(1, 40) if order % d == 0]
+        exponents = {d: rng.randrange(1, 4)
+                     for d in rng.sample(divisors, min(3, len(divisors)))}
+        rest = rng.choice([[1], [1, -2], [1, 1, 3], cyclotomic_factor(8),
+                           poly_mul([1, 2], cyclotomic_factor(9))])
+        a = rest
+        for d, e in exponents.items():
+            a = poly_mul(a, poly_pow(cyclotomic_factor(d), e))
+        assert cyclotomic_exponents(a, order) == (exponents, rest), (order, exponents, rest)
 
 
 def test_matrix_shape_guards():

@@ -266,8 +266,10 @@ def test_attractor_checks_build_spaces_for_a_proper_attractor(monkeypatch):
 
 
 def test_corpus_suite_scans_each_map_once(monkeypatch):
-    """Each map's fixed-simplex scan serves its index sum and the averaging
-    sweep or the Brouwer check, so the suite makes one scan per map."""
+    """Each map's simplices are walked once: an automorphism's orbit census
+    carries its fixed simplices for its index sum and the averaging sweep,
+    and an endomorphism's fixed-simplex scan serves its index sum and the
+    Brouwer check."""
     import lefgraph.dynamics as dynamics
     import lefgraph.symmetry as symmetry
     import lefgraph.verification as verification
@@ -281,6 +283,15 @@ def test_corpus_suite_scans_each_map_once(monkeypatch):
             return _real(cx, t)
 
         monkeypatch.setattr(module, "fixed_simplices", counting)
+    walked = []
+    real_census = verification.orbit_census
+
+    def census(cx, t):
+        walked.append(t.image)
+        return real_census(cx, t)
+
+    monkeypatch.setattr(verification, "orbit_census", census)
     report = run_corpus_suite(endomorphisms_per_graph=1, seed=3)
     assert report.passed and report.maps == 2062
-    assert scans == {"verification": 2062, "symmetry": 0, "dynamics": 0}
+    assert scans == {"verification": 32, "symmetry": 0, "dynamics": 0}
+    assert len(walked) == 2062 - 32

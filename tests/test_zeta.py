@@ -1,13 +1,19 @@
 """Zeta functions of graph automorphisms: normal form, census, both routes."""
 
+import importlib.util
 import random
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from lefgraph.cli import main
 from lefgraph.cohomology import CochainSpaces, Pullback
 from lefgraph.complexes import build_complex, euler_characteristic
 from lefgraph.dynamics import (
     fixed_index_sum,
+    fixed_simplices,
     identity_map,
     lefschetz_chain,
     random_endomorphism,
@@ -19,12 +25,13 @@ from lefgraph.graphs import (
     cycle_graph,
     disjoint_union,
     octahedron_graph,
+    parse_edge_list,
     petersen_graph,
     star_graph,
 )
-from lefgraph.linalg import poly_pow
+from lefgraph.linalg import RationalMatrix, det_one_minus_z, poly_mul, poly_pow
 from lefgraph.symmetry import automorphism_group
-from lefgraph.verification import named_corpus, zeta_checks
+from lefgraph.verification import named_corpus, run_corpus_suite, zeta_checks
 from lefgraph.zeta import (
     OrbitCensus,
     RationalFunctionZ,
@@ -331,3 +338,161 @@ def test_orbit_census_reads_no_pullback(monkeypatch):
     for cx, t, iterates in cases:
         product = zeta_product(orbit_census(cx, t))
         assert product.log_derivative_series(len(iterates)) == iterates, t.image
+
+
+def _corpus_automorphisms():
+    for name, g in named_corpus():
+        cx = build_complex(g)
+        spaces = CochainSpaces(cx)
+        for t in automorphism_group(g):
+            yield name, g, cx, spaces, t
+
+
+def test_census_series_closed_form_equals_long_division():
+    """The census product's series comes from its factors in closed form;
+    the same function as a plain quotient takes the long division."""
+    for name, g, cx, spaces, t in _corpus_automorphisms():
+        product = zeta_product(orbit_census(cx, t))
+        quotient = RationalFunctionZ(product.num, product.den)
+        assert quotient.factors is None and quotient.cyclotomic is None
+        order = min(2 * t.order(), 2 * len(cx))
+        assert product.log_derivative_series(order) == \
+            quotient.log_derivative_series(order), (name, t.image)
+
+
+def _hessenberg_quotient(spaces, t):
+    """zeta_det as a product of the det polynomials, normalized by
+    from_quotient: the route that peeling replaced."""
+    num, den = [1], [1]
+    for k in range(spaces.dim + 1):
+        if spaces.betti(k):
+            det = det_one_minus_z(spaces.induced_matrix(t.image, k))
+            if k % 2:
+                num = poly_mul(num, det)
+            else:
+                den = poly_mul(den, det)
+    return RationalFunctionZ.from_quotient(num, den)
+
+
+def _cycle_union(lengths):
+    edges, image, offset = [], [], 0
+    for n in lengths:
+        edges += [(offset + i, offset + (i + 1) % n) for i in range(n)]
+        image += [offset + (i + 1) % n for i in range(n)]
+        offset += n
+    g = parse_edge_list(f"vertices {offset}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    return g, validate_map(g, image)
+
+
+def _blockgraph():
+    """The large-graph benchmark's generator, `bench/blockgraph.py`."""
+    if "blockgraph" not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "bench" / "blockgraph.py"
+        spec = importlib.util.spec_from_file_location("blockgraph", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules["blockgraph"] = module  # dataclasses look their module up
+        spec.loader.exec_module(module)
+    return sys.modules["blockgraph"]
+
+
+def test_peeled_det_expands_to_the_hessenberg_quotient():
+    cases = [(name, g, spaces, t) for name, g, cx, spaces, t in _corpus_automorphisms()]
+    blockgraph = _blockgraph()
+    for seed in range(5):
+        bg = blockgraph.generate(seed)
+        g = parse_edge_list(bg.graph_text())
+        cases.append((f"blocks {seed}", g, CochainSpaces(build_complex(g)),
+                      validate_map(g, bg.image)))
+    g, t = _cycle_union((3, 5, 7, 11, 13, 17))
+    assert t.order() == 255255
+    cases.append(("cycles", g, CochainSpaces(build_complex(g)), t))
+    for name, g, spaces, t in cases:
+        peeled = zeta_det(g, t, spaces)
+        assert peeled.cyclotomic is not None, (name, t.image)
+        oracle = _hessenberg_quotient(spaces, t)
+        assert (peeled.num, peeled.den) == (oracle.num, oracle.den), (name, t.image)
+        assert peeled == oracle
+
+
+def test_census_carries_the_fixed_simplex_scan():
+    for name, g, cx, spaces, t in _corpus_automorphisms():
+        assert orbit_census(cx, t).fixed == fixed_simplices(cx, t), (name, t.image)
+
+
+def test_a_wrong_induced_matrix_fails_the_det_check_with_both_texts(monkeypatch, capsys):
+    """T_0 = [[2]] has an eigenvalue that is no root of unity, so its det
+    does not peel; that side falls back to the plain quotient, and the
+    check fails showing both functions."""
+    g = octahedron_graph()
+    t = validate_map(g, (3, 4, 5, 0, 1, 2))
+    real = CochainSpaces.induced_matrix
+
+    def wrong(self, image, k):
+        return RationalMatrix(1, 1, [[2]]) if k == 0 else real(self, image, k)
+
+    monkeypatch.setattr(CochainSpaces, "induced_matrix", wrong)
+    check = zeta_checks(g, t, CochainSpaces(build_complex(g)))[0]
+    assert check.name == "zeta_det_equals_product" and not check.passed
+    assert check.lhs.cyclotomic is None
+    expected = "FAIL zeta_det_equals_product: (1) / (1 - z - 2z^2) vs (1-z^2)^-1"
+    assert check.describe() == expected
+    assert main(["analyze", "--named", "octahedron", "--map", "3,4,5,0,1,2"]) == 2
+    captured = capsys.readouterr()
+    assert "  " + expected + "\n" in captured.out and captured.err == ""
+
+
+def test_wrong_induced_matrices_get_the_verdict_of_the_multiplied_dets(monkeypatch):
+    """Random T_k in place of the induced maps: signed permutations (finite
+    order, mostly the wrong one), small integer and fractional matrices.
+    The det route peels or falls back, and its verdict against the orbit
+    product, its num and its den are those of the multiplied-out dets."""
+    rng = random.Random(5)
+
+    def draw(b):
+        kind = rng.randrange(3)
+        if kind == 0:
+            perm = rng.sample(range(b), b)
+            return [[rng.choice((1, -1)) if perm[i] == j else 0 for j in range(b)]
+                    for i in range(b)]
+        if kind == 1:
+            return [[rng.randint(-1, 1) for _ in range(b)] for _ in range(b)]
+        return [[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(b)]
+                for _ in range(b)]
+
+    real = CochainSpaces.induced_matrix
+    fake = {}
+    monkeypatch.setattr(CochainSpaces, "induced_matrix",
+                        lambda self, image, k: fake.get(k) or real(self, image, k))
+    outcomes = set()
+    for g in (octahedron_graph(), petersen_graph(), cycle_graph(6), complete_graph(4),
+              disjoint_union(cycle_graph(4), cycle_graph(5))):
+        cx = build_complex(g)
+        group = list(automorphism_group(g))
+        for t in rng.sample(group, min(len(group), 12)):
+            spaces = CochainSpaces(cx)
+            product = zeta_product(orbit_census(cx, t))
+            fake.clear()
+            for k in range(cx.dim + 1):
+                if spaces.betti(k) and rng.random() < 0.6:
+                    fake[k] = RationalMatrix.from_rows(draw(spaces.betti(k)))
+            peeled, oracle = zeta_det(g, t, spaces), _hessenberg_quotient(spaces, t)
+            assert (peeled == product) == (oracle == product), (g, t.image, fake)
+            assert (peeled.num, peeled.den) == (oracle.num, oracle.den)
+            outcomes.add((peeled == product, peeled.cyclotomic is not None))
+    assert {(True, True), (False, True), (False, False)} <= outcomes
+
+
+def test_corpus_suite_multiplies_no_polynomials(monkeypatch):
+    """Both zeta routes of every corpus automorphism are compared as
+    exponent vectors: no polynomial product and no polynomial gcd."""
+    def refuse(*args):
+        raise AssertionError("a polynomial was multiplied out")
+
+    for name, module in list(sys.modules.items()):
+        if name == "lefgraph" or name.startswith("lefgraph."):
+            for attr in ("poly_gcd", "poly_mul"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    report = run_corpus_suite(1, 0)
+    assert report.passed
+    assert (report.graphs, report.maps, report.checks) == (32, 2062, 10495)
