@@ -42,10 +42,9 @@ from .graphs import (
     read_graph,
 )
 from .linalg import (
-    RationalMatrix,
+    ScaledMatrix,
     SparseMatrix,
     det_one_minus_z,
-    nullspace,
     rank,
 )
 from .reporting import TheoremCheck, VerificationError

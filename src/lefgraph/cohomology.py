@@ -33,14 +33,24 @@ and a cocycle's values on the free columns are its coordinates in
 ker(d_k).  The rows of d_{k-1} at the free k-simplices span im(d_{k-1}) in
 those coordinates; one sparse `rref` of them picks the representatives (its
 non-pivot columns) and reads a cocycle's class (reduction modulo its rows).
-Every pulled-back representative is checked to be a cocycle on the face
-rows before it is read, and the two routes must agree on the number of
-representatives.  Fractions remain only where a division is unavoidable:
-the reduced image rows and the induced matrices.
+The two routes must agree on the number of representatives.
+
+The induced maps stay sparse and integer from end to end.  A representative
+is a {simplex: int} dict, nonzero on its free column and the pivot columns
+of d_k's kernel rows that hold that column.  Its pullback is built on the
+preimages of that support, and checked to be a cocycle on the rows of d_k
+that have a face in it (the coface index, the transpose of the face rows);
+every other row of d_k applied to it is zero.  The class functionals are
+integer, over one scale per degree (the kernel's scale times the common
+denominator of the image RREF), so T_k is a `linalg.ScaledMatrix`: integer
+rows over that scale.  A trace is the integer diagonal sum divided by the
+scale once, and `zeta.zeta_det` reduces the integer rows themselves.  The
+scale is 1 on every graph met so far, and then no Fraction is built.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -48,9 +58,8 @@ from .complexes import CliqueComplex
 from .linalg import (
     LinearAlgebraError,
     NotInSpanError,
-    RationalMatrix,
+    ScaledMatrix,
     SparseMatrix,
-    Vector,
     _eliminate,
     rank,
     rref,
@@ -98,54 +107,77 @@ class Pullback:
 
     Row x carries exactly one entry: (P_k f)(x) = sign(x) * f(image(x)),
     where image(x) is the ascending image simplex and sign(x) is the parity
-    of sorting the image vertex list.
+    of sorting the image vertex list.  Its cycle table and its preimage
+    lists are built on first use and kept, so its targets must not change
+    after either is read, nor its signs after the cycle table is.
     """
 
-    __slots__ = ("k", "size", "target_index", "sign")
+    __slots__ = ("k", "size", "target_index", "sign", "_cycles", "_preimages")
 
     def __init__(self, k: int, size: int, target_index: list[int], sign: list[int]):
         self.k = k
         self.size = size
         self.target_index = target_index
         self.sign = sign
+        self._cycles: dict[tuple[int, int], int] | None = None
+        self._preimages: list[list[int]] | None = None
 
-    def apply(self, f: Vector) -> Vector:
+    def apply(self, f: list) -> list:
         return [f[t] if s > 0 else -f[t] for s, t in zip(self.sign, self.target_index)]
 
+    def preimages(self) -> list[list[int]]:
+        """For each simplex y, the simplices x with target(x) = y."""
+        if self._preimages is None:
+            out: list[list[int]] = [[] for _ in range(self.size)]
+            for x, y in enumerate(self.target_index):
+                out[y].append(x)
+            self._preimages = out
+        return self._preimages
+
+    def cycles(self) -> dict[tuple[int, int], int]:
+        """{(length p, sign s): simplices on such cycles} over the closed
+        cycles of the signed map, s being the product of a cycle's signs.
+
+        P is a signed functional graph x -> target(x).  One walk visits each
+        simplex once: a simplex is new (0), on the current walk (1) or done
+        (2).  Simplices on a tail (of a non-injective map) are on no cycle.
+        """
+        if self._cycles is None:
+            state = [0] * self.size
+            weight: dict[tuple[int, int], int] = {}
+            for start in range(self.size):
+                walk = []
+                x = start
+                while state[x] == 0:
+                    state[x] = 1
+                    walk.append(x)
+                    x = self.target_index[x]
+                if state[x] == 1:
+                    cycle = walk[walk.index(x):]
+                    s = 1
+                    for y in cycle:
+                        s *= self.sign[y]
+                    key = (len(cycle), s)
+                    weight[key] = weight.get(key, 0) + len(cycle)
+                for y in walk:
+                    state[y] = 2
+            self._cycles = weight
+        return self._cycles
+
     def trace(self) -> int:
-        return sum(s for r, (s, t) in enumerate(zip(self.sign, self.target_index))
-                   if r == t)
+        """The signs of the fixed simplices summed: the cycles of length 1."""
+        weight = self.cycles()
+        return weight.get((1, 1), 0) - weight.get((1, -1), 0)
 
     def power_traces(self, count: int) -> list[int]:
         """tr(P^n) for n = 1..count, from the cycles of the signed map.
 
-        P is a signed functional graph x -> target(x).  The diagonal entry
-        (P^n)_xx is nonzero only on a closed cycle, so simplices on a tail
-        (of a non-injective map) add nothing.  A cycle of length p whose
-        signs multiply to s adds p * s^(n/p) at every n = p, 2p, ...  One
-        walk visits each simplex once: a simplex is new (0), on the current
-        walk (1) or done (2).
+        The diagonal entry (P^n)_xx is nonzero only on a closed cycle, and
+        a cycle of length p whose signs multiply to s adds p * s^(n/p) at
+        every n = p, 2p, ...
         """
-        state = [0] * self.size
-        weight: dict[tuple[int, int], int] = {}  # (length, sign) -> simplices
-        for start in range(self.size):
-            walk = []
-            x = start
-            while state[x] == 0:
-                state[x] = 1
-                walk.append(x)
-                x = self.target_index[x]
-            if state[x] == 1:
-                cycle = walk[walk.index(x):]
-                s = 1
-                for y in cycle:
-                    s *= self.sign[y]
-                key = (len(cycle), s)
-                weight[key] = weight.get(key, 0) + len(cycle)
-            for y in walk:
-                state[y] = 2
         out = [0] * count
-        for (p, s), w in weight.items():
+        for (p, s), w in self.cycles().items():
             for n in range(p, count + 1, p):
                 out[n - 1] += w * s ** (n // p)
         return out
@@ -197,23 +229,24 @@ def pullbacks_commute(pullbacks: list[Pullback], face_rows, coboundary_rows) -> 
 
 
 class _CohomologyBasis(NamedTuple):
-    """Representatives h_j of H^k, integer cocycles, and the functionals
-    reading classes, kept by k-simplex: the sum of c * w[x] over the pairs
-    (i, c) in readers[x] is `scale` times the coefficient of h_i in the
-    class of the cocycle w.  A cocycle is read on its nonzeros only."""
+    """Representatives h_j of H^k, integer cocycles kept as {k-simplex:
+    value} dicts without zero values, and the functionals reading classes,
+    kept by k-simplex: the sum of c * w[x] over the pairs (i, c) in
+    readers[x] is `scale` times the coefficient of h_i in the class of the
+    cocycle w.  A cocycle is read on its nonzeros only, in ints."""
 
     scale: int
-    reps: list[list[int]]
-    readers: dict[int, list[tuple[int, int | Fraction]]]
+    reps: list[dict[int, int]]
+    readers: dict[int, list[tuple[int, int]]]
 
 
 class CochainSpaces:
     """The one handle to a graph's cochain data; its complex is `cx`.
 
-    Each part is built on first use: the face rows of each d_k, the
-    extension tables the pullbacks are read through, the sparse integer
-    coboundaries and their ranks (behind the Betti numbers), and for each
-    H^k its representatives with the functionals that read a class.  Those
+    Each part is built on first use: the face rows of each d_k and their
+    transposes (the coface index), the extension tables the pullbacks are
+    read through, the sparse integer coboundaries and their ranks (behind
+    the Betti numbers), and for each H^k its representatives with the functionals that read a class.  Those
     come from one elimination of d_k in free-column coordinates and one
     `rref` of the image rows (see the module docstring); every pulled-back
     representative is checked to be a cocycle before it is read.  A
@@ -221,14 +254,15 @@ class CochainSpaces:
     iterates over many maps of the same graph shares one.
 
     Kept for the latest map only, so memory does not grow with the number of
-    maps: its pullbacks P_k and the matrices it induces on H^k, each degree
-    built when first asked for.  Every map's Lefschetz number is kept, as one
-    integer.
+    maps: its pullbacks P_k (with their cycle tables and preimage lists)
+    and the matrices it induces on H^k, each degree built when first asked
+    for.  Every map's Lefschetz number is kept, as one integer.
     """
 
     def __init__(self, cx: CliqueComplex):
         self.cx = cx
         self._faces: dict[int, list[tuple[int, ...]]] = {}
+        self._cofaces: dict[int, list[list[tuple[int, int]]]] = {}
         self._extension: dict[int, list[dict[int, tuple[int, int]]]] = {}
         self._d: dict[int, SparseMatrix] = {}
         self._rank: dict[int, int] = {}
@@ -237,7 +271,7 @@ class CochainSpaces:
         # Pullbacks and induced matrices of the map `_image` only.
         self._image: tuple[int, ...] | None = None
         self._pullbacks: dict[int, Pullback] = {}
-        self._induced: dict[int, RationalMatrix] = {}
+        self._induced: dict[int, ScaledMatrix] = {}
         self._lefschetz: dict[tuple[int, ...], int] = {}
 
     @property
@@ -254,6 +288,18 @@ class CochainSpaces:
             self._faces[k] = [tuple(index[x[:i] + x[i + 1:]] for i in range(len(x)))
                               for x in cx.simplices(k + 1)]
         return self._faces[k]
+
+    def coface_rows(self, k: int) -> list[list[tuple[int, int]]]:
+        """The transpose of d_k, read off `face_rows(k)`: for each
+        k-simplex f, a pair (x, (-1)^i) for each (k+1)-simplex x whose
+        face i is f."""
+        if k not in self._cofaces:
+            out: list[list[tuple[int, int]]] = [[] for _ in range(self.cx.count(k))]
+            for x, faces in enumerate(self.face_rows(k)):
+                for i, f in enumerate(faces):
+                    out[f].append((x, -1 if i % 2 else 1))
+            self._cofaces[k] = out
+        return self._cofaces[k]
 
     def extension_table(self, k: int) -> list[dict[int, tuple[int, int]]]:
         """Extension table into the k-simplices (k >= 1): entry [y][w] is
@@ -359,10 +405,12 @@ class CochainSpaces:
         columns and -row_r[c] on pivot column p_r is an integer cocycle.  A
         cocycle w has free-column coordinates w[free]; subtracting
         w[free[q_r]] times RREF row r of the image rows for each image pivot
-        q_r leaves its class, read on the image's non-pivot columns.
+        q_r leaves its class, read on the image's non-pivot columns.  That
+        RREF is made integer by the common denominator of its entries,
+        which joins `scale` in the basis's scale.
         """
         if not 0 <= k <= self.dim:
-            return _CohomologyBasis(1, [], [])
+            return _CohomologyBasis(1, [], {})
         if k in self._basis:
             return self._basis[k]
         n = self.cx.count(k)
@@ -376,6 +424,7 @@ class CochainSpaces:
             for c, x in row.items():
                 if c != p:
                     in_column[c].append((p, x))
+        den = 1
         if k == 0:
             kept = list(range(len(free)))
             readers = {c: [(i, 1)] for i, c in enumerate(free)}
@@ -386,41 +435,50 @@ class CochainSpaces:
                 for s, f in enumerate(lower[x]):
                     image[f][i] = -1 if s % 2 else 1
             reduced, image_pivots = rref(SparseMatrix(len(image), len(free), image))
+            for row in reduced.data:
+                for x in row.values():
+                    if type(x) is not int:
+                        den = math.lcm(den, x.denominator)
             image_pivot_set = set(image_pivots)
             kept = [i for i in range(len(free)) if i not in image_pivot_set]
-            readers = {free[i]: [(j, 1)] for j, i in enumerate(kept)}
+            readers = {free[i]: [(j, den)] for j, i in enumerate(kept)}
             class_of = {i: j for j, i in enumerate(kept)}
             for row, q in zip(reduced.data, image_pivots):
-                readers[free[q]] = [(class_of[i], -x) for i, x in row.items() if i != q]
+                readers[free[q]] = [(class_of[i], -x.numerator * (den // x.denominator))
+                                    for i, x in row.items() if i != q]
         reps = []
         for i in kept:
-            h = [0] * n
-            h[free[i]] = scale
+            h = {free[i]: scale}
             for p, x in in_column[free[i]]:
                 h[p] = -x
             reps.append(h)
         if len(reps) != self.betti(k):
             raise LinearAlgebraError(
                 f"H^{k}: {len(reps)} representatives but Betti number {self.betti(k)}")
-        self._basis[k] = _CohomologyBasis(scale, reps, readers)
+        self._basis[k] = _CohomologyBasis(scale * den, reps, readers)
         return self._basis[k]
 
-    def representatives(self, k: int) -> list[list[int]]:
-        """Integer cocycles whose classes form a basis of H^k.
+    def representatives(self, k: int) -> list[dict[int, int]]:
+        """Integer cocycles whose classes form a basis of H^k, each a
+        {k-simplex: value} dict without zero values.
 
         One per free column of d_k that is not a pivot of the reduced image
         rows, so the choice is deterministic.
         """
         return self._cohomology_basis(k).reps
 
-    def induced_matrix(self, image: tuple[int, ...], k: int) -> RationalMatrix:
-        """Matrix of the map induced on H^k by pulling back along the vertex map.
+    def induced_matrix(self, image: tuple[int, ...], k: int) -> ScaledMatrix:
+        """Matrix of the map induced on H^k by pulling back along the vertex
+        map, as integer rows over the basis's scale.
 
         Column j holds the coordinates of [P_k h_j] in the representative
         basis, read off the free-column values of P_k h_j modulo the image
-        rows.  That reading is only valid for a cocycle, so P_k h_j is first
-        checked against every face row of d_k; NotInSpanError is raised if
-        it is not one.
+        rows.  P_k h_j is built on its support only: its value at x is
+        sign(x) h_j(target(x)), so it is nonzero exactly on the preimages
+        of the support of h_j.  The reading is only valid for a cocycle, so
+        d_k P_k h_j is first summed through `coface_rows` from that support,
+        which reaches every row of d_k with a face in it; every other row
+        is zero.  NotInSpanError is raised if a row is not.
 
         The matrices of the latest map are kept until another map is asked
         for, so the trace and the determinant of one map share one reading.
@@ -428,45 +486,52 @@ class CochainSpaces:
         """
         b = self.betti(k)
         if b == 0:
-            return RationalMatrix(0, 0)
+            return ScaledMatrix([])
         self._select_map(tuple(image))
         if k not in self._induced:
             pb = self.pullback(self._image, k)
+            preimages, sign = pb.preimages(), pb.sign
             basis = self._cohomology_basis(k)
-            faces = self.face_rows(k)
-            out = RationalMatrix(b, b)
+            cofaces = self.coface_rows(k)
+            out: list[dict[int, int]] = [{} for _ in range(b)]
             for j, h in enumerate(basis.reps):
-                w = pb.apply(h)
-                if any(sum(w[f] for f in x[::2]) != sum(w[f] for f in x[1::2])
-                       for x in faces):
+                w = {x: a if sign[x] > 0 else -a for y, a in h.items() for x in preimages[y]}
+                dw: dict[int, int] = {}
+                for f, a in w.items():
+                    for r, s in cofaces[f]:
+                        dw[r] = dw.get(r, 0) + s * a
+                if any(dw.values()):
                     raise NotInSpanError(
                         f"the pullback of an H^{k} representative is not a cocycle")
-                column = [0] * b
-                for x, a in enumerate(w):
-                    if a:
-                        for i, c in basis.readers.get(x, ()):
-                            column[i] += c * a
-                for i, total in enumerate(column):
+                column: dict[int, int] = {}
+                for x, a in w.items():
+                    for i, c in basis.readers.get(x, ()):
+                        column[i] = column.get(i, 0) + c * a
+                for i, total in column.items():
                     if total:
-                        out.data[i][j] = Fraction(total, basis.scale)
-            self._induced[k] = out
+                        out[i][j] = total
+            self._induced[k] = ScaledMatrix(out, basis.scale)
         return self._induced[k]
 
-    def induced_matrices(self, image: tuple[int, ...]) -> list[RationalMatrix]:
+    def induced_matrices(self, image: tuple[int, ...]) -> list[ScaledMatrix]:
         return [self.induced_matrix(image, k) for k in range(self.dim + 1)]
 
     def lefschetz_number(self, image: tuple[int, ...]) -> int:
         """sum_k (-1)^k tr(T_k) over the maps T_k induced on H^k.
 
-        Kept per map (one integer each), so that a group average reuses the
-        numbers its elements were already checked with.
+        Each trace is the integer diagonal sum of T_k divided by its scale
+        once, in ints when the scale is 1.  Kept per map (one integer
+        each), so that a group average reuses the numbers its elements were
+        already checked with.
         """
         image = tuple(image)
         if image not in self._lefschetz:
-            total = Fraction(0)
+            total = 0
             for k in range(self.dim + 1):
                 if self.betti(k):
-                    total += (-1) ** k * self.induced_matrix(image, k).trace()
+                    m = self.induced_matrix(image, k)
+                    trace = m.diagonal_sum()
+                    total += (-1) ** k * (trace if m.scale == 1 else Fraction(trace, m.scale))
             if total.denominator != 1:
                 raise LinearAlgebraError(
                     f"cohomological trace sum {total} is not an integer")

@@ -1,21 +1,23 @@
 """Exact linear algebra over the rationals.
 
 Scalars are arbitrary-precision ints and ``fractions.Fraction``s; no floating
-point is used anywhere.  A `RationalMatrix` is dense (the small matrices
-induced on cohomology); a `SparseMatrix` keeps one {column: value} dict per
+point is used anywhere.  A `SparseMatrix` keeps one {column: value} dict per
 row (coboundaries and the image rows of cohomology, which are mostly zero).
+A `ScaledMatrix` is a square matrix of sparse integer rows over one positive
+integer scale: the maps induced on cohomology, over the scale of their
+basis, which is 1 on every graph met so far.
 
 Every elimination runs through one kernel, `_eliminate`: Bareiss's
 fraction-free Gauss-Jordan elimination on sparse integer rows.  `rank` and
-`rref` take either kind of matrix and clear each row of its denominators
-first; `rank` counts the kernel's pivots, `rref` divides its rows by its
-scale once, and `nullspace` reads the RREF.  Callers holding integer rows
-(the cohomology module, on coboundaries) call the kernel directly.  Bases
-are canonical: they come from the reduced row echelon form, so equal inputs
-give identical bases.
+`rref` take a `SparseMatrix` and clear each row of its denominators first;
+`rank` counts the kernel's pivots and `rref` divides its rows by its scale
+once.  Callers holding integer rows (the cohomology module, on coboundaries)
+call the kernel directly.  Bases are canonical: they come from the reduced
+row echelon form, so equal inputs give identical bases.
 
-`det_one_minus_z` reduces a square matrix to Hessenberg form by similarity
-and reads the characteristic polynomial off the Hessenberg recurrence.
+`det_one_minus_z_blocks` reduces a `ScaledMatrix` to Hessenberg form by
+similarity, on its sparse rows, and reads the characteristic polynomial of
+each diagonal block of that form off the Hessenberg recurrence.
 `cyclotomic_exponents` peels the cyclotomic factors F_d off such a
 polynomial by exact integer division.
 """
@@ -35,73 +37,9 @@ class NotInSpanError(LinearAlgebraError):
     a pulled-back cocycle that is not a cocycle."""
 
 
-Vector = list[Fraction]
-
-
-def _as_fraction_rows(data) -> list[list[Fraction]]:
-    """Copy the rows, keeping Fraction entries (they are immutable) and
-    converting the others."""
-    return [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in data]
-
-
 def _exact(x: int | Fraction) -> int | Fraction:
     """x as an int when it is one, so that sums of ints stay in ints."""
     return x.numerator if x.denominator == 1 else x
-
-
-class RationalMatrix:
-    """A dense matrix of Fractions with explicit shape.
-
-    The explicit shape matters because a matrix may have zero rows or zero
-    columns, like the map induced on a zero cohomology group.
-    """
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows: int, cols: int, data=None):
-        self.rows = rows
-        self.cols = cols
-        if data is None:
-            self.data = [[Fraction(0)] * cols for _ in range(rows)]
-        else:
-            self.data = _as_fraction_rows(data)
-            if len(self.data) != rows or any(len(r) != cols for r in self.data):
-                raise LinearAlgebraError(
-                    f"data does not match declared shape {rows}x{cols}")
-
-    @classmethod
-    def from_rows(cls, data: list[list]) -> "RationalMatrix":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        return cls(rows, cols, data)
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.data[i][i] = Fraction(1)
-        return m
-
-    def __getitem__(self, key) -> Fraction:
-        i, j = key
-        return self.data[i][j]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) \
-            and self.data == other.data
-
-    def __repr__(self) -> str:
-        return f"RationalMatrix({self.rows}x{self.cols})"
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise LinearAlgebraError("trace needs a square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
 
 
 class SparseMatrix:
@@ -121,16 +59,45 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols})"
 
 
-def _integer_rows(m: RationalMatrix | SparseMatrix) -> list[dict[int, int]]:
+class ScaledMatrix:
+    """A square matrix kept as sparse integer rows over one positive integer
+    scale: entry (i, j) is data[i].get(j, 0) / scale, zero entries left out.
+    Equal when the rows and the scale are."""
+
+    __slots__ = ("data", "scale")
+
+    def __init__(self, data: list[dict[int, int]], scale: int = 1):
+        n = len(data)
+        if scale < 1 or any(not 0 <= c < n for row in data for c in row):
+            raise LinearAlgebraError(
+                f"data is not a square {n}x{n} matrix over a positive scale")
+        self.data = data
+        self.scale = scale
+
+    @property
+    def size(self) -> int:
+        return len(self.data)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ScaledMatrix):
+            return NotImplemented
+        return (self.scale, self.data) == (other.scale, other.data)
+
+    def __repr__(self) -> str:
+        return f"ScaledMatrix({self.size}x{self.size} over {self.scale})"
+
+    def diagonal_sum(self) -> int:
+        """The sum of the diagonal of the integer rows: `scale` times the
+        trace."""
+        return sum(row.get(i, 0) for i, row in enumerate(self.data))
+
+
+def _integer_rows(m: SparseMatrix) -> list[dict[int, int]]:
     """The rows of m as sparse integer rows, each multiplied by the lcm of
-    its denominators.  Integer rows of a SparseMatrix are shared, not
-    copied: the kernel never modifies a row in place."""
-    if isinstance(m, SparseMatrix):
-        rows = m.data
-    else:
-        rows = [{c: x for c, x in enumerate(row) if x} for row in m.data]
+    its denominators.  Integer rows are shared, not copied: the kernel
+    never modifies a row in place."""
     out = []
-    for row in rows:
+    for row in m.data:
         d = 1
         for x in row.values():  # pairwise, so no argument tuple is built per row
             d = math.lcm(d, x.denominator)
@@ -217,9 +184,9 @@ def _eliminate(rows: list[dict[int, int]], ncols: int) -> tuple[int, list[int]]:
     return prev, pivots
 
 
-def rref(m: RationalMatrix | SparseMatrix):
-    """Reduced row echelon form and the list of pivot columns, as a matrix
-    of the same kind as m (a SparseMatrix's entries are ints where exact).
+def rref(m: SparseMatrix) -> tuple[SparseMatrix, list[int]]:
+    """Reduced row echelon form and the list of pivot columns, as a
+    SparseMatrix whose entries are ints where exact.
 
     The kernel's rows divided by its scale; RREF is unique, so the result
     does not depend on the pivot rows chosen.
@@ -228,113 +195,129 @@ def rref(m: RationalMatrix | SparseMatrix):
     scale, pivots = _eliminate(rows, m.cols)
     reduced = rows if scale == 1 else \
         [{c: _exact(Fraction(x, scale)) for c, x in row.items()} for row in rows]
-    if isinstance(m, SparseMatrix):
-        return SparseMatrix(m.rows, m.cols, reduced), pivots
-    dense = RationalMatrix(m.rows, m.cols)
-    for out, row in zip(dense.data, reduced):
-        for c, x in row.items():
-            out[c] = Fraction(x)
-    return dense, pivots
+    return SparseMatrix(m.rows, m.cols, reduced), pivots
 
 
-def rank(m: RationalMatrix | SparseMatrix) -> int:
-    """Number of pivots of the kernel's elimination of m, a RationalMatrix
-    or a SparseMatrix."""
+def rank(m: SparseMatrix) -> int:
+    """Number of pivots of the kernel's elimination of m."""
     return len(_eliminate(_integer_rows(m), m.cols)[1])
 
 
-def nullspace(m: RationalMatrix) -> list[Vector]:
-    """Canonical kernel basis, one vector per free column of the RREF.
-
-    Vector k has a 1 in the k-th free column; basis order follows ascending
-    free-column index.
-    """
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -reduced.data[r][f]
-        basis.append(v)
-    return basis
+def _put(h: list[dict], held: list[set[int]], r: int, j: int, x) -> None:
+    """Set entry (r, j) of the sparse rows h to x, keeping the column index
+    held (column -> rows with a nonzero there) up to date."""
+    if x:
+        h[r][j] = x
+        held[j].add(r)
+    else:
+        h[r].pop(j, None)
+        held[j].discard(r)
 
 
-def _hessenberg(h: list[list]) -> None:
-    """Reduce the square matrix h to upper Hessenberg form in place, by
-    similarity (Cohen, A Course in Computational Algebraic Number Theory,
-    Alg. 2.2.9).
+def _hessenberg(h: list[dict]) -> None:
+    """Reduce the square matrix with sparse rows h ({column: value}, no zero
+    entries) to upper Hessenberg form in place, by similarity (Cohen, A
+    Course in Computational Algebraic Number Theory, Alg. 2.2.9).
 
-    For each column m - 1, a nonzero below the subdiagonal is swapped up to
-    row m (rows and columns swapped together), then each row i below it
-    loses u times row m, u = h[i][m-1] / h[m][m-1], and column m gains u
-    times column i, which undoes the row operation's effect on the
-    eigenvalues.  Zero entries cost nothing, so a permutation matrix or a
-    block diagonal matrix is cheap.
+    For each column m - 1, the first row below the subdiagonal with a
+    nonzero there is swapped up to row m (rows and columns swapped
+    together), then each later row i with a nonzero there loses u times row
+    m, u = h[i][m-1] / h[m][m-1], and column m gains u times column i, which
+    undoes the row operation's effect on the eigenvalues.  A column index
+    finds those rows, so zero entries cost nothing: a permutation matrix or
+    a block diagonal matrix is cheap, and the identity costs O(n).
     """
     n = len(h)
+    held: list[set[int]] = [set() for _ in range(n)]
+    for r, row in enumerate(h):
+        for j in row:
+            held[j].add(r)
     for m in range(1, n - 1):
-        i = next((i for i in range(m, n) if h[i][m - 1]), None)
-        if i is None:
+        below = [r for r in held[m - 1] if r >= m]
+        if not below:
             continue
+        i = min(below)
         if i != m:
+            for j in h[i].keys() | h[m].keys():
+                rows = held[j]
+                if (i in rows) != (m in rows):
+                    rows.symmetric_difference_update((i, m))
             h[i], h[m] = h[m], h[i]
-            for row in h:
-                row[i], row[m] = row[m], row[i]
+            for r in held[i] | held[m]:
+                row = h[r]
+                a, b = row.pop(i, 0), row.pop(m, 0)
+                if a:
+                    row[m] = a
+                if b:
+                    row[i] = b
+            held[i], held[m] = held[m], held[i]
         t = h[m][m - 1]
-        pivot_row = [(j, a) for j, a in enumerate(h[m]) if a]
-        for i in range(m + 1, n):
-            if not h[i][m - 1]:
-                continue
-            u = _exact(Fraction(h[i][m - 1]) / t)
+        for i in sorted(r for r in held[m - 1] if r > m):
+            a = h[i][m - 1]
+            u = a * t if t in (1, -1) else _exact(Fraction(a) / t)
             row = h[i]
-            for j, a in pivot_row:
-                row[j] -= u * a
-            for row in h:
-                if row[i]:
-                    row[m] += u * row[i]
-            pivot_row = [(j, a) for j, a in enumerate(h[m]) if a]
+            for j, b in h[m].items():
+                _put(h, held, i, j, row.get(j, 0) - u * b)
+            for r in list(held[i]):
+                _put(h, held, r, m, h[r].get(m, 0) + u * h[r][i])
 
 
-def det_one_minus_z(m: RationalMatrix) -> list[int | Fraction]:
-    """Coefficients of det(I - z*M), ascending in z: each an int where it is
-    integral, else a Fraction.
+def det_one_minus_z_blocks(m: ScaledMatrix) -> list[list[int | Fraction]]:
+    """det(I - z*B) for each diagonal block B of the Hessenberg form of M,
+    the matrix m stands for: their product is det(I - z*M).  Coefficients
+    ascend in z, each an int where it is integral, else a Fraction.
 
-    det(I - z*M) is the characteristic polynomial det(x*I - M) with its
-    coefficients reversed.  M is reduced to Hessenberg form H, and the
-    characteristic polynomial p_j of the leading j x j block of H follows
-    from the earlier ones (Cohen, Alg. 2.2.9):
+    M's integer rows are reduced to Hessenberg form H by similarity; H
+    splits into diagonal blocks at its zero subdiagonal entries, and the
+    characteristic polynomial p_j of the leading j x j part of a block
+    follows from the earlier ones (Cohen, Alg. 2.2.9):
 
         p_j = (x - H[j][j]) p_(j-1)
               - sum_(i<j) H[i][j] H[i+1][i] ... H[j][j-1] p_i,
 
-    indices from 0 and p_0 = 1.  The sum stops at the first zero
-    subdiagonal entry, where H splits into blocks.
+    indices from the block's first row and p_0 = 1.  det(I - z*B) is the
+    block's characteristic polynomial with its coefficients reversed, the
+    coefficient of z^i divided by scale^i.
     """
-    n = m.rows
-    if n != m.cols:
-        raise LinearAlgebraError("determinant needs a square matrix")
-    h = [[x.numerator if x.denominator == 1 else x for x in row] for row in m.data]
+    h = [dict(row) for row in m.data]
     _hessenberg(h)
-    polys = [[1]]  # polys[j]: characteristic polynomial of the leading j x j block
-    for j in range(n):
-        last = polys[j]
-        p = [0] + last
-        for d, c in enumerate(last):
-            p[d] -= h[j][j] * c
-        t = 1
-        for i in range(j - 1, -1, -1):
-            t *= h[i + 1][i]
-            if not t:
-                break
-            factor = t * h[i][j]
-            if factor:
-                for d, c in enumerate(polys[i]):
-                    p[d] -= factor * c
-        polys.append(p)
-    return poly_trim([_exact(c) for c in reversed(polys[n])])
+    n, scale = len(h), m.scale
+    out = []
+    start = 0
+    for end in range(1, n + 1):
+        if end < n and h[end].get(end - 1):
+            continue
+        polys = [[1]]  # polys[j]: characteristic polynomial of the leading j rows
+        for j in range(start, end):
+            last = polys[-1]
+            p = [0] + last
+            x = h[j].get(j)
+            if x:
+                for d, c in enumerate(last):
+                    p[d] -= x * c
+            t = 1
+            for i in range(j - 1, start - 1, -1):
+                t *= h[i + 1][i]
+                factor = h[i].get(j)
+                if factor:
+                    factor *= t
+                    for d, c in enumerate(polys[i - start]):
+                        p[d] -= factor * c
+            polys.append(p)
+        out.append(poly_trim([_exact(c if scale == 1 else Fraction(c) / scale ** i)
+                              for i, c in enumerate(reversed(polys[-1]))]))
+        start = end
+    return out
+
+
+def det_one_minus_z(m: ScaledMatrix) -> list[int | Fraction]:
+    """Coefficients of det(I - z*M), ascending in z: the product of
+    `det_one_minus_z_blocks`, each coefficient an int where it is
+    integral, else a Fraction."""
+    out = [1]
+    for block in det_one_minus_z_blocks(m):
+        out = poly_mul(out, block)
+    return [_exact(c) for c in out]
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ per-automorphism zetas over the whole group.
 Both routes are products of the cyclotomic factors F_d, so both end as the
 exponent vector {d: e_d} of zeta = prod_d F_d^(e_d) and are compared as
 vectors: the orbit product adds up the exponents of its factors 1 - z^p and
-1 + z^p, and the determinant route peels each det(1 - z T_k) by exact
-division.  The polynomials num and den are expanded only when read, and the
-census product's log-derivative series has a closed form.
+1 + z^p, and the determinant route peels det(1 - z T_k) by exact
+division, one factor per diagonal block of the Hessenberg form of T_k.  The
+polynomials num and den are expanded only when read, and the census
+product's log-derivative series has a closed form.
 
 The series side, L(T^n) = sum_k (-1)^k tr(P_k^n), is read off the cycles of
 the map's signed chain pullbacks P_k: a cycle of length p whose signs
@@ -38,7 +39,7 @@ from .linalg import (
     binomial_power,
     cyclotomic_exponents,
     cyclotomic_factor,
-    det_one_minus_z,
+    det_one_minus_z_blocks,
     one_minus_z_to_the,
     one_plus_z_to_the,
     poly_derivative,
@@ -413,42 +414,46 @@ def zeta_product(census: OrbitCensus) -> RationalFunctionZ:
     return RationalFunctionZ.from_factors(census.exponents())
 
 
-def zeta_det(g: Graph, t: GraphMap,
-             spaces: CochainSpaces | None = None) -> RationalFunctionZ:
+def zeta_det(g: Graph, t: GraphMap, spaces: CochainSpaces | None = None,
+             order: int | None = None) -> RationalFunctionZ:
     """Determinant route: prod_k det(1 - z T_k)^((-1)^(k+1)), k from 0.
 
     T_k is the matrix induced on H^k; even k lands in the denominator, odd k
     in the numerator.  T^N is the identity for N = order(T), so every
     eigenvalue of T_k is an N-th root of unity and det(1 - z T_k) is a
-    product of F_d over divisors d of N.  Each det is peeled into those
-    exponents (`linalg.cyclotomic_exponents`), and the result is the
-    exponent vector.  A det that does not peel to 1, which only a wrong
-    T_k gives, makes this side the multiplied-out quotient of the dets,
+    product of F_d over divisors d of N.  `order` is N, when the caller
+    already has it.  The det comes in factors, one per diagonal block of
+    the Hessenberg form of T_k (`linalg.det_one_minus_z_blocks`); each
+    factor is peeled into those exponents on its own
+    (`linalg.cyclotomic_exponents`), and the result is the exponent
+    vector.  A factor that does not peel to 1, which only a wrong T_k
+    gives, makes this side the multiplied-out quotient of all the factors,
     normalized by `from_quotient`.
     """
     if not t.is_automorphism():
         raise ZetaError("the determinant formula needs finite order, i.e. an automorphism")
     if spaces is None:
         spaces = CochainSpaces(build_complex(g))
-    order = t.order()
+    if order is None:
+        order = t.order()
     exponents: dict[int, int] = {}
-    dets: list[tuple[int, list]] = []
+    blocks: list[tuple[int, list]] = []
     peeled = True
     for k in range(spaces.dim + 1):
         if spaces.betti(k) == 0:
             continue
-        det = det_one_minus_z(spaces.induced_matrix(t.image, k))
-        dets.append((k, det))
-        if peeled:
-            found, rest = ({}, det) if any(type(c) is not int for c in det) else \
-                cyclotomic_exponents(det, order)
-            peeled = rest == [1]
-            for d, e in found.items():
-                exponents[d] = exponents.get(d, 0) + (e if k % 2 else -e)
+        for det in det_one_minus_z_blocks(spaces.induced_matrix(t.image, k)):
+            blocks.append((k, det))
+            if peeled:
+                found, rest = ({}, det) if any(type(c) is not int for c in det) else \
+                    cyclotomic_exponents(det, order)
+                peeled = rest == [1]
+                for d, e in found.items():
+                    exponents[d] = exponents.get(d, 0) + (e if k % 2 else -e)
     if peeled:
         return RationalFunctionZ.from_cyclotomic(exponents)
     num, den = [1], [1]
-    for k, det in dets:
+    for k, det in blocks:
         if k % 2:
             num = poly_mul(num, det)
         else:

@@ -3,25 +3,210 @@
 lefgraph computes on sparse integer rows and signed permutations.  These
 helpers rebuild the same objects as dense `RationalMatrix`es straight from
 the complex, and multiply them by the textbook definition, so the tests can
-check the sparse code against plain matrix algebra.  The orbit walk of a
-single automorphism is kept here too, in its plain set-of-tuples form.
+check the sparse code against plain matrix algebra.  The dense matrix type
+itself, its `rank`, `rref` and `nullspace`, and the induced-map route that
+read dense representatives into dense Fraction matrices live here too, as
+oracles.  The orbit walk of a single automorphism is kept here as well, in
+its plain set-of-tuples form.
 """
 
+import math
 from fractions import Fraction
 
+from lefgraph import linalg
 from lefgraph.cohomology import Pullback, permutation_parity_sign
-from lefgraph.linalg import LinearAlgebraError, RationalMatrix
+from lefgraph.linalg import (
+    LinearAlgebraError,
+    NotInSpanError,
+    ScaledMatrix,
+    SparseMatrix,
+    _eliminate,
+)
 from lefgraph.symmetry import MapOrbit, SymmetryError
 
 
+def _as_fraction_rows(data) -> list[list[Fraction]]:
+    """Copy the rows, keeping Fraction entries (they are immutable) and
+    converting the others."""
+    return [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in data]
+
+
+class RationalMatrix:
+    """A dense matrix of Fractions with explicit shape.
+
+    The explicit shape matters because a matrix may have zero rows or zero
+    columns, like the map induced on a zero cohomology group.
+    """
+
+    __slots__ = ("rows", "cols", "data")
+
+    def __init__(self, rows: int, cols: int, data=None):
+        self.rows = rows
+        self.cols = cols
+        if data is None:
+            self.data = [[Fraction(0)] * cols for _ in range(rows)]
+        else:
+            self.data = _as_fraction_rows(data)
+            if len(self.data) != rows or any(len(r) != cols for r in self.data):
+                raise LinearAlgebraError(
+                    f"data does not match declared shape {rows}x{cols}")
+
+    @classmethod
+    def from_rows(cls, data: list[list]) -> "RationalMatrix":
+        rows = len(data)
+        cols = len(data[0]) if rows else 0
+        return cls(rows, cols, data)
+
+    @classmethod
+    def identity(cls, n: int) -> "RationalMatrix":
+        m = cls(n, n)
+        for i in range(n):
+            m.data[i][i] = Fraction(1)
+        return m
+
+    def __getitem__(self, key) -> Fraction:
+        i, j = key
+        return self.data[i][j]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RationalMatrix):
+            return NotImplemented
+        return (self.rows, self.cols) == (other.rows, other.cols) \
+            and self.data == other.data
+
+    def __repr__(self) -> str:
+        return f"RationalMatrix({self.rows}x{self.cols})"
+
+    def is_zero(self) -> bool:
+        return all(x == 0 for row in self.data for x in row)
+
+    def trace(self) -> Fraction:
+        if self.rows != self.cols:
+            raise LinearAlgebraError("trace needs a square matrix")
+        return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
+
+
 def dense(m):
-    """A SparseMatrix as a RationalMatrix; a RationalMatrix as it is."""
+    """A SparseMatrix or a ScaledMatrix as a RationalMatrix; a
+    RationalMatrix as it is."""
     if isinstance(m, RationalMatrix):
         return m
+    if isinstance(m, ScaledMatrix):
+        out = RationalMatrix(m.size, m.size)
+        for row, entries in zip(out.data, m.data):
+            for c, x in entries.items():
+                row[c] = Fraction(x, m.scale)
+        return out
     out = RationalMatrix(m.rows, m.cols)
     for row, entries in zip(out.data, m.data):
         for c, x in entries.items():
             row[c] = Fraction(x)
+    return out
+
+
+def sparse(m: RationalMatrix) -> SparseMatrix:
+    """A RationalMatrix as a SparseMatrix of the same Fractions."""
+    return SparseMatrix(m.rows, m.cols,
+                        [{c: x for c, x in enumerate(row) if x} for row in m.data])
+
+
+def scaled(rows) -> ScaledMatrix:
+    """Square rows of ints and Fractions as integer rows over the lcm of
+    their denominators."""
+    scale = math.lcm(1, *(Fraction(x).denominator for row in rows for x in row))
+    return ScaledMatrix([{c: int(x * scale) for c, x in enumerate(row) if x} for row in rows],
+                        scale)
+
+
+def rank(m: RationalMatrix) -> int:
+    """The library's rank of a RationalMatrix."""
+    return linalg.rank(sparse(m))
+
+
+def rref(m: RationalMatrix):
+    """The library's sparse RREF of a RationalMatrix, as a RationalMatrix."""
+    reduced, pivots = linalg.rref(sparse(m))
+    return dense(reduced), pivots
+
+
+def nullspace(m: RationalMatrix) -> list[list[Fraction]]:
+    """Canonical kernel basis, one vector per free column of the RREF.
+
+    Vector k has a 1 in the k-th free column; basis order follows ascending
+    free-column index.
+    """
+    reduced, pivots = rref(m)
+    pivot_set = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivot_set]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -reduced.data[r][f]
+        basis.append(v)
+    return basis
+
+
+def induced_matrix(spaces, image: tuple[int, ...], k: int) -> RationalMatrix:
+    """The map induced on H^k the way it was computed before it became
+    sparse and integer: dense representatives, pulled back by
+    `Pullback.apply`, checked against every face row of d_k, read by
+    Fraction functionals into a dense Fraction matrix.
+
+    The basis is built here from the sparse coboundary as it was: d_k
+    eliminated once, representatives on its free columns, classes read
+    modulo the Fraction RREF of the image rows.
+    """
+    b = spaces.betti(k)
+    if b == 0:
+        return RationalMatrix(0, 0)
+    n = spaces.cx.count(k)
+    rows = list(spaces.coboundary(k).data)
+    scale, pivots = _eliminate(rows, n)
+    pivot_set = set(pivots)
+    free = [c for c in range(n) if c not in pivot_set]
+    in_column = {c: [] for c in free}
+    for row, p in zip(rows, pivots):
+        for c, x in row.items():
+            if c != p:
+                in_column[c].append((p, x))
+    if k == 0:
+        kept = list(range(len(free)))
+        readers = {c: [(i, 1)] for i, c in enumerate(free)}
+    else:
+        lower = spaces.face_rows(k - 1)
+        image_rows = [{} for _ in range(spaces.cx.count(k - 1))]
+        for i, x in enumerate(free):
+            for s, f in enumerate(lower[x]):
+                image_rows[f][i] = -1 if s % 2 else 1
+        reduced, image_pivots = linalg.rref(
+            SparseMatrix(len(image_rows), len(free), image_rows))
+        image_pivot_set = set(image_pivots)
+        kept = [i for i in range(len(free)) if i not in image_pivot_set]
+        readers = {free[i]: [(j, 1)] for j, i in enumerate(kept)}
+        class_of = {i: j for j, i in enumerate(kept)}
+        for row, q in zip(reduced.data, image_pivots):
+            readers[free[q]] = [(class_of[i], -x) for i, x in row.items() if i != q]
+    pb = spaces.pullback(image, k)
+    faces = spaces.face_rows(k)
+    out = RationalMatrix(b, b)
+    for j, i in enumerate(kept):
+        h = [0] * n
+        h[free[i]] = scale
+        for p, x in in_column[free[i]]:
+            h[p] = -x
+        w = pb.apply(h)
+        if any(sum(w[f] for f in x[::2]) != sum(w[f] for f in x[1::2]) for x in faces):
+            raise NotInSpanError(f"the pullback of an H^{k} representative is not a cocycle")
+        column = [0] * b
+        for x, a in enumerate(w):
+            if a:
+                for r, c in readers.get(x, ()):
+                    column[r] += c * a
+        for r, total in enumerate(column):
+            if total:
+                out.data[r][j] = Fraction(total, scale)
     return out
 
 

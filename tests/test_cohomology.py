@@ -25,9 +25,12 @@ from lefgraph.cohomology import (
 )
 from lefgraph.complexes import build_complex
 from dense import (
+    RationalMatrix,
     apply,
     coboundary_matrix,
+    dense,
     matmul,
+    rank,
     pullback_matrix,
     pullback_product,
     sorted_pullback,
@@ -54,7 +57,7 @@ from lefgraph.graphs import (
     petersen_graph,
     star_graph,
 )
-from lefgraph.linalg import NotInSpanError, RationalMatrix, rank
+from lefgraph.linalg import NotInSpanError
 from lefgraph.symmetry import automorphism_group, lefschetz_numbers
 from lefgraph.verification import named_corpus
 from lefgraph.zeta import orbit_census, zeta_det, zeta_product
@@ -130,7 +133,7 @@ def test_representatives_are_cocycles_spanning_h0():
     reps = spaces.representatives(0)
     assert len(reps) == 1
     # connected graph: degree-0 cocycles are the constant functions
-    v = reps[0]
+    v = [reps[0].get(c, 0) for c in range(cx.count(0))]
     assert v[0] != 0 and all(x == v[0] for x in v)
 
 
@@ -194,18 +197,17 @@ def test_chain_map_commutes():
 def test_induced_matrix_examples():
     c4 = CochainSpaces(build_complex(cycle_graph(4)))
     rotation = c4.induced_matrix((1, 2, 3, 0), 1)
-    assert rotation.data == [[Fraction(1)]]
+    assert dense(rotation).data == [[Fraction(1)]]
     reflection = c4.induced_matrix((0, 3, 2, 1), 1)
-    assert reflection.data == [[Fraction(-1)]]
+    assert dense(reflection).data == [[Fraction(-1)]]
     k5 = CochainSpaces(build_complex(complete_graph(5)))
-    assert k5.induced_matrix((4, 3, 2, 1, 0), 0).data == [[Fraction(1)]]
+    assert dense(k5.induced_matrix((4, 3, 2, 1, 0), 0)).data == [[Fraction(1)]]
 
 
 def test_induced_matrix_zero_betti_degrees_are_empty():
     spaces = CochainSpaces(build_complex(complete_graph(4)))
     for k in range(1, 4):
-        m = spaces.induced_matrix((0, 1, 2, 3), k)
-        assert (m.rows, m.cols) == (0, 0)
+        assert spaces.induced_matrix((0, 1, 2, 3), k).size == 0
 
 
 def test_induced_map_reverses_composition_order():
@@ -219,7 +221,7 @@ def test_induced_map_reverses_composition_order():
         s = rng.choice(elements)
         composed = t.compose(s)  # apply s first, then t
         for k in (0, 1):
-            lhs = spaces.induced_matrix(composed.image, k)
+            lhs = dense(spaces.induced_matrix(composed.image, k))
             rhs = matmul(spaces.induced_matrix(s.image, k),
                          spaces.induced_matrix(t.image, k))
             assert lhs.data == rhs.data
@@ -229,7 +231,7 @@ def test_induced_identity_matrix():
     for g in [cycle_graph(5), petersen_graph()]:
         spaces = CochainSpaces(build_complex(g))
         for k in range(spaces.dim + 1):
-            m = spaces.induced_matrix(tuple(range(g.n)), k)
+            m = dense(spaces.induced_matrix(tuple(range(g.n)), k))
             b = spaces.betti(k)
             assert m.data == [[Fraction(i == j) for j in range(b)]
                               for i in range(b)]
@@ -620,9 +622,9 @@ def test_face_rows_are_built_once_and_match_the_coboundary():
     for k in range(cx.dim + 1):
         rows = spaces.face_rows(k)
         assert spaces.face_rows(k) is rows
-        dense = coboundary_matrix(cx, k)
-        assert len(rows) == dense.rows
-        for faces, row in zip(rows, dense.data):
+        d = coboundary_matrix(cx, k)
+        assert len(rows) == d.rows
+        for faces, row in zip(rows, d.data):
             assert {f: (-1) ** i for i, f in enumerate(faces)} == \
                 {c: x for c, x in enumerate(row) if x}
 
@@ -675,14 +677,15 @@ def test_induced_matrix_is_the_pullback_modulo_coboundaries():
     images = {}
     for name, cx, spaces, t in _corpus_maps(3):
         for k in range(cx.dim + 1):
-            reps = spaces.representatives(k)
+            reps = [[h.get(c, 0) for c in range(cx.count(k))]
+                    for h in spaces.representatives(k)]
             if (name, k) not in images:
                 columns = _image_columns(cx, k)
                 base_rank = rank(RationalMatrix.from_rows(columns)) if columns else 0
                 images[name, k] = columns, base_rank
                 assert len(reps) == spaces.betti(k)
                 assert _rank_modulo(columns, base_rank, reps) == len(reps), (name, k)
-            m = spaces.induced_matrix(t.image, k)
+            m = dense(spaces.induced_matrix(t.image, k))
             pb = spaces.pullback(t.image, k)
             residues = []
             for j, h in enumerate(reps):
@@ -702,7 +705,44 @@ def test_a_pullback_that_breaks_a_cocycle_is_refused():
         with pytest.raises(NotInSpanError):
             spaces.induced_matrix(image, 0)
         stored.sign[row] = -stored.sign[row]
-    assert spaces.induced_matrix(image, 0).data == [[Fraction(1)]]
+    assert dense(spaces.induced_matrix(image, 0)).data == [[Fraction(1)]]
+
+
+def test_a_sign_flip_inside_the_pulled_back_support_is_refused():
+    """The cocycle check reads only the rows of d_k with a face in the
+    support of P_k h.  Flipping the sign of P_k at one simplex x of that
+    support breaks the cocycle exactly when x is a face of some row of d_k:
+    on C_5 every vertex is (k = 0); on C_5 with a triangle on one edge only
+    that triangle's edges are (k = 1), and the representative of H^1 lies
+    on the triangle for the edge 34 and off it for the edge 01."""
+    def cone(a):
+        return Graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(a, 5), (a + 1, 5)])
+
+    outcomes = []
+    for g, image, k in ((cycle_graph(5), (1, 2, 3, 4, 0), 0),
+                        (cone(3), tuple(range(6)), 1),
+                        (cone(3), (2, 1, 0, 4, 3, 5), 1),
+                        (cone(0), (1, 0, 4, 3, 2, 5), 1)):
+        spaces = CochainSpaces(build_complex(g))
+        assert spaces.betti(k) == 1
+        expected = spaces.induced_matrix(image, k)
+        stored = spaces.pullback(image, k)
+        support = {x for y in spaces.representatives(k)[0]
+                   for x in stored.preimages()[y]}
+        for x in sorted(support):
+            stored.sign[x] = -stored.sign[x]
+            spaces._induced.clear()
+            breaks = bool(spaces.coface_rows(k)[x])
+            if breaks:
+                with pytest.raises(NotInSpanError):
+                    spaces.induced_matrix(image, k)
+            else:
+                assert spaces.induced_matrix(image, k) != expected
+            outcomes.append(breaks)
+            stored.sign[x] = -stored.sign[x]
+        spaces._induced.clear()
+        assert spaces.induced_matrix(image, k) == expected
+    assert outcomes.count(True) == 5 + 2 + 2 and outcomes.count(False) == 1
 
 
 def test_grid_lefschetz_routes_agree():
@@ -725,10 +765,9 @@ def test_grid_lefschetz_routes_agree():
 
 
 OPTIMIZED_CHECKS = textwrap.dedent("""
-    from fractions import Fraction
     from lefgraph import build_complex, named_graph, symmetry
     from lefgraph.cohomology import CochainSpaces
-    from lefgraph.linalg import LinearAlgebraError, RationalMatrix
+    from lefgraph.linalg import LinearAlgebraError, ScaledMatrix
 
     def outcome(call):
         try:
@@ -742,7 +781,7 @@ OPTIMIZED_CHECKS = textwrap.dedent("""
 
     def half_trace(self, image, k):
         if k == 1:
-            return RationalMatrix.from_rows([[Fraction(1, 2)]])
+            return ScaledMatrix([{0: 1}], 2)
         return real(self, image, k)
 
     CochainSpaces.induced_matrix = half_trace

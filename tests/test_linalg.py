@@ -14,16 +14,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dense
 from lefgraph.linalg import (
     LinearAlgebraError,
-    RationalMatrix,
+    ScaledMatrix,
     SparseMatrix,
     binomial_power,
     cyclotomic_exponents,
     cyclotomic_factor,
     det_one_minus_z,
+    det_one_minus_z_blocks,
     euler_phi,
-    nullspace,
     one_minus_z_to_the,
     one_plus_z_to_the,
     poly_div_exact,
@@ -35,7 +36,7 @@ from lefgraph.linalg import (
     rank,
     rref,
 )
-from dense import apply
+from dense import RationalMatrix, apply, nullspace, scaled
 
 
 def naive_rank(rows):
@@ -117,16 +118,16 @@ def test_matrix_constructor_copies_rows_and_converts_ints():
 
 
 def test_rank_examples():
-    assert rank(RationalMatrix(3, 3)) == 0
-    assert rank(RationalMatrix.identity(4)) == 4
+    assert dense.rank(RationalMatrix(3, 3)) == 0
+    assert dense.rank(RationalMatrix.identity(4)) == 4
     # coboundary of K_3 on vertices: rows (0,1), (0,2), (1,2)
     d0 = RationalMatrix.from_rows([[-1, 1, 0], [-1, 0, 1], [0, -1, 1]])
-    assert rank(d0) == 2
+    assert dense.rank(d0) == 2
 
 
 def test_rank_empty_shapes():
-    assert rank(RationalMatrix(0, 5)) == 0
-    assert rank(RationalMatrix(5, 0)) == 0
+    assert dense.rank(RationalMatrix(0, 5)) == 0
+    assert dense.rank(RationalMatrix(5, 0)) == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -135,7 +136,7 @@ def test_rank_empty_shapes():
                     lambda rows: len({len(r) for r in rows}) == 1))
 def test_rank_matches_naive_elimination(rows):
     m = RationalMatrix.from_rows(rows)
-    assert rank(m) == naive_rank(rows)
+    assert dense.rank(m) == naive_rank(rows)
 
 
 @settings(max_examples=40, deadline=None)
@@ -144,7 +145,7 @@ def test_rank_matches_naive_elimination(rows):
                     lambda rows: len({len(r) for r in rows}) == 1))
 def test_rank_nullity(rows):
     m = RationalMatrix.from_rows(rows)
-    assert rank(m) + len(nullspace(m)) == m.cols
+    assert dense.rank(m) + len(nullspace(m)) == m.cols
 
 
 def test_nullspace_examples():
@@ -167,12 +168,12 @@ def test_nullspace_vectors_are_in_kernel():
 @settings(max_examples=100, deadline=None)
 @given(fraction_matrices())
 def test_rref_matches_naive_gauss_jordan(m):
-    reduced, pivots = rref(m)
+    reduced, pivots = dense.rref(m)
     expected, expected_pivots = naive_rref(m.data, m.cols)
     assert (reduced.rows, reduced.cols) == (m.rows, m.cols)
     assert pivots == expected_pivots
     assert reduced.data == expected
-    assert rank(m) == len(expected_pivots)
+    assert dense.rank(m) == len(expected_pivots)
 
 
 def sparse(rows, ncols):
@@ -222,7 +223,7 @@ def test_sparse_rank_and_rref_match_naive_gauss_jordan(case):
 
 def test_rref_empty_shapes():
     for rows, cols in ((0, 3), (3, 0), (0, 0)):
-        reduced, pivots = rref(RationalMatrix(rows, cols))
+        reduced, pivots = dense.rref(RationalMatrix(rows, cols))
         assert reduced == RationalMatrix(rows, cols) and pivots == []
 
 
@@ -230,15 +231,15 @@ def test_rref_is_canonical():
     # Same row space entered in different orders gives the same RREF.
     a = RationalMatrix.from_rows([[2, 4, 0], [1, 2, 1]])
     b = RationalMatrix.from_rows([[1, 2, 1], [3, 6, 1]])
-    ra, pa = rref(a)
-    rb, pb = rref(b)
+    ra, pa = dense.rref(a)
+    rb, pb = dense.rref(b)
     assert pa == pb and ra.data == rb.data
 
 
 def test_det_one_minus_z_examples():
-    assert det_one_minus_z(RationalMatrix.from_rows([[1]])) == [1, -1]
-    assert det_one_minus_z(RationalMatrix.from_rows([[-1]])) == [1, 1]
-    swap = RationalMatrix.from_rows([[0, 1], [1, 0]])
+    assert det_one_minus_z(scaled([[1]])) == [1, -1]
+    assert det_one_minus_z(scaled([[-1]])) == [1, 1]
+    swap = scaled([[0, 1], [1, 0]])
     assert det_one_minus_z(swap) == [1, 0, -1]
 
 
@@ -246,10 +247,10 @@ def test_det_one_minus_z_of_an_integer_matrix_has_int_coefficients():
     rng = random.Random(13)
     for _ in range(20):
         n = rng.randint(1, 5)
-        m = RationalMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        m = scaled([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
         coefficients = det_one_minus_z(m)
         assert all(type(c) is int for c in coefficients), coefficients
-    half = det_one_minus_z(RationalMatrix.from_rows([[Fraction(1, 2)]]))
+    half = det_one_minus_z(scaled([[Fraction(1, 2)]]))
     assert half == [1, Fraction(-1, 2)] and type(half[0]) is int
     assert type(half[1]) is Fraction
 
@@ -258,9 +259,8 @@ def test_det_one_minus_z_constant_term():
     rng = random.Random(11)
     for _ in range(10):
         n = rng.randint(1, 4)
-        m = RationalMatrix.from_rows(
-            [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
-             for _ in range(n)])
+        m = scaled([[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                    for _ in range(n)])
         assert det_one_minus_z(m)[0] == 1
 
 
@@ -278,9 +278,7 @@ def test_det_one_minus_z_permutation_cycle_type():
         n = rng.randint(1, 8)
         perm = list(range(n))
         rng.shuffle(perm)
-        mat = RationalMatrix(n, n)
-        for i, p in enumerate(perm):
-            mat.data[i][p] = Fraction(1)
+        mat = ScaledMatrix([{p: 1} for p in perm])
         # oracle: cycle lengths by direct traversal
         seen = [False] * n
         expected = [1]
@@ -342,8 +340,19 @@ def square_matrices(draw):
 @example([[1, 2], [2, 4]])  # singular
 @example([])
 def test_det_one_minus_z_matches_leibniz_expansion(rows):
-    assert det_one_minus_z(RationalMatrix(len(rows), len(rows), rows)) == \
-        leibniz_det_one_minus_z(rows)
+    assert det_one_minus_z(scaled(rows)) == leibniz_det_one_minus_z(rows)
+
+
+def test_det_blocks_split_at_zero_subdiagonal_entries():
+    """The identity's Hessenberg form is itself, with a zero subdiagonal
+    throughout: one block 1 - z per row, found in time linear in n.  A
+    3-cycle beside a sign -1 fixed point, over the scale 2, keeps its
+    block whole."""
+    assert det_one_minus_z_blocks(ScaledMatrix([{i: 1} for i in range(3000)])) == \
+        [[1, -1]] * 3000
+    three_cycle = ScaledMatrix([{1: 2}, {2: 2}, {0: 2}, {3: -2}], 2)
+    assert det_one_minus_z_blocks(three_cycle) == [[1, 0, 0, -1], [1, 1]]
+    assert det_one_minus_z(ScaledMatrix([])) == [1]
 
 
 def test_poly_arithmetic():
@@ -425,6 +434,8 @@ def test_cyclotomic_exponents_peel_products_of_cyclotomic_factors():
 
 def test_matrix_shape_guards():
     with pytest.raises(LinearAlgebraError):
-        det_one_minus_z(RationalMatrix(2, 3))
+        det_one_minus_z(ScaledMatrix([{2: 1}, {}]))
+    with pytest.raises(LinearAlgebraError):
+        ScaledMatrix([{0: 1}], 0)
     with pytest.raises(LinearAlgebraError):
         RationalMatrix(2, 3).trace()

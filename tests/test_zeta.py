@@ -8,10 +8,13 @@ from pathlib import Path
 
 import pytest
 
+import dense
+from lefgraph import cohomology, zeta
 from lefgraph.cli import main
 from lefgraph.cohomology import CochainSpaces, Pullback
 from lefgraph.complexes import build_complex, euler_characteristic
 from lefgraph.dynamics import (
+    GraphMap,
     fixed_index_sum,
     fixed_simplices,
     identity_map,
@@ -29,7 +32,14 @@ from lefgraph.graphs import (
     petersen_graph,
     star_graph,
 )
-from lefgraph.linalg import RationalMatrix, det_one_minus_z, poly_mul, poly_pow
+from lefgraph.linalg import (
+    ScaledMatrix,
+    cyclotomic_exponents,
+    det_one_minus_z,
+    det_one_minus_z_blocks,
+    poly_mul,
+    poly_pow,
+)
 from lefgraph.symmetry import automorphism_group
 from lefgraph.verification import named_corpus, run_corpus_suite, zeta_checks
 from lefgraph.zeta import (
@@ -395,23 +405,105 @@ def _blockgraph():
     return sys.modules["blockgraph"]
 
 
-def test_peeled_det_expands_to_the_hessenberg_quotient():
-    cases = [(name, g, spaces, t) for name, g, cx, spaces, t in _corpus_automorphisms()]
-    blockgraph = _blockgraph()
+def _block_cases():
+    """The large-graph benchmark's block unions, seeds 0-4, under their
+    automorphisms, and the union of 3-, 5-, 7-, 11-, 13- and 17-cycles
+    under its rotation."""
+    cases = []
     for seed in range(5):
-        bg = blockgraph.generate(seed)
+        bg = _blockgraph().generate(seed)
         g = parse_edge_list(bg.graph_text())
         cases.append((f"blocks {seed}", g, CochainSpaces(build_complex(g)),
                       validate_map(g, bg.image)))
     g, t = _cycle_union((3, 5, 7, 11, 13, 17))
-    assert t.order() == 255255
-    cases.append(("cycles", g, CochainSpaces(build_complex(g)), t))
+    return cases + [("cycles", g, CochainSpaces(build_complex(g)), t)]
+
+
+def test_peeled_det_expands_to_the_hessenberg_quotient():
+    cases = [(name, g, spaces, t) for name, g, cx, spaces, t in _corpus_automorphisms()]
+    cases += _block_cases()
+    assert cases[-1][3].order() == 255255
     for name, g, spaces, t in cases:
         peeled = zeta_det(g, t, spaces)
         assert peeled.cyclotomic is not None, (name, t.image)
         oracle = _hessenberg_quotient(spaces, t)
         assert (peeled.num, peeled.den) == (oracle.num, oracle.den), (name, t.image)
         assert peeled == oracle
+
+
+def test_integer_induced_maps_equal_the_dense_fraction_route():
+    """T_k as integer rows over the basis scale equals the dense Fraction
+    matrix of the route it replaced (`dense.induced_matrix`: dense
+    representatives, every face row checked, Fraction readers) on every
+    corpus automorphism, one seeded endomorphism per corpus graph and the
+    block unions.  The Lefschetz numbers are the dense traces summed."""
+    rng = random.Random(3)
+    cases = [(name, spaces, t) for name, g, cx, spaces, t in _corpus_automorphisms()]
+    for name, g in named_corpus():
+        cases.append((name, CochainSpaces(build_complex(g)), random_endomorphism(g, rng)))
+    cases += [(name, spaces, t) for name, g, spaces, t in _block_cases()]
+    kinds = set()
+    for name, spaces, t in cases:
+        total = 0
+        for k in range(spaces.dim + 1):
+            oracle = dense.induced_matrix(spaces, t.image, k)
+            m = spaces.induced_matrix(t.image, k)
+            assert m.scale == 1, (name, t.image, k)
+            assert dense.dense(m) == oracle, (name, t.image, k)
+            total += (-1) ** k * oracle.trace()
+        assert spaces.lefschetz_number(t.image) == total, (name, t.image)
+        kinds.add(t.kind)
+    assert len(cases) == 2030 + 32 + 6 and kinds == {"automorphism", "endomorphism"}
+
+
+def test_block_peel_equals_the_peel_of_the_whole_det():
+    """Peeling each diagonal block of the Hessenberg form on its own gives
+    the exponents that peeling their product, det(1 - z T_k), gives."""
+    split = 0
+    for name, g, spaces, t in _block_cases():
+        order = t.order()
+        for k in range(spaces.dim + 1):
+            m = spaces.induced_matrix(t.image, k)
+            blocks = det_one_minus_z_blocks(m)
+            found: dict[int, int] = {}
+            for block in blocks:
+                exponents, rest = cyclotomic_exponents(block, order)
+                assert rest == [1], (name, k)
+                for d, e in exponents.items():
+                    found[d] = found.get(d, 0) + e
+            assert (found, [1]) == cyclotomic_exponents(det_one_minus_z(m), order), (name, k)
+            split += len(blocks) > 1
+    assert split > 0
+
+
+def test_corpus_suite_needs_no_fraction_in_cohomology_or_zeta(monkeypatch):
+    """Every basis scale on the corpus is 1, so T_k, its traces and its
+    dets stay in ints: the Fraction names of both modules are never
+    called."""
+    def refuse(*args):
+        raise AssertionError("a Fraction was built")
+
+    for module in (cohomology, zeta):
+        monkeypatch.setattr(module, "Fraction", refuse)
+    report = run_corpus_suite(1, 0)
+    assert report.passed
+    assert (report.graphs, report.maps, report.checks) == (32, 2062, 10495)
+
+
+def test_corpus_suite_decomposes_each_automorphism_once(monkeypatch):
+    """zeta_checks hands the order of T to zeta_det, so a corpus pass
+    decomposes each of its 2030 automorphisms into cycles once."""
+    calls = []
+    real = GraphMap.cycles
+
+    def counted(self):
+        calls.append(self.image)
+        return real(self)
+
+    monkeypatch.setattr(GraphMap, "cycles", counted)
+    report = run_corpus_suite(1, 0)
+    assert report.passed and report.maps == 2062
+    assert len(calls) == 2030
 
 
 def test_census_carries_the_fixed_simplex_scan():
@@ -428,7 +520,7 @@ def test_a_wrong_induced_matrix_fails_the_det_check_with_both_texts(monkeypatch,
     real = CochainSpaces.induced_matrix
 
     def wrong(self, image, k):
-        return RationalMatrix(1, 1, [[2]]) if k == 0 else real(self, image, k)
+        return ScaledMatrix([{0: 2}]) if k == 0 else real(self, image, k)
 
     monkeypatch.setattr(CochainSpaces, "induced_matrix", wrong)
     check = zeta_checks(g, t, CochainSpaces(build_complex(g)))[0]
@@ -474,7 +566,7 @@ def test_wrong_induced_matrices_get_the_verdict_of_the_multiplied_dets(monkeypat
             fake.clear()
             for k in range(cx.dim + 1):
                 if spaces.betti(k) and rng.random() < 0.6:
-                    fake[k] = RationalMatrix.from_rows(draw(spaces.betti(k)))
+                    fake[k] = dense.scaled(draw(spaces.betti(k)))
             peeled, oracle = zeta_det(g, t, spaces), _hessenberg_quotient(spaces, t)
             assert (peeled == product) == (oracle == product), (g, t.image, fake)
             assert (peeled.num, peeled.den) == (oracle.num, oracle.den)
