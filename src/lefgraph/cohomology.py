@@ -122,9 +122,6 @@ class Pullback:
         self._cycles: dict[tuple[int, int], int] | None = None
         self._preimages: list[list[int]] | None = None
 
-    def apply(self, f: list) -> list:
-        return [f[t] if s > 0 else -f[t] for s, t in zip(self.sign, self.target_index)]
-
     def preimages(self) -> list[list[int]]:
         """For each simplex y, the simplices x with target(x) = y."""
         if self._preimages is None:

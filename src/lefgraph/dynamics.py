@@ -25,7 +25,7 @@ class MapError(ValueError):
 class GraphMap:
     """An edge-preserving self-map of a graph, as an image tuple."""
 
-    __slots__ = ("graph", "image", "kind")
+    __slots__ = ("graph", "image", "kind", "_order")
 
     def __init__(self, graph: Graph, image):
         image = tuple(image)
@@ -43,6 +43,7 @@ class GraphMap:
         self.graph = graph
         self.image = image
         self.kind = "automorphism" if len(set(image)) == graph.n else "endomorphism"
+        self._order: int | None = None
 
     @classmethod
     def identity(cls, graph: Graph) -> "GraphMap":
@@ -104,7 +105,11 @@ class GraphMap:
         return out
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self.graph.n else 1
+        """The least N >= 1 with T^N the identity (automorphisms only),
+        kept after the first call: the image never changes."""
+        if self._order is None:
+            self._order = math.lcm(*(len(c) for c in self.cycles())) if self.graph.n else 1
+        return self._order
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GraphMap):

@@ -5,7 +5,9 @@ point is used anywhere.  A `SparseMatrix` keeps one {column: value} dict per
 row (coboundaries and the image rows of cohomology, which are mostly zero).
 A `ScaledMatrix` is a square matrix of sparse integer rows over one positive
 integer scale: the maps induced on cohomology, over the scale of their
-basis, which is 1 on every graph met so far.
+basis, which is 1 on every graph met so far.  A dense `RationalMatrix` of
+Fractions is kept as the tests' reference type; no route of the package
+builds one.
 
 Every elimination runs through one kernel, `_eliminate`: Bareiss's
 fraction-free Gauss-Jordan elimination on sparse integer rows.  `rank` and
@@ -90,6 +92,65 @@ class ScaledMatrix:
         """The sum of the diagonal of the integer rows: `scale` times the
         trace."""
         return sum(row.get(i, 0) for i, row in enumerate(self.data))
+
+
+class RationalMatrix:
+    """A dense matrix of Fractions with explicit shape.
+
+    Nothing in the package computes with it: it is the dense reference
+    type the tests check the sparse routes against, and the benchmark's
+    tracer (`bench/tracing.py`) still names it.  The explicit shape matters
+    because a matrix may have zero rows or zero columns, like the map
+    induced on a zero cohomology group.
+    """
+
+    __slots__ = ("rows", "cols", "data")
+
+    def __init__(self, rows: int, cols: int, data=None):
+        self.rows = rows
+        self.cols = cols
+        if data is None:
+            self.data = [[Fraction(0)] * cols for _ in range(rows)]
+        else:
+            self.data = [[x if isinstance(x, Fraction) else Fraction(x) for x in row]
+                         for row in data]
+            if len(self.data) != rows or any(len(r) != cols for r in self.data):
+                raise LinearAlgebraError(
+                    f"data does not match declared shape {rows}x{cols}")
+
+    @classmethod
+    def from_rows(cls, data: list[list]) -> "RationalMatrix":
+        rows = len(data)
+        cols = len(data[0]) if rows else 0
+        return cls(rows, cols, data)
+
+    @classmethod
+    def identity(cls, n: int) -> "RationalMatrix":
+        m = cls(n, n)
+        for i in range(n):
+            m.data[i][i] = Fraction(1)
+        return m
+
+    def __getitem__(self, key) -> Fraction:
+        i, j = key
+        return self.data[i][j]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RationalMatrix):
+            return NotImplemented
+        return (self.rows, self.cols) == (other.rows, other.cols) \
+            and self.data == other.data
+
+    def __repr__(self) -> str:
+        return f"RationalMatrix({self.rows}x{self.cols})"
+
+    def is_zero(self) -> bool:
+        return all(x == 0 for row in self.data for x in row)
+
+    def trace(self) -> Fraction:
+        if self.rows != self.cols:
+            raise LinearAlgebraError("trace needs a square matrix")
+        return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
 
 
 def _integer_rows(m: SparseMatrix) -> list[dict[int, int]]:

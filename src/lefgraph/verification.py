@@ -159,11 +159,10 @@ def zeta_checks(g: Graph, t: GraphMap, spaces: CochainSpaces | None = None,
                          f"{MAX_SERIES_ORDER}")
     if spaces is None:
         spaces = CochainSpaces(build_complex(g))
-    order = t.order() if t.is_automorphism() else None  # zeta_det refuses the others
-    z_det = zeta_det(g, t, spaces, order)
+    z_det = zeta_det(g, t, spaces)
     z_prod = product if product is not None else zeta_product(orbit_census(spaces.cx, t))
     if series_order is None:
-        series_order = min(2 * order, 2 * len(spaces.cx))
+        series_order = min(2 * t.order(), 2 * len(spaces.cx))
     expected = lefschetz_iterates(spaces, t, series_order)
     actual = z_prod.log_derivative_series(series_order)
     return [

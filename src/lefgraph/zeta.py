@@ -414,17 +414,17 @@ def zeta_product(census: OrbitCensus) -> RationalFunctionZ:
     return RationalFunctionZ.from_factors(census.exponents())
 
 
-def zeta_det(g: Graph, t: GraphMap, spaces: CochainSpaces | None = None,
-             order: int | None = None) -> RationalFunctionZ:
+def zeta_det(g: Graph, t: GraphMap,
+             spaces: CochainSpaces | None = None) -> RationalFunctionZ:
     """Determinant route: prod_k det(1 - z T_k)^((-1)^(k+1)), k from 0.
 
     T_k is the matrix induced on H^k; even k lands in the denominator, odd k
     in the numerator.  T^N is the identity for N = order(T), so every
     eigenvalue of T_k is an N-th root of unity and det(1 - z T_k) is a
-    product of F_d over divisors d of N.  `order` is N, when the caller
-    already has it.  The det comes in factors, one per diagonal block of
-    the Hessenberg form of T_k (`linalg.det_one_minus_z_blocks`); each
-    factor is peeled into those exponents on its own
+    product of F_d over divisors d of N.  The det comes in factors, one
+    per diagonal block of the Hessenberg form of T_k
+    (`linalg.det_one_minus_z_blocks`); each factor is peeled into those
+    exponents on its own
     (`linalg.cyclotomic_exponents`), and the result is the exponent
     vector.  A factor that does not peel to 1, which only a wrong T_k
     gives, makes this side the multiplied-out quotient of all the factors,
@@ -434,8 +434,7 @@ def zeta_det(g: Graph, t: GraphMap, spaces: CochainSpaces | None = None,
         raise ZetaError("the determinant formula needs finite order, i.e. an automorphism")
     if spaces is None:
         spaces = CochainSpaces(build_complex(g))
-    if order is None:
-        order = t.order()
+    order = t.order()
     exponents: dict[int, int] = {}
     blocks: list[tuple[int, list]] = []
     peeled = True

@@ -1,12 +1,12 @@
 """Dense Fraction-matrix references for the tests.
 
 lefgraph computes on sparse integer rows and signed permutations.  These
-helpers rebuild the same objects as dense `RationalMatrix`es straight from
-the complex, and multiply them by the textbook definition, so the tests can
-check the sparse code against plain matrix algebra.  The dense matrix type
-itself, its `rank`, `rref` and `nullspace`, and the induced-map route that
-read dense representatives into dense Fraction matrices live here too, as
-oracles.  The orbit walk of a single automorphism is kept here as well, in
+helpers rebuild the same objects as dense `linalg.RationalMatrix`es
+straight from the complex, and multiply them by the textbook definition, so
+the tests can check the sparse code against plain matrix algebra.  The
+dense `rank`, `rref` and `nullspace`, the dense pull-back of a cochain, and
+the induced-map route that read dense representatives into dense Fraction
+matrices live here too, as oracles.  The orbit walk of a single automorphism is kept here as well, in
 its plain set-of-tuples form.
 """
 
@@ -18,72 +18,12 @@ from lefgraph.cohomology import Pullback, permutation_parity_sign
 from lefgraph.linalg import (
     LinearAlgebraError,
     NotInSpanError,
+    RationalMatrix,
     ScaledMatrix,
     SparseMatrix,
     _eliminate,
 )
 from lefgraph.symmetry import MapOrbit, SymmetryError
-
-
-def _as_fraction_rows(data) -> list[list[Fraction]]:
-    """Copy the rows, keeping Fraction entries (they are immutable) and
-    converting the others."""
-    return [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in data]
-
-
-class RationalMatrix:
-    """A dense matrix of Fractions with explicit shape.
-
-    The explicit shape matters because a matrix may have zero rows or zero
-    columns, like the map induced on a zero cohomology group.
-    """
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows: int, cols: int, data=None):
-        self.rows = rows
-        self.cols = cols
-        if data is None:
-            self.data = [[Fraction(0)] * cols for _ in range(rows)]
-        else:
-            self.data = _as_fraction_rows(data)
-            if len(self.data) != rows or any(len(r) != cols for r in self.data):
-                raise LinearAlgebraError(
-                    f"data does not match declared shape {rows}x{cols}")
-
-    @classmethod
-    def from_rows(cls, data: list[list]) -> "RationalMatrix":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        return cls(rows, cols, data)
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.data[i][i] = Fraction(1)
-        return m
-
-    def __getitem__(self, key) -> Fraction:
-        i, j = key
-        return self.data[i][j]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) \
-            and self.data == other.data
-
-    def __repr__(self) -> str:
-        return f"RationalMatrix({self.rows}x{self.cols})"
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise LinearAlgebraError("trace needs a square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
 
 
 def dense(m):
@@ -148,10 +88,16 @@ def nullspace(m: RationalMatrix) -> list[list[Fraction]]:
     return basis
 
 
+def pullback_apply(pb: Pullback, f: list) -> list:
+    """P_k f for a dense cochain f of length count(k): entry x is
+    sign(x) * f(target(x))."""
+    return [f[t] if s > 0 else -f[t] for s, t in zip(pb.sign, pb.target_index)]
+
+
 def induced_matrix(spaces, image: tuple[int, ...], k: int) -> RationalMatrix:
     """The map induced on H^k the way it was computed before it became
     sparse and integer: dense representatives, pulled back by
-    `Pullback.apply`, checked against every face row of d_k, read by
+    `pullback_apply`, checked against every face row of d_k, read by
     Fraction functionals into a dense Fraction matrix.
 
     The basis is built here from the sparse coboundary as it was: d_k
@@ -196,7 +142,7 @@ def induced_matrix(spaces, image: tuple[int, ...], k: int) -> RationalMatrix:
         h[free[i]] = scale
         for p, x in in_column[free[i]]:
             h[p] = -x
-        w = pb.apply(h)
+        w = pullback_apply(pb, h)
         if any(sum(w[f] for f in x[::2]) != sum(w[f] for f in x[1::2]) for x in faces):
             raise NotInSpanError(f"the pullback of an H^{k} representative is not a cocycle")
         column = [0] * b

@@ -29,9 +29,11 @@ from dense import (
     apply,
     coboundary_matrix,
     dense,
+    induced_matrix as dense_induced_matrix,
     matmul,
     rank,
     pullback_matrix,
+    pullback_apply,
     pullback_product,
     sorted_pullback,
     summed_coboundary,
@@ -450,7 +452,7 @@ def test_pullback_apply_matches_matrix():
     for k in range(cx.dim + 1):
         f = [Fraction(i + 1, 3) for i in range(cx.count(k))]
         pb = spaces.pullback(image, k)
-        assert pb.apply(f) == apply(pullback_matrix(cx, image, k), f)
+        assert pullback_apply(pb, f) == apply(pullback_matrix(cx, image, k), f)
         signs.update(pb.sign)
     assert signs == {1, -1}
 
@@ -689,10 +691,88 @@ def test_induced_matrix_is_the_pullback_modulo_coboundaries():
             pb = spaces.pullback(t.image, k)
             residues = []
             for j, h in enumerate(reps):
-                pulled = pb.apply(h)
+                pulled = pullback_apply(pb, h)
                 residues.append([x - sum(m.data[i][j] * reps[i][c] for i in range(len(reps)))
                                  for c, x in enumerate(pulled)])
             assert _rank_modulo(*images[name, k], residues) == 0, (name, t.image, k)
+
+
+# The six-vertex real projective plane (the hemi-icosahedron).
+RP2_TRIANGLES = ((0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+                 (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3))
+RP2_FACES = sorted({frozenset(c) for t in RP2_TRIANGLES for r in (1, 2, 3)
+                    for c in itertools.combinations(t, r)},
+                   key=lambda f: (len(f), sorted(f)))
+
+
+def _subdivision(faces, apex_over=()):
+    """The barycentric subdivision of RP^2 as a graph, vertex i standing for
+    faces[i] and an edge joining nested faces, so its clique complex is the
+    subdivision; with `apex_over`, one more vertex adjacent to those faces."""
+    index = {f: i for i, f in enumerate(faces)}
+    edges = [(index[a], index[b]) for a in faces for b in faces if a < b]
+    edges += [(index[f], len(faces)) for f in apex_over]
+    return Graph(len(faces) + bool(apex_over), edges)
+
+
+def _face_map(faces, perm, extra=()):
+    """The map of the subdivision induced by a vertex permutation of RP^2,
+    followed by the images of any vertices past the faces."""
+    index = {f: i for i, f in enumerate(faces)}
+    return tuple(index[frozenset(perm[v] for v in f)] for f in faces) + tuple(extra)
+
+
+def test_integer_induced_maps_equal_the_dense_route_over_scales_above_one():
+    """Torsion in the integral cohomology makes a basis scale above 1, and
+    both places a scale comes from are reached.
+
+    RP^2 + C_4: H^2(RP^2; Z) = Z/2, so every maximal minor of d_1 is even
+    and the kernel's scale in degree 1 is 2.  RP^2 with a projective line
+    coned off: the generator of H_2 = Z covers the cone twice, so with a
+    cone triangle last the image RREF in degree 2 has entries 1/2 and its
+    denominator makes the scale 2.  On both, T_k over its scale equals the
+    dense Fraction route, the Lefschetz number is the dense traces summed,
+    and an automorphism's det route equals its orbit product."""
+    n = len(RP2_FACES)
+    with_cycle = disjoint_union(_subdivision(RP2_FACES), cycle_graph(4))
+    c4 = [n, n + 1, n + 2, n + 3]
+    fivefold = (0, 2, 3, 4, 5, 1)
+    same = tuple(range(6))
+    # Vertex 3 and the edges 13, 03 are numbered last among the faces
+    # they go with, so the cone triangle (3, 03, apex) is the last triangle.
+    loop = [frozenset(s) for s in ({0}, {0, 1}, {1}, {1, 3}, {3}, {0, 3})]
+    front = [frozenset({v}) for v in (0, 1, 2, 4, 5, 3)]
+    back = [frozenset({1, 3}), frozenset({0, 3})]
+    faces = front + [f for f in RP2_FACES if f not in front + back] + back
+    coned = _subdivision(faces, loop)
+    cases = [
+        (with_cycle, 1, [_face_map(RP2_FACES, same, c4),
+                         _face_map(RP2_FACES, fivefold, c4[1:] + c4[:1]),
+                         _face_map(RP2_FACES, same, [c4[0], c4[3], c4[2], c4[1]]),
+                         _face_map(RP2_FACES, fivefold, [c4[0], c4[1], c4[0], c4[1]])]),
+        (coned, 2, [_face_map(faces, same, [n]),
+                    _face_map(faces, (1, 3, 5, 0, 2, 4), [n]),
+                    _face_map(faces, (0, 3, 2, 1, 5, 4), [n])]),
+    ]
+    for g, k_scaled, images in cases:
+        cx = build_complex(g)
+        spaces = CochainSpaces(cx)
+        assert spaces.betti(k_scaled) == 1
+        signs = set()
+        for image in images:
+            t = GraphMap(g, image)
+            total = 0
+            for k in range(cx.dim + 1):
+                m = spaces.induced_matrix(image, k)
+                assert m.scale == (2 if k == k_scaled else 1), (k, m)
+                oracle = dense_induced_matrix(spaces, image, k)
+                assert dense(m) == oracle, (image, k)
+                total += (-1) ** k * oracle.trace()
+            signs.add(spaces.induced_matrix(image, k_scaled).data[0].get(0, 0))
+            assert spaces.lefschetz_number(image) == total
+            if t.is_automorphism():
+                assert zeta_det(g, t, spaces) == zeta_product(orbit_census(cx, t))
+        assert {2, -2} <= signs
 
 
 def test_a_pullback_that_breaks_a_cocycle_is_refused():

@@ -491,8 +491,9 @@ def test_corpus_suite_needs_no_fraction_in_cohomology_or_zeta(monkeypatch):
 
 
 def test_corpus_suite_decomposes_each_automorphism_once(monkeypatch):
-    """zeta_checks hands the order of T to zeta_det, so a corpus pass
-    decomposes each of its 2030 automorphisms into cycles once."""
+    """A map keeps its order after the first call, so a corpus pass
+    decomposes each of its 2030 automorphisms into cycles once, although
+    zeta_det and zeta_checks both read the order."""
     calls = []
     real = GraphMap.cycles
 
