@@ -424,9 +424,8 @@ def zeta_det(g: Graph, t: GraphMap,
     product of F_d over divisors d of N.  The det comes in factors, one
     per diagonal block of the Hessenberg form of T_k
     (`linalg.det_one_minus_z_blocks`); each factor is peeled into those
-    exponents on its own
-    (`linalg.cyclotomic_exponents`), and the result is the exponent
-    vector.  A factor that does not peel to 1, which only a wrong T_k
+    exponents on its own (`linalg.cyclotomic_exponents`), and the result
+    is the exponent vector.  A factor that does not peel to 1, which only a wrong T_k
     gives, makes this side the multiplied-out quotient of all the factors,
     normalized by `from_quotient`.
     """

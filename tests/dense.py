@@ -6,8 +6,8 @@ straight from the complex, and multiply them by the textbook definition, so
 the tests can check the sparse code against plain matrix algebra.  The
 dense `rank`, `rref` and `nullspace`, the dense pull-back of a cochain, and
 the induced-map route that read dense representatives into dense Fraction
-matrices live here too, as oracles.  The orbit walk of a single automorphism is kept here as well, in
-its plain set-of-tuples form.
+matrices live here too, as oracles.  The orbit walk of a single automorphism
+is kept here as well, in its plain set-of-tuples form.
 """
 
 import math
