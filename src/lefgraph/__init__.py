@@ -44,7 +44,6 @@ from .graphs import (
 from .linalg import (
     ScaledMatrix,
     SparseMatrix,
-    det_one_minus_z,
     rank,
 )
 from .reporting import TheoremCheck, VerificationError
@@ -58,7 +57,6 @@ from .symmetry import (
     lefschetz_curvature,
     lefschetz_multiset,
     orbigraph,
-    simplex_orbits,
     stabilizer,
     verify_averaging_theorems,
 )

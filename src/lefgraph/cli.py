@@ -425,6 +425,11 @@ def main(argv=None) -> int:
     except (GraphError, MapError, SymmetryError, ZetaError, ValueError) as exc:
         print(f"lefgraph: error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader closed the output early (`| head`): stop quietly, and
+        # let the flush at exit write to nowhere.
+        sys.stdout = open(os.devnull, "w")
+        return 1
     except OSError as exc:
         print(f"lefgraph: error: {exc}", file=sys.stderr)
         return 1

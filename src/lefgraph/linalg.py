@@ -19,9 +19,12 @@ row echelon form, so equal inputs give identical bases.
 
 `det_one_minus_z_blocks` reduces a `ScaledMatrix` to Hessenberg form by
 similarity, on its sparse rows, and reads the characteristic polynomial of
-each diagonal block of that form off the Hessenberg recurrence.
-`cyclotomic_exponents` peels the cyclotomic factors F_d off such a
-polynomial by exact integer division.
+each diagonal block of that form off the Hessenberg recurrence; their
+product det(1 - z M) is never formed.  `cyclotomic_exponents` peels the
+cyclotomic factors F_d off such a polynomial by exact power-series
+division, which is also how `cyclotomic_factor` builds the F_d.  No
+polynomial gcd or long division is needed: a zeta function is kept as the
+exponents of its F_d (see `zeta.RationalFunctionZ`).
 """
 
 from __future__ import annotations
@@ -371,16 +374,6 @@ def det_one_minus_z_blocks(m: ScaledMatrix) -> list[list[int | Fraction]]:
     return out
 
 
-def det_one_minus_z(m: ScaledMatrix) -> list[int | Fraction]:
-    """Coefficients of det(I - z*M), ascending in z: the product of
-    `det_one_minus_z_blocks`, each coefficient an int where it is
-    integral, else a Fraction."""
-    out = [1]
-    for block in det_one_minus_z_blocks(m):
-        out = poly_mul(out, block)
-    return [_exact(c) for c in out]
-
-
 # ---------------------------------------------------------------------------
 # Polynomials in z, stored as ascending coefficient lists of ints; trimming
 # and multiplication take Fraction coefficients as well.
@@ -432,68 +425,6 @@ def binomial_power(e: int, s: int, step: int = 1) -> list[int]:
     return out
 
 
-def poly_derivative(a: list[int]) -> list[int]:
-    if len(a) <= 1:
-        return [0]
-    return poly_trim([i * c for i, c in enumerate(a)][1:])
-
-
-def poly_divmod(a: list[int], b: list[int]):
-    """Quotient and remainder over Q, returned as Fraction coefficient lists."""
-    if poly_trim(b) == [0]:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = [Fraction(x) for x in poly_trim(a)]
-    d = [Fraction(x) for x in poly_trim(b)]
-    if len(r) < len(d):
-        return [Fraction(0)], r
-    q = [Fraction(0)] * (len(r) - len(d) + 1)
-    lead = d[-1]
-    for i in range(len(r) - len(d), -1, -1):
-        coeff = r[i + len(d) - 1] / lead
-        q[i] = coeff
-        if coeff != 0:
-            for j, x in enumerate(d):
-                r[i + j] -= coeff * x
-    return q, poly_trim(r)
-
-
-def poly_div_exact(a: list[int], b: list[int]) -> list[int]:
-    """Exact division of integer polynomials; raises if not divisible."""
-    q, r = poly_divmod(a, b)
-    if poly_trim(r) != [Fraction(0)]:
-        raise LinearAlgebraError("polynomials do not divide exactly")
-    out = []
-    for x in q:
-        if x.denominator != 1:
-            raise LinearAlgebraError("quotient is not integral")
-        out.append(int(x))
-    return poly_trim(out)
-
-
-def poly_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Monic-free gcd over Q, normalized to primitive integer coefficients.
-
-    Normalization: content 1, and the lowest nonzero coefficient positive.
-    """
-    fa = [Fraction(x) for x in poly_trim(a)]
-    fb = [Fraction(x) for x in poly_trim(b)]
-    while fb != [Fraction(0)]:
-        _, r = poly_divmod([x for x in fa], [x for x in fb])
-        fa, fb = fb, r
-        fa = poly_trim(fa)
-        fb = poly_trim(fb)
-    if fa == [Fraction(0)]:
-        return [0]
-    denom = math.lcm(*(x.denominator for x in fa))
-    ints = [int(x * denom) for x in fa]
-    content = math.gcd(*ints)
-    ints = [x // content for x in ints]
-    low = next(x for x in ints if x != 0)
-    if low < 0:
-        ints = [-x for x in ints]
-    return poly_trim(ints)
-
-
 _CYCLOTOMIC_CACHE: dict[int, list[int]] = {}
 
 
@@ -512,7 +443,7 @@ def cyclotomic_factor(d: int) -> list[int]:
     poly = [1] + [0] * (d - 1) + [-1]
     for e in range(1, d):
         if d % e == 0:
-            poly = poly_div_exact(poly, cyclotomic_factor(e))
+            poly = _divide_by_factor(poly, e)
     _CYCLOTOMIC_CACHE[d] = list(poly)
     return poly
 
@@ -531,14 +462,28 @@ def euler_phi(d: int) -> int:
     return out
 
 
-def _divide_by_factor(a: list[int], d: int) -> list[int] | None:
-    """a / F_d when F_d divides the integer polynomial a exactly, else None;
-    deg a must be at least deg F_d.
+def mobius(n: int) -> int:
+    """The Moebius function of n >= 1: 0 when a square divides n, else
+    (-1)^(number of prime factors)."""
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
 
-    Power-series division, exact in integers because F_d(0) = 1, followed
-    by a check that nothing remains above the quotient's degree.  For
-    F_1 = 1 - z the quotient is the prefix sums of a, and for F_2 = 1 + z
-    the alternating ones; the last such sum is a(1), resp. +-a(-1), which
+
+def _divide_by_factor(a: list[int], d: int) -> list[int] | None:
+    """a / F_d when F_d divides the polynomial a exactly, else None; deg a
+    must be at least deg F_d.
+
+    Power-series division, exact in integers (and in rationals) because
+    F_d(0) = 1, followed by a check that nothing remains above the
+    quotient's degree.  For F_1 = 1 - z the quotient is the prefix sums of
+    a, and for F_2 = 1 + z the alternating ones; the last such sum is a(1), resp. +-a(-1), which
     must vanish.
     """
     if d <= 2:
@@ -566,24 +511,27 @@ def _divide_by_factor(a: list[int], d: int) -> list[int] | None:
     return r[:top]
 
 
-def cyclotomic_exponents(a: list[int], order: int) -> tuple[dict[int, int], list[int]]:
-    """Peel the F_d with d dividing `order` off the integer polynomial a
-    with a(0) = 1, as when the roots of a are order-th roots of unity.
+def cyclotomic_exponents(a: list, order: int | None = None
+                         ) -> tuple[dict[int, int], list]:
+    """Peel the F_d off the polynomial a (integer or rational coefficients,
+    a(0) != 0): those with d dividing `order`, as when the roots of a are
+    order-th roots of unity, or every F_d when `order` is None.
 
-    Returns the exponent of each F_d found and what is left.  Each F_d is
-    divided out until it no longer divides; the F_d are irreducible and
-    pairwise coprime, so the exponents do not depend on the order of
-    division, and what is left is [1] exactly when a is a product of such
-    F_d.  Only F_d of degree phi(d) <= deg a can divide, and
-    phi(d) >= sqrt(d / 2), so d runs up to 2 (deg a)^2 at most and `order`
-    is never factored.
+    Returns the exponent of each F_d found and what is left, whose constant
+    term is a(0).  Each F_d is divided out until it no longer divides; the
+    F_d are irreducible and pairwise coprime, so the exponents do not
+    depend on the order of division, and what is left is the constant
+    [a(0)] exactly when a is a constant times a product of such F_d.  Only
+    F_d of degree phi(d) <= deg a can divide, and phi(d) >= sqrt(d / 2),
+    so d runs up to 2 (deg a)^2 at most and `order` is never factored.
     """
     a = poly_trim(a)
     exponents: dict[int, int] = {}
-    for d in range(1, min(order, 2 * (len(a) - 1) ** 2) + 1):
+    top = 2 * (len(a) - 1) ** 2
+    for d in range(1, top + 1 if order is None else min(order, top) + 1):
         if len(a) == 1:
             break
-        if order % d:
+        if order is not None and order % d:
             continue
         phi, e = euler_phi(d), 0
         while phi < len(a):

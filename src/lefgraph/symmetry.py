@@ -8,9 +8,7 @@ characteristic, Burnside count).
 The curvature and Burnside count fold in one fixed-simplex list per group
 element (`FixedSimplexSweep`).  A caller that already walked an element's
 simplices, as `zeta.orbit_census` does, passes that walk's fixed simplices;
-otherwise the sweep scans them.  `simplex_orbits_under_map` lists the
-orbits of one automorphism with their members; the census does not build
-them.
+otherwise the sweep scans them.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import CliqueComplex, Simplex, build_complex
-from .cohomology import CochainSpaces, permutation_parity_sign
+from .cohomology import CochainSpaces
 from .dynamics import FixedSimplexRecord, GraphMap, fixed_simplices, lefschetz_cohomological
 from .graphs import Graph
 from .linalg import LinearAlgebraError
@@ -112,50 +110,6 @@ def automorphism_group(g: Graph, cap: int = DEFAULT_GROUP_CAP) -> AutomorphismGr
     return AutomorphismGroup(g, tuple(GraphMap(g, im) for im in found))
 
 
-@dataclass(frozen=True)
-class MapOrbit:
-    """A periodic orbit of one automorphism: representative, period, members,
-    and the signature of T^period on the representative's vertices."""
-
-    representative: Simplex
-    period: int
-    simplices: tuple[Simplex, ...]  # in visit order from the representative
-    sign: int
-
-
-def simplex_orbits_under_map(cx: CliqueComplex, t: GraphMap) -> list[MapOrbit]:
-    """Partition all simplices into t-orbits with minimal periods.
-
-    Orbits are ordered by their representative (dimension, then lexicographic);
-    the representative is the first simplex of the orbit in that order.
-    Visited simplices are marked by their index in their dimension.  The
-    walk carries the unsorted vertex list T^m(x) of the representative x, so
-    after one period it holds T^p on x's own vertices, whose sort parity is
-    the orbit's sign.
-    """
-    if not t.is_automorphism():
-        raise SymmetryError("periodic orbits need an automorphism")
-    image = t.image
-    orbits = []
-    for level, index in zip(cx.by_dim, cx.index):
-        visited = [False] * len(level)
-        for i, x in enumerate(level):
-            if visited[i]:
-                continue
-            visited[i] = True
-            members = [x]
-            mapped = [image[v] for v in x]
-            y = tuple(sorted(mapped))
-            while y != x:
-                visited[index[y]] = True
-                members.append(y)
-                mapped = [image[v] for v in mapped]
-                y = tuple(sorted(mapped))
-            orbits.append(MapOrbit(x, len(members), tuple(members),
-                                   permutation_parity_sign(mapped)))
-    return orbits
-
-
 def simplex_orbits_under_group(cx: CliqueComplex,
                                group: AutomorphismGroup) -> list[tuple[Simplex, ...]]:
     """Orbits of all simplices under the full group, sorted within and between."""
@@ -169,15 +123,6 @@ def simplex_orbits_under_group(cx: CliqueComplex,
             visited |= orbit
             orbits.append(tuple(sorted(orbit)))
     return orbits
-
-
-def simplex_orbits(cx: CliqueComplex, maps):
-    """Orbit partition under either a single automorphism or a whole group."""
-    if isinstance(maps, GraphMap):
-        return simplex_orbits_under_map(cx, maps)
-    if isinstance(maps, AutomorphismGroup):
-        return simplex_orbits_under_group(cx, maps)
-    raise SymmetryError("expected a GraphMap or an AutomorphismGroup")
 
 
 def stabilizer(group: AutomorphismGroup, x: Simplex) -> list[GraphMap]:

@@ -7,12 +7,14 @@ of its logarithmic derivative.  The graph zeta function multiplies the
 per-automorphism zetas over the whole group.
 
 Both routes are products of the cyclotomic factors F_d, so both end as the
-exponent vector {d: e_d} of zeta = prod_d F_d^(e_d) and are compared as
-vectors: the orbit product adds up the exponents of its factors 1 - z^p and
-1 + z^p, and the determinant route peels det(1 - z T_k) by exact
-division, one factor per diagonal block of the Hessenberg form of T_k.  The
-polynomials num and den are expanded only when read, and the census
-product's log-derivative series has a closed form.
+exponent vector {d: e_d} of zeta = prod_d F_d^(e_d), the one normal form of
+`RationalFunctionZ`, and are compared as vectors: the orbit product adds up
+the exponents of its factors 1 - z^p and 1 + z^p, and the determinant route
+peels det(1 - z T_k) by exact division, one factor per diagonal block of
+the Hessenberg form of T_k.  A block that does not peel, which only a wrong
+T_k gives, is kept as an unpeeled rest beside the vector.  The polynomials
+num and den are expanded only when read, and the log-derivative series is
+read off the vector in closed form.
 
 The series side, L(T^n) = sum_k (-1)^k tr(P_k^n), is read off the cycles of
 the map's signed chain pullbacks P_k: a cycle of length p whose signs
@@ -40,11 +42,9 @@ from .linalg import (
     cyclotomic_exponents,
     cyclotomic_factor,
     det_one_minus_z_blocks,
+    mobius,
     one_minus_z_to_the,
     one_plus_z_to_the,
-    poly_derivative,
-    poly_div_exact,
-    poly_gcd,
     poly_mul,
     poly_pow,
     poly_trim,
@@ -88,33 +88,55 @@ def _poly_text(c: list[int]) -> str:
     return " ".join(parts)
 
 
+# The rest of a function that is a product of F_d: nothing left unpeeled.
+_NO_REST = ((1,), (1,))
+
+
 class RationalFunctionZ:
-    """A rational function of z with value 1 at z = 0.
+    """A rational function of z with value 1 at z = 0, kept as the exponent
+    vector of the cyclotomic factors it is a product of:
 
-    Its normal form is a coprime pair `num`, `den` of primitive integer
-    polynomials (ascending coefficients, denominator constant term
-    positive).  A function built from exponents keeps them instead and
-    expands the pair only when `num` or `den` is read:
-
-    - `cyclotomic`, the exponent vector {d: e_d} with zeta = prod_d
-      F_d^(e_d), F_d = `linalg.cyclotomic_factor(d)`, no exponent zero;
+    - `cyclotomic`, the exponent vector {d: e_d}, no exponent zero, with
+      zeta = rest_num / rest_den * prod_d F_d^(e_d) and
+      F_d = `linalg.cyclotomic_factor(d)`;
+    - `rest`, the pair (rest_num, rest_den) of polynomials with constant
+      term 1 that did not peel into F_d.  It is `((1,), (1,))` for every
+      zeta of an automorphism; only a wrong induced map leaves more, and
+      the rest is not reduced by a gcd;
     - `factors`, when the function was built from an orbit census, the list
-      [(p, e_minus, e_plus), ...] of exponents of (1 - z^p) and (1 + z^p).
+      [(p, e_minus, e_plus), ...] of exponents of (1 - z^p) and (1 + z^p),
+      kept for the text and the JSON report.
 
-    The F_d are irreducible and pairwise coprime, so two functions with
-    exponent vectors are equal exactly when the vectors are.
+    The F_d are irreducible and pairwise coprime, so two functions without
+    a rest are equal exactly when their vectors are; otherwise their `num`
+    and `den` are cross-multiplied.  `num` and `den` are expanded only when
+    read.
+
+    `RationalFunctionZ(num, den)` (or `from_quotient`) peels every F_d off
+    num and den, which may hold ints or Fractions with num(0) = den(0).
     """
 
-    __slots__ = ("_num", "_den", "factors", "cyclotomic")
+    __slots__ = ("cyclotomic", "rest", "factors", "_num", "_den")
 
-    def __init__(self, num: list[int], den: list[int],
-                 factors: tuple[tuple[int, int, int], ...] | None = None):
-        self._num = tuple(poly_trim(num))
-        self._den = tuple(poly_trim(den))
-        self.factors = factors
-        self.cyclotomic: dict[int, int] | None = None
-        if self._den[0] <= 0 or self._num[0] != self._den[0]:
+    def __init__(self, num, den):
+        num, den = poly_trim(list(num)), poly_trim(list(den))
+        if num[0] != den[0] or not den[0]:
             raise ZetaError("zeta functions must satisfy zeta(0) = 1")
+        c = den[0]
+        exponents: dict[int, int] = {}
+        rest = []
+        for side, sign in ((num, 1), (den, -1)):
+            found, left = cyclotomic_exponents(side)
+            for d, e in found.items():
+                exponents[d] = exponents.get(d, 0) + sign * e
+            rest.append(tuple(left) if c == 1 else tuple(Fraction(x, c) for x in left))
+        self._set(exponents, tuple(rest), None)
+
+    def _set(self, exponents: dict[int, int], rest, factors) -> None:
+        self.cyclotomic = {d: e for d, e in sorted(exponents.items()) if e}
+        self.rest = rest
+        self.factors = factors
+        self._num = self._den = None
 
     @classmethod
     def one(cls) -> "RationalFunctionZ":
@@ -122,33 +144,17 @@ class RationalFunctionZ:
 
     @classmethod
     def from_quotient(cls, num, den) -> "RationalFunctionZ":
-        """Normalize an arbitrary quotient of polynomials (int or Fraction).
-
-        Both lists are scaled by one common factor (so the function is
-        unchanged), divided by their polynomial gcd unless one of them is a
-        constant, then by their common integer content, and sign-fixed to a
-        positive denominator constant.
-        """
-        num, den = _joint_integer_scale(num, den)
-        if den == [0]:
-            raise ZetaError("zero denominator")
-        if len(num) > 1 and len(den) > 1:  # a constant side has no common factor
-            g = poly_gcd(num, den)
-            if g != [1]:
-                num = poly_div_exact(num, g)
-                den = poly_div_exact(den, g)
-        num, den = _common_content_and_sign(num, den)
+        """The same as `RationalFunctionZ(num, den)`."""
         return cls(num, den)
 
     @classmethod
     def from_cyclotomic(cls, exponents: dict[int, int],
-                        factors: tuple[tuple[int, int, int], ...] | None = None
-                        ) -> "RationalFunctionZ":
-        """prod_d F_d^(e_d) for exponents {d: e_d}, kept unexpanded."""
+                        factors: tuple[tuple[int, int, int], ...] | None = None,
+                        rest=_NO_REST) -> "RationalFunctionZ":
+        """rest_num / rest_den * prod_d F_d^(e_d) for exponents {d: e_d},
+        kept unexpanded; the rest polynomials have constant term 1."""
         out = cls.__new__(cls)
-        out._num = out._den = None
-        out.factors = factors
-        out.cyclotomic = {d: e for d, e in sorted(exponents.items()) if e}
+        out._set(exponents, rest, factors)
         return out
 
     @classmethod
@@ -187,11 +193,18 @@ class RationalFunctionZ:
 
     def _expand(self) -> None:
         """num = product of the F_d^e with e > 0, den that of the F_d^-e
-        with e < 0: coprime, primitive (Gauss) and with constant term 1."""
+        with e < 0: coprime, primitive (Gauss) and with constant term 1.
+        A rest is multiplied in, and both sides are scaled by the one
+        common factor that clears its denominators."""
         sides = {1: {}, -1: {}}
         for d, e in self.cyclotomic.items():
             sides[1 if e > 0 else -1][d] = abs(e)
-        self._num, self._den = (tuple(_expand_product(sides[s])) for s in (1, -1))
+        num, den = (_expand_product(sides[s]) for s in (1, -1))
+        if self.rest != _NO_REST:
+            num, den = (poly_mul(p, list(r)) for p, r in zip((num, den), self.rest))
+            scale = math.lcm(*(x.denominator for x in num + den))
+            num, den = ([int(x * scale) for x in p] for p in (num, den))
+        self._num, self._den = tuple(num), tuple(den)
 
     def __mul__(self, other: "RationalFunctionZ") -> "RationalFunctionZ":
         if self.factors is not None and other.factors is not None:
@@ -200,57 +213,55 @@ class RationalFunctionZ:
                 m, pl = merged.get(p, (0, 0))
                 merged[p] = (m + e_minus, pl + e_plus)
             return RationalFunctionZ.from_factors(merged)
-        return RationalFunctionZ.from_quotient(
-            poly_mul(list(self.num), list(other.num)),
-            poly_mul(list(self.den), list(other.den)))
+        exponents = dict(self.cyclotomic)
+        for d, e in other.cyclotomic.items():
+            exponents[d] = exponents.get(d, 0) + e
+        rest = tuple(tuple(poly_mul(list(a), list(b))) for a, b in zip(self.rest, other.rest))
+        return RationalFunctionZ.from_cyclotomic(exponents, rest=rest)
 
     def __eq__(self, other) -> bool:
-        """Exponent vectors when both sides have one, else num/den
+        """Exponent vectors when neither side has a rest, else num/den
         cross-multiplied."""
         if not isinstance(other, RationalFunctionZ):
             return NotImplemented
-        if self.cyclotomic is not None and other.cyclotomic is not None:
+        if self.rest == _NO_REST and other.rest == _NO_REST:
             return self.cyclotomic == other.cyclotomic
         return poly_mul(list(self.num), list(other.den)) == \
             poly_mul(list(other.num), list(self.den))
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # Equal functions have equal log-derivative series, whatever their rest.
+        return hash(tuple(self.log_derivative_series(8)))
 
     def is_one(self) -> bool:
-        return self.num == self.den
+        return self == RationalFunctionZ.one()
 
-    def log_derivative_series(self, count: int) -> list[int]:
+    def log_derivative_series(self, count: int) -> list:
         """First `count` coefficients l_1..l_count with zeta'/zeta = sum l_n z^(n-1).
 
-        From census factors, the closed form: log(1 - z^p) and log(1 + z^p)
-        have z^n-coefficients -p/n and (-1)^(n/p+1) p/n at the multiples n
-        of p, so l_n = sum over p | n of p (e_plus (-1)^(n/p+1) - e_minus).
-        Otherwise exact long division of (num' den - num den') by (num
-        den); all coefficients are integers because both polynomials have
-        constant term 1 up to a common factor.
+        Moebius inversion of 1 - z^n = prod over d | n of F_d writes the
+        product of the F_d^(e_d) as prod_m (1 - z^m)^(a_m), with
+        a_m = sum over multiples d of m of mu(d/m) e_d.  The log-derivative
+        of (1 - z^m) is -m z^(m-1) / (1 - z^m), so l_n = -sum over m | n of
+        m a_m.  A rest adds the series of rest_num and subtracts that of
+        rest_den, each by Newton's identities (`_newton_series`).
         """
-        if self.factors is not None:
-            series = [0] * count
-            for p, e_minus, e_plus in self.factors:
-                odd, even = p * (e_plus - e_minus), -p * (e_plus + e_minus)
-                for m, n in enumerate(range(p - 1, count, p)):
-                    series[n] += even if m % 2 else odd
-            return series
-        num, den = list(self.num), list(self.den)
-        a = poly_trim([x - y for x, y in _pad(
-            poly_mul(poly_derivative(num), den), poly_mul(num, poly_derivative(den)))])
-        b = poly_mul(num, den)
-        scale = b[0]
-        series = []
-        for i in range(count):
-            ai = a[i] if i < len(a) else 0
-            acc = ai - sum(series[j] * b[i - j] for j in range(max(0, i - len(b) + 1), i))
-            # b[0] = num(0)*den(0) = den(0)^2 = scale; division is exact.
-            q, r = divmod(acc, scale)
-            if r:
-                raise ZetaError("log-derivative series is not integral")
-            series.append(q)
+        a = [0] * (count + 1)
+        for d, e in self.cyclotomic.items():
+            for m in range(1, min(d, count) + 1):
+                if d % m == 0:
+                    a[m] += mobius(d // m) * e
+        series = [0] * count
+        for m in range(1, count + 1):
+            if a[m]:
+                step = -m * a[m]
+                for n in range(m - 1, count, m):
+                    series[n] += step
+        if self.rest != _NO_REST:
+            rest_num, rest_den = self.rest
+            for n, (x, y) in enumerate(zip(_newton_series(rest_num, count),
+                                           _newton_series(rest_den, count))):
+                series[n] += x - y
         return series
 
     def to_json(self) -> dict:
@@ -264,8 +275,6 @@ class RationalFunctionZ:
     def text(self) -> str:
         """Factored rendering when available, else a polynomial quotient."""
         if self.factors is not None:
-            if not self.factors:
-                return "1"
             parts = []
             for p, e_minus, e_plus in self.factors:
                 if e_minus:
@@ -298,34 +307,19 @@ def _expand_product(exponents: dict[int, int]) -> list[int]:
     return out
 
 
-def _pad(a: list[int], b: list[int]) -> list[tuple[int, int]]:
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
-            for i in range(n)]
+def _newton_series(p, count: int) -> list:
+    """q_1..q_count with p'/p = sum q_n z^(n-1), for p with p(0) = 1.
 
-
-def _joint_integer_scale(num, den) -> tuple[list[int], list[int]]:
-    """Scale both coefficient lists by one factor to make everything integer.
-    Integer lists are returned as they are, trimmed."""
-    if all(type(x) is int for x in num) and all(type(x) is int for x in den):
-        return poly_trim(num), poly_trim(den)
-    fn = [Fraction(x) for x in num]
-    fd = [Fraction(x) for x in den]
-    scale = math.lcm(*(x.denominator for x in fn + fd))
-    return (poly_trim([int(x * scale) for x in fn]),
-            poly_trim([int(x * scale) for x in fd]))
-
-
-def _common_content_and_sign(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Divide by the shared integer content only, keeping the quotient's value."""
-    g = math.gcd(*num, *den)
-    if g > 1:
-        num = [x // g for x in num]
-        den = [x // g for x in den]
-    if den[0] < 0:
-        num = [-x for x in num]
-        den = [-x for x in den]
-    return num, den
+    From p' = p * sum q_n z^(n-1): n p_n = q_n + sum over 1 <= i < n of
+    p_i q_(n-i) (Newton's identities), with p_n = 0 above deg p.
+    """
+    q = []
+    for n in range(1, count + 1):
+        x = n * p[n] if n < len(p) else 0
+        for i in range(1, min(n, len(p))):
+            x -= p[i] * q[n - i - 1]
+        q.append(x)
+    return q
 
 
 @dataclass
@@ -425,9 +419,9 @@ def zeta_det(g: Graph, t: GraphMap,
     per diagonal block of the Hessenberg form of T_k
     (`linalg.det_one_minus_z_blocks`); each factor is peeled into those
     exponents on its own (`linalg.cyclotomic_exponents`), and the result
-    is the exponent vector.  A factor that does not peel to 1, which only a wrong T_k
-    gives, makes this side the multiplied-out quotient of all the factors,
-    normalized by `from_quotient`.
+    is the exponent vector.  What a factor leaves, which only a wrong T_k
+    gives, is multiplied into the rest of its side, the numerator for odd
+    k and the denominator for even k.
     """
     if not t.is_automorphism():
         raise ZetaError("the determinant formula needs finite order, i.e. an automorphism")
@@ -435,28 +429,18 @@ def zeta_det(g: Graph, t: GraphMap,
         spaces = CochainSpaces(build_complex(g))
     order = t.order()
     exponents: dict[int, int] = {}
-    blocks: list[tuple[int, list]] = []
-    peeled = True
+    rest = [[1], [1]]  # the leftovers of even k, then of odd k
     for k in range(spaces.dim + 1):
         if spaces.betti(k) == 0:
             continue
         for det in det_one_minus_z_blocks(spaces.induced_matrix(t.image, k)):
-            blocks.append((k, det))
-            if peeled:
-                found, rest = ({}, det) if any(type(c) is not int for c in det) else \
-                    cyclotomic_exponents(det, order)
-                peeled = rest == [1]
-                for d, e in found.items():
-                    exponents[d] = exponents.get(d, 0) + (e if k % 2 else -e)
-    if peeled:
-        return RationalFunctionZ.from_cyclotomic(exponents)
-    num, den = [1], [1]
-    for k, det in blocks:
-        if k % 2:
-            num = poly_mul(num, det)
-        else:
-            den = poly_mul(den, det)
-    return RationalFunctionZ.from_quotient(num, den)
+            found, left = cyclotomic_exponents(det, order)
+            for d, e in found.items():
+                exponents[d] = exponents.get(d, 0) + (e if k % 2 else -e)
+            if left != [1]:
+                rest[k % 2] = poly_mul(rest[k % 2], left)
+    return RationalFunctionZ.from_cyclotomic(
+        exponents, rest=(tuple(rest[1]), tuple(rest[0])))
 
 
 def series_consistency(zeta: RationalFunctionZ, lefschetz_values: list[int]) -> bool:

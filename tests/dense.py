@@ -7,10 +7,13 @@ the tests can check the sparse code against plain matrix algebra.  The
 dense `rank`, `rref` and `nullspace`, the dense pull-back of a cochain, and
 the induced-map route that read dense representatives into dense Fraction
 matrices live here too, as oracles.  The orbit walk of a single automorphism
-is kept here as well, in its plain set-of-tuples form.
+is kept here as well, in its plain set-of-tuples form, and so are the
+multiplied-out det(1 - z M) and the log-derivative series of a quotient by
+long division.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from lefgraph import linalg
@@ -22,8 +25,12 @@ from lefgraph.linalg import (
     ScaledMatrix,
     SparseMatrix,
     _eliminate,
+    _exact,
+    det_one_minus_z_blocks,
+    poly_mul,
+    poly_trim,
 )
-from lefgraph.symmetry import MapOrbit, SymmetryError
+from lefgraph.symmetry import SymmetryError
 
 
 def dense(m):
@@ -240,6 +247,17 @@ def pullback_matrix(cx, image: tuple[int, ...], k: int) -> RationalMatrix:
     return to_matrix(sorted_pullback(cx, image, k))
 
 
+@dataclass(frozen=True)
+class MapOrbit:
+    """A periodic orbit of one automorphism: representative, period, members,
+    and the signature of T^period on the representative's vertices."""
+
+    representative: tuple[int, ...]
+    period: int
+    simplices: tuple[tuple[int, ...], ...]  # in visit order from the representative
+    sign: int
+
+
 def simplex_orbits_under_map(cx, t) -> list[MapOrbit]:
     """The t-orbits of all simplices, walked on simplex tuples with a set of
     the visited ones: ordered by representative, members in visit order.
@@ -266,3 +284,35 @@ def simplex_orbits_under_map(cx, t) -> list[MapOrbit]:
             orbits.append(MapOrbit(x, len(members), tuple(members),
                                    permutation_parity_sign(mapped)))
     return orbits
+
+
+def det_one_minus_z(m: ScaledMatrix) -> list:
+    """Coefficients of det(I - z*M), ascending in z: the product of
+    `det_one_minus_z_blocks`, each coefficient an int where it is
+    integral, else a Fraction."""
+    out = [1]
+    for block in det_one_minus_z_blocks(m):
+        out = poly_mul(out, block)
+    return [_exact(c) for c in out]
+
+
+def log_derivative_series(num, den, count: int) -> list:
+    """l_1..l_count with (num/den)'/(num/den) = sum l_n z^(n-1), for integer
+    num and den with num(0) = den(0) != 0, by exact long division of
+    num' den - num den' by num den, whose constant term is den(0)^2.  Each
+    coefficient is an int where it is integral, else a Fraction."""
+    num, den = list(num), list(den)
+
+    def derivative(p):
+        return [i * c for i, c in enumerate(p)][1:] or [0]
+
+    left, right = poly_mul(derivative(num), den), poly_mul(num, derivative(den))
+    a = poly_trim([(left[i] if i < len(left) else 0) - (right[i] if i < len(right) else 0)
+                   for i in range(max(len(left), len(right)))])
+    b = poly_mul(num, den)
+    series = []
+    for i in range(count):
+        acc = (a[i] if i < len(a) else 0) - \
+            sum(series[j] * b[i - j] for j in range(max(0, i - len(b) + 1), i))
+        series.append(_exact(Fraction(acc, b[0])))
+    return series

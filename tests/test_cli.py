@@ -1,6 +1,8 @@
 """End-to-end command-line tests, run in process."""
 
+import io
 import json
+import os
 import sys
 
 import pytest
@@ -409,3 +411,20 @@ def test_internal_linear_algebra_failure_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "lefgraph: error: target is not in the span\n"
+
+
+def test_a_closed_output_pipe_exits_1_quietly(monkeypatch, capsys):
+    """A reader that closes the pipe early (`| head -1`) is not an error:
+    nothing goes to stderr, the exit code is 1, and stdout then points at
+    the null device so the flush at exit writes nowhere."""
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["analyze", "--named", "petersen", "--format", "json"])
+    quiet = sys.stdout
+    assert quiet.name == os.devnull
+    quiet.close()
+    assert code == 1
+    assert capsys.readouterr().err == ""

@@ -22,21 +22,18 @@ from lefgraph.linalg import (
     binomial_power,
     cyclotomic_exponents,
     cyclotomic_factor,
-    det_one_minus_z,
     det_one_minus_z_blocks,
     euler_phi,
+    mobius,
     one_minus_z_to_the,
     one_plus_z_to_the,
-    poly_div_exact,
-    poly_divmod,
-    poly_gcd,
     poly_mul,
     poly_pow,
     poly_trim,
     rank,
     rref,
 )
-from dense import RationalMatrix, apply, nullspace, scaled
+from dense import RationalMatrix, apply, det_one_minus_z, nullspace, scaled
 
 
 def naive_rank(rows):
@@ -358,20 +355,7 @@ def test_det_blocks_split_at_zero_subdiagonal_entries():
 def test_poly_arithmetic():
     assert poly_mul([1, 1], [1, -1]) == [1, 0, -1]
     assert poly_pow([1, 1], 3) == [1, 3, 3, 1]
-    q, r = poly_divmod([1, 0, -1], [1, 1])
-    assert q == [Fraction(1), Fraction(-1)] and r == [Fraction(0)]
-    assert poly_div_exact([1, 0, -1], [1, -1]) == [1, 1]
-    with pytest.raises(LinearAlgebraError):
-        poly_div_exact([1, 1, 1], [1, 1])
     assert poly_trim([1, 2, 0, 0]) == [1, 2]
-
-
-def test_poly_gcd():
-    a = poly_mul([1, 1], [1, 0, 1])
-    b = poly_mul([1, 1], [1, -1])
-    assert poly_gcd(a, b) == [1, 1]
-    assert poly_gcd([1, 1], [1, -1]) == [1]
-    assert poly_gcd([2, 2], [4, 4]) == [1, 1]
 
 
 def test_cyclotomic_factors():
@@ -406,6 +390,12 @@ def test_euler_phi_is_the_degree_of_the_cyclotomic_factor():
         assert euler_phi(d) == len(cyclotomic_factor(d)) - 1
 
 
+def test_mobius_sums_to_zero_over_the_divisors_of_n_above_1():
+    assert [mobius(n) for n in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
+    for n in range(1, 200):
+        assert sum(mobius(d) for d in range(1, n + 1) if n % d == 0) == (n == 1), n
+
+
 def test_binomial_power_equals_repeated_products():
     for e in range(7):
         for s in (1, -1):
@@ -430,6 +420,18 @@ def test_cyclotomic_exponents_peel_products_of_cyclotomic_factors():
         for d, e in exponents.items():
             a = poly_mul(a, poly_pow(cyclotomic_factor(d), e))
         assert cyclotomic_exponents(a, order) == (exponents, rest), (order, exponents, rest)
+
+
+def test_cyclotomic_exponents_without_an_order_peel_every_factor():
+    """With no order every F_d of degree at most deg a is tried, on integer
+    and rational coefficients and any constant term; what is left keeps
+    that constant term."""
+    f = poly_mul(poly_mul(cyclotomic_factor(7), cyclotomic_factor(8)), [1, 1])
+    assert cyclotomic_exponents(f) == ({2: 1, 7: 1, 8: 1}, [1])
+    assert cyclotomic_exponents(f, 14) == ({2: 1, 7: 1}, cyclotomic_factor(8))
+    assert cyclotomic_exponents([-3, 0, 3]) == ({1: 1, 2: 1}, [-3])
+    half = poly_mul([1, Fraction(-1, 2)], [1, 0, -1])
+    assert cyclotomic_exponents(half) == ({1: 1, 2: 1}, [1, Fraction(-1, 2)])
 
 
 def test_matrix_shape_guards():

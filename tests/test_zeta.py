@@ -35,7 +35,6 @@ from lefgraph.graphs import (
 from lefgraph.linalg import (
     ScaledMatrix,
     cyclotomic_exponents,
-    det_one_minus_z,
     det_one_minus_z_blocks,
     poly_mul,
     poly_pow,
@@ -81,6 +80,26 @@ def test_equality_is_cross_multiplied():
     assert a == b
     assert hash(a) == hash(b)
     assert a != RationalFunctionZ.one()
+
+
+def test_a_rest_is_compared_by_value_and_hashed_alike():
+    """1 - 2z has no root of unity as a root, so it stays in the rest,
+    unreduced; equality and the hash still go by the function's value."""
+    same = RationalFunctionZ.from_quotient([1, -2], [1, -2])
+    assert same.rest == ((1, -2), (1, -2)) and same.cyclotomic == {}
+    assert same == RationalFunctionZ.one() and same.is_one()
+    assert hash(same) == hash(RationalFunctionZ.one())
+    square = RationalFunctionZ.from_quotient(poly_pow([1, -2], 2), [1, -2])
+    line = RationalFunctionZ.from_quotient([1, -2], [1])
+    assert square.rest == ((1, -4, 4), (1, -2)) and line.rest == ((1, -2), (1,))
+    assert square == line and hash(square) == hash(line)
+    assert square.num == (1, -4, 4) and square.den == (1, -2)
+    assert line != RationalFunctionZ.one()
+    # a rest beside cyclotomic factors, with a constant term other than 1
+    mixed = RationalFunctionZ.from_quotient(poly_mul([2, -1], [1, 1]), [2, 0, -2])
+    assert mixed.cyclotomic == {1: -1} and mixed.rest == ((1, Fraction(-1, 2)), (1,))
+    assert mixed.num == (2, -1) and mixed.den == (2, -2)
+    assert mixed.log_derivative_series(4) == dense.log_derivative_series([2, -1], [2, -2], 4)
 
 
 def test_multiplication():
@@ -359,24 +378,22 @@ def _corpus_automorphisms():
 
 
 def test_census_series_closed_form_equals_long_division():
-    """The census product's series comes from its factors in closed form;
-    the same function as a plain quotient takes the long division."""
+    """The census product's series comes from its exponent vector in closed
+    form; the long division of its expanded num and den gives the same."""
     for name, g, cx, spaces, t in _corpus_automorphisms():
         product = zeta_product(orbit_census(cx, t))
-        quotient = RationalFunctionZ(product.num, product.den)
-        assert quotient.factors is None and quotient.cyclotomic is None
         order = min(2 * t.order(), 2 * len(cx))
         assert product.log_derivative_series(order) == \
-            quotient.log_derivative_series(order), (name, t.image)
+            dense.log_derivative_series(product.num, product.den, order), (name, t.image)
 
 
 def _hessenberg_quotient(spaces, t):
-    """zeta_det as a product of the det polynomials, normalized by
-    from_quotient: the route that peeling replaced."""
+    """zeta_det as the quotient of the multiplied-out det polynomials: the
+    route that peeling replaced."""
     num, den = [1], [1]
     for k in range(spaces.dim + 1):
         if spaces.betti(k):
-            det = det_one_minus_z(spaces.induced_matrix(t.image, k))
+            det = dense.det_one_minus_z(spaces.induced_matrix(t.image, k))
             if k % 2:
                 num = poly_mul(num, det)
             else:
@@ -425,7 +442,7 @@ def test_peeled_det_expands_to_the_hessenberg_quotient():
     assert cases[-1][3].order() == 255255
     for name, g, spaces, t in cases:
         peeled = zeta_det(g, t, spaces)
-        assert peeled.cyclotomic is not None, (name, t.image)
+        assert peeled.rest == ((1,), (1,)), (name, t.image)
         oracle = _hessenberg_quotient(spaces, t)
         assert (peeled.num, peeled.den) == (oracle.num, oracle.den), (name, t.image)
         assert peeled == oracle
@@ -471,7 +488,8 @@ def test_block_peel_equals_the_peel_of_the_whole_det():
                 assert rest == [1], (name, k)
                 for d, e in exponents.items():
                     found[d] = found.get(d, 0) + e
-            assert (found, [1]) == cyclotomic_exponents(det_one_minus_z(m), order), (name, k)
+            assert (found, [1]) == cyclotomic_exponents(dense.det_one_minus_z(m), order), \
+                (name, k)
             split += len(blocks) > 1
     assert split > 0
 
@@ -507,6 +525,22 @@ def test_corpus_suite_decomposes_each_automorphism_once(monkeypatch):
     assert len(calls) == 2030
 
 
+def test_orbit_census_counts_the_dense_orbits_on_the_corpus():
+    """On every corpus automorphism the census counts, per period,
+    dimension parity and sign, the orbits of the tuple-set walk
+    (`dense.simplex_orbits_under_map`)."""
+    maps = 0
+    for name, g, cx, spaces, t in _corpus_automorphisms():
+        expected = {"a": {}, "b": {}, "c": {}, "d": {}}
+        for orbit in dense.simplex_orbits_under_map(cx, t):
+            odd = len(orbit.representative) % 2 == 0  # dimension = vertex count - 1
+            counts = expected[("a" if odd else "b") if orbit.sign > 0 else ("c" if odd else "d")]
+            counts[orbit.period] = counts.get(orbit.period, 0) + 1
+        assert census_dict(orbit_census(cx, t)) == expected, (name, t.image)
+        maps += 1
+    assert maps == 2030
+
+
 def test_census_carries_the_fixed_simplex_scan():
     for name, g, cx, spaces, t in _corpus_automorphisms():
         assert orbit_census(cx, t).fixed == fixed_simplices(cx, t), (name, t.image)
@@ -514,8 +548,8 @@ def test_census_carries_the_fixed_simplex_scan():
 
 def test_a_wrong_induced_matrix_fails_the_det_check_with_both_texts(monkeypatch, capsys):
     """T_0 = [[2]] has an eigenvalue that is no root of unity, so its det
-    does not peel; that side falls back to the plain quotient, and the
-    check fails showing both functions."""
+    does not peel and stays in that side's rest, and the check fails
+    showing both functions."""
     g = octahedron_graph()
     t = validate_map(g, (3, 4, 5, 0, 1, 2))
     real = CochainSpaces.induced_matrix
@@ -526,7 +560,7 @@ def test_a_wrong_induced_matrix_fails_the_det_check_with_both_texts(monkeypatch,
     monkeypatch.setattr(CochainSpaces, "induced_matrix", wrong)
     check = zeta_checks(g, t, CochainSpaces(build_complex(g)))[0]
     assert check.name == "zeta_det_equals_product" and not check.passed
-    assert check.lhs.cyclotomic is None
+    assert check.lhs.rest == ((1,), (1, -2))
     expected = "FAIL zeta_det_equals_product: (1) / (1 - z - 2z^2) vs (1-z^2)^-1"
     assert check.describe() == expected
     assert main(["analyze", "--named", "octahedron", "--map", "3,4,5,0,1,2"]) == 2
@@ -537,8 +571,8 @@ def test_a_wrong_induced_matrix_fails_the_det_check_with_both_texts(monkeypatch,
 def test_wrong_induced_matrices_get_the_verdict_of_the_multiplied_dets(monkeypatch):
     """Random T_k in place of the induced maps: signed permutations (finite
     order, mostly the wrong one), small integer and fractional matrices.
-    The det route peels or falls back, and its verdict against the orbit
-    product, its num and its den are those of the multiplied-out dets."""
+    The det route peels or keeps a rest, and its verdict against the orbit
+    product and its value are those of the multiplied-out dets."""
     rng = random.Random(5)
 
     def draw(b):
@@ -570,9 +604,23 @@ def test_wrong_induced_matrices_get_the_verdict_of_the_multiplied_dets(monkeypat
                     fake[k] = dense.scaled(draw(spaces.betti(k)))
             peeled, oracle = zeta_det(g, t, spaces), _hessenberg_quotient(spaces, t)
             assert (peeled == product) == (oracle == product), (g, t.image, fake)
-            assert (peeled.num, peeled.den) == (oracle.num, oracle.den)
-            outcomes.add((peeled == product, peeled.cyclotomic is not None))
-    assert {(True, True), (False, True), (False, False)} <= outcomes
+            assert peeled == oracle, (g, t.image, fake)
+            outcomes.add((peeled == product, peeled.rest != ((1,), (1,))))
+    assert {(True, False), (False, False), (False, True)} <= outcomes
+
+
+def test_rests_that_cancel_across_degrees_pass_the_det_check(monkeypatch):
+    """T_0 = T_1 = [[2]] on C_4 under its rotation: both dets are 1 - 2z and
+    neither peels, so 1 - 2z is the rest of both sides.  Unreduced, the
+    rest still has the value 1, that of the orbit product."""
+    g = cycle_graph(4)
+    t = validate_map(g, (1, 2, 3, 0))
+    monkeypatch.setattr(CochainSpaces, "induced_matrix",
+                        lambda self, image, k: ScaledMatrix([{0: 2}]))
+    check = zeta_checks(g, t, CochainSpaces(build_complex(g)))[0]
+    assert check.name == "zeta_det_equals_product" and check.passed
+    assert check.lhs.rest == ((1, -2), (1, -2)) and check.lhs.cyclotomic == {}
+    assert check.rhs.is_one()
 
 
 def test_corpus_suite_multiplies_no_polynomials(monkeypatch):
