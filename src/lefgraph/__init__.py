@@ -14,6 +14,7 @@ from .dynamics import (
     FixedSimplexRecord,
     GraphMap,
     MapError,
+    OrbitCensus,
     attractor,
     brouwer_check,
     fixed_index_sum,
@@ -22,6 +23,7 @@ from .dynamics import (
     is_star_shaped,
     lefschetz_chain,
     lefschetz_cohomological,
+    orbit_census,
     random_endomorphism,
     validate_map,
 )
@@ -61,11 +63,9 @@ from .symmetry import (
     verify_averaging_theorems,
 )
 from .zeta import (
-    OrbitCensus,
     RationalFunctionZ,
     ZetaError,
     graph_zeta,
-    orbit_census,
     series_consistency,
     zeta_det,
     zeta_product,

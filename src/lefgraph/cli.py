@@ -23,14 +23,10 @@ from .dynamics import (
     MapError,
     attractor,
     brouwer_check,
-    fixed_simplices,
     is_star_shaped,
+    orbit_census,
 )
-from .experiments import (
-    MAX_EXHAUSTIVE_EXPECTATION,
-    expectation_exhaustive,
-    expectation_sampled,
-)
+from .experiments import expectation_exhaustive, expectation_sampled
 from .graphs import (
     Graph,
     GraphError,
@@ -55,7 +51,7 @@ from .verification import (
     structural_checks,
     zeta_checks,
 )
-from .zeta import ZetaError, graph_zeta, orbit_census, zeta_product
+from .zeta import ZetaError, graph_zeta, zeta_product
 
 
 class _Parser(argparse.ArgumentParser):
@@ -196,11 +192,9 @@ def _graph_section(g: Graph, spaces: CochainSpaces) -> dict:
 
 def _map_section(g: Graph, t: GraphMap,
                  spaces: CochainSpaces) -> tuple[dict, list[TheoremCheck]]:
-    cx = spaces.cx
     core = attractor(t)
-    census = orbit_census(cx, t) if t.is_automorphism() else None
-    records = census.fixed if census is not None else fixed_simplices(cx, t)
-    checks = lefschetz_checks(g, t, spaces, records)
+    census = orbit_census(spaces.cx, t)
+    checks = lefschetz_checks(g, t, spaces, census.fixed)
     checks += attractor_checks(g, t, spaces, core)
     section = {
         "image": list(t.image),
@@ -209,15 +203,15 @@ def _map_section(g: Graph, t: GraphMap,
         "fixed_simplices": [
             {"simplex": list(r.simplex), "dim": r.dim,
              "perm_sign": r.perm_sign, "index": r.index}
-            for r in records],
-        "lefschetz": sum(r.index for r in records),
+            for r in census.fixed],
+        "lefschetz": sum(r.index for r in census.fixed),
     }
-    br = brouwer_check(g, t, spaces, records)
+    br = brouwer_check(g, t, spaces, census.fixed)
     if br.applicable:
         checks.append(TheoremCheck("brouwer_fixed_clique_exists",
                                    br.fixed_count > 0, br.fixed_count, "> 0"))
         section["brouwer_witness"] = list(br.witness) if br.witness else None
-    if census is not None:
+    if t.is_automorphism():
         product = zeta_product(census)
         checks += zeta_checks(g, t, spaces, product=product)
         section["zeta"] = product.to_json()
@@ -307,7 +301,7 @@ def cmd_zeta(args) -> int:
 
 def cmd_random(args) -> int:
     if args.exhaustive:
-        value = expectation_exhaustive(args.n, cap=args.exhaustive_cap)
+        value = expectation_exhaustive(args.n)
         report = {
             "n": args.n,
             "mode": "exhaustive",
@@ -393,8 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--exhaustive", action="store_true",
                    help="average over all labeled graphs on n vertices")
-    p.add_argument("--exhaustive-cap", type=int, default=MAX_EXHAUSTIVE_EXPECTATION,
-                   help="safety cap for exhaustive n (default %(default)s)")
     p.add_argument("--samples", type=int, default=None,
                    help="number of sampled graphs (sampling mode)")
     p.add_argument("--p", default="1/2",

@@ -14,10 +14,9 @@ its prefix x[:-1] plus its last vertex w, so image(x) is image(x[:-1]) plus
 T(w), and appending T(w) to the prefix's sorted image and sorting again
 multiplies the prefix's sign by (-1)^(vertices of image(x[:-1]) above T(w)).
 One lookup in the complex's extension table, (y, w) -> (index of y + {w},
-that parity), gives both.  The orbit census (and, for an endomorphism, the
-fixed-simplex scan) walks the simplices themselves, sorting their images,
-so it shares no step with this build; for an automorphism the census's
-orbits of period 1 are the fixed simplices of the index sum.  The
+that parity), gives both.  The orbit census walks the simplices
+themselves, sorting their images, so it shares no step with this build;
+its orbits of period 1 are the fixed simplices of the index sum.  The
 chain-map identity and d o d = 0 are checked on these integer rows in
 O(nonzeros).  Per row of d_k, the chain-map check reads the left side,
 times the row's pullback sign, into k+2 keys and compares it with the

@@ -4,18 +4,20 @@ A graph endomorphism is a vertex map sending edges to edges; that forces it
 to be injective on every clique, so it acts simplicially on the clique
 complex.  The Lefschetz number is computed two independent ways (traces on
 cohomology, signed count of fixed simplices) plus the chain-level trace sum,
-and all three must agree.
+and all three must agree.  The orbit census walks a map's simplices once:
+its orbits of period 1 are the fixed simplices of the signed count.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .complexes import CliqueComplex, Simplex, build_complex
 from .cohomology import CochainSpaces, permutation_parity_sign
 from .graphs import Graph, induced_subgraph
+from .reporting import VerificationError
 
 
 class MapError(ValueError):
@@ -142,19 +144,109 @@ class FixedSimplexRecord:
     index: int      # (-1)^dim * perm_sign
 
 
-def fixed_simplices(cx: CliqueComplex, t: GraphMap) -> list[FixedSimplexRecord]:
-    """All simplices x with t(x) == x as a set, with their fixed-point indices."""
+@dataclass
+class OrbitCensus:
+    """Counts of prime periodic orbits by period, dimension parity, and sign.
+
+    a(p): odd-dimensional, T^p-signature +1;  b(p): even-dimensional, +1;
+    c(p): odd-dimensional, signature -1;      d(p): even-dimensional, -1.
+
+    `fixed` holds the walked map's orbits of period 1, its fixed simplices,
+    by dimension and in stored order within each; a merged census has none.
+    """
+
+    a: dict[int, int] = field(default_factory=dict)
+    b: dict[int, int] = field(default_factory=dict)
+    c: dict[int, int] = field(default_factory=dict)
+    d: dict[int, int] = field(default_factory=dict)
+    fixed: list[FixedSimplexRecord] = field(default_factory=list)
+
+    def periods(self) -> list[int]:
+        return sorted(set(self.a) | set(self.b) | set(self.c) | set(self.d))
+
+    def total_weight(self) -> int:
+        """Sum of p * (orbit count at p): the number of periodic simplices,
+        all of them for an automorphism."""
+        return sum(p * (self.a.get(p, 0) + self.b.get(p, 0)
+                        + self.c.get(p, 0) + self.d.get(p, 0))
+                   for p in self.periods())
+
+    def merged(self, other: "OrbitCensus") -> "OrbitCensus":
+        out = OrbitCensus(dict(self.a), dict(self.b), dict(self.c), dict(self.d))
+        for mine, theirs in ((out.a, other.a), (out.b, other.b),
+                             (out.c, other.c), (out.d, other.d)):
+            for p, k in theirs.items():
+                mine[p] = mine.get(p, 0) + k
+        return out
+
+    def exponents(self) -> dict[int, tuple[int, int]]:
+        """Per period: exponents of (1 - z^p) and (1 + z^p) in the product."""
+        return {p: (self.a.get(p, 0) - self.b.get(p, 0),
+                    self.c.get(p, 0) - self.d.get(p, 0))
+                for p in self.periods()}
+
+
+def orbit_census(cx: CliqueComplex, t: GraphMap) -> OrbitCensus:
+    """Classify every periodic orbit of a graph map, in one walk.
+
+    An orbit of minimal period p is classed by the dimension of its
+    representative x and the signature of T^p on x.  Each untagged simplex
+    x, in stored order, starts a walk that applies t to the vertices of x
+    itself and tags each sorted image with the walk's number, until it
+    comes back to x (the unsorted vertex list then holds T^p on x, whose
+    sort parity is the sign) or meets a tag: an earlier walk's ends a tail,
+    which adds nothing; its own enters a cycle behind a tail, walked once
+    more from there.  Orbits of period 1 are kept in `fixed`, in stored
+    order, so a fixed simplex met by a tail is untagged and left to the
+    loop.  The pullbacks are never read: this route must stay apart from
+    the chain traces it is checked against.
+    """
     image = t.image
-    out = []
-    for level in cx.by_dim:
-        for x in level:
-            mapped = [image[v] for v in x]
-            if tuple(sorted(mapped)) != x:
+    census = OrbitCensus()
+    fixed = census.fixed
+    for dim, (level, index) in enumerate(zip(cx.by_dim, cx.index)):
+        plus, minus = (census.a, census.c) if dim % 2 else (census.b, census.d)
+        walked = [0] * len(level)
+        for i, x in enumerate(level):
+            if walked[i]:
                 continue
+            walked[i] = walk = i + 1
+            mapped = [image[v] for v in x]
+            y = tuple(sorted(mapped))
+            p = 1
+            while y != x:
+                j = index[y]
+                if walked[j]:
+                    break
+                walked[j] = walk
+                p += 1
+                mapped = [image[v] for v in mapped]
+                y = tuple(sorted(mapped))
+            if y != x:
+                if walked[j] != walk:
+                    continue  # a tail into an earlier walk
+                x = y  # a cycle behind this walk's tail, entered at y
+                mapped = [image[v] for v in x]
+                y = tuple(sorted(mapped))
+                if y == x:
+                    walked[j] = 0  # fixed, and stored later: counted there
+                    continue
+                p = 1
+                while y != x:
+                    p += 1
+                    mapped = [image[v] for v in mapped]
+                    y = tuple(sorted(mapped))
             sign = permutation_parity_sign(mapped)
-            dim = len(x) - 1
-            out.append(FixedSimplexRecord(x, dim, sign, (-1) ** dim * sign))
-    return out
+            counts = plus if sign > 0 else minus
+            counts[p] = counts.get(p, 0) + 1
+            if p == 1:
+                fixed.append(FixedSimplexRecord(x, dim, sign, -sign if dim % 2 else sign))
+    return census
+
+
+def fixed_simplices(cx: CliqueComplex, t: GraphMap) -> list[FixedSimplexRecord]:
+    """The simplices x with t(x) == x as a set: the census's period-1 orbits."""
+    return orbit_census(cx, t).fixed
 
 
 def fixed_index_sum(cx: CliqueComplex, t: GraphMap) -> int:
@@ -172,16 +264,9 @@ def lefschetz_chain(spaces: CochainSpaces, t: GraphMap) -> int:
 
 def lefschetz_cohomological(g: Graph, t: GraphMap,
                             spaces: CochainSpaces | None = None) -> int:
-    """Lefschetz number via traces of the maps induced on cohomology.
-
-    The identity map induces the identity on every H^k, so its traces are the
-    Betti numbers and no representative solves are needed; every other map
-    goes through the full induced-matrix computation.
-    """
+    """Lefschetz number via traces of the maps induced on cohomology."""
     if spaces is None:
         spaces = CochainSpaces(build_complex(g))
-    if t.is_identity():
-        return sum((-1) ** k * spaces.betti(k) for k in range(spaces.dim + 1))
     return spaces.lefschetz_number(t.image)
 
 
@@ -205,7 +290,8 @@ def attractor(t: GraphMap) -> Attractor:
     sub, kept = induced_subgraph(t.graph, current)
     pos = {v: i for i, v in enumerate(kept)}
     restricted = GraphMap(sub, tuple(pos[t.image[v]] for v in kept))
-    assert restricted.is_automorphism()
+    if not restricted.is_automorphism():
+        raise VerificationError(f"{t} is not a bijection on its attractor {list(kept)}")
     return Attractor(sub, restricted, tuple(kept))
 
 
@@ -229,8 +315,8 @@ def brouwer_check(g: Graph, t: GraphMap, spaces: CochainSpaces | None = None,
     """Fixed-clique guarantee for connected star-shaped graphs.
 
     In that case L(t) = 1 for every endomorphism, so the signed fixed-simplex
-    count cannot be empty.  `fixed` is the map's fixed-simplex scan, when the
-    caller already made it.
+    count cannot be empty; the caller checks `fixed_count`.  `fixed` is the
+    map's fixed simplices, when the caller already walked them.
     """
     if spaces is None:
         spaces = CochainSpaces(build_complex(g))
@@ -239,8 +325,6 @@ def brouwer_check(g: Graph, t: GraphMap, spaces: CochainSpaces | None = None,
     if fixed is None:
         fixed = fixed_simplices(spaces.cx, t)
     lef = lefschetz_cohomological(g, t, spaces)
-    if applicable:
-        assert fixed, "a connected star-shaped graph must leave a clique fixed"
     return BrouwerReport(applicable, lef, len(fixed),
                          fixed[0].simplex if fixed else None)
 
@@ -278,5 +362,6 @@ def random_endomorphism(g: Graph, rng: random.Random) -> GraphMap:
                 break
             image[v] = -1
             stack.pop()
-        assert stack, "the identity is always an endomorphism"
+        if not stack:
+            raise VerificationError(f"no endomorphism of {g} found, not even the identity")
     return GraphMap(g, image)

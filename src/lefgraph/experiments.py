@@ -24,8 +24,6 @@ from .symmetry import (
     average_lefschetz,
 )
 
-MAX_EXHAUSTIVE_EXPECTATION = 6
-
 
 def graph_average_lefschetz(g: Graph, group: AutomorphismGroup | None = None) -> int:
     """L(G) for a single graph, on a fresh complex and, unless given, a
@@ -33,7 +31,7 @@ def graph_average_lefschetz(g: Graph, group: AutomorphismGroup | None = None) ->
     return average_lefschetz(g, group)
 
 
-def expectation_exhaustive(n: int, cap: int = MAX_EXHAUSTIVE_EXPECTATION) -> Fraction:
+def expectation_exhaustive(n: int) -> Fraction:
     """E_n[L]: mean of L(G) over all 2^(n(n-1)/2) labeled graphs.
 
     The sum runs over isomorphism classes, each L(G) weighted by the class's
@@ -41,12 +39,8 @@ def expectation_exhaustive(n: int, cap: int = MAX_EXHAUSTIVE_EXPECTATION) -> Fra
     raised on a mismatch: orbit size times |Aut| of the representative must
     be n! (orbit-stabilizer, which compares the orbit walk with the
     automorphism search), and the orbit sizes must add up to the number of
-    labeled graphs.
+    labeled graphs.  The class enumeration refuses n < 0 and n > 7.
     """
-    if n > cap:
-        raise ValueError(
-            f"exhaustive expectation capped at {cap} vertices (got {n}); "
-            "raise the cap explicitly to go further")
     total = 0
     labeled = 0
     for rep, size in isomorphism_classes(n):

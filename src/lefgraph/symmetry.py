@@ -7,8 +7,8 @@ characteristic, Burnside count).
 
 The curvature and Burnside count fold in one fixed-simplex list per group
 element (`FixedSimplexSweep`).  A caller that already walked an element's
-simplices, as `zeta.orbit_census` does, passes that walk's fixed simplices;
-otherwise the sweep scans them.
+simplices with `dynamics.orbit_census` passes that walk's fixed simplices;
+otherwise the sweep walks them.
 """
 
 from __future__ import annotations

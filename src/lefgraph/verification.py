@@ -20,6 +20,7 @@ from .dynamics import (
     fixed_simplices,
     lefschetz_chain,
     lefschetz_cohomological,
+    orbit_census,
     random_endomorphism,
 )
 from .graphs import Graph, connected_components, named_graph
@@ -33,7 +34,6 @@ from .zeta import (
     MAX_SERIES_ORDER,
     RationalFunctionZ,
     lefschetz_iterates,
-    orbit_census,
     zeta_det,
     zeta_product,
 )
@@ -80,7 +80,7 @@ def lefschetz_checks(g: Graph, t: GraphMap, spaces: CochainSpaces | None = None,
                      fixed: list[FixedSimplexRecord] | None = None) -> list[TheoremCheck]:
     """Three-way Lefschetz agreement plus the chain-map identity for one map.
 
-    `fixed` is the map's fixed-simplex scan, when the caller already made it.
+    `fixed` is the map's fixed simplices, when the caller already walked them.
     """
     if spaces is None:
         spaces = CochainSpaces(build_complex(g))
@@ -200,10 +200,10 @@ def run_corpus_suite(endomorphisms_per_graph: int = 25,
     Per graph: structural checks; per automorphism: Lefschetz three-way and
     zeta three-way; per sampled endomorphism: Lefschetz three-way, attractor
     invariance, and the Brouwer guarantee where applicable; plus the
-    averaging-theorem report.  Each map's simplices are walked once: an
-    automorphism's orbit census carries its fixed simplices, for its index
-    sum and the averaging sweep, and its orbit product; an endomorphism's
-    fixed-simplex scan serves its index sum and the Brouwer check.
+    averaging-theorem report.  Each map's simplices are walked once, by its
+    orbit census.  The census's fixed simplices serve the index sum, and
+    also the averaging sweep for an automorphism and the Brouwer check for
+    an endomorphism; an automorphism's census also gives its orbit product.
     """
     report = CorpusReport()
     rng = random.Random(seed)
@@ -228,7 +228,7 @@ def run_corpus_suite(endomorphisms_per_graph: int = 25,
         for _ in range(endomorphisms_per_graph):
             t = random_endomorphism(g, rng)
             report.maps += 1
-            fixed = fixed_simplices(cx, t)
+            fixed = orbit_census(cx, t).fixed
             report.absorb(f"{name} endo {t.image}", lefschetz_checks(g, t, spaces, fixed))
             report.absorb(f"{name} endo {t.image}", attractor_checks(g, t, spaces))
             br = brouwer_check(g, t, spaces, fixed)

@@ -19,23 +19,21 @@ read off the vector in closed form.
 The series side, L(T^n) = sum_k (-1)^k tr(P_k^n), is read off the cycles of
 the map's signed chain pullbacks P_k: a cycle of length p whose signs
 multiply to s adds p * s^(n/p) at every multiple n of p.  The orbit census
-finds its orbits and signs on the simplices themselves, never through the
-pullbacks, so the two sides share no input.  Its walk also hands over the
-map's fixed simplices, the orbits of period 1.  Agreement on min(2 order(T),
-2 |cx|) terms proves agreement for every n (see
-`verification.zeta_checks`); an explicit order may not exceed
+(`dynamics.orbit_census`) finds its orbits and signs on the simplices
+themselves, never through the pullbacks, so the two sides share no input.
+Agreement on min(2 order(T), 2 |cx|) terms proves agreement for every n
+(see `verification.zeta_checks`); an explicit order may not exceed
 `MAX_SERIES_ORDER`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .complexes import CliqueComplex, build_complex
-from .cohomology import CochainSpaces, permutation_parity_sign
-from .dynamics import FixedSimplexRecord, GraphMap
+from .cohomology import CochainSpaces
+from .dynamics import GraphMap, OrbitCensus, orbit_census
 from .graphs import Graph
 from .linalg import (
     binomial_power,
@@ -320,87 +318,6 @@ def _newton_series(p, count: int) -> list:
             x -= p[i] * q[n - i - 1]
         q.append(x)
     return q
-
-
-@dataclass
-class OrbitCensus:
-    """Counts of prime periodic orbits by period, dimension parity, and sign.
-
-    a(p): odd-dimensional, T^p-signature +1;  b(p): even-dimensional, +1;
-    c(p): odd-dimensional, signature -1;      d(p): even-dimensional, -1.
-
-    `fixed` holds the walked map's orbits of period 1, its fixed simplices,
-    as `dynamics.fixed_simplices` lists them; a merged census has none.
-    """
-
-    a: dict[int, int] = field(default_factory=dict)
-    b: dict[int, int] = field(default_factory=dict)
-    c: dict[int, int] = field(default_factory=dict)
-    d: dict[int, int] = field(default_factory=dict)
-    fixed: list[FixedSimplexRecord] = field(default_factory=list)
-
-    def periods(self) -> list[int]:
-        return sorted(set(self.a) | set(self.b) | set(self.c) | set(self.d))
-
-    def total_weight(self) -> int:
-        """Sum of p * (orbit count at p): must equal the simplex count."""
-        return sum(p * (self.a.get(p, 0) + self.b.get(p, 0)
-                        + self.c.get(p, 0) + self.d.get(p, 0))
-                   for p in self.periods())
-
-    def merged(self, other: "OrbitCensus") -> "OrbitCensus":
-        out = OrbitCensus(dict(self.a), dict(self.b), dict(self.c), dict(self.d))
-        for mine, theirs in ((out.a, other.a), (out.b, other.b),
-                             (out.c, other.c), (out.d, other.d)):
-            for p, k in theirs.items():
-                mine[p] = mine.get(p, 0) + k
-        return out
-
-    def exponents(self) -> dict[int, tuple[int, int]]:
-        """Per period: exponents of (1 - z^p) and (1 + z^p) in the product."""
-        return {p: (self.a.get(p, 0) - self.b.get(p, 0),
-                    self.c.get(p, 0) - self.d.get(p, 0))
-                for p in self.periods()}
-
-
-def orbit_census(cx: CliqueComplex, t: GraphMap) -> OrbitCensus:
-    """Classify every periodic orbit of an automorphism, in one walk.
-
-    For an orbit of minimal period p with representative x, the signature of
-    T^p restricted to x decides the sign class; the dimension of x decides
-    the parity class.  The walk takes each unvisited simplex x in stored
-    order as a representative and applies t to the vertices of x itself,
-    marking each sorted image visited by its index, until the image is x
-    again; the unsorted vertex list then holds T^p on x, whose sort parity
-    is the sign.  A representative of period 1 is a fixed simplex and is
-    kept in `fixed`.  The pullbacks are never read: this route must stay
-    apart from the chain traces it is checked against.
-    """
-    if not t.is_automorphism():
-        raise ZetaError("the orbit census needs an automorphism")
-    image = t.image
-    census = OrbitCensus()
-    fixed = census.fixed
-    for dim, (level, index) in enumerate(zip(cx.by_dim, cx.index)):
-        plus, minus = (census.a, census.c) if dim % 2 else (census.b, census.d)
-        visited = bytearray(len(level))
-        for i, x in enumerate(level):
-            if visited[i]:
-                continue
-            mapped = [image[v] for v in x]
-            y = tuple(sorted(mapped))
-            p = 1
-            while y != x:
-                visited[index[y]] = 1
-                p += 1
-                mapped = [image[v] for v in mapped]
-                y = tuple(sorted(mapped))
-            sign = permutation_parity_sign(mapped)
-            counts = plus if sign > 0 else minus
-            counts[p] = counts.get(p, 0) + 1
-            if p == 1:
-                fixed.append(FixedSimplexRecord(x, dim, sign, -sign if dim % 2 else sign))
-    return census
 
 
 def zeta_product(census: OrbitCensus) -> RationalFunctionZ:

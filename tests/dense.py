@@ -8,8 +8,9 @@ dense `rank`, `rref` and `nullspace`, the dense pull-back of a cochain, and
 the induced-map route that read dense representatives into dense Fraction
 matrices live here too, as oracles.  The orbit walk of a single automorphism
 is kept here as well, in its plain set-of-tuples form, and so are the
-multiplied-out det(1 - z M) and the log-derivative series of a quotient by
-long division.
+scan of a map's fixed simplices that tests every simplex on its own, every
+graph map of a small graph, the multiplied-out det(1 - z M) and the
+log-derivative series of a quotient by long division.
 """
 
 import math
@@ -18,6 +19,7 @@ from fractions import Fraction
 
 from lefgraph import linalg
 from lefgraph.cohomology import Pullback, permutation_parity_sign
+from lefgraph.dynamics import FixedSimplexRecord, GraphMap
 from lefgraph.linalg import (
     LinearAlgebraError,
     NotInSpanError,
@@ -284,6 +286,41 @@ def simplex_orbits_under_map(cx, t) -> list[MapOrbit]:
             orbits.append(MapOrbit(x, len(members), tuple(members),
                                    permutation_parity_sign(mapped)))
     return orbits
+
+
+def fixed_simplices(cx, t) -> list[FixedSimplexRecord]:
+    """All simplices x with t(x) == x as a set, in stored order by
+    dimension, each tested on its own: one image per simplex and no orbit
+    walk."""
+    image = t.image
+    out = []
+    for level in cx.by_dim:
+        for x in level:
+            mapped = [image[v] for v in x]
+            if tuple(sorted(mapped)) != x:
+                continue
+            sign = permutation_parity_sign(mapped)
+            dim = len(x) - 1
+            out.append(FixedSimplexRecord(x, dim, sign, (-1) ** dim * sign))
+    return out
+
+
+def graph_maps(g):
+    """Every graph map of g, automorphisms and endomorphisms, by
+    backtracking over the vertices in order: vertex v may go to any u
+    adjacent to the images of v's lower neighbors."""
+    image = [0] * g.n
+
+    def extend(v):
+        if v == g.n:
+            yield GraphMap(g, image)
+            return
+        for u in range(g.n):
+            if all(g.adjacent(u, image[w]) for w in g.neighbors(v) if w < v):
+                image[v] = u
+                yield from extend(v + 1)
+
+    yield from extend(0)
 
 
 def det_one_minus_z(m: ScaledMatrix) -> list:

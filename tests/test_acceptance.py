@@ -156,7 +156,7 @@ def test_criterion_2_e7():
     """E_7 over the 1044 isomorphism classes of the 2^21 labeled graphs."""
     start = time.monotonic()
     failures = []
-    got = expectation_exhaustive(7, cap=7)
+    got = expectation_exhaustive(7)
     if got != Fraction(1289807, 2097152):
         failures.append(f"E_7 = {got}, want 1289807/2097152")
     elapsed = time.monotonic() - start

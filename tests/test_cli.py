@@ -135,7 +135,7 @@ def _per_map_calls(capsys, monkeypatch, *argv):
 
     calls = []
     for name in ("attractor", "fixed_simplices", "orbit_census"):
-        real = getattr(dynamics if name != "orbit_census" else zeta, name)
+        real = getattr(dynamics, name)
 
         def counting(*args, _name=name, _real=real):
             calls.append(_name)
@@ -151,7 +151,7 @@ def _per_map_calls(capsys, monkeypatch, *argv):
 
 def test_analyze_computes_each_per_map_input_once(capsys, monkeypatch):
     # wheel:5 is connected and star-shaped, so the Brouwer check runs too.
-    # An automorphism's fixed simplices come with its orbit census.
+    # The map's fixed simplices come with its orbit census.
     report, calls = _per_map_calls(capsys, monkeypatch,
                                    "--named", "wheel:5", "--map", "1,2,3,4,0,5")
     assert report["map"]["kind"] == "automorphism"
@@ -166,7 +166,30 @@ def test_analyze_scans_an_endomorphism_once(capsys, monkeypatch):
     assert report["map"]["kind"] == "endomorphism"
     assert "brouwer_witness" in report["map"]
     assert report["map"]["zeta"] is None
-    assert calls == ["attractor", "fixed_simplices"]
+    assert report["map"]["fixed_simplices"] == [
+        {"simplex": [0], "dim": 0, "perm_sign": 1, "index": 1},
+        {"simplex": [1], "dim": 0, "perm_sign": 1, "index": 1},
+        {"simplex": [0, 1], "dim": 1, "perm_sign": 1, "index": -1}]
+    assert calls == ["attractor", "orbit_census"]
+
+
+def test_a_missing_fixed_clique_is_reported_not_raised(capsys, monkeypatch):
+    """With the walk patched to find no fixed simplex, the Brouwer check on
+    wheel:5 fails as a check: exit 2, its FAIL line, and no traceback."""
+    import dataclasses
+
+    import lefgraph.cli as cli
+    import lefgraph.dynamics as dynamics
+
+    def no_fixed(cx, t):
+        return dataclasses.replace(dynamics.orbit_census(cx, t), fixed=[])
+
+    monkeypatch.setattr(cli, "orbit_census", no_fixed)
+    code, out, err = run(capsys, "analyze", "--named", "wheel:5",
+                         "--map", "0,1,2,3,4,5")
+    assert code == 2
+    assert "  FAIL brouwer_fixed_clique_exists: 0 vs > 0" in out.splitlines()
+    assert err == ""
 
 
 def test_aut_orbigraph(capsys):
@@ -312,7 +335,7 @@ def test_random_sampled_is_deterministic(capsys):
 def test_random_needs_a_mode(capsys):
     code, _, err = run(capsys, "random", "--n", "3")
     assert code == 1 and "--exhaustive or --samples" in err
-    code, _, err = run(capsys, "random", "--n", "7", "--exhaustive")
+    code, _, err = run(capsys, "random", "--n", "8", "--exhaustive")
     assert code == 1 and "capped" in err
     code, _, err = run(capsys, "random", "--n", "3", "--samples", "2",
                        "--p", "2/0")

@@ -16,7 +16,6 @@ from lefgraph.complexes import build_complex, euler_characteristic
 from lefgraph.dynamics import (
     GraphMap,
     fixed_index_sum,
-    fixed_simplices,
     identity_map,
     lefschetz_chain,
     random_endomorphism,
@@ -27,6 +26,7 @@ from lefgraph.graphs import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    isomorphism_classes,
     octahedron_graph,
     parse_edge_list,
     petersen_graph,
@@ -266,8 +266,18 @@ def test_zeta_rejects_endomorphisms():
     collapse = validate_map(g, (0, 1, 1, 1))
     with pytest.raises(ZetaError):
         zeta_det(g, collapse)
-    with pytest.raises(ZetaError):
-        orbit_census(build_complex(g), collapse)
+
+
+def test_census_walks_the_tails_of_an_endomorphism():
+    """Leaves 2 and 3 of the star, and the edges to them, are tails into
+    the fixed leaf 1 and the fixed edge (0, 1): they add no orbit."""
+    g = star_graph(3)
+    cx = build_complex(g)
+    census = orbit_census(cx, validate_map(g, (0, 1, 1, 1)))
+    assert census_dict(census) == {"a": {1: 1}, "b": {1: 2}, "c": {}, "d": {}}
+    assert [r.simplex for r in census.fixed] == [(0,), (1,), (0, 1)]
+    assert census.total_weight() == 3 < len(cx)
+    assert zeta_product(census) == RationalFunctionZ.from_quotient([1], [1, -1])
 
 
 def test_graph_zeta_cycles():
@@ -543,7 +553,27 @@ def test_orbit_census_counts_the_dense_orbits_on_the_corpus():
 
 def test_census_carries_the_fixed_simplex_scan():
     for name, g, cx, spaces, t in _corpus_automorphisms():
-        assert orbit_census(cx, t).fixed == fixed_simplices(cx, t), (name, t.image)
+        assert orbit_census(cx, t).fixed == dense.fixed_simplices(cx, t), (name, t.image)
+
+
+def test_census_matches_the_scan_and_the_iterates_on_every_small_map():
+    """On every graph map of every graph on 1 to 5 vertices, one class
+    representative each: the census's fixed simplices are the scan's, in
+    the scan's order, its product's series is L(T^n) for n = 1..12, and
+    every simplex lies on an orbit exactly for an automorphism."""
+    maps = 0
+    for n in range(1, 6):
+        for g, _ in isomorphism_classes(n):
+            cx = build_complex(g)
+            spaces = CochainSpaces(cx)
+            for t in dense.graph_maps(g):
+                census = orbit_census(cx, t)
+                assert census.fixed == dense.fixed_simplices(cx, t), (g, t.image)
+                assert zeta_product(census).log_derivative_series(12) == \
+                    lefschetz_iterates(spaces, t, 12), (g, t.image)
+                assert (census.total_weight() == len(cx)) == t.is_automorphism()
+                maps += 1
+    assert maps == 6493
 
 
 def test_a_wrong_induced_matrix_fails_the_det_check_with_both_texts(monkeypatch, capsys):
