@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: analyze, aut, zeta, random, verify-corpus.  Graphs come from an
-edge-list file or from --named; maps from --map (inline comma list or a map
-file).  Reports render as text (default) or JSON with exact numbers only.
+edge-list file or from --named; maps from --map (an inline comma list of
+integers, else a map file).  Reports render as text (default) or JSON with
+exact numbers only.
 Exit codes: 0 success, 1 input error, 2 when a verification check failed
 or an internal linear-algebra step or count check failed (a bug in lefgraph,
 not the input).
@@ -41,6 +42,7 @@ from .reporting import TheoremCheck, VerificationError
 from .symmetry import (
     SymmetryError,
     automorphism_group,
+    fixed_simplex_sweep,
     lefschetz_multiset,
     verify_averaging_theorems,
 )
@@ -164,38 +166,40 @@ def _parse_map_text(text: str) -> list[int]:
 
 
 def _load_map(g: Graph, source: str) -> GraphMap:
-    """Inline comma-separated image list, or a path to a map file."""
-    if os.path.exists(source) and "," not in source:
-        with open(source, "r", encoding="utf-8") as fh:
-            image = _parse_map_text(fh.read())
-    else:
-        try:
-            image = [int(x) for x in source.split(",")]
-        except ValueError:
+    """Inline comma-separated image list, or else a path to a map file.
+
+    A source that parses as a comma list of integers is always inline, so
+    a file named like one is read through a path such as `./0`."""
+    try:
+        image = [int(x) for x in source.split(",")]
+    except ValueError:
+        if not os.path.exists(source):
             raise MapError(
                 f"map {source!r} is neither a readable file nor a comma list of integers"
             ) from None
+        with open(source, "r", encoding="utf-8") as fh:
+            image = _parse_map_text(fh.read())
     return GraphMap(g, image)
 
 
-def _graph_section(g: Graph, spaces: CochainSpaces) -> dict:
+def _graph_section(spaces: CochainSpaces) -> dict:
+    g = spaces.cx.graph
     return {
         "n": g.n,
         "edge_count": g.edge_count,
         "f_vector": list(spaces.cx.f_vector()),
         "euler_characteristic": spaces.cx.euler_characteristic(),
         "betti": list(spaces.betti_numbers()),
-        "star_shaped": is_star_shaped(g, spaces),
+        "star_shaped": is_star_shaped(spaces),
         "components": len(connected_components(g)),
     }
 
 
-def _map_section(g: Graph, t: GraphMap,
-                 spaces: CochainSpaces) -> tuple[dict, list[TheoremCheck]]:
+def _map_section(spaces: CochainSpaces, t: GraphMap) -> tuple[dict, list[TheoremCheck]]:
     core = attractor(t)
     census = orbit_census(spaces.cx, t)
-    checks = lefschetz_checks(g, t, spaces, census.fixed)
-    checks += attractor_checks(g, t, spaces, core)
+    checks = lefschetz_checks(spaces, t, census.fixed)
+    checks += attractor_checks(spaces, t, core)
     section = {
         "image": list(t.image),
         "kind": t.kind,
@@ -206,14 +210,14 @@ def _map_section(g: Graph, t: GraphMap,
             for r in census.fixed],
         "lefschetz": sum(r.index for r in census.fixed),
     }
-    br = brouwer_check(g, t, spaces, census.fixed)
+    br = brouwer_check(spaces, t, census.fixed)
     if br.applicable:
         checks.append(TheoremCheck("brouwer_fixed_clique_exists",
                                    br.fixed_count > 0, br.fixed_count, "> 0"))
         section["brouwer_witness"] = list(br.witness) if br.witness else None
     if t.is_automorphism():
         product = zeta_product(census)
-        checks += zeta_checks(g, t, spaces, product=product)
+        checks += zeta_checks(spaces, t, product)
         section["zeta"] = product.to_json()
     else:
         section["zeta"] = None
@@ -227,11 +231,11 @@ def _exit_code(all_checks: list[dict]) -> int:
 def cmd_analyze(args) -> int:
     g = _load_graph(args)
     spaces = CochainSpaces(build_complex(g))
-    checks = structural_checks(g, spaces)
-    report = {"graph": _graph_section(g, spaces)}
+    checks = structural_checks(spaces)
+    report = {"graph": _graph_section(spaces)}
     if args.map:
         t = _load_map(g, args.map)
-        section, map_checks = _map_section(g, t, spaces)
+        section, map_checks = _map_section(spaces, t)
         report["map"] = section
         checks += map_checks
     report["checks"] = [_check_dict(c) for c in checks]
@@ -243,10 +247,11 @@ def cmd_aut(args) -> int:
     g = _load_graph(args)
     spaces = CochainSpaces(build_complex(g))
     group = automorphism_group(g)
-    multiset = lefschetz_multiset(g, group, spaces)
-    averaging = verify_averaging_theorems(g, group, spaces)
+    multiset = lefschetz_multiset(spaces, group)
+    averaging = verify_averaging_theorems(
+        spaces, group, fixed_simplex_sweep(spaces.cx, group))
     report = {
-        "graph": _graph_section(g, spaces),
+        "graph": _graph_section(spaces),
         "group": {
             "order": group.order,
             "lefschetz_multiset": [[value, count] for value, count in multiset.items()],
@@ -272,28 +277,28 @@ def cmd_aut(args) -> int:
 
 
 def cmd_zeta(args) -> int:
+    if args.map and args.group:
+        raise GraphError("give either --map or --group, not both")
+    if not (args.map or args.group):
+        raise GraphError("zeta needs --map <image> or --group")
     g = _load_graph(args)
     cx = build_complex(g)
     spaces = CochainSpaces(cx)
-    report = {"graph": _graph_section(g, spaces)}
+    report = {"graph": _graph_section(spaces)}
     checks: list[TheoremCheck] = []
-    if args.map and args.group:
-        raise GraphError("give either --map or --group, not both")
     if args.map:
         t = _load_map(g, args.map)
         if not t.is_automorphism():
             raise MapError("zeta functions are defined for automorphisms; "
                            "this map is a non-bijective endomorphism")
         product = zeta_product(orbit_census(cx, t))
-        checks += zeta_checks(g, t, spaces, args.series_order, product)
+        checks += zeta_checks(spaces, t, product)
         report["map"] = {"image": list(t.image), "kind": t.kind}
         report["zeta"] = product.to_json()
-    elif args.group:
+    else:
         group = automorphism_group(g)
         report["group"] = {"order": group.order}
-        report["zeta"] = graph_zeta(g, group, cx).to_json()
-    else:
-        raise GraphError("zeta needs --map <image> or --group")
+        report["zeta"] = graph_zeta(cx, group).to_json()
     report["checks"] = [_check_dict(c) for c in checks]
     _emit(report, args.format)
     return _exit_code(report["checks"])
@@ -378,9 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="vertex image list i0,i1,... or a map file")
     p.add_argument("--group", action="store_true",
                    help="compute the graph zeta function over Aut(G)")
-    p.add_argument("--series-order", type=int, default=None,
-                   help="series-consistency order, at most 10^5 "
-                        "(default min(2*order(T), 2*simplex count))")
     p.set_defaults(func=cmd_zeta)
 
     p = sub.add_parser("random", help="expected Lefschetz number over random graphs")

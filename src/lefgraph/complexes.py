@@ -60,8 +60,8 @@ class CliqueComplex:
         return f"CliqueComplex(f_vector={self.f_vector()})"
 
 
-def build_complex(g: Graph, max_dim: int | None = None) -> CliqueComplex:
-    """Enumerate all cliques of g, optionally only up to dimension max_dim.
+def build_complex(g: Graph) -> CliqueComplex:
+    """Enumerate all cliques of g.
 
     Cliques grow by appending common neighbors above the current maximum
     vertex, so each clique is produced exactly once, already ascending.
@@ -76,8 +76,6 @@ def build_complex(g: Graph, max_dim: int | None = None) -> CliqueComplex:
 
     def extend(clique: Simplex, candidates: int):
         record(clique)
-        if max_dim is not None and len(clique) - 1 >= max_dim:
-            return
         m = candidates
         while m:
             v = (m & -m).bit_length() - 1

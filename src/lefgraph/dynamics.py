@@ -264,7 +264,11 @@ def lefschetz_chain(spaces: CochainSpaces, t: GraphMap) -> int:
 
 def lefschetz_cohomological(g: Graph, t: GraphMap,
                             spaces: CochainSpaces | None = None) -> int:
-    """Lefschetz number via traces of the maps induced on cohomology."""
+    """Lefschetz number via traces of the maps induced on cohomology.
+
+    The graph argument and the optional `spaces` are kept because the
+    benchmark under `bench/` calls this function with them; the package
+    itself reads `spaces.lefschetz_number` instead."""
     if spaces is None:
         spaces = CochainSpaces(build_complex(g))
     return spaces.lefschetz_number(t.image)
@@ -295,10 +299,8 @@ def attractor(t: GraphMap) -> Attractor:
     return Attractor(sub, restricted, tuple(kept))
 
 
-def is_star_shaped(g: Graph, spaces: CochainSpaces | None = None) -> bool:
+def is_star_shaped(spaces: CochainSpaces) -> bool:
     """True when all cohomology above degree 0 vanishes."""
-    if spaces is None:
-        spaces = CochainSpaces(build_complex(g))
     return all(spaces.betti(k) == 0 for k in range(1, spaces.dim + 1))
 
 
@@ -310,22 +312,17 @@ class BrouwerReport:
     witness: Simplex | None   # some fixed simplex, when one exists
 
 
-def brouwer_check(g: Graph, t: GraphMap, spaces: CochainSpaces | None = None,
-                  fixed: list[FixedSimplexRecord] | None = None) -> BrouwerReport:
+def brouwer_check(spaces: CochainSpaces, t: GraphMap,
+                  fixed: list[FixedSimplexRecord]) -> BrouwerReport:
     """Fixed-clique guarantee for connected star-shaped graphs.
 
     In that case L(t) = 1 for every endomorphism, so the signed fixed-simplex
     count cannot be empty; the caller checks `fixed_count`.  `fixed` is the
-    map's fixed simplices, when the caller already walked them.
+    map's fixed simplices, the period-1 orbits of its census.
     """
-    if spaces is None:
-        spaces = CochainSpaces(build_complex(g))
-    connected = g.n > 0 and spaces.betti(0) == 1
-    applicable = connected and is_star_shaped(g, spaces)
-    if fixed is None:
-        fixed = fixed_simplices(spaces.cx, t)
-    lef = lefschetz_cohomological(g, t, spaces)
-    return BrouwerReport(applicable, lef, len(fixed),
+    connected = spaces.cx.graph.n > 0 and spaces.betti(0) == 1
+    applicable = connected and is_star_shaped(spaces)
+    return BrouwerReport(applicable, spaces.lefschetz_number(t.image), len(fixed),
                          fixed[0].simplex if fixed else None)
 
 

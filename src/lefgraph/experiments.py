@@ -5,7 +5,7 @@ labeled graph on n vertices, exact rational arithmetic throughout.  L(G) is
 an isomorphism invariant, so it is computed once per isomorphism class and
 weighted by the class's number of labeled graphs.  The sampling mode reaches
 past the exhaustive cap, up to the automorphism search's cap of
-`DEFAULT_GROUP_CAP` (12) vertices, since each sample's L(G) averages over
+`GROUP_CAP` (12) vertices, since each sample's L(G) averages over
 its automorphism group; it never replaces the exhaustive runs.
 """
 
@@ -15,20 +15,22 @@ import random
 from fractions import Fraction
 from math import factorial
 
-from .graphs import Graph, graph_count, isomorphism_classes, random_graph
+from .cohomology import CochainSpaces
+from .complexes import build_complex
+from .graphs import graph_count, isomorphism_classes, random_graph
 from .reporting import VerificationError
 from .symmetry import (
-    DEFAULT_GROUP_CAP,
+    GROUP_CAP,
     AutomorphismGroup,
     automorphism_group,
     average_lefschetz,
 )
 
 
-def graph_average_lefschetz(g: Graph, group: AutomorphismGroup | None = None) -> int:
-    """L(G) for a single graph, on a fresh complex and, unless given, a
-    fresh automorphism group."""
-    return average_lefschetz(g, group)
+def graph_average_lefschetz(group: AutomorphismGroup) -> int:
+    """L(G) for the graph of `group`, averaged over `group` on a fresh
+    complex."""
+    return average_lefschetz(CochainSpaces(build_complex(group.graph)), group)
 
 
 def expectation_exhaustive(n: int) -> Fraction:
@@ -49,7 +51,7 @@ def expectation_exhaustive(n: int) -> Fraction:
             raise VerificationError(
                 f"orbit-stabilizer fails on {rep}: orbit size {size} times "
                 f"|Aut| {group.order} is {size * group.order}, not {n}! = {factorial(n)}")
-        total += size * graph_average_lefschetz(rep, group)
+        total += size * graph_average_lefschetz(group)
         labeled += size
     if labeled != graph_count(n):
         raise VerificationError(
@@ -66,13 +68,13 @@ def expectation_sampled(n: int, edge_probability: Fraction, samples: int,
     search's cap is refused before any sample is drawn."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    if n > DEFAULT_GROUP_CAP:
+    if n > GROUP_CAP:
         raise ValueError(
             f"sampling needs each sample's automorphism group, and automorphism "
-            f"enumeration is capped at {DEFAULT_GROUP_CAP} vertices (got {n})")
+            f"enumeration is capped at {GROUP_CAP} vertices (got {n})")
     rng = random.Random(seed)
     total = 0
     for _ in range(samples):
         g = random_graph(n, edge_probability, rng)
-        total += graph_average_lefschetz(g)
+        total += graph_average_lefschetz(automorphism_group(g))
     return Fraction(total, samples)

@@ -6,9 +6,7 @@ verifier for the three averaging identities (curvature sum, quotient Euler
 characteristic, Burnside count).
 
 The curvature and Burnside count fold in one fixed-simplex list per group
-element (`FixedSimplexSweep`).  A caller that already walked an element's
-simplices with `dynamics.orbit_census` passes that walk's fixed simplices;
-otherwise the sweep walks them.
+element (`FixedSimplexSweep`).
 """
 
 from __future__ import annotations
@@ -18,12 +16,13 @@ from fractions import Fraction
 
 from .complexes import CliqueComplex, Simplex, build_complex
 from .cohomology import CochainSpaces
-from .dynamics import FixedSimplexRecord, GraphMap, fixed_simplices, lefschetz_cohomological
+from .dynamics import FixedSimplexRecord, GraphMap, fixed_simplices
 from .graphs import Graph
 from .linalg import LinearAlgebraError
 from .reporting import TheoremCheck
 
-DEFAULT_GROUP_CAP = 12
+# The automorphism search's largest graph, in vertices.
+GROUP_CAP = 12
 
 
 class SymmetryError(ValueError):
@@ -69,16 +68,17 @@ class AutomorphismGroup:
         return orbits
 
 
-def automorphism_group(g: Graph, cap: int = DEFAULT_GROUP_CAP) -> AutomorphismGroup:
+def automorphism_group(g: Graph) -> AutomorphismGroup:
     """Enumerate Aut(g) by backtracking over vertices.
 
     Candidate images must have the same degree and must map every
     already-assigned neighbor to a neighbor (and non-neighbor to
-    non-neighbor), which prunes hard enough for desk-scale graphs.
+    non-neighbor), which prunes hard enough for desk-scale graphs: up to
+    `GROUP_CAP` vertices, and a larger graph raises SymmetryError.
     """
-    if g.n > cap:
+    if g.n > GROUP_CAP:
         raise SymmetryError(
-            f"automorphism enumeration capped at {cap} vertices (got {g.n})")
+            f"automorphism enumeration capped at {GROUP_CAP} vertices (got {g.n})")
     n = g.n
     degrees = [g.degree(v) for v in range(n)]
     image = [-1] * n
@@ -145,18 +145,13 @@ class CurvatureTable:
                 for orbit in orbits]
 
 
-def lefschetz_curvature(g: Graph, group: AutomorphismGroup | None = None,
-                        cx: CliqueComplex | None = None) -> CurvatureTable:
+def lefschetz_curvature(cx: CliqueComplex, group: AutomorphismGroup) -> CurvatureTable:
     """kappa(x) = (1/|A|) * sum of i_T(x) over the stabilizer of x.
 
     Computed in one sweep: every fixed simplex of every group element
     contributes its index, then everything is divided by the group order.
     """
-    if group is None:
-        group = automorphism_group(g)
-    if cx is None:
-        cx = build_complex(g)
-    return _fixed_simplex_sweep(cx, group).curvature(group.order)
+    return fixed_simplex_sweep(cx, group).curvature(group.order)
 
 
 class FixedSimplexSweep:
@@ -191,7 +186,7 @@ class FixedSimplexSweep:
             {x: Fraction(v, order) for x, v in self.totals.items()}, order)
 
 
-def _fixed_simplex_sweep(cx: CliqueComplex, group: AutomorphismGroup) -> FixedSimplexSweep:
+def fixed_simplex_sweep(cx: CliqueComplex, group: AutomorphismGroup) -> FixedSimplexSweep:
     """The sweep of one fixed-simplex scan per group element."""
     sweep = FixedSimplexSweep(cx)
     for t in group:
@@ -199,34 +194,27 @@ def _fixed_simplex_sweep(cx: CliqueComplex, group: AutomorphismGroup) -> FixedSi
     return sweep
 
 
-def lefschetz_numbers(g: Graph, group: AutomorphismGroup | None = None,
-                      spaces: CochainSpaces | None = None) -> list[int]:
+def lefschetz_numbers(spaces: CochainSpaces, group: AutomorphismGroup) -> list[int]:
     """L(T) for every group element, in group order."""
-    if group is None:
-        group = automorphism_group(g)
-    if spaces is None:
-        spaces = CochainSpaces(build_complex(g))
-    return [lefschetz_cohomological(g, t, spaces) for t in group]
+    return [spaces.lefschetz_number(t.image) for t in group]
 
 
-def lefschetz_multiset(g: Graph, group: AutomorphismGroup | None = None,
-                       spaces: CochainSpaces | None = None) -> dict[int, int]:
+def lefschetz_multiset(spaces: CochainSpaces, group: AutomorphismGroup) -> dict[int, int]:
     """Multiset of L(T) over the group, as value -> multiplicity."""
     counts: dict[int, int] = {}
-    for value in lefschetz_numbers(g, group, spaces):
+    for value in lefschetz_numbers(spaces, group):
         counts[value] = counts.get(value, 0) + 1
     return dict(sorted(counts.items()))
 
 
-def average_lefschetz(g: Graph, group: AutomorphismGroup | None = None,
-                      spaces: CochainSpaces | None = None) -> int:
+def average_lefschetz(spaces: CochainSpaces, group: AutomorphismGroup) -> int:
     """Mean of L(T) over the automorphism group.
 
     The average of a trace over a finite group is the dimension of the
     subspace the group fixes, so the mean is the alternating sum of the
     dimensions of the fixed subspaces of H^k; LinearAlgebraError is raised
     if it is not an integer."""
-    values = lefschetz_numbers(g, group, spaces)
+    values = lefschetz_numbers(spaces, group)
     avg = Fraction(sum(values), len(values))
     if avg.denominator != 1:
         raise LinearAlgebraError(f"average Lefschetz number {avg} is not an integer")
@@ -242,10 +230,9 @@ class Orbigraph:
     projection: tuple[int, ...]         # original vertex -> class id
 
 
-def orbigraph(g: Graph, group: AutomorphismGroup | None = None) -> Orbigraph:
+def orbigraph(group: AutomorphismGroup) -> Orbigraph:
     """Quotient on vertex orbits; edges between distinct classes, loops dropped."""
-    if group is None:
-        group = automorphism_group(g)
+    g = group.graph
     classes = group.vertex_orbits()
     proj = [0] * g.n
     for i, orbit in enumerate(classes):
@@ -274,31 +261,23 @@ class AveragingReport:
         return all(c.passed for c in self.checks)
 
 
-def verify_averaging_theorems(g: Graph, group: AutomorphismGroup | None = None,
-                              spaces: CochainSpaces | None = None,
-                              sweep: FixedSimplexSweep | None = None) -> AveragingReport:
+def verify_averaging_theorems(spaces: CochainSpaces, group: AutomorphismGroup,
+                              sweep: FixedSimplexSweep) -> AveragingReport:
     """Check curvature sum, orbigraph Euler characteristic, and Burnside count.
 
     The curvature table and the Burnside count come from one fixed-simplex
-    scan per group element, folded into `sweep`: the caller's, when it
-    already scanned every element (SymmetryError is raised unless it
-    scanned exactly the group's elements, each once), else a fresh one.
-    Per-orbit curvature sums outside {+1, -1} are reported as findings, not
-    failures: the averaged identities are the reliable statements.
+    scan per group element, folded into `sweep`; SymmetryError is raised
+    unless it scanned exactly the group's elements, each once.  Per-orbit
+    curvature sums outside {+1, -1} are reported as findings, not failures:
+    the averaged identities are the reliable statements.
     """
-    if group is None:
-        group = automorphism_group(g)
-    if spaces is None:
-        spaces = CochainSpaces(build_complex(g))
     cx = spaces.cx
-    if sweep is None:
-        sweep = _fixed_simplex_sweep(cx, group)
-    elif sweep.scanned != {t.image for t in group}:
+    if sweep.scanned != {t.image for t in group}:
         raise SymmetryError(f"the fixed-simplex sweep scanned {len(sweep.scanned)} "
                             f"elements, not the {group.order} of the group")
-    avg = average_lefschetz(g, group, spaces)
+    avg = average_lefschetz(spaces, group)
     table = sweep.curvature(group.order)
-    quotient = orbigraph(g, group)
+    quotient = orbigraph(group)
     quotient_chi = build_complex(quotient.graph).euler_characteristic()
     orbits = simplex_orbits_under_group(cx, group)
     burnside = Fraction(sweep.fixed_total, group.order)

@@ -17,9 +17,7 @@ from .dynamics import (
     GraphMap,
     attractor,
     brouwer_check,
-    fixed_simplices,
     lefschetz_chain,
-    lefschetz_cohomological,
     orbit_census,
     random_endomorphism,
 )
@@ -31,7 +29,6 @@ from .symmetry import (
     verify_averaging_theorems,
 )
 from .zeta import (
-    MAX_SERIES_ORDER,
     RationalFunctionZ,
     lefschetz_iterates,
     zeta_det,
@@ -60,10 +57,8 @@ def named_corpus() -> list[tuple[str, Graph]]:
     return corpus
 
 
-def structural_checks(g: Graph, spaces: CochainSpaces | None = None) -> list[TheoremCheck]:
+def structural_checks(spaces: CochainSpaces) -> list[TheoremCheck]:
     """d∘d = 0, Euler-Poincare, and b_0 = component count."""
-    if spaces is None:
-        spaces = CochainSpaces(build_complex(g))
     checks = []
     checks.append(TheoremCheck("d_squared_zero", coboundary_squares_to_zero(spaces),
                                "d(k+1)*d(k)", "0"))
@@ -71,22 +66,18 @@ def structural_checks(g: Graph, spaces: CochainSpaces | None = None) -> list[The
     chi_b = sum((-1) ** k * b for k, b in enumerate(spaces.betti_numbers()))
     checks.append(TheoremCheck("euler_poincare", chi_f == chi_b, chi_f, chi_b))
     b0 = spaces.betti(0)
-    ncomp = len(connected_components(g))
+    ncomp = len(connected_components(spaces.cx.graph))
     checks.append(TheoremCheck("betti0_equals_components", b0 == ncomp, b0, ncomp))
     return checks
 
 
-def lefschetz_checks(g: Graph, t: GraphMap, spaces: CochainSpaces | None = None,
-                     fixed: list[FixedSimplexRecord] | None = None) -> list[TheoremCheck]:
+def lefschetz_checks(spaces: CochainSpaces, t: GraphMap,
+                     fixed: list[FixedSimplexRecord]) -> list[TheoremCheck]:
     """Three-way Lefschetz agreement plus the chain-map identity for one map.
 
-    `fixed` is the map's fixed simplices, when the caller already walked them.
+    `fixed` is the map's fixed simplices, the period-1 orbits of its census.
     """
-    if spaces is None:
-        spaces = CochainSpaces(build_complex(g))
-    coh = lefschetz_cohomological(g, t, spaces)
-    if fixed is None:
-        fixed = fixed_simplices(spaces.cx, t)
+    coh = spaces.lefschetz_number(t.image)
     idx = sum(r.index for r in fixed)
     chain = lefschetz_chain(spaces, t)
     return [
@@ -99,34 +90,30 @@ def lefschetz_checks(g: Graph, t: GraphMap, spaces: CochainSpaces | None = None,
     ]
 
 
-def attractor_checks(g: Graph, t: GraphMap, spaces: CochainSpaces | None = None,
-                     core: Attractor | None = None) -> list[TheoremCheck]:
-    """L is unchanged when an endomorphism is restricted to its attractor.
+def attractor_checks(spaces: CochainSpaces, t: GraphMap,
+                     core: Attractor) -> list[TheoremCheck]:
+    """L is unchanged when an endomorphism is restricted to its attractor
+    `core`.
 
     When the attractor is the whole graph with the same map (every
     automorphism), its Lefschetz number is the caller's, taken from the
     caller's spaces; a proper attractor gets its own complex and spaces.
-    `core` is the map's attractor, when the caller already computed it.
     """
-    if spaces is None:
-        spaces = CochainSpaces(build_complex(g))
-    if core is None:
-        core = attractor(t)
-    l_full = lefschetz_cohomological(g, t, spaces)
-    whole = core.graph == g and core.map.image == t.image
-    l_core = lefschetz_cohomological(core.graph, core.map, spaces if whole else None)
+    whole = core.graph == spaces.cx.graph and core.map.image == t.image
+    core_spaces = spaces if whole else CochainSpaces(build_complex(core.graph))
+    l_full = spaces.lefschetz_number(t.image)
+    l_core = core_spaces.lefschetz_number(core.map.image)
     return [TheoremCheck("lefschetz_invariant_on_attractor",
                          l_full == l_core, l_full, l_core)]
 
 
-def zeta_checks(g: Graph, t: GraphMap, spaces: CochainSpaces | None = None,
-                series_order: int | None = None,
-                product: RationalFunctionZ | None = None) -> list[TheoremCheck]:
+def zeta_checks(spaces: CochainSpaces, t: GraphMap,
+                product: RationalFunctionZ) -> list[TheoremCheck]:
     """Determinant = orbit product, and log-derivative series consistency.
 
-    The series is compared up to `series_order` terms, by default
-    min(2 order(T), 2 |cx|) with |cx| the number of simplices.  That many
-    terms prove agreement for every n:
+    `product` is the orbit-product zeta of the map.  The series is compared
+    up to min(2 order(T), 2 |cx|) terms, with |cx| the number of simplices.
+    That many terms prove agreement for every n:
 
     - L(T^n) = sum_k (-1)^k tr(P_k^n) is a signed sum of n-th power sums
       of the eigenvalues of the chain pullbacks P_k, |cx| numbers in all,
@@ -143,30 +130,18 @@ def zeta_checks(g: Graph, t: GraphMap, spaces: CochainSpaces | None = None,
     When order(T) < |cx|, 2 order(T) terms are fewer and enough: L(T^n)
     repeats with period order(T), and so does the product's series, since
     each of its factors (1 - z^p) or (1 + z^p) has p, or 2p for the second,
-    dividing order(T).  An order below 1
-    would compare nothing and is refused, as is one above
-    `MAX_SERIES_ORDER`.  `product` is the orbit-product zeta of the map,
-    when the caller already computed it.
+    dividing order(T).
 
     The two zetas are compared as cyclotomic exponent vectors (see
     `zeta.RationalFunctionZ`) and kept as the check's values; their text is
     rendered only when the check is printed.
     """
-    if series_order is not None and series_order < 1:
-        raise ValueError(f"series order must be at least 1 (got {series_order})")
-    if series_order is not None and series_order > MAX_SERIES_ORDER:
-        raise ValueError(f"series order {series_order} is above the limit of "
-                         f"{MAX_SERIES_ORDER}")
-    if spaces is None:
-        spaces = CochainSpaces(build_complex(g))
-    z_det = zeta_det(g, t, spaces)
-    z_prod = product if product is not None else zeta_product(orbit_census(spaces.cx, t))
-    if series_order is None:
-        series_order = min(2 * t.order(), 2 * len(spaces.cx))
+    z_det = zeta_det(spaces.cx.graph, t, spaces)
+    series_order = min(2 * t.order(), 2 * len(spaces.cx))
     expected = lefschetz_iterates(spaces, t, series_order)
-    actual = z_prod.log_derivative_series(series_order)
+    actual = product.log_derivative_series(series_order)
     return [
-        TheoremCheck("zeta_det_equals_product", z_det == z_prod, z_det, z_prod),
+        TheoremCheck("zeta_det_equals_product", z_det == product, z_det, product),
         TheoremCheck("zeta_series_consistent", actual == expected,
                      actual, expected),
     ]
@@ -204,14 +179,18 @@ def run_corpus_suite(endomorphisms_per_graph: int = 25,
     orbit census.  The census's fixed simplices serve the index sum, and
     also the averaging sweep for an automorphism and the Brouwer check for
     an endomorphism; an automorphism's census also gives its orbit product.
+    A negative count of endomorphisms is refused with ValueError.
     """
+    if endomorphisms_per_graph < 0:
+        raise ValueError("the number of endomorphisms per graph must be at "
+                         f"least 0 (got {endomorphisms_per_graph})")
     report = CorpusReport()
     rng = random.Random(seed)
     for name, g in named_corpus():
         report.graphs += 1
         cx = build_complex(g)
         spaces = CochainSpaces(cx)
-        report.absorb(name, structural_checks(g, spaces))
+        report.absorb(name, structural_checks(spaces))
         group = automorphism_group(g)
         sweep = FixedSimplexSweep(cx)
         for t in group:
@@ -219,19 +198,20 @@ def run_corpus_suite(endomorphisms_per_graph: int = 25,
             census = orbit_census(cx, t)
             sweep.add(t, census.fixed)
             report.absorb(f"{name} aut {t.image}",
-                          lefschetz_checks(g, t, spaces, census.fixed))
+                          lefschetz_checks(spaces, t, census.fixed))
             report.absorb(f"{name} aut {t.image}",
-                          zeta_checks(g, t, spaces, product=zeta_product(census)))
-        averaging = verify_averaging_theorems(g, group, spaces, sweep)
+                          zeta_checks(spaces, t, zeta_product(census)))
+        averaging = verify_averaging_theorems(spaces, group, sweep)
         report.absorb(name, averaging.checks)
         report.findings.extend(f"{name}: {f}" for f in averaging.findings)
         for _ in range(endomorphisms_per_graph):
             t = random_endomorphism(g, rng)
             report.maps += 1
             fixed = orbit_census(cx, t).fixed
-            report.absorb(f"{name} endo {t.image}", lefschetz_checks(g, t, spaces, fixed))
-            report.absorb(f"{name} endo {t.image}", attractor_checks(g, t, spaces))
-            br = brouwer_check(g, t, spaces, fixed)
+            report.absorb(f"{name} endo {t.image}", lefschetz_checks(spaces, t, fixed))
+            report.absorb(f"{name} endo {t.image}",
+                          attractor_checks(spaces, t, attractor(t)))
+            br = brouwer_check(spaces, t, fixed)
             if br.applicable:
                 report.absorb(f"{name} endo {t.image}", [
                     TheoremCheck("brouwer_fixed_clique_exists",

@@ -22,8 +22,7 @@ multiply to s adds p * s^(n/p) at every multiple n of p.  The orbit census
 (`dynamics.orbit_census`) finds its orbits and signs on the simplices
 themselves, never through the pullbacks, so the two sides share no input.
 Agreement on min(2 order(T), 2 |cx|) terms proves agreement for every n
-(see `verification.zeta_checks`); an explicit order may not exceed
-`MAX_SERIES_ORDER`.
+(see `verification.zeta_checks`).
 """
 
 from __future__ import annotations
@@ -47,12 +46,7 @@ from .linalg import (
     poly_pow,
     poly_trim,
 )
-from .symmetry import AutomorphismGroup, automorphism_group
-
-
-# Largest series order a caller may ask for; the default order never
-# exceeds twice the simplex count.
-MAX_SERIES_ORDER = 10**5
+from .symmetry import AutomorphismGroup
 
 
 class ZetaError(ValueError):
@@ -339,6 +333,9 @@ def zeta_det(g: Graph, t: GraphMap,
     is the exponent vector.  What a factor leaves, which only a wrong T_k
     gives, is multiplied into the rest of its side, the numerator for odd
     k and the denominator for even k.
+
+    The graph argument and the optional `spaces` are kept because the
+    benchmark under `bench/` calls this function with them.
     """
     if not t.is_automorphism():
         raise ZetaError("the determinant formula needs finite order, i.e. an automorphism")
@@ -381,17 +378,12 @@ def lefschetz_iterates(spaces: CochainSpaces, t: GraphMap, count: int) -> list[i
     return out
 
 
-def graph_zeta(g: Graph, group: AutomorphismGroup | None = None,
-               cx: CliqueComplex | None = None) -> RationalFunctionZ:
+def graph_zeta(cx: CliqueComplex, group: AutomorphismGroup) -> RationalFunctionZ:
     """zeta_G = product of zeta_T over the automorphism group.
 
     Computed by merging all orbit censuses first, then expanding once, so
     the factored form is the merged census product.
     """
-    if group is None:
-        group = automorphism_group(g)
-    if cx is None:
-        cx = build_complex(g)
     combined = OrbitCensus()
     for t in group:
         combined = combined.merged(orbit_census(cx, t))

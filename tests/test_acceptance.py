@@ -32,6 +32,7 @@ from lefgraph.linalg import poly_mul, poly_pow
 from lefgraph.symmetry import (
     automorphism_group,
     average_lefschetz,
+    fixed_simplex_sweep,
     lefschetz_curvature,
     lefschetz_multiset,
     verify_averaging_theorems,
@@ -102,12 +103,12 @@ def test_criterion_1_petersen_suite(corpus):
         failures.append(f"chi = {cx.euler_characteristic()}, want -5")
     if group.order != 120:
         failures.append(f"|Aut| = {group.order}, want 120")
-    multiset = lefschetz_multiset(g, group, spaces)
+    multiset = lefschetz_multiset(spaces, group)
     if multiset != {-5: 1, 0: 24, 1: 80, 3: 15}:
         failures.append(f"multiset = {multiset}")
-    if average_lefschetz(g, group, spaces) != 1:
+    if average_lefschetz(spaces, group) != 1:
         failures.append("average Lefschetz != 1")
-    zg = graph_zeta(g, group, cx)
+    zg = graph_zeta(cx, group)
     expected = [1]
     for base, exp in [([1, -1], 10), ([1, 1], 90), ([1, 0, 1], 30),
                       ([1, 1, 1], 40), ([1, 0, 0, 0, -1], 30),
@@ -245,7 +246,7 @@ def test_criterion_4_zeta_three_way(small_sweep, corpus):
         g = cycle_graph(n)
         expected = RationalFunctionZ.from_quotient(
             poly_pow([1, 1], n), poly_pow([1, -1], n))
-        if graph_zeta(g) != expected:
+        if graph_zeta(build_complex(g), automorphism_group(g)) != expected:
             failures.append(f"graph zeta of C_{n} mismatch")
     conclude("4", failures)
 
@@ -253,19 +254,21 @@ def test_criterion_4_zeta_three_way(small_sweep, corpus):
 def test_criterion_5_averaging(small_sweep, corpus):
     failures = []
     for g, cx, spaces, group in small_sweep:
-        report = verify_averaging_theorems(g, group, spaces)
+        report = verify_averaging_theorems(
+            spaces, group, fixed_simplex_sweep(cx, group))
         failures.extend(f"n={g.n} {g.sorted_edges()}: {c.describe()}"
                         for c in report.checks if not c.passed)
     for name, g, cx, spaces, group in corpus:
-        report = verify_averaging_theorems(g, group, spaces)
+        report = verify_averaging_theorems(
+            spaces, group, fixed_simplex_sweep(cx, group))
         failures.extend(f"{name}: {c.describe()}"
                         for c in report.checks if not c.passed)
-        average_lefschetz(g, group, spaces)  # asserts integrality
+        average_lefschetz(spaces, group)  # asserts integrality
     # curvature goldens
     for m in range(2, 7):
         name = f"K_{m}"
         _, g, cx, _, group = next(e for e in corpus if e[0] == name)
-        table = lefschetz_curvature(g, group, cx)
+        table = lefschetz_curvature(cx, group)
         for v in range(m):
             if table.values[(v,)] != Fraction(1, m):
                 failures.append(f"{name}: kappa({v}) = {table.values[(v,)]}, "
@@ -278,7 +281,7 @@ def test_criterion_5_averaging(small_sweep, corpus):
         # n * 1/n = 1 is the average Lefschetz number.
         name = f"C_{n}"
         _, g, cx, _, group = next(e for e in corpus if e[0] == name)
-        table = lefschetz_curvature(g, group, cx)
+        table = lefschetz_curvature(cx, group)
         want = {1: Fraction(1, n), 2: Fraction(0)}  # by simplex size
         off = {x: v for x, v in table.values.items() if v != want.get(len(x))}
         if off:
@@ -290,7 +293,7 @@ def test_criterion_5_averaging(small_sweep, corpus):
     for k in range(4, 7):
         name = f"W_{k}"
         _, g, cx, _, group = next(e for e in corpus if e[0] == name)
-        table = lefschetz_curvature(g, group, cx)
+        table = lefschetz_curvature(cx, group)
         if table.values[(k,)] != 1:
             failures.append(f"{name}: hub kappa = {table.values[(k,)]}, want 1")
     conclude("5", failures)
@@ -305,13 +308,13 @@ def test_cycle_curvature_by_definition(corpus):
     """
     for n in range(4, 9):
         _, g, cx, spaces, group = next(e for e in corpus if e[0] == f"C_{n}")
-        table = lefschetz_curvature(g, group, cx)
+        table = lefschetz_curvature(cx, group)
         for v in range(n):
             assert table.values[(v,)] == Fraction(1, n)
         for x, value in table.values.items():
             if len(x) == 2:
                 assert value == 0
-        assert table.total() == 1 == average_lefschetz(g, group, spaces)
+        assert table.total() == 1 == average_lefschetz(spaces, group)
 
 
 def test_criterion_6_structural(small_sweep, corpus, corpus_endos):
@@ -349,7 +352,7 @@ def test_criterion_7_brouwer(corpus):
     rng = random.Random(7)
     eligible = 0
     for name, g, cx, spaces, group in corpus:
-        if spaces.betti(0) != 1 or not is_star_shaped(g, spaces):
+        if spaces.betti(0) != 1 or not is_star_shaped(spaces):
             continue
         eligible += 1
         for _ in range(200):

@@ -249,27 +249,17 @@ def test_zeta_single_map(capsys, c4_file):
 
 
 def test_zeta_series_order_flag(capsys, c4_file):
-    code, report = run_json(capsys, "zeta", c4_file, "--map", "0,3,2,1",
-                            "--series-order", "6")
+    """The series is compared on min(2 order(T), 2 |cx|) terms, and no
+    flag changes that: the C_4 reflection has order 2, so 4 terms."""
+    code, report = run_json(capsys, "zeta", c4_file, "--map", "0,3,2,1")
     assert code == 0
     series = next(c for c in report["checks"]
                   if c["name"] == "zeta_series_consistent")
-    assert series["lhs"] == [2, 0, 2, 0, 2, 0]
-
-
-def test_zeta_series_order_below_one_is_an_input_error(capsys):
-    for order in ("0", "-3"):
-        code, out, err = run(capsys, "zeta", "--named", "cycle:5", "--map", "1,2,3,4,0",
-                             "--series-order", order)
-        assert code == 1 and out == ""
-        assert "series order must be at least 1" in err
-
-
-def test_zeta_series_order_above_the_cap_is_an_input_error(capsys):
-    code, out, err = run(capsys, "zeta", "--named", "cycle:5", "--map", "1,2,3,4,0",
-                         "--series-order", "100001")
-    assert code == 1 and out == ""
-    assert "series order 100001 is above the limit of 100000" in err
+    assert series["passed"] and series["lhs"] == [2, 0, 2, 0]
+    with pytest.raises(SystemExit) as exc:
+        main(["zeta", c4_file, "--map", "0,3,2,1", "--series-order", "6"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --series-order" in capsys.readouterr().err
 
 
 def test_analyze_bounds_the_series_order_of_a_long_rotation(capsys, tmp_path):
@@ -312,6 +302,19 @@ def test_zeta_requires_map_or_group(capsys, c4_file):
     assert code == 1 and "--map" in err
     code, _, err = run(capsys, "zeta", c4_file, "--map", "0,1,2,3", "--group")
     assert code == 1 and "not both" in err
+
+
+def test_zeta_refuses_a_bad_flag_choice_before_building(capsys, monkeypatch, c4_file):
+    import lefgraph.cli as cli
+
+    def refuse(g):
+        raise AssertionError("a complex was built")
+
+    monkeypatch.setattr(cli, "build_complex", refuse)
+    for extra in ((), ("--map", "0,1,2,3", "--group")):
+        code, out, err = run(capsys, "zeta", c4_file, *extra)
+        assert code == 1 and out == ""
+        assert err.startswith("lefgraph: error: ") and "Traceback" not in err
 
 
 def test_random_exhaustive(capsys):
@@ -364,6 +367,13 @@ def test_verify_corpus(capsys):
     assert report["failures"] == []
 
 
+def test_verify_corpus_refuses_a_negative_endomorphism_count(capsys):
+    code, out, err = run(capsys, "verify-corpus", "--endomorphisms", "-1")
+    assert code == 1 and out == ""
+    assert err == ("lefgraph: error: the number of endomorphisms per graph "
+                   "must be at least 0 (got -1)\n")
+
+
 def test_input_errors_exit_1(capsys, tmp_path, c4_file):
     code, _, err = run(capsys, "analyze", str(tmp_path / "missing.graph"))
     assert code == 1 and "No such file" in err
@@ -406,6 +416,20 @@ def test_map_file_errors(capsys, c4_file, tmp_path):
     empty.write_text("# nothing\n")
     code, _, err = run(capsys, "analyze", c4_file, "--map", str(empty))
     assert code == 1 and "no 'map' line" in err
+
+
+def test_an_inline_map_is_not_shadowed_by_a_file(capsys, monkeypatch, tmp_path):
+    """An argument that parses as a comma list of integers is an inline
+    map, even when a file of that name exists; `./0` reads the file."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "0").write_text("")
+    code, report = run_json(capsys, "analyze", "--named", "complete:1", "--map", "0")
+    assert code == 0 and report["map"]["image"] == [0]
+    code, _, err = run(capsys, "analyze", "--named", "complete:1", "--map", "./0")
+    assert code == 1 and "no 'map' line found" in err
+    (tmp_path / "0").write_text("map 0\n")
+    code, report = run_json(capsys, "analyze", "--named", "complete:1", "--map", "./0")
+    assert code == 0 and report["map"]["image"] == [0]
 
 
 def test_usage_errors_exit_1(capsys):

@@ -77,12 +77,6 @@ def test_faces_are_closed():
                 assert cx.contains(face)
 
 
-def test_max_dim_truncates():
-    cx = build_complex(complete_graph(5), max_dim=1)
-    assert cx.f_vector() == (5, 10)
-    assert cx.dim == 1
-
-
 def test_euler_characteristic_examples():
     assert euler_characteristic(petersen_graph()) == -5
     assert euler_characteristic(cycle_graph(7)) == 0

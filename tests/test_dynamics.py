@@ -206,33 +206,32 @@ def test_lefschetz_of_powers_stays_consistent():
 
 
 def test_is_star_shaped():
-    assert is_star_shaped(complete_graph(4))
-    assert is_star_shaped(star_graph(5))
-    assert is_star_shaped(wheel_graph(5))
-    assert is_star_shaped(path_graph(4))
-    assert not is_star_shaped(cycle_graph(5))
-    assert not is_star_shaped(petersen_graph())
-    assert not is_star_shaped(octahedron_graph())
+    for g in (complete_graph(4), star_graph(5), wheel_graph(5), path_graph(4)):
+        assert is_star_shaped(CochainSpaces(build_complex(g)))
+    for g in (cycle_graph(5), petersen_graph(), octahedron_graph()):
+        assert not is_star_shaped(CochainSpaces(build_complex(g)))
+
+
+def brouwer(g, image):
+    cx = build_complex(g)
+    t = validate_map(g, image)
+    return brouwer_check(CochainSpaces(cx), t, fixed_simplices(cx, t))
 
 
 def test_brouwer_applicable_cases():
-    w = wheel_graph(5)
-    rep = brouwer_check(w, validate_map(w, (1, 2, 3, 4, 0, 5)))
+    rep = brouwer(wheel_graph(5), (1, 2, 3, 4, 0, 5))
     assert rep.applicable and rep.lefschetz == 1
     assert rep.witness == (5,)
-    k3 = complete_graph(3)
-    rep = brouwer_check(k3, validate_map(k3, (1, 2, 0)))
+    rep = brouwer(complete_graph(3), (1, 2, 0))
     assert rep.applicable and rep.fixed_count == 1
     assert rep.witness == (0, 1, 2)
 
 
 def test_brouwer_inapplicable_cases():
-    c4 = cycle_graph(4)
-    rep = brouwer_check(c4, validate_map(c4, (1, 2, 3, 0)))
+    rep = brouwer(cycle_graph(4), (1, 2, 3, 0))
     assert not rep.applicable
     assert rep.lefschetz == 0 and rep.fixed_count == 0 and rep.witness is None
-    d2 = discrete_graph(2)
-    rep = brouwer_check(d2, validate_map(d2, (1, 0)))
+    rep = brouwer(discrete_graph(2), (1, 0))
     assert not rep.applicable
 
 

@@ -1,5 +1,8 @@
 """One handle per graph: a function takes the complex `cx` or the cochain
-data `spaces`, never both, and a caller's spaces are shared, not rebuilt."""
+data `spaces`, never both, and a caller's spaces are shared, not rebuilt.
+
+Handles are required: no function takes the graph `g` beside a handle that
+carries it, and none defaults a handle to None to build its own."""
 
 import importlib
 import inspect
@@ -39,29 +42,60 @@ def _public_callables():
                         yield f"{module.__name__}.{name}.{attr}", fn
 
 
+# Parameters that carry the graph, so `g` beside one of them is redundant.
+GRAPH_HANDLES = ("spaces", "cx", "group", "t")
+# Parameters a caller must pass: a None default would build the value anew.
+REQUIRED = ("spaces", "cx", "group", "fixed", "core", "product", "sweep", "face_rows")
+# Knobs that no caller set: a series order, a dimension bound, a search cap.
+RETIRED_KNOBS = ("series_order", "max_dim", "cap")
+# The benchmark (`bench/run.py`, `bench/tests/test_blockgraph.py`) calls
+# these two as (g, t, spaces), so they keep the graph and the None default.
+BENCHMARK_CALL_SHAPE = ("lefgraph.dynamics.lefschetz_cohomological",
+                        "lefgraph.zeta.zeta_det")
+
+
 def _handle_violations(fn) -> list[str]:
     params = inspect.signature(fn).parameters
     out = []
     if "cx" in params and "spaces" in params:
         out.append("takes both cx and spaces")
-    face_rows = params.get("face_rows")
-    if face_rows is not None and face_rows.default is None:
-        out.append("defaults face_rows to None")
+    if "g" in params:
+        out += [f"takes g beside {h}" for h in GRAPH_HANDLES if h in params]
+    out += [f"defaults {name} to None" for name in REQUIRED
+            if name in params and params[name].default is None]
+    out += [f"takes {name}" for name in RETIRED_KNOBS if name in params]
     return out
 
 
 def test_the_rule_checker_catches_both_faults():
+    """Both kinds of fault: a second handle to one graph (cx beside spaces,
+    or g beside any handle), and an optional input (a handle that defaults
+    to None, or a retired knob)."""
     def both(g, cx=None, spaces=None):
         pass
 
     def rebuilt_rows(pullbacks, face_rows=None):
         pass
 
+    def graph_beside_map(g, t, fixed):
+        pass
+
+    def fallback_sweep(spaces, group, sweep=None):
+        pass
+
+    def series_knob(spaces, t, product, series_order=None):
+        pass
+
     def fine(spaces, image, face_rows):
         pass
 
-    assert _handle_violations(both) == ["takes both cx and spaces"]
+    assert _handle_violations(both) == [
+        "takes both cx and spaces", "takes g beside spaces", "takes g beside cx",
+        "defaults spaces to None", "defaults cx to None"]
     assert _handle_violations(rebuilt_rows) == ["defaults face_rows to None"]
+    assert _handle_violations(graph_beside_map) == ["takes g beside t"]
+    assert _handle_violations(fallback_sweep) == ["defaults sweep to None"]
+    assert _handle_violations(series_knob) == ["takes series_order"]
     assert _handle_violations(fine) == []
 
 
@@ -71,10 +105,13 @@ def test_no_public_function_takes_two_handles_to_one_graph():
     for name in ("lefgraph.cohomology.verify_chain_map",
                  "lefgraph.cohomology.CochainSpaces.pullback",
                  "lefgraph.verification.zeta_checks",
-                 "lefgraph.symmetry.verify_averaging_theorems"):
+                 "lefgraph.symmetry.verify_averaging_theorems",
+                 *BENCHMARK_CALL_SHAPE):
         assert name in checked
     faults = {name: v for name, fn in checked.items() if (v := _handle_violations(fn))}
-    assert faults == {}
+    assert faults == {name: ["takes g beside spaces", "takes g beside t",
+                             "defaults spaces to None"]
+                      for name in BENCHMARK_CALL_SHAPE}
 
 
 def test_the_retired_handles_are_gone():

@@ -16,7 +16,14 @@ from lefgraph import experiments
 from lefgraph.cli import main
 from lefgraph.cohomology import CochainSpaces
 from lefgraph.complexes import build_complex
-from lefgraph.dynamics import attractor, identity_map, lefschetz_cohomological, validate_map
+from lefgraph.dynamics import (
+    attractor,
+    fixed_simplices,
+    identity_map,
+    lefschetz_cohomological,
+    orbit_census,
+    validate_map,
+)
 from lefgraph.experiments import (
     expectation_exhaustive,
     expectation_sampled,
@@ -32,7 +39,7 @@ from lefgraph.graphs import (
 )
 from lefgraph.reporting import TheoremCheck, VerificationError
 from lefgraph.symmetry import AutomorphismGroup, automorphism_group
-from lefgraph.zeta import MAX_SERIES_ORDER
+from lefgraph.zeta import zeta_product
 from lefgraph.verification import (
     CorpusReport,
     attractor_checks,
@@ -58,7 +65,7 @@ def test_named_corpus_contents():
 
 
 def test_structural_checks_pass_and_name_their_facts():
-    checks = structural_checks(petersen_graph())
+    checks = structural_checks(CochainSpaces(build_complex(petersen_graph())))
     assert [c.name for c in checks] == [
         "d_squared_zero", "euler_poincare", "betti0_equals_components"]
     assert all(c.passed for c in checks)
@@ -66,34 +73,23 @@ def test_structural_checks_pass_and_name_their_facts():
 
 def test_lefschetz_checks_pass_for_sample_map():
     g = cycle_graph(5)
-    checks = lefschetz_checks(g, validate_map(g, (1, 2, 3, 4, 0)))
+    cx = build_complex(g)
+    t = validate_map(g, (1, 2, 3, 4, 0))
+    checks = lefschetz_checks(CochainSpaces(cx), t, fixed_simplices(cx, t))
     assert all(c.passed for c in checks)
     assert len(checks) == 3
 
 
 def test_attractor_and_zeta_checks():
     g = named_graph("star", 3)
-    assert all(c.passed for c in attractor_checks(g, validate_map(g, (0, 1, 1, 1))))
-    c5 = cycle_graph(5)
-    checks = zeta_checks(c5, validate_map(c5, (0, 4, 3, 2, 1)))
+    t = validate_map(g, (0, 1, 1, 1))
+    checks = attractor_checks(CochainSpaces(build_complex(g)), t, attractor(t))
     assert all(c.passed for c in checks)
-
-
-def test_zeta_checks_refuse_an_empty_series():
     c5 = cycle_graph(5)
-    rotation = validate_map(c5, (1, 2, 3, 4, 0))
-    for order in (0, -3):
-        with pytest.raises(ValueError, match="at least 1"):
-            zeta_checks(c5, rotation, series_order=order)
-    series = zeta_checks(c5, rotation, series_order=1)[1]
-    assert series.passed and series.lhs == series.rhs == [0]
-
-
-def test_zeta_checks_cap_the_series_order():
-    c5 = cycle_graph(5)
-    rotation = validate_map(c5, (1, 2, 3, 4, 0))
-    with pytest.raises(ValueError, match=f"above the limit of {MAX_SERIES_ORDER}"):
-        zeta_checks(c5, rotation, series_order=MAX_SERIES_ORDER + 1)
+    cx = build_complex(c5)
+    t = validate_map(c5, (0, 4, 3, 2, 1))
+    checks = zeta_checks(CochainSpaces(cx), t, zeta_product(orbit_census(cx, t)))
+    assert all(c.passed for c in checks)
 
 
 def test_corpus_report_accounting():
@@ -113,8 +109,8 @@ def test_small_corpus_suite_runs_clean():
 
 
 def test_graph_average_lefschetz():
-    assert graph_average_lefschetz(petersen_graph()) == 1
-    assert graph_average_lefschetz(named_graph("discrete", 2)) == 1
+    assert graph_average_lefschetz(automorphism_group(petersen_graph())) == 1
+    assert graph_average_lefschetz(automorphism_group(named_graph("discrete", 2))) == 1
 
 
 def test_expectation_exhaustive_small():
@@ -144,18 +140,19 @@ def relabeled_graphs(draw):
 def test_average_lefschetz_is_an_isomorphism_invariant(pair):
     """The premise of the class sum: relabeling a graph keeps L(G)."""
     g, h = pair
-    assert graph_average_lefschetz(g) == graph_average_lefschetz(h)
+    assert graph_average_lefschetz(automorphism_group(g)) == \
+        graph_average_lefschetz(automorphism_group(h))
 
 
 def test_graph_average_lefschetz_uses_a_given_group():
     g = cycle_graph(5)
     group = automorphism_group(g)
-    assert graph_average_lefschetz(g, group) == graph_average_lefschetz(g) == 1
+    assert graph_average_lefschetz(group) == 1
     # The rotations alone average L = 0: the five reflections carry L = 2.
     rotations = AutomorphismGroup(g, tuple(
         t for t in group if all((t.image[v] - t.image[0]) % 5 == v for v in range(5))))
     assert rotations.order == 5
-    assert graph_average_lefschetz(g, rotations) == 0
+    assert graph_average_lefschetz(rotations) == 0
 
 
 def _drop_one_element(monkeypatch):
@@ -252,7 +249,7 @@ def test_attractor_checks_reuse_the_callers_spaces_for_the_whole_graph(monkeypat
     expected = [lefschetz_cohomological(g, t) for t in maps]
     built = _count_spaces_built(monkeypatch)
     for t, value in zip(maps, expected):
-        checks = attractor_checks(g, t, spaces)
+        checks = attractor_checks(spaces, t, attractor(t))
         assert [c.passed for c in checks] == [True]
         assert checks[0].rhs == value
     assert built == []
@@ -266,7 +263,7 @@ def test_attractor_checks_build_spaces_for_a_proper_attractor(monkeypatch):
     core = attractor(t)
     assert core.graph.n == 2 < g.n
     built = _count_spaces_built(monkeypatch)
-    checks = attractor_checks(g, t, spaces)
+    checks = attractor_checks(spaces, t, core)
     assert built == [core.graph]
     assert [c.passed for c in checks] == [True]
     assert checks[0].rhs == lefschetz_cohomological(core.graph, core.map) == 1
@@ -286,8 +283,8 @@ def test_corpus_suite_scans_each_map_once(monkeypatch):
         walked.append(t.image)
         return real(cx, t)
 
-    # The sweep and the default arguments reach the census through
-    # `dynamics.fixed_simplices`, so patching `dynamics` counts them too.
+    # A sweep reaches the census through `dynamics.fixed_simplices`, so
+    # patching `dynamics` counts it too.
     for module in (verification, dynamics):
         monkeypatch.setattr(module, "orbit_census", census)
     report = run_corpus_suite(endomorphisms_per_graph=1, seed=3)

@@ -280,16 +280,20 @@ def test_census_walks_the_tails_of_an_endomorphism():
     assert zeta_product(census) == RationalFunctionZ.from_quotient([1], [1, -1])
 
 
+def zeta_of_graph(g):
+    return graph_zeta(build_complex(g), automorphism_group(g))
+
+
 def test_graph_zeta_cycles():
     for n in (4, 5, 6):
         expected = RationalFunctionZ.from_quotient(
             poly_pow([1, 1], n), poly_pow([1, -1], n))
-        assert graph_zeta(cycle_graph(n)) == expected
-    assert graph_zeta(cycle_graph(5)).text() == "(1-z)^-5 (1+z)^5"
+        assert zeta_of_graph(cycle_graph(n)) == expected
+    assert zeta_of_graph(cycle_graph(5)).text() == "(1-z)^-5 (1+z)^5"
 
 
 def test_graph_zeta_complete_graph():
-    assert graph_zeta(complete_graph(3)) == \
+    assert zeta_of_graph(complete_graph(3)) == \
         RationalFunctionZ.from_factors({1: (-6, 0)})
 
 
@@ -301,7 +305,8 @@ def test_graph_zeta_of_rigid_graph_is_identity_zeta():
     group = automorphism_group(g)
     assert group.order == 1
     chi = euler_characteristic(g)
-    assert graph_zeta(g, group) == RationalFunctionZ.from_factors({1: (-chi, 0)})
+    assert graph_zeta(build_complex(g), group) == \
+        RationalFunctionZ.from_factors({1: (-chi, 0)})
 
 
 def test_composed_iterates_match_rebuilt_powers():
@@ -331,7 +336,7 @@ def test_composed_iterates_match_rebuilt_powers():
 
 
 def test_bounded_series_order_is_a_prefix_of_the_full_period():
-    """zeta_checks compares min(2 order(T), 2 |cx|) terms by default.  On
+    """zeta_checks compares min(2 order(T), 2 |cx|) terms.  On
     every corpus automorphism, and on cycle unions whose rotation has an
     order above the simplex count, the iterates up to 2 order(T) start with
     the compared ones and equal the product zeta's series throughout."""
@@ -350,7 +355,7 @@ def test_bounded_series_order_is_a_prefix_of_the_full_period():
             bounded = min(2 * t.order(), 2 * len(cx))
             longer += bounded < len(full)
             product = zeta_product(orbit_census(cx, t))
-            checks = zeta_checks(g, t, spaces, product=product)
+            checks = zeta_checks(spaces, t, product)
             assert all(c.passed for c in checks), (g, t.image)
             assert checks[1].rhs == full[:bounded], (g, t.image)
             assert product.log_derivative_series(len(full)) == full, (g, t.image)
@@ -588,7 +593,8 @@ def test_a_wrong_induced_matrix_fails_the_det_check_with_both_texts(monkeypatch,
         return ScaledMatrix([{0: 2}]) if k == 0 else real(self, image, k)
 
     monkeypatch.setattr(CochainSpaces, "induced_matrix", wrong)
-    check = zeta_checks(g, t, CochainSpaces(build_complex(g)))[0]
+    cx = build_complex(g)
+    check = zeta_checks(CochainSpaces(cx), t, zeta_product(orbit_census(cx, t)))[0]
     assert check.name == "zeta_det_equals_product" and not check.passed
     assert check.lhs.rest == ((1,), (1, -2))
     expected = "FAIL zeta_det_equals_product: (1) / (1 - z - 2z^2) vs (1-z^2)^-1"
@@ -647,7 +653,8 @@ def test_rests_that_cancel_across_degrees_pass_the_det_check(monkeypatch):
     t = validate_map(g, (1, 2, 3, 0))
     monkeypatch.setattr(CochainSpaces, "induced_matrix",
                         lambda self, image, k: ScaledMatrix([{0: 2}]))
-    check = zeta_checks(g, t, CochainSpaces(build_complex(g)))[0]
+    cx = build_complex(g)
+    check = zeta_checks(CochainSpaces(cx), t, zeta_product(orbit_census(cx, t)))[0]
     assert check.name == "zeta_det_equals_product" and check.passed
     assert check.lhs.rest == ((1, -2), (1, -2)) and check.lhs.cyclotomic == {}
     assert check.rhs.is_one()
