@@ -6,8 +6,8 @@ independent routes, automorphism averages and curvature, and dynamical zeta
 functions with their orbit-census factorizations.
 """
 
-from .complexes import CliqueComplex, Simplex, build_complex, euler_characteristic
-from .cohomology import CochainSpaces, betti_numbers
+from .complexes import CliqueComplex, Simplex, build_complex
+from .cohomology import CochainSpaces
 from .dynamics import (
     Attractor,
     BrouwerReport,
@@ -19,7 +19,6 @@ from .dynamics import (
     brouwer_check,
     fixed_index_sum,
     fixed_simplices,
-    identity_map,
     is_star_shaped,
     lefschetz_chain,
     lefschetz_cohomological,
@@ -43,11 +42,7 @@ from .graphs import (
     random_graph,
     read_graph,
 )
-from .linalg import (
-    ScaledMatrix,
-    SparseMatrix,
-    rank,
-)
+from .linalg import SparseMatrix, rank
 from .reporting import TheoremCheck, VerificationError
 from .symmetry import (
     AutomorphismGroup,
@@ -66,7 +61,6 @@ from .zeta import (
     RationalFunctionZ,
     ZetaError,
     graph_zeta,
-    series_consistency,
     zeta_det,
     zeta_product,
 )

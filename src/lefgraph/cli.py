@@ -33,6 +33,7 @@ from .graphs import (
     GraphError,
     connected_components,
     graph_count,
+    integer,
     named_graph,
     named_graph_names,
     read_graph,
@@ -134,7 +135,7 @@ def _load_graph(args) -> Graph:
         name, _, size = args.named.partition(":")
         if size:
             try:
-                k = int(size)
+                k = integer(size)
             except ValueError:
                 raise GraphError(f"size parameter {size!r} is not an integer") from None
             return named_graph(name, k)
@@ -157,7 +158,7 @@ def _parse_map_text(text: str) -> list[int]:
         if parts[0] != "map":
             raise MapError(f"line {lineno}: expected 'map <i0> <i1> ...'")
         try:
-            payload = [int(x) for x in parts[1:]]
+            payload = [integer(x) for x in parts[1:]]
         except ValueError:
             raise MapError(f"line {lineno}: map entries must be integers") from None
     if payload is None:
@@ -171,7 +172,7 @@ def _load_map(g: Graph, source: str) -> GraphMap:
     A source that parses as a comma list of integers is always inline, so
     a file named like one is read through a path such as `./0`."""
     try:
-        image = [int(x) for x in source.split(",")]
+        image = [integer(x) for x in source.split(",")]
     except ValueError:
         if not os.path.exists(source):
             raise MapError(
@@ -233,7 +234,7 @@ def cmd_analyze(args) -> int:
     spaces = CochainSpaces(build_complex(g))
     checks = structural_checks(spaces)
     report = {"graph": _graph_section(spaces)}
-    if args.map:
+    if args.map is not None:
         t = _load_map(g, args.map)
         section, map_checks = _map_section(spaces, t)
         report["map"] = section
@@ -277,16 +278,16 @@ def cmd_aut(args) -> int:
 
 
 def cmd_zeta(args) -> int:
-    if args.map and args.group:
+    if args.map is not None and args.group:
         raise GraphError("give either --map or --group, not both")
-    if not (args.map or args.group):
+    if args.map is None and not args.group:
         raise GraphError("zeta needs --map <image> or --group")
     g = _load_graph(args)
     cx = build_complex(g)
     spaces = CochainSpaces(cx)
     report = {"graph": _graph_section(spaces)}
     checks: list[TheoremCheck] = []
-    if args.map:
+    if args.map is not None:
         t = _load_map(g, args.map)
         if not t.is_automorphism():
             raise MapError("zeta functions are defined for automorphisms; "
@@ -386,21 +387,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_zeta)
 
     p = sub.add_parser("random", help="expected Lefschetz number over random graphs")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--exhaustive", action="store_true",
                    help="average over all labeled graphs on n vertices")
-    p.add_argument("--samples", type=int, default=None,
+    p.add_argument("--samples", type=integer, default=None,
                    help="number of sampled graphs (sampling mode)")
     p.add_argument("--p", default="1/2",
                    help="edge probability as an exact rational (default 1/2)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_random)
 
     p = sub.add_parser("verify-corpus", help="run the full invariant suite")
-    p.add_argument("--endomorphisms", type=int, default=25,
+    p.add_argument("--endomorphisms", type=integer, default=25,
                    help="random endomorphisms per corpus graph (default %(default)s)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify_corpus)
 

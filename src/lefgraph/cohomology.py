@@ -27,8 +27,8 @@ rows) or the sides differ.
 Cohomology takes two routes, both through the one sparse fraction-free
 kernel of `linalg`, each with its own elimination of the sparse integer
 d_k.  Betti numbers come from rank-nullity on `rank(d_k)`.  The maps
-induced on H^k come from free-column coordinates: d_k is eliminated once,
-and a cocycle's values on the free columns are its coordinates in
+induced on H^k come from free-column coordinates: one `rref` of d_k, and
+a cocycle's values on the free columns are its coordinates in
 ker(d_k).  The rows of d_{k-1} at the free k-simplices span im(d_{k-1}) in
 those coordinates; one sparse `rref` of them picks the representatives (its
 non-pivot columns) and reads a cocycle's class (reduction modulo its rows).
@@ -39,17 +39,16 @@ is a {simplex: int} dict, nonzero on its free column and the pivot columns
 of d_k's kernel rows that hold that column.  Its pullback is built on the
 preimages of that support, and checked to be a cocycle on the rows of d_k
 that have a face in it (the coface index, the transpose of the face rows);
-every other row of d_k applied to it is zero.  The class functionals are
-integer, over one scale per degree (the kernel's scale times the common
-denominator of the image RREF), so T_k is a `linalg.ScaledMatrix`: integer
-rows over that scale.  A trace is the integer diagonal sum divided by the
-scale once, and `zeta.zeta_det` reduces the integer rows themselves.  The
-scale is 1 on every graph met so far, and then no Fraction is built.
+every other row of d_k applied to it is zero.  Both RREFs come from `rref`
+as integer rows over a scale, so the class functionals are integer over
+one scale per degree, the product of the two, and T_k is a
+`linalg.SparseMatrix` over that scale.  A trace is the integer diagonal
+sum divided by the scale once, and `zeta.zeta_det` reduces the integer rows
+themselves.  Where the scale is 1, as on most graphs, no Fraction is built.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -57,9 +56,7 @@ from .complexes import CliqueComplex
 from .linalg import (
     LinearAlgebraError,
     NotInSpanError,
-    ScaledMatrix,
     SparseMatrix,
-    _eliminate,
     rank,
     rref,
 )
@@ -242,12 +239,13 @@ class CochainSpaces:
     Each part is built on first use: the face rows of each d_k and their
     transposes (the coface index), the extension tables the pullbacks are
     read through, the sparse integer coboundaries and their ranks (behind
-    the Betti numbers), and for each H^k its representatives with the functionals that read a class.  Those
-    come from one elimination of d_k in free-column coordinates and one
-    `rref` of the image rows (see the module docstring); every pulled-back
-    representative is checked to be a cocycle before it is read.  A
-    function that reads cochain data takes an instance, so anything that
-    iterates over many maps of the same graph shares one.
+    the Betti numbers), and for each H^k its representatives with the
+    functionals that read a class.  Those come from one `rref` of d_k, in
+    free-column coordinates, and one of the image rows (see the module
+    docstring); every pulled-back representative is checked to be a
+    cocycle before it is read.  A function that reads cochain data takes an
+    instance, so anything that iterates over many maps of the same graph
+    shares one.
 
     Kept for the latest map only, so memory does not grow with the number of
     maps: its pullbacks P_k (with their cycle tables and preimage lists)
@@ -267,7 +265,7 @@ class CochainSpaces:
         # Pullbacks and induced matrices of the map `_image` only.
         self._image: tuple[int, ...] | None = None
         self._pullbacks: dict[int, Pullback] = {}
-        self._induced: dict[int, ScaledMatrix] = {}
+        self._induced: dict[int, SparseMatrix] = {}
         self._lefschetz: dict[tuple[int, ...], int] = {}
 
     @property
@@ -396,32 +394,31 @@ class CochainSpaces:
     def _cohomology_basis(self, k: int) -> _CohomologyBasis:
         """Representatives of H^k and the functionals that read classes.
 
-        The kernel's rows of d_k are the RREF scaled by `scale`, so the
-        cocycle that is `scale` on free column c, zero on the other free
-        columns and -row_r[c] on pivot column p_r is an integer cocycle.  A
-        cocycle w has free-column coordinates w[free]; subtracting
-        w[free[q_r]] times RREF row r of the image rows for each image pivot
-        q_r leaves its class, read on the image's non-pivot columns.  That
-        RREF is made integer by the common denominator of its entries,
-        which joins `scale` in the basis's scale.
+        `rref` gives d_k's RREF as integer rows over a scale, so the cocycle
+        that is that scale on free column c, zero on the other free columns
+        and -row_r[c] on pivot column p_r is an integer cocycle.  A cocycle
+        w has free-column coordinates w[free]; subtracting w[free[q_r]]
+        times RREF row r of the image rows for each image pivot q_r leaves
+        its class, read on the image's non-pivot columns.  That RREF is
+        integer rows over its own scale, and the basis's scale is the
+        product of the two.
         """
         if not 0 <= k <= self.dim:
             return _CohomologyBasis(1, [], {})
         if k in self._basis:
             return self._basis[k]
         n = self.cx.count(k)
-        rows = list(self.coboundary(k).data)
-        scale, pivots = _eliminate(rows, n)
+        kernel, pivots = rref(self.coboundary(k))
         pivot_set = set(pivots)
         free = [c for c in range(n) if c not in pivot_set]
         # (pivot column, entry) of every kernel row with a nonzero in column c
         in_column: dict[int, list[tuple[int, int]]] = {c: [] for c in free}
-        for row, p in zip(rows, pivots):
+        for row, p in zip(kernel.data, pivots):
             for c, x in row.items():
                 if c != p:
                     in_column[c].append((p, x))
-        den = 1
         if k == 0:
+            image_scale = 1
             kept = list(range(len(free)))
             readers = {c: [(i, 1)] for i, c in enumerate(free)}
         else:
@@ -431,27 +428,23 @@ class CochainSpaces:
                 for s, f in enumerate(lower[x]):
                     image[f][i] = -1 if s % 2 else 1
             reduced, image_pivots = rref(SparseMatrix(len(image), len(free), image))
-            for row in reduced.data:
-                for x in row.values():
-                    if type(x) is not int:
-                        den = math.lcm(den, x.denominator)
+            image_scale = reduced.scale
             image_pivot_set = set(image_pivots)
             kept = [i for i in range(len(free)) if i not in image_pivot_set]
-            readers = {free[i]: [(j, den)] for j, i in enumerate(kept)}
+            readers = {free[i]: [(j, image_scale)] for j, i in enumerate(kept)}
             class_of = {i: j for j, i in enumerate(kept)}
             for row, q in zip(reduced.data, image_pivots):
-                readers[free[q]] = [(class_of[i], -x.numerator * (den // x.denominator))
-                                    for i, x in row.items() if i != q]
+                readers[free[q]] = [(class_of[i], -x) for i, x in row.items() if i != q]
         reps = []
         for i in kept:
-            h = {free[i]: scale}
+            h = {free[i]: kernel.scale}
             for p, x in in_column[free[i]]:
                 h[p] = -x
             reps.append(h)
         if len(reps) != self.betti(k):
             raise LinearAlgebraError(
                 f"H^{k}: {len(reps)} representatives but Betti number {self.betti(k)}")
-        self._basis[k] = _CohomologyBasis(scale * den, reps, readers)
+        self._basis[k] = _CohomologyBasis(kernel.scale * image_scale, reps, readers)
         return self._basis[k]
 
     def representatives(self, k: int) -> list[dict[int, int]]:
@@ -463,7 +456,7 @@ class CochainSpaces:
         """
         return self._cohomology_basis(k).reps
 
-    def induced_matrix(self, image: tuple[int, ...], k: int) -> ScaledMatrix:
+    def induced_matrix(self, image: tuple[int, ...], k: int) -> SparseMatrix:
         """Matrix of the map induced on H^k by pulling back along the vertex
         map, as integer rows over the basis's scale.
 
@@ -482,7 +475,7 @@ class CochainSpaces:
         """
         b = self.betti(k)
         if b == 0:
-            return ScaledMatrix([])
+            return SparseMatrix(0, 0, [])
         self._select_map(tuple(image))
         if k not in self._induced:
             pb = self.pullback(self._image, k)
@@ -506,11 +499,8 @@ class CochainSpaces:
                 for i, total in column.items():
                     if total:
                         out[i][j] = total
-            self._induced[k] = ScaledMatrix(out, basis.scale)
+            self._induced[k] = SparseMatrix(b, b, out, basis.scale)
         return self._induced[k]
-
-    def induced_matrices(self, image: tuple[int, ...]) -> list[ScaledMatrix]:
-        return [self.induced_matrix(image, k) for k in range(self.dim + 1)]
 
     def lefschetz_number(self, image: tuple[int, ...]) -> int:
         """sum_k (-1)^k tr(T_k) over the maps T_k induced on H^k.
@@ -533,7 +523,3 @@ class CochainSpaces:
                     f"cohomological trace sum {total} is not an integer")
             self._lefschetz[image] = total.numerator
         return self._lefschetz[image]
-
-
-def betti_numbers(cx: CliqueComplex) -> tuple[int, ...]:
-    return CochainSpaces(cx).betti_numbers()

@@ -90,7 +90,3 @@ def build_complex(g: Graph) -> CliqueComplex:
     for level in by_dim:
         level.sort()
     return CliqueComplex(g, by_dim)
-
-
-def euler_characteristic(g: Graph) -> int:
-    return build_complex(g).euler_characteristic()

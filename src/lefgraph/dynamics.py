@@ -130,10 +130,6 @@ def validate_map(g: Graph, image) -> GraphMap:
     return GraphMap(g, image)
 
 
-def identity_map(g: Graph) -> GraphMap:
-    return GraphMap.identity(g)
-
-
 @dataclass(frozen=True)
 class FixedSimplexRecord:
     """A simplex fixed setwise, with the sign data of the restriction."""

@@ -8,6 +8,7 @@ clique enumeration and map validation live on mask intersections.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -23,6 +24,19 @@ class GraphError(ValueError):
 
 class GraphFormatError(GraphError):
     """Malformed edge-list text; the message carries the offending line."""
+
+
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def integer(text: str) -> int:
+    """The int spelled by text: an optional '-' and ASCII digits, nothing
+    else.  Python's int() also takes '+', '_' between digits, surrounding
+    blanks and non-ASCII digits, none of which an input file or a command
+    line should carry.  ValueError otherwise."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
 
 
 class Graph:
@@ -105,7 +119,7 @@ def parse_edge_list(text: str) -> Graph:
             if len(parts) != 2:
                 raise GraphFormatError(f"line {lineno}: expected 'vertices <n>'")
             try:
-                n = int(parts[1])
+                n = integer(parts[1])
             except ValueError:
                 raise GraphFormatError(
                     f"line {lineno}: vertex count {parts[1]!r} is not an integer") from None
@@ -118,7 +132,7 @@ def parse_edge_list(text: str) -> Graph:
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected '<u> <v>', got {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = integer(parts[0]), integer(parts[1])
         except ValueError:
             raise GraphFormatError(
                 f"line {lineno}: edge endpoints must be integers, got {line!r}") from None

@@ -1,25 +1,22 @@
 """Exact linear algebra over the rationals.
 
-Scalars are arbitrary-precision ints and ``fractions.Fraction``s; no floating
-point is used anywhere.  A `SparseMatrix` keeps one {column: value} dict per
-row (coboundaries and the image rows of cohomology, which are mostly zero).
-A `ScaledMatrix` is a square matrix of sparse integer rows over one positive
-integer scale: the maps induced on cohomology, over the scale of their
-basis, which is 1 on every graph met so far.  A dense `RationalMatrix` of
-Fractions is kept as the tests' reference type; no route of the package
-builds one.
+No floating point is used anywhere.  An exact matrix is a `SparseMatrix`:
+one {column: int} dict per row, zero entries left out, over one positive
+integer scale that divides every entry.  Coboundaries are over the scale 1;
+a reduced row echelon form and a map induced on cohomology are over the
+scale the elimination gives them, so no Fraction is built on the way to a
+trace or a determinant.  A dense `RationalMatrix` of Fractions is kept as
+the tests' reference type; no route of the package builds one.
 
 Every elimination runs through one kernel, `_eliminate`: Bareiss's
-fraction-free Gauss-Jordan elimination on sparse integer rows.  `rank` and
-`rref` take a `SparseMatrix` and clear each row of its denominators first;
-`rank` counts the kernel's pivots and `rref` divides its rows by its scale
-once.  Callers holding integer rows (the cohomology module, on coboundaries)
-call the kernel directly.  Bases are canonical: they come from the reduced
-row echelon form, so equal inputs give identical bases.
+fraction-free Gauss-Jordan elimination on sparse integer rows.  `rank`
+counts its pivots, and `rref` returns its rows over its scale as they are.
+Bases are canonical: they come from the reduced row echelon form, so equal
+inputs give identical bases.
 
-`det_one_minus_z_blocks` reduces a `ScaledMatrix` to Hessenberg form by
-similarity, on its sparse rows, and reads the characteristic polynomial of
-each diagonal block of that form off the Hessenberg recurrence; their
+`det_one_minus_z_blocks` reduces a square `SparseMatrix` to Hessenberg form
+by similarity, on its sparse rows, and reads the characteristic polynomial
+of each diagonal block of that form off the Hessenberg recurrence; their
 product det(1 - z M) is never formed.  `cyclotomic_exponents` peels the
 cyclotomic factors F_d off such a polynomial by exact power-series
 division, which is also how `cyclotomic_factor` builds the F_d.  No
@@ -29,7 +26,6 @@ exponents of its F_d (see `zeta.RationalFunctionZ`).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 
@@ -48,48 +44,30 @@ def _exact(x: int | Fraction) -> int | Fraction:
 
 
 class SparseMatrix:
-    """A matrix with explicit shape kept as one {column: value} dict per row,
-    zero entries left out; values are ints or Fractions."""
+    """A matrix with explicit shape kept as sparse integer rows over one
+    positive integer scale: entry (i, j) is data[i].get(j, 0) / scale, zero
+    entries left out.  Equal when the shapes, the scales and the rows are."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "scale")
 
-    def __init__(self, rows: int, cols: int, data: list[dict[int, int | Fraction]]):
-        if len(data) != rows or any(not 0 <= c < cols for row in data for c in row):
-            raise LinearAlgebraError(f"data does not match declared shape {rows}x{cols}")
+    def __init__(self, rows: int, cols: int, data: list[dict[int, int]], scale: int = 1):
+        if type(scale) is not int or scale < 1 or len(data) != rows or any(
+                type(x) is not int or not 0 <= c < cols for row in data for c, x in row.items()):
+            raise LinearAlgebraError(
+                f"data is not integer rows of a {rows}x{cols} matrix over a positive scale")
         self.rows = rows
         self.cols = cols
         self.data = data
-
-    def __repr__(self) -> str:
-        return f"SparseMatrix({self.rows}x{self.cols})"
-
-
-class ScaledMatrix:
-    """A square matrix kept as sparse integer rows over one positive integer
-    scale: entry (i, j) is data[i].get(j, 0) / scale, zero entries left out.
-    Equal when the rows and the scale are."""
-
-    __slots__ = ("data", "scale")
-
-    def __init__(self, data: list[dict[int, int]], scale: int = 1):
-        n = len(data)
-        if scale < 1 or any(not 0 <= c < n for row in data for c in row):
-            raise LinearAlgebraError(
-                f"data is not a square {n}x{n} matrix over a positive scale")
-        self.data = data
         self.scale = scale
 
-    @property
-    def size(self) -> int:
-        return len(self.data)
-
     def __eq__(self, other) -> bool:
-        if not isinstance(other, ScaledMatrix):
+        if not isinstance(other, SparseMatrix):
             return NotImplemented
-        return (self.scale, self.data) == (other.scale, other.data)
+        return (self.rows, self.cols, self.scale, self.data) == \
+            (other.rows, other.cols, other.scale, other.data)
 
     def __repr__(self) -> str:
-        return f"ScaledMatrix({self.size}x{self.size} over {self.scale})"
+        return f"SparseMatrix({self.rows}x{self.cols} over {self.scale})"
 
     def diagonal_sum(self) -> int:
         """The sum of the diagonal of the integer rows: `scale` times the
@@ -154,22 +132,6 @@ class RationalMatrix:
         if self.rows != self.cols:
             raise LinearAlgebraError("trace needs a square matrix")
         return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
-
-
-def _integer_rows(m: SparseMatrix) -> list[dict[int, int]]:
-    """The rows of m as sparse integer rows, each multiplied by the lcm of
-    its denominators.  Integer rows are shared, not copied: the kernel
-    never modifies a row in place."""
-    out = []
-    for row in m.data:
-        d = 1
-        for x in row.values():  # pairwise, so no argument tuple is built per row
-            d = math.lcm(d, x.denominator)
-        if d == 1 and all(type(x) is int for x in row.values()):
-            out.append(row)
-        else:
-            out.append({c: x.numerator * (d // x.denominator) for c, x in row.items()})
-    return out
 
 
 def _eliminate(rows: list[dict[int, int]], ncols: int) -> tuple[int, list[int]]:
@@ -249,22 +211,20 @@ def _eliminate(rows: list[dict[int, int]], ncols: int) -> tuple[int, list[int]]:
 
 
 def rref(m: SparseMatrix) -> tuple[SparseMatrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns, as a
-    SparseMatrix whose entries are ints where exact.
+    """Reduced row echelon form and the list of pivot columns: the kernel's
+    rows over the kernel's scale, whatever the scale of m.
 
-    The kernel's rows divided by its scale; RREF is unique, so the result
-    does not depend on the pivot rows chosen.
+    RREF is unique, so the result does not depend on the pivot rows chosen;
+    its rows and scale are the kernel's, not reduced to lowest terms.
     """
-    rows = _integer_rows(m)
+    rows = list(m.data)
     scale, pivots = _eliminate(rows, m.cols)
-    reduced = rows if scale == 1 else \
-        [{c: _exact(Fraction(x, scale)) for c, x in row.items()} for row in rows]
-    return SparseMatrix(m.rows, m.cols, reduced), pivots
+    return SparseMatrix(m.rows, m.cols, rows, scale), pivots
 
 
 def rank(m: SparseMatrix) -> int:
     """Number of pivots of the kernel's elimination of m."""
-    return len(_eliminate(_integer_rows(m), m.cols)[1])
+    return len(_eliminate(list(m.data), m.cols)[1])
 
 
 def _put(h: list[dict], held: list[set[int]], r: int, j: int, x) -> None:
@@ -326,7 +286,7 @@ def _hessenberg(h: list[dict]) -> None:
                 _put(h, held, r, m, h[r].get(m, 0) + u * h[r][i])
 
 
-def det_one_minus_z_blocks(m: ScaledMatrix) -> list[list[int | Fraction]]:
+def det_one_minus_z_blocks(m: SparseMatrix) -> list[list[int | Fraction]]:
     """det(I - z*B) for each diagonal block B of the Hessenberg form of M,
     the matrix m stands for: their product is det(I - z*M).  Coefficients
     ascend in z, each an int where it is integral, else a Fraction.
@@ -341,8 +301,11 @@ def det_one_minus_z_blocks(m: ScaledMatrix) -> list[list[int | Fraction]]:
 
     indices from the block's first row and p_0 = 1.  det(I - z*B) is the
     block's characteristic polynomial with its coefficients reversed, the
-    coefficient of z^i divided by scale^i.
+    coefficient of z^i divided by scale^i.  LinearAlgebraError is raised
+    if m is not square.
     """
+    if m.rows != m.cols:
+        raise LinearAlgebraError(f"det(1 - zM) needs a square matrix, not {m!r}")
     h = [dict(row) for row in m.data]
     _hessenberg(h)
     n, scale = len(h), m.scale

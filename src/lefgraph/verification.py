@@ -112,7 +112,9 @@ def zeta_checks(spaces: CochainSpaces, t: GraphMap,
     """Determinant = orbit product, and log-derivative series consistency.
 
     `product` is the orbit-product zeta of the map.  The series is compared
-    up to min(2 order(T), 2 |cx|) terms, with |cx| the number of simplices.
+    up to min(2 order(T), 2 |cx|) terms, with |cx| the number of simplices,
+    and never fewer than one, so that an empty complex compares L(T) = 0
+    with the product's first coefficient rather than two empty lists.
     That many terms prove agreement for every n:
 
     - L(T^n) = sum_k (-1)^k tr(P_k^n) is a signed sum of n-th power sums
@@ -137,7 +139,7 @@ def zeta_checks(spaces: CochainSpaces, t: GraphMap,
     rendered only when the check is printed.
     """
     z_det = zeta_det(spaces.cx.graph, t, spaces)
-    series_order = min(2 * t.order(), 2 * len(spaces.cx))
+    series_order = max(1, min(2 * t.order(), 2 * len(spaces.cx)))
     expected = lefschetz_iterates(spaces, t, series_order)
     actual = product.log_derivative_series(series_order)
     return [

@@ -104,7 +104,7 @@ class RationalFunctionZ:
     and `den` are cross-multiplied.  `num` and `den` are expanded only when
     read.
 
-    `RationalFunctionZ(num, den)` (or `from_quotient`) peels every F_d off
+    `RationalFunctionZ(num, den)` peels every F_d off
     num and den, which may hold ints or Fractions with num(0) = den(0).
     """
 
@@ -133,11 +133,6 @@ class RationalFunctionZ:
     @classmethod
     def one(cls) -> "RationalFunctionZ":
         return cls.from_factors({})
-
-    @classmethod
-    def from_quotient(cls, num, den) -> "RationalFunctionZ":
-        """The same as `RationalFunctionZ(num, den)`."""
-        return cls(num, den)
 
     @classmethod
     def from_cyclotomic(cls, exponents: dict[int, int],
@@ -355,11 +350,6 @@ def zeta_det(g: Graph, t: GraphMap,
                 rest[k % 2] = poly_mul(rest[k % 2], left)
     return RationalFunctionZ.from_cyclotomic(
         exponents, rest=(tuple(rest[1]), tuple(rest[0])))
-
-
-def series_consistency(zeta: RationalFunctionZ, lefschetz_values: list[int]) -> bool:
-    """Does zeta'/zeta agree with sum L(T^n) z^(n-1) to the given order?"""
-    return zeta.log_derivative_series(len(lefschetz_values)) == list(lefschetz_values)
 
 
 def lefschetz_iterates(spaces: CochainSpaces, t: GraphMap, count: int) -> list[int]:

@@ -24,9 +24,7 @@ from lefgraph.linalg import (
     LinearAlgebraError,
     NotInSpanError,
     RationalMatrix,
-    ScaledMatrix,
     SparseMatrix,
-    _eliminate,
     _exact,
     det_one_minus_z_blocks,
     poly_mul,
@@ -36,34 +34,24 @@ from lefgraph.symmetry import SymmetryError
 
 
 def dense(m):
-    """A SparseMatrix or a ScaledMatrix as a RationalMatrix; a
-    RationalMatrix as it is."""
+    """A SparseMatrix as a RationalMatrix; a RationalMatrix as it is."""
     if isinstance(m, RationalMatrix):
         return m
-    if isinstance(m, ScaledMatrix):
-        out = RationalMatrix(m.size, m.size)
-        for row, entries in zip(out.data, m.data):
-            for c, x in entries.items():
-                row[c] = Fraction(x, m.scale)
-        return out
     out = RationalMatrix(m.rows, m.cols)
     for row, entries in zip(out.data, m.data):
         for c, x in entries.items():
-            row[c] = Fraction(x)
+            row[c] = Fraction(x, m.scale)
     return out
 
 
-def sparse(m: RationalMatrix) -> SparseMatrix:
-    """A RationalMatrix as a SparseMatrix of the same Fractions."""
+def sparse(m) -> SparseMatrix:
+    """A RationalMatrix, or a list of equal rows of ints and Fractions, as
+    integer rows over the lcm of its denominators."""
+    if not isinstance(m, RationalMatrix):
+        m = RationalMatrix.from_rows(m)
+    scale = math.lcm(1, *(x.denominator for row in m.data for x in row))
     return SparseMatrix(m.rows, m.cols,
-                        [{c: x for c, x in enumerate(row) if x} for row in m.data])
-
-
-def scaled(rows) -> ScaledMatrix:
-    """Square rows of ints and Fractions as integer rows over the lcm of
-    their denominators."""
-    scale = math.lcm(1, *(Fraction(x).denominator for row in rows for x in row))
-    return ScaledMatrix([{c: int(x * scale) for c, x in enumerate(row) if x} for row in rows],
+                        [{c: int(x * scale) for c, x in enumerate(row) if x} for row in m.data],
                         scale)
 
 
@@ -117,8 +105,8 @@ def induced_matrix(spaces, image: tuple[int, ...], k: int) -> RationalMatrix:
     if b == 0:
         return RationalMatrix(0, 0)
     n = spaces.cx.count(k)
-    rows = list(spaces.coboundary(k).data)
-    scale, pivots = _eliminate(rows, n)
+    kernel, pivots = linalg.rref(spaces.coboundary(k))
+    rows, scale = kernel.data, kernel.scale
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
     in_column = {c: [] for c in free}
@@ -142,7 +130,8 @@ def induced_matrix(spaces, image: tuple[int, ...], k: int) -> RationalMatrix:
         readers = {free[i]: [(j, 1)] for j, i in enumerate(kept)}
         class_of = {i: j for j, i in enumerate(kept)}
         for row, q in zip(reduced.data, image_pivots):
-            readers[free[q]] = [(class_of[i], -x) for i, x in row.items() if i != q]
+            readers[free[q]] = [(class_of[i], -Fraction(x, reduced.scale))
+                                for i, x in row.items() if i != q]
     pb = spaces.pullback(image, k)
     faces = spaces.face_rows(k)
     out = RationalMatrix(b, b)
@@ -323,7 +312,7 @@ def graph_maps(g):
     yield from extend(0)
 
 
-def det_one_minus_z(m: ScaledMatrix) -> list:
+def det_one_minus_z(m: SparseMatrix) -> list:
     """Coefficients of det(I - z*M), ascending in z: the product of
     `det_one_minus_z_blocks`, each coefficient an int where it is
     integral, else a Fraction."""

@@ -11,7 +11,12 @@ from lefgraph.cli import _exit_code, main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """Exit code, stdout and stderr of a run, whether main returns the code
+    or argparse exits with it."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -416,6 +421,76 @@ def test_map_file_errors(capsys, c4_file, tmp_path):
     empty.write_text("# nothing\n")
     code, _, err = run(capsys, "analyze", c4_file, "--map", str(empty))
     assert code == 1 and "no 'map' line" in err
+
+
+# Each place an integer comes from outside, as argv with {x} for the integer
+# and the files it reads (name -> text); each takes x = 10.
+INTEGER_INPUTS = {
+    "header": (["analyze", "g.graph"], {"g.graph": "vertices {x}\n"}),
+    "endpoint": (["analyze", "g.graph"], {"g.graph": "vertices 11\n0 {x}\n"}),
+    "named size": (["analyze", "--named", "cycle:{x}"], {}),
+    "inline map": (["analyze", "--named", "cycle:11", "--map", "1,2,3,4,5,6,7,8,9,{x},0"], {}),
+    "map file": (["analyze", "--named", "cycle:11", "--map", "m.map"],
+                 {"m.map": "map 1 2 3 4 5 6 7 8 9 {x} 0\n"}),
+    "random --n": (["random", "--n", "{x}", "--samples", "1"], {}),
+    "random --samples": (["random", "--n", "3", "--samples", "{x}"], {}),
+    "random --seed": (["random", "--n", "3", "--samples", "1", "--seed", "{x}"], {}),
+    "verify-corpus --endomorphisms": (["verify-corpus", "--endomorphisms", "{x}"], {}),
+    "verify-corpus --seed": (["verify-corpus", "--endomorphisms", "0", "--seed", "{x}"], {}),
+}
+# Spellings of 10 that Python's int() takes but an input should not carry: a
+# digit separator, a plus sign, Arabic-Indic and fullwidth digits.  Blanks
+# around an integer are separators inside a file, so they are tried on argv
+# only.
+BAD_TENS = ["1_0", "+10", "\u0661\u0660", "\uff11\uff10"]
+BLANK_TENS = [" 10", "10 "]
+
+
+def _run_integer_input(capsys, monkeypatch, tmp_path, where, x):
+    argv, files = INTEGER_INPUTS[where]
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text.format(x=x), encoding="utf-8")
+    return run(capsys, *(a.format(x=x) for a in argv))
+
+
+@pytest.mark.parametrize("where", INTEGER_INPUTS)
+def test_each_integer_input_takes_ten(capsys, monkeypatch, tmp_path, where):
+    code, out, err = _run_integer_input(capsys, monkeypatch, tmp_path, where, "10")
+    assert code == 0 and out and err == ""
+
+
+@pytest.mark.parametrize("where, spelling", [
+    (where, spelling) for where, (_, files) in INTEGER_INPUTS.items()
+    for spelling in BAD_TENS + (BLANK_TENS if not files else [])])
+def test_integers_from_outside_are_ascii_digits_only(capsys, monkeypatch, tmp_path,
+                                                     where, spelling):
+    code, out, err = _run_integer_input(capsys, monkeypatch, tmp_path, where, spelling)
+    assert code == 1 and out == ""
+    assert "error: " in err and "Traceback" not in err
+
+
+def test_an_empty_map_is_an_input_error(capsys, c4_file):
+    """An empty --map is a map that names no file and no image, not a
+    missing one: both commands refuse it as a map."""
+    for command in ("analyze", "zeta"):
+        code, out, err = run(capsys, command, c4_file, "--map", "")
+        assert (code, out) == (1, "")
+        assert err == ("lefgraph: error: map '' is neither a readable file "
+                       "nor a comma list of integers\n")
+
+
+def test_the_empty_graph_compares_one_series_term(capsys, tmp_path):
+    """The empty map of the empty graph is an automorphism of order 1 on an
+    empty complex; its series check still compares L(T) = 0 with the orbit
+    product's first term instead of passing on two empty lists."""
+    graph, image = tmp_path / "empty.graph", tmp_path / "empty.map"
+    graph.write_text("vertices 0\n")
+    image.write_text("map\n")
+    code, report = run_json(capsys, "analyze", str(graph), "--map", str(image))
+    assert code == 0 and report["map"]["kind"] == "automorphism"
+    series = next(c for c in report["checks"] if c["name"] == "zeta_series_consistent")
+    assert series == {"name": "zeta_series_consistent", "passed": True, "lhs": [0], "rhs": [0]}
 
 
 def test_an_inline_map_is_not_shadowed_by_a_file(capsys, monkeypatch, tmp_path):

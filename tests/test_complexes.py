@@ -2,7 +2,7 @@
 
 from itertools import combinations
 
-from lefgraph.complexes import CliqueComplex, build_complex, euler_characteristic
+from lefgraph.complexes import CliqueComplex, build_complex
 from lefgraph.graphs import (
     all_graphs,
     complete_graph,
@@ -78,18 +78,18 @@ def test_faces_are_closed():
 
 
 def test_euler_characteristic_examples():
-    assert euler_characteristic(petersen_graph()) == -5
-    assert euler_characteristic(cycle_graph(7)) == 0
-    assert euler_characteristic(complete_graph(6)) == 1
-    assert euler_characteristic(octahedron_graph()) == 2
-    assert euler_characteristic(discrete_graph(4)) == 4
-    assert euler_characteristic(path_graph(5)) == 1
+    assert build_complex(petersen_graph()).euler_characteristic() == -5
+    assert build_complex(cycle_graph(7)).euler_characteristic() == 0
+    assert build_complex(complete_graph(6)).euler_characteristic() == 1
+    assert build_complex(octahedron_graph()).euler_characteristic() == 2
+    assert build_complex(discrete_graph(4)).euler_characteristic() == 4
+    assert build_complex(path_graph(5)).euler_characteristic() == 1
 
 
 def test_euler_characteristic_additive_over_disjoint_union():
     a, b = wheel_graph(5), cycle_graph(4)
-    assert euler_characteristic(disjoint_union(a, b)) == \
-        euler_characteristic(a) + euler_characteristic(b)
+    assert build_complex(disjoint_union(a, b)).euler_characteristic() == \
+        build_complex(a).euler_characteristic() + build_complex(b).euler_characteristic()
 
 
 def test_count_and_len_agree():

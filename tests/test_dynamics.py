@@ -13,7 +13,6 @@ from lefgraph.dynamics import (
     brouwer_check,
     fixed_index_sum,
     fixed_simplices,
-    identity_map,
     is_star_shaped,
     lefschetz_chain,
     lefschetz_cohomological,
@@ -59,7 +58,7 @@ def test_map_kind():
     s = star_graph(3)
     assert validate_map(s, (0, 2, 3, 1)).kind == "automorphism"
     assert validate_map(s, (0, 1, 1, 1)).kind == "endomorphism"
-    assert identity_map(s).is_identity()
+    assert GraphMap.identity(s).is_identity()
 
 
 def test_compose_applies_inner_first():
@@ -92,7 +91,7 @@ def test_power_equals_repeated_composition():
         maps = list(automorphism_group(g))[:12]
         maps += [random_endomorphism(g, rng) for _ in range(3)]
         for t in maps:
-            composite = identity_map(g)
+            composite = GraphMap.identity(g)
             for m in range(9):
                 assert t.power(m) == composite, (t.image, m)
                 composite = t.compose(composite)
@@ -107,7 +106,7 @@ def test_fixed_simplices_rotation_has_none():
 def test_fixed_simplices_identity_lists_everything():
     g = complete_graph(3)
     cx = build_complex(g)
-    recs = fixed_simplices(cx, identity_map(g))
+    recs = fixed_simplices(cx, GraphMap.identity(g))
     assert len(recs) == 7
     assert all(r.perm_sign == 1 for r in recs)
     assert sum(r.index for r in recs) == 3 - 3 + 1
@@ -140,7 +139,7 @@ def test_lefschetz_examples():
     assert all_three_lefschetz(oct_g, validate_map(oct_g, (1, 2, 0, 4, 5, 3))) == \
         (2, 2, 2)
     p = petersen_graph()
-    assert all_three_lefschetz(p, identity_map(p)) == (-5, -5, -5)
+    assert all_three_lefschetz(p, GraphMap.identity(p)) == (-5, -5, -5)
     for n in (2, 3, 5):
         g = complete_graph(n)
         rng = random.Random(n)
@@ -155,7 +154,7 @@ def test_lefschetz_of_identity_is_euler_characteristic():
     for g in [cycle_graph(5), octahedron_graph(), wheel_graph(4),
               discrete_graph(3)]:
         cx = build_complex(g)
-        assert lefschetz_cohomological(g, identity_map(g)) == \
+        assert lefschetz_cohomological(g, GraphMap.identity(g)) == \
             cx.euler_characteristic()
 
 
@@ -303,4 +302,4 @@ def test_map_equality_and_hash():
     a = validate_map(g, (1, 2, 3, 0))
     b = validate_map(g, (1, 2, 3, 0))
     assert a == b and hash(a) == hash(b)
-    assert a != identity_map(g)
+    assert a != GraphMap.identity(g)

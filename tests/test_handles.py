@@ -2,8 +2,11 @@
 data `spaces`, never both, and a caller's spaces are shared, not rebuilt.
 
 Handles are required: no function takes the graph `g` beside a handle that
-carries it, and none defaults a handle to None to build its own."""
+carries it, and none defaults a handle to None to build its own.  A module
+reaches another only through its public names, so no module imports a
+`_private` name from another lefgraph module."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -121,6 +124,34 @@ def test_the_retired_handles_are_gone():
     cohomology = importlib.import_module("lefgraph.cohomology")
     assert not hasattr(cohomology, "pullback")
     assert not hasattr(lefgraph, "pullback")
+
+
+def _private_imports(source: str) -> list[str]:
+    """The `_private` names that the module source imports from a lefgraph
+    module, by a relative import or by the package name."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and \
+                (node.level or (node.module or "").split(".")[0] == "lefgraph"):
+            out += [alias.name for alias in node.names if alias.name.startswith("_")]
+    return out
+
+
+def test_the_private_import_checker_catches_both_spellings():
+    source = ("from __future__ import annotations\n"
+              "from os import _exit\n"
+              "from .linalg import rank, _eliminate\n"
+              "from lefgraph.graphs import _INTEGER\n"
+              "from . import _cache\n")
+    assert _private_imports(source) == ["_eliminate", "_INTEGER", "_cache"]
+
+
+def test_no_module_imports_a_private_name_from_another():
+    checked = list(_modules())
+    assert len(checked) > 10
+    faults = {m.__name__: names for m in checked
+              if (names := _private_imports(inspect.getsource(m)))}
+    assert faults == {}
 
 
 @pytest.fixture

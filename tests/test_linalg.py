@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import dense
 from lefgraph.linalg import (
     LinearAlgebraError,
-    ScaledMatrix,
     SparseMatrix,
     binomial_power,
     cyclotomic_exponents,
@@ -33,7 +32,7 @@ from lefgraph.linalg import (
     rank,
     rref,
 )
-from dense import RationalMatrix, apply, det_one_minus_z, nullspace, scaled
+from dense import RationalMatrix, apply, det_one_minus_z, nullspace, sparse
 
 
 def naive_rank(rows):
@@ -173,11 +172,6 @@ def test_rref_matches_naive_gauss_jordan(m):
     assert dense.rank(m) == len(expected_pivots)
 
 
-def sparse(rows, ncols):
-    return SparseMatrix(len(rows), ncols, [{c: x for c, x in enumerate(row) if x}
-                                           for row in rows])
-
-
 # Mostly +-1 entries, as in coboundaries, so -1 pivots are common; the rarer
 # 2, 3 and fractions give non-unit pivots, which rescale the other rows.
 SPARSE_ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
@@ -204,18 +198,25 @@ def sparse_matrices(draw):
 @example(([[], [], []], 0))
 def test_sparse_rank_and_rref_match_naive_gauss_jordan(case):
     rows, ncols = case
-    m = sparse(rows, ncols)
+    m = sparse(RationalMatrix(len(rows), ncols, rows))
     before = [dict(row) for row in m.data]
     reduced, pivots = rref(m)
     expected, expected_pivots = naive_rref(rows, ncols)
     assert isinstance(reduced, SparseMatrix)
     assert (reduced.rows, reduced.cols) == (m.rows, m.cols)
     assert pivots == expected_pivots
-    assert reduced.data == sparse(expected, ncols).data
-    assert all(type(x) is int for row in reduced.data for x in row.values()
-               if x.denominator == 1)
+    assert dense.dense(reduced).data == expected
     assert rank(m) == len(expected_pivots)
     assert m.data == before  # rows are shared with the kernel, never modified
+
+
+def test_rref_is_the_kernels_integer_rows_over_its_scale():
+    """Bareiss keeps every entry a minor: the pivots 2 then 3 leave both
+    rows at 6, the determinant, and the RREF is read over that scale."""
+    reduced, pivots = rref(SparseMatrix(2, 2, [{0: 2}, {1: 3}]))
+    assert (reduced.data, reduced.scale, pivots) == ([{0: 6}, {1: 6}], 6, [0, 1])
+    assert reduced == SparseMatrix(2, 2, [{0: 6}, {1: 6}], 6)
+    assert reduced != SparseMatrix(2, 2, [{0: 1}, {1: 1}])
 
 
 def test_rref_empty_shapes():
@@ -234,9 +235,9 @@ def test_rref_is_canonical():
 
 
 def test_det_one_minus_z_examples():
-    assert det_one_minus_z(scaled([[1]])) == [1, -1]
-    assert det_one_minus_z(scaled([[-1]])) == [1, 1]
-    swap = scaled([[0, 1], [1, 0]])
+    assert det_one_minus_z(sparse([[1]])) == [1, -1]
+    assert det_one_minus_z(sparse([[-1]])) == [1, 1]
+    swap = sparse([[0, 1], [1, 0]])
     assert det_one_minus_z(swap) == [1, 0, -1]
 
 
@@ -244,10 +245,10 @@ def test_det_one_minus_z_of_an_integer_matrix_has_int_coefficients():
     rng = random.Random(13)
     for _ in range(20):
         n = rng.randint(1, 5)
-        m = scaled([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        m = sparse([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
         coefficients = det_one_minus_z(m)
         assert all(type(c) is int for c in coefficients), coefficients
-    half = det_one_minus_z(scaled([[Fraction(1, 2)]]))
+    half = det_one_minus_z(sparse([[Fraction(1, 2)]]))
     assert half == [1, Fraction(-1, 2)] and type(half[0]) is int
     assert type(half[1]) is Fraction
 
@@ -256,7 +257,7 @@ def test_det_one_minus_z_constant_term():
     rng = random.Random(11)
     for _ in range(10):
         n = rng.randint(1, 4)
-        m = scaled([[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+        m = sparse([[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
                     for _ in range(n)])
         assert det_one_minus_z(m)[0] == 1
 
@@ -275,7 +276,7 @@ def test_det_one_minus_z_permutation_cycle_type():
         n = rng.randint(1, 8)
         perm = list(range(n))
         rng.shuffle(perm)
-        mat = ScaledMatrix([{p: 1} for p in perm])
+        mat = SparseMatrix(n, n, [{p: 1} for p in perm])
         # oracle: cycle lengths by direct traversal
         seen = [False] * n
         expected = [1]
@@ -337,7 +338,7 @@ def square_matrices(draw):
 @example([[1, 2], [2, 4]])  # singular
 @example([])
 def test_det_one_minus_z_matches_leibniz_expansion(rows):
-    assert det_one_minus_z(scaled(rows)) == leibniz_det_one_minus_z(rows)
+    assert det_one_minus_z(sparse(rows)) == leibniz_det_one_minus_z(rows)
 
 
 def test_det_blocks_split_at_zero_subdiagonal_entries():
@@ -345,11 +346,11 @@ def test_det_blocks_split_at_zero_subdiagonal_entries():
     throughout: one block 1 - z per row, found in time linear in n.  A
     3-cycle beside a sign -1 fixed point, over the scale 2, keeps its
     block whole."""
-    assert det_one_minus_z_blocks(ScaledMatrix([{i: 1} for i in range(3000)])) == \
+    assert det_one_minus_z_blocks(SparseMatrix(3000, 3000, [{i: 1} for i in range(3000)])) == \
         [[1, -1]] * 3000
-    three_cycle = ScaledMatrix([{1: 2}, {2: 2}, {0: 2}, {3: -2}], 2)
+    three_cycle = SparseMatrix(4, 4, [{1: 2}, {2: 2}, {0: 2}, {3: -2}], 2)
     assert det_one_minus_z_blocks(three_cycle) == [[1, 0, 0, -1], [1, 1]]
-    assert det_one_minus_z(ScaledMatrix([])) == [1]
+    assert det_one_minus_z(SparseMatrix(0, 0, [])) == [1]
 
 
 def test_poly_arithmetic():
@@ -434,10 +435,22 @@ def test_cyclotomic_exponents_without_an_order_peel_every_factor():
     assert cyclotomic_exponents(half) == ({1: 1, 2: 1}, [1, Fraction(-1, 2)])
 
 
+@pytest.mark.parametrize("rows, cols, data, scale", [
+    (2, 2, [{2: 1}, {}], 1),             # a column outside the shape
+    (3, 2, [{0: 1}, {}], 1),             # fewer rows than declared
+    (1, 1, [{0: Fraction(1, 2)}], 1),    # a Fraction entry
+    (1, 1, [{0: Fraction(2, 1)}], 1),    # an integral Fraction is no int either
+    (1, 1, [{0: 1}], 0),                 # scale 0
+    (1, 1, [{0: 1}], -2),                # a negative scale
+])
+def test_sparse_matrix_refuses_anything_but_integer_rows_over_a_positive_scale(
+        rows, cols, data, scale):
+    with pytest.raises(LinearAlgebraError):
+        SparseMatrix(rows, cols, data, scale)
+
+
 def test_matrix_shape_guards():
-    with pytest.raises(LinearAlgebraError):
-        det_one_minus_z(ScaledMatrix([{2: 1}, {}]))
-    with pytest.raises(LinearAlgebraError):
-        ScaledMatrix([{0: 1}], 0)
+    with pytest.raises(LinearAlgebraError, match="square"):
+        det_one_minus_z_blocks(SparseMatrix(2, 3, [{2: 1}, {}]))
     with pytest.raises(LinearAlgebraError):
         RationalMatrix(2, 3).trace()

@@ -19,7 +19,6 @@ from lefgraph.complexes import build_complex
 from lefgraph.dynamics import (
     attractor,
     fixed_simplices,
-    identity_map,
     lefschetz_cohomological,
     orbit_census,
     validate_map,

@@ -12,11 +12,10 @@ import dense
 from lefgraph import cohomology, zeta
 from lefgraph.cli import main
 from lefgraph.cohomology import CochainSpaces, Pullback
-from lefgraph.complexes import build_complex, euler_characteristic
+from lefgraph.complexes import build_complex
 from lefgraph.dynamics import (
     GraphMap,
     fixed_index_sum,
-    identity_map,
     lefschetz_chain,
     random_endomorphism,
     validate_map,
@@ -33,7 +32,7 @@ from lefgraph.graphs import (
     star_graph,
 )
 from lefgraph.linalg import (
-    ScaledMatrix,
+    SparseMatrix,
     cyclotomic_exponents,
     det_one_minus_z_blocks,
     poly_mul,
@@ -48,34 +47,33 @@ from lefgraph.zeta import (
     graph_zeta,
     lefschetz_iterates,
     orbit_census,
-    series_consistency,
     zeta_det,
     zeta_product,
 )
 
 
 def test_quotient_normalization():
-    f = RationalFunctionZ.from_quotient([2, 2], [2])
+    f = RationalFunctionZ([2, 2], [2])
     assert f.num == (1, 1) and f.den == (1,)
     # common polynomial factor dropped
-    f = RationalFunctionZ.from_quotient([1, 0, -1], [1, -1])
+    f = RationalFunctionZ([1, 0, -1], [1, -1])
     assert f.num == (1, 1) and f.den == (1,)
     # sign fixed jointly so den(0) > 0
-    f = RationalFunctionZ.from_quotient([-1, -1], [-1])
+    f = RationalFunctionZ([-1, -1], [-1])
     assert f.num == (1, 1) and f.den == (1,)
 
 
 def test_value_at_zero_must_be_one():
     with pytest.raises(ZetaError):
-        RationalFunctionZ.from_quotient([1, 1], [2])
+        RationalFunctionZ([1, 1], [2])
     with pytest.raises(ZetaError):
         RationalFunctionZ([2, 1], [1])
     with pytest.raises(ZetaError):
-        RationalFunctionZ.from_quotient([1], [0])
+        RationalFunctionZ([1], [0])
 
 
 def test_equality_is_cross_multiplied():
-    a = RationalFunctionZ.from_quotient([1, 1], [1, -1])
+    a = RationalFunctionZ([1, 1], [1, -1])
     b = RationalFunctionZ.from_factors({1: (-1, 1)})
     assert a == b
     assert hash(a) == hash(b)
@@ -85,18 +83,18 @@ def test_equality_is_cross_multiplied():
 def test_a_rest_is_compared_by_value_and_hashed_alike():
     """1 - 2z has no root of unity as a root, so it stays in the rest,
     unreduced; equality and the hash still go by the function's value."""
-    same = RationalFunctionZ.from_quotient([1, -2], [1, -2])
+    same = RationalFunctionZ([1, -2], [1, -2])
     assert same.rest == ((1, -2), (1, -2)) and same.cyclotomic == {}
     assert same == RationalFunctionZ.one() and same.is_one()
     assert hash(same) == hash(RationalFunctionZ.one())
-    square = RationalFunctionZ.from_quotient(poly_pow([1, -2], 2), [1, -2])
-    line = RationalFunctionZ.from_quotient([1, -2], [1])
+    square = RationalFunctionZ(poly_pow([1, -2], 2), [1, -2])
+    line = RationalFunctionZ([1, -2], [1])
     assert square.rest == ((1, -4, 4), (1, -2)) and line.rest == ((1, -2), (1,))
     assert square == line and hash(square) == hash(line)
     assert square.num == (1, -4, 4) and square.den == (1, -2)
     assert line != RationalFunctionZ.one()
     # a rest beside cyclotomic factors, with a constant term other than 1
-    mixed = RationalFunctionZ.from_quotient(poly_mul([2, -1], [1, 1]), [2, 0, -2])
+    mixed = RationalFunctionZ(poly_mul([2, -1], [1, 1]), [2, 0, -2])
     assert mixed.cyclotomic == {1: -1} and mixed.rest == ((1, Fraction(-1, 2)), (1,))
     assert mixed.num == (2, -1) and mixed.den == (2, -2)
     assert mixed.log_derivative_series(4) == dense.log_derivative_series([2, -1], [2, -2], 4)
@@ -110,15 +108,15 @@ def test_multiplication():
     prod = grow * RationalFunctionZ.from_factors({2: (1, 0)})
     assert prod.factors == ((1, -1, 0), (2, 1, 0))
     # quotient route still multiplies correctly
-    q = RationalFunctionZ.from_quotient([1, 1], [1, -1])
-    assert q * q == RationalFunctionZ.from_quotient([1, 2, 1], [1, -2, 1])
+    q = RationalFunctionZ([1, 1], [1, -1])
+    assert q * q == RationalFunctionZ([1, 2, 1], [1, -2, 1])
 
 
 def test_factored_text_layout():
     f = RationalFunctionZ.from_factors({1: (0, -1), 2: (1, 1)})
     assert f.text() == "(1+z)^-1 (1-z^2) (1+z^2)"
     assert RationalFunctionZ.from_factors({}).text() == "1"
-    assert RationalFunctionZ.from_quotient([1, 1], [1, -1]).text() == \
+    assert RationalFunctionZ([1, 1], [1, -1]).text() == \
         "(1 + z) / (1 - z)"
 
 
@@ -154,11 +152,11 @@ def test_census_edge_fixing_reflection():
 
 def test_census_identity_counts_simplices_by_parity():
     g = complete_graph(2)
-    census = orbit_census(build_complex(g), identity_map(g))
+    census = orbit_census(build_complex(g), GraphMap.identity(g))
     assert census_dict(census) == {"a": {1: 1}, "b": {1: 2}, "c": {}, "d": {}}
     for graph in [octahedron_graph(), petersen_graph()]:
         cx = build_complex(graph)
-        census = orbit_census(cx, identity_map(graph))
+        census = orbit_census(cx, GraphMap.identity(graph))
         f = cx.f_vector()
         assert census.a.get(1, 0) == sum(f[k] for k in range(1, len(f), 2))
         assert census.b.get(1, 0) == sum(f[k] for k in range(0, len(f), 2))
@@ -186,11 +184,11 @@ def test_census_merge():
 def test_zeta_identity_is_one_minus_z_to_minus_euler():
     for g in [petersen_graph(), octahedron_graph(), cycle_graph(5),
               complete_graph(4)]:
-        chi = euler_characteristic(g)
+        chi = build_complex(g).euler_characteristic()
         expected = RationalFunctionZ.from_factors({1: (-chi, 0)})
-        assert zeta_det(g, identity_map(g)) == expected
+        assert zeta_det(g, GraphMap.identity(g)) == expected
         assert zeta_product(orbit_census(build_complex(g),
-                                         identity_map(g))) == expected
+                                         GraphMap.identity(g))) == expected
 
 
 def test_zeta_golden_values():
@@ -198,17 +196,17 @@ def test_zeta_golden_values():
     rotation = validate_map(c4, (1, 2, 3, 0))
     assert zeta_det(c4, rotation).is_one()
     assert zeta_product(orbit_census(build_complex(c4), rotation)).is_one()
-    ratio = RationalFunctionZ.from_quotient([1, 1], [1, -1])
+    ratio = RationalFunctionZ([1, 1], [1, -1])
     for n, image in [(4, (0, 3, 2, 1)), (4, (1, 0, 3, 2)),
                      (5, (0, 4, 3, 2, 1)), (6, (0, 5, 4, 3, 2, 1))]:
         g = cycle_graph(n)
         assert zeta_det(g, validate_map(g, image)) == ratio
-    single = RationalFunctionZ.from_quotient([1], [1, -1])
+    single = RationalFunctionZ([1], [1, -1])
     for n in (2, 3, 4, 5):
         g = complete_graph(n)
         perm = list(range(1, n)) + [0]
         assert zeta_det(g, validate_map(g, perm)) == single
-        assert zeta_det(g, identity_map(g)) == single
+        assert zeta_det(g, GraphMap.identity(g)) == single
 
 
 def test_zeta_routes_agree_exhaustively_small():
@@ -221,7 +219,7 @@ def test_zeta_routes_agree_exhaustively_small():
                 product_route = zeta_product(orbit_census(cx, t))
                 assert det_route == product_route
                 series = lefschetz_iterates(spaces, t, 2 * t.order())
-                assert series_consistency(det_route, series)
+                assert det_route.log_derivative_series(len(series)) == series
 
 
 def test_zeta_routes_agree_on_samples():
@@ -239,14 +237,14 @@ def test_series_consistency_rejects_perturbed_series():
     zeta = zeta_det(c4, refl)
     series = lefschetz_iterates(CochainSpaces(build_complex(c4)), refl, 4)
     assert series == [2, 0, 2, 0]
-    assert series_consistency(zeta, series)
-    assert not series_consistency(zeta, [2, 0, 2, 1])
-    assert not series_consistency(RationalFunctionZ.one(), series)
+    assert zeta.log_derivative_series(4) == series
+    assert zeta.log_derivative_series(4) != [2, 0, 2, 1]
+    assert RationalFunctionZ.one().log_derivative_series(4) != series
 
 
 def test_log_derivative_series_of_identity_is_constant_euler():
     g = octahedron_graph()
-    zeta = zeta_det(g, identity_map(g))
+    zeta = zeta_det(g, GraphMap.identity(g))
     assert zeta.log_derivative_series(6) == [2] * 6
 
 
@@ -277,7 +275,7 @@ def test_census_walks_the_tails_of_an_endomorphism():
     assert census_dict(census) == {"a": {1: 1}, "b": {1: 2}, "c": {}, "d": {}}
     assert [r.simplex for r in census.fixed] == [(0,), (1,), (0, 1)]
     assert census.total_weight() == 3 < len(cx)
-    assert zeta_product(census) == RationalFunctionZ.from_quotient([1], [1, -1])
+    assert zeta_product(census) == RationalFunctionZ([1], [1, -1])
 
 
 def zeta_of_graph(g):
@@ -286,7 +284,7 @@ def zeta_of_graph(g):
 
 def test_graph_zeta_cycles():
     for n in (4, 5, 6):
-        expected = RationalFunctionZ.from_quotient(
+        expected = RationalFunctionZ(
             poly_pow([1, 1], n), poly_pow([1, -1], n))
         assert zeta_of_graph(cycle_graph(n)) == expected
     assert zeta_of_graph(cycle_graph(5)).text() == "(1-z)^-5 (1+z)^5"
@@ -304,7 +302,7 @@ def test_graph_zeta_of_rigid_graph_is_identity_zeta():
     g = Graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (4, 5)])
     group = automorphism_group(g)
     assert group.order == 1
-    chi = euler_characteristic(g)
+    chi = build_complex(g).euler_characteristic()
     assert graph_zeta(build_complex(g), group) == \
         RationalFunctionZ.from_factors({1: (-chi, 0)})
 
@@ -413,7 +411,7 @@ def _hessenberg_quotient(spaces, t):
                 num = poly_mul(num, det)
             else:
                 den = poly_mul(den, det)
-    return RationalFunctionZ.from_quotient(num, den)
+    return RationalFunctionZ(num, den)
 
 
 def _cycle_union(lengths):
@@ -590,7 +588,7 @@ def test_a_wrong_induced_matrix_fails_the_det_check_with_both_texts(monkeypatch,
     real = CochainSpaces.induced_matrix
 
     def wrong(self, image, k):
-        return ScaledMatrix([{0: 2}]) if k == 0 else real(self, image, k)
+        return SparseMatrix(1, 1, [{0: 2}]) if k == 0 else real(self, image, k)
 
     monkeypatch.setattr(CochainSpaces, "induced_matrix", wrong)
     cx = build_complex(g)
@@ -637,7 +635,7 @@ def test_wrong_induced_matrices_get_the_verdict_of_the_multiplied_dets(monkeypat
             fake.clear()
             for k in range(cx.dim + 1):
                 if spaces.betti(k) and rng.random() < 0.6:
-                    fake[k] = dense.scaled(draw(spaces.betti(k)))
+                    fake[k] = dense.sparse(draw(spaces.betti(k)))
             peeled, oracle = zeta_det(g, t, spaces), _hessenberg_quotient(spaces, t)
             assert (peeled == product) == (oracle == product), (g, t.image, fake)
             assert peeled == oracle, (g, t.image, fake)
@@ -652,7 +650,7 @@ def test_rests_that_cancel_across_degrees_pass_the_det_check(monkeypatch):
     g = cycle_graph(4)
     t = validate_map(g, (1, 2, 3, 0))
     monkeypatch.setattr(CochainSpaces, "induced_matrix",
-                        lambda self, image, k: ScaledMatrix([{0: 2}]))
+                        lambda self, image, k: SparseMatrix(1, 1, [{0: 2}]))
     cx = build_complex(g)
     check = zeta_checks(CochainSpaces(cx), t, zeta_product(orbit_census(cx, t)))[0]
     assert check.name == "zeta_det_equals_product" and check.passed
