@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -55,6 +56,13 @@ from .verification import (
     zeta_checks,
 )
 from .zeta import ZetaError, graph_zeta, zeta_product
+
+
+# An edge probability as typed: N, N/D with D > 0, or N.D, in ASCII digits,
+# with an optional '-' so that a negative one gets the range message.
+# Fraction() alone also takes '+', '_' between digits, blanks, exponents and
+# non-ASCII digits.
+_RATIONAL = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*|\.[0-9]+)?")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -200,7 +208,8 @@ def _map_section(spaces: CochainSpaces, t: GraphMap) -> tuple[dict, list[Theorem
     core = attractor(t)
     census = orbit_census(spaces.cx, t)
     checks = lefschetz_checks(spaces, t, census.fixed)
-    checks += attractor_checks(spaces, t, core)
+    if not t.is_automorphism():
+        checks += attractor_checks(spaces, t, core)
     section = {
         "image": list(t.image),
         "kind": t.kind,
@@ -318,10 +327,10 @@ def cmd_random(args) -> int:
     else:
         if args.samples is None:
             raise GraphError("random needs --exhaustive or --samples")
-        try:
-            p = Fraction(args.p)
-        except (ValueError, ZeroDivisionError):
-            raise GraphError(f"invalid edge probability {args.p!r}") from None
+        if not _RATIONAL.fullmatch(args.p):
+            raise GraphError(f"invalid edge probability {args.p!r}: give N, N/D "
+                             "with D > 0, or N.D, in ASCII digits")
+        p = Fraction(args.p)
         value = expectation_sampled(args.n, p, args.samples, args.seed)
         report = {
             "n": args.n,

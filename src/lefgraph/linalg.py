@@ -474,11 +474,10 @@ def _divide_by_factor(a: list[int], d: int) -> list[int] | None:
     return r[:top]
 
 
-def cyclotomic_exponents(a: list, order: int | None = None
-                         ) -> tuple[dict[int, int], list]:
-    """Peel the F_d off the polynomial a (integer or rational coefficients,
-    a(0) != 0): those with d dividing `order`, as when the roots of a are
-    order-th roots of unity, or every F_d when `order` is None.
+def cyclotomic_exponents(a: list, order: int) -> tuple[dict[int, int], list]:
+    """Peel the F_d with d dividing `order` off the polynomial a (integer
+    or rational coefficients, a(0) != 0), as when the roots of a are
+    order-th roots of unity.
 
     Returns the exponent of each F_d found and what is left, whose constant
     term is a(0).  Each F_d is divided out until it no longer divides; the
@@ -490,11 +489,10 @@ def cyclotomic_exponents(a: list, order: int | None = None
     """
     a = poly_trim(a)
     exponents: dict[int, int] = {}
-    top = 2 * (len(a) - 1) ** 2
-    for d in range(1, top + 1 if order is None else min(order, top) + 1):
+    for d in range(1, min(order, 2 * (len(a) - 1) ** 2) + 1):
         if len(a) == 1:
             break
-        if order is not None and order % d:
+        if order % d:
             continue
         phi, e = euler_phi(d), 0
         while phi < len(a):

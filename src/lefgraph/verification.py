@@ -95,9 +95,11 @@ def attractor_checks(spaces: CochainSpaces, t: GraphMap,
     """L is unchanged when an endomorphism is restricted to its attractor
     `core`.
 
-    When the attractor is the whole graph with the same map (every
-    automorphism), its Lefschetz number is the caller's, taken from the
-    caller's spaces; a proper attractor gets its own complex and spaces.
+    `analyze` asks this only of a map that is not a bijection, whose
+    attractor is proper and gets its own complex and spaces.  The corpus
+    suite asks it of every sampled map, and some samples are bijections:
+    their attractor is the whole graph with the same map, and its
+    Lefschetz number is the caller's, taken from the caller's spaces.
     """
     whole = core.graph == spaces.cx.graph and core.map.image == t.image
     core_spaces = spaces if whole else CochainSpaces(build_complex(core.graph))

@@ -6,15 +6,16 @@ degrees and a periodic-orbit product) and checked against the power series
 of its logarithmic derivative.  The graph zeta function multiplies the
 per-automorphism zetas over the whole group.
 
-Both routes are products of the cyclotomic factors F_d, so both end as the
-exponent vector {d: e_d} of zeta = prod_d F_d^(e_d), the one normal form of
-`RationalFunctionZ`, and are compared as vectors: the orbit product adds up
-the exponents of its factors 1 - z^p and 1 + z^p, and the determinant route
-peels det(1 - z T_k) by exact division, one factor per diagonal block of
-the Hessenberg form of T_k.  A block that does not peel, which only a wrong
-T_k gives, is kept as an unpeeled rest beside the vector.  The polynomials
-num and den are expanded only when read, and the log-derivative series is
-read off the vector in closed form.
+Both routes are finite products of the cyclotomic factors F_d, and both
+build their `RationalFunctionZ` from the exponent vector {d: e_d} of
+zeta = prod_d F_d^(e_d); nothing else builds one.  The orbit product adds
+up the exponents of its factors 1 - z^p and 1 + z^p, and the determinant
+route peels det(1 - z T_k) by exact division, one factor per diagonal
+block of the Hessenberg form of T_k.  A block that does not peel, which
+only a wrong T_k gives, is kept as an unpeeled rest beside the vector.
+The two are compared as vectors.  A zeta is printed as a product of
+factors (1 - z^p)^e and (1 + z^p)^e, never multiplied out, and its
+log-derivative series is read off the vector in closed form.
 
 The series side, L(T^n) = sum_k (-1)^k tr(P_k^n), is read off the cycles of
 the map's signed chain pullbacks P_k: a cycle of length p whose signs
@@ -28,7 +29,6 @@ Agreement on min(2 order(T), 2 |cx|) terms proves agreement for every n
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .complexes import CliqueComplex, build_complex
 from .cohomology import CochainSpaces
@@ -44,7 +44,6 @@ from .linalg import (
     one_plus_z_to_the,
     poly_mul,
     poly_pow,
-    poly_trim,
 )
 from .symmetry import AutomorphismGroup
 
@@ -59,24 +58,22 @@ def _format_factor(p: int, e: int, plus: bool) -> str:
     return base if e == 1 else f"{base}^{e}"
 
 
-def _poly_text(c: list[int]) -> str:
-    if c == [0]:
-        return "0"
+def _poly_text(c) -> str:
+    """c_0 + c_1 z + ... over its nonzero terms; a coefficient that is not
+    an integer is put in parentheses, so (1/2)z cannot read as 1/(2z)."""
     parts = []
     for i, x in enumerate(c):
         if x == 0:
             continue
-        if i == 0:
-            parts.append(str(x))
-            continue
-        z = "z" if i == 1 else f"z^{i}"
-        if x == 1:
-            term = z
-        elif x == -1:
-            term = f"-{z}"
+        a = abs(x)
+        term = str(a) if a.denominator == 1 else f"({a})"
+        if i:
+            z = "z" if i == 1 else f"z^{i}"
+            term = z if a == 1 else term + z
+        if parts:
+            parts.append(f"{'-' if x < 0 else '+'} {term}")
         else:
-            term = f"{x}{z}"
-        parts.append(term if not parts else (f"+ {term}" if x > 0 else f"- {term.lstrip('-')}"))
+            parts.append(f"-{term}" if x < 0 else term)
     return " ".join(parts)
 
 
@@ -91,58 +88,33 @@ class RationalFunctionZ:
     - `cyclotomic`, the exponent vector {d: e_d}, no exponent zero, with
       zeta = rest_num / rest_den * prod_d F_d^(e_d) and
       F_d = `linalg.cyclotomic_factor(d)`;
+    - `factors`, when the function was built from an orbit census, the list
+      [(p, e_minus, e_plus), ...] of exponents of (1 - z^p) and (1 + z^p),
+      kept for the text and the JSON report: the vector does not give the
+      (1 + z^p) back;
     - `rest`, the pair (rest_num, rest_den) of polynomials with constant
       term 1 that did not peel into F_d.  It is `((1,), (1,))` for every
       zeta of an automorphism; only a wrong induced map leaves more, and
-      the rest is not reduced by a gcd;
-    - `factors`, when the function was built from an orbit census, the list
-      [(p, e_minus, e_plus), ...] of exponents of (1 - z^p) and (1 + z^p),
-      kept for the text and the JSON report.
+      the rest is not reduced by a gcd.
 
-    The F_d are irreducible and pairwise coprime, so two functions without
-    a rest are equal exactly when their vectors are; otherwise their `num`
-    and `den` are cross-multiplied.  `num` and `den` are expanded only when
-    read.
-
-    `RationalFunctionZ(num, den)` peels every F_d off
-    num and den, which may hold ints or Fractions with num(0) = den(0).
+    Only the two routes build one, `from_factors` (the orbit product) and
+    `zeta_det`.  The F_d are irreducible and pairwise coprime, so two
+    functions without a rest are equal exactly when their vectors are;
+    otherwise their `num` and `den` are cross-multiplied.  `num` and `den`
+    are expanded only when read, for the JSON report and for a rest.
     """
 
-    __slots__ = ("cyclotomic", "rest", "factors", "_num", "_den")
+    __slots__ = ("cyclotomic", "factors", "rest", "_num", "_den")
 
-    def __init__(self, num, den):
-        num, den = poly_trim(list(num)), poly_trim(list(den))
-        if num[0] != den[0] or not den[0]:
-            raise ZetaError("zeta functions must satisfy zeta(0) = 1")
-        c = den[0]
-        exponents: dict[int, int] = {}
-        rest = []
-        for side, sign in ((num, 1), (den, -1)):
-            found, left = cyclotomic_exponents(side)
-            for d, e in found.items():
-                exponents[d] = exponents.get(d, 0) + sign * e
-            rest.append(tuple(left) if c == 1 else tuple(Fraction(x, c) for x in left))
-        self._set(exponents, tuple(rest), None)
-
-    def _set(self, exponents: dict[int, int], rest, factors) -> None:
-        self.cyclotomic = {d: e for d, e in sorted(exponents.items()) if e}
-        self.rest = rest
-        self.factors = factors
-        self._num = self._den = None
-
-    @classmethod
-    def one(cls) -> "RationalFunctionZ":
-        return cls.from_factors({})
-
-    @classmethod
-    def from_cyclotomic(cls, exponents: dict[int, int],
-                        factors: tuple[tuple[int, int, int], ...] | None = None,
-                        rest=_NO_REST) -> "RationalFunctionZ":
+    def __init__(self, exponents: dict[int, int],
+                 factors: tuple[tuple[int, int, int], ...] | None = None,
+                 rest=_NO_REST):
         """rest_num / rest_den * prod_d F_d^(e_d) for exponents {d: e_d},
         kept unexpanded; the rest polynomials have constant term 1."""
-        out = cls.__new__(cls)
-        out._set(exponents, rest, factors)
-        return out
+        self.cyclotomic = {d: e for d, e in sorted(exponents.items()) if e}
+        self.factors = factors
+        self.rest = rest
+        self._num = self._den = None
 
     @classmethod
     def from_factors(cls, exponents: dict[int, tuple[int, int]]) -> "RationalFunctionZ":
@@ -164,7 +136,7 @@ class RationalFunctionZ:
             if e_plus:
                 for d in one_plus_z_to_the(p):
                     cyclo[d] = cyclo.get(d, 0) + e_plus
-        return cls.from_cyclotomic(cyclo, tuple(factors))
+        return cls(cyclo, tuple(factors))
 
     @property
     def num(self) -> tuple[int, ...]:
@@ -193,19 +165,6 @@ class RationalFunctionZ:
             num, den = ([int(x * scale) for x in p] for p in (num, den))
         self._num, self._den = tuple(num), tuple(den)
 
-    def __mul__(self, other: "RationalFunctionZ") -> "RationalFunctionZ":
-        if self.factors is not None and other.factors is not None:
-            merged: dict[int, tuple[int, int]] = {}
-            for p, e_minus, e_plus in self.factors + other.factors:
-                m, pl = merged.get(p, (0, 0))
-                merged[p] = (m + e_minus, pl + e_plus)
-            return RationalFunctionZ.from_factors(merged)
-        exponents = dict(self.cyclotomic)
-        for d, e in other.cyclotomic.items():
-            exponents[d] = exponents.get(d, 0) + e
-        rest = tuple(tuple(poly_mul(list(a), list(b))) for a, b in zip(self.rest, other.rest))
-        return RationalFunctionZ.from_cyclotomic(exponents, rest=rest)
-
     def __eq__(self, other) -> bool:
         """Exponent vectors when neither side has a rest, else num/den
         cross-multiplied."""
@@ -216,39 +175,36 @@ class RationalFunctionZ:
         return poly_mul(list(self.num), list(other.den)) == \
             poly_mul(list(other.num), list(self.den))
 
-    def __hash__(self):
-        # Equal functions have equal log-derivative series, whatever their rest.
-        return hash(tuple(self.log_derivative_series(8)))
+    def periodic_exponents(self) -> dict[int, int]:
+        """The unique {m: a_m}, no a_m zero, with
+        prod_d F_d^(e_d) = prod_m (1 - z^m)^(a_m).
 
-    def is_one(self) -> bool:
-        return self == RationalFunctionZ.one()
+        1 - z^n is the product of the F_d over the divisors d of n, so
+        Moebius inversion gives a_m = sum over multiples d of m of
+        mu(d/m) e_d.  The rest is not included.
+        """
+        a: dict[int, int] = {}
+        for d, e in self.cyclotomic.items():
+            for m in range(1, d + 1):
+                if d % m == 0:
+                    a[m] = a.get(m, 0) + mobius(d // m) * e
+        return {m: x for m, x in sorted(a.items()) if x}
 
-    def log_derivative_series(self, count: int) -> list:
+    def log_derivative_series(self, count: int) -> list[int]:
         """First `count` coefficients l_1..l_count with zeta'/zeta = sum l_n z^(n-1).
 
-        Moebius inversion of 1 - z^n = prod over d | n of F_d writes the
-        product of the F_d^(e_d) as prod_m (1 - z^m)^(a_m), with
-        a_m = sum over multiples d of m of mu(d/m) e_d.  The log-derivative
-        of (1 - z^m) is -m z^(m-1) / (1 - z^m), so l_n = -sum over m | n of
-        m a_m.  A rest adds the series of rest_num and subtracts that of
-        rest_den, each by Newton's identities (`_newton_series`).
+        The log-derivative of (1 - z^m) is -m z^(m-1) / (1 - z^m), so with
+        the a_m of `periodic_exponents`, l_n = -sum over m | n of m a_m.
+        A zeta with a rest is refused with ZetaError: only a wrong T_k
+        leaves one, and the series is read only off the orbit product.
         """
-        a = [0] * (count + 1)
-        for d, e in self.cyclotomic.items():
-            for m in range(1, min(d, count) + 1):
-                if d % m == 0:
-                    a[m] += mobius(d // m) * e
-        series = [0] * count
-        for m in range(1, count + 1):
-            if a[m]:
-                step = -m * a[m]
-                for n in range(m - 1, count, m):
-                    series[n] += step
         if self.rest != _NO_REST:
-            rest_num, rest_den = self.rest
-            for n, (x, y) in enumerate(zip(_newton_series(rest_num, count),
-                                           _newton_series(rest_den, count))):
-                series[n] += x - y
+            raise ZetaError("the log-derivative series of a zeta with an unpeeled "
+                            "rest is not computed")
+        series = [0] * count
+        for m, a in self.periodic_exponents().items():
+            for n in range(m - 1, count, m):
+                series[n] -= m * a
         return series
 
     def to_json(self) -> dict:
@@ -260,18 +216,25 @@ class RationalFunctionZ:
         }
 
     def text(self) -> str:
-        """Factored rendering when available, else a polynomial quotient."""
-        if self.factors is not None:
-            parts = []
-            for p, e_minus, e_plus in self.factors:
-                if e_minus:
-                    parts.append(_format_factor(p, e_minus, plus=False))
-                if e_plus:
-                    parts.append(_format_factor(p, e_plus, plus=True))
-            return " ".join(parts) if parts else "1"
-        if self.den == (1,):
-            return _poly_text(list(self.num))
-        return f"({_poly_text(list(self.num))}) / ({_poly_text(list(self.den))})"
+        """A product of factors (1 - z^p)^e and (1 + z^p)^e: the census's
+        own when it has them, else (1 - z^m)^(a_m) from
+        `periodic_exponents`.  A rest other than 1 follows as
+        (rest_num) (rest_den)^-1.  Nothing is multiplied out."""
+        factors = self.factors
+        if factors is None:
+            factors = [(m, a, 0) for m, a in self.periodic_exponents().items()]
+        parts = []
+        for p, e_minus, e_plus in factors:
+            if e_minus:
+                parts.append(_format_factor(p, e_minus, plus=False))
+            if e_plus:
+                parts.append(_format_factor(p, e_plus, plus=True))
+        rest_num, rest_den = self.rest
+        if rest_num != (1,):
+            parts.append(f"({_poly_text(rest_num)})")
+        if rest_den != (1,):
+            parts.append(f"({_poly_text(rest_den)})^-1")
+        return " ".join(parts) if parts else "1"
 
     __str__ = text
 
@@ -292,21 +255,6 @@ def _expand_product(exponents: dict[int, int]) -> list[int]:
         if d > 2:
             out = poly_mul(out, poly_pow(cyclotomic_factor(d), e))
     return out
-
-
-def _newton_series(p, count: int) -> list:
-    """q_1..q_count with p'/p = sum q_n z^(n-1), for p with p(0) = 1.
-
-    From p' = p * sum q_n z^(n-1): n p_n = q_n + sum over 1 <= i < n of
-    p_i q_(n-i) (Newton's identities), with p_n = 0 above deg p.
-    """
-    q = []
-    for n in range(1, count + 1):
-        x = n * p[n] if n < len(p) else 0
-        for i in range(1, min(n, len(p))):
-            x -= p[i] * q[n - i - 1]
-        q.append(x)
-    return q
 
 
 def zeta_product(census: OrbitCensus) -> RationalFunctionZ:
@@ -348,8 +296,7 @@ def zeta_det(g: Graph, t: GraphMap,
                 exponents[d] = exponents.get(d, 0) + (e if k % 2 else -e)
             if left != [1]:
                 rest[k % 2] = poly_mul(rest[k % 2], left)
-    return RationalFunctionZ.from_cyclotomic(
-        exponents, rest=(tuple(rest[1]), tuple(rest[0])))
+    return RationalFunctionZ(exponents, rest=(tuple(rest[1]), tuple(rest[0])))
 
 
 def lefschetz_iterates(spaces: CochainSpaces, t: GraphMap, count: int) -> list[int]:
@@ -371,8 +318,8 @@ def lefschetz_iterates(spaces: CochainSpaces, t: GraphMap, count: int) -> list[i
 def graph_zeta(cx: CliqueComplex, group: AutomorphismGroup) -> RationalFunctionZ:
     """zeta_G = product of zeta_T over the automorphism group.
 
-    Computed by merging all orbit censuses first, then expanding once, so
-    the factored form is the merged census product.
+    Computed by merging all orbit censuses first and building the product
+    of the merged census once, so its factors are the merged census's.
     """
     combined = OrbitCensus()
     for t in group:

@@ -9,8 +9,10 @@ the induced-map route that read dense representatives into dense Fraction
 matrices live here too, as oracles.  The orbit walk of a single automorphism
 is kept here as well, in its plain set-of-tuples form, and so are the
 scan of a map's fixed simplices that tests every simplex on its own, every
-graph map of a small graph, the multiplied-out det(1 - z M) and the
-log-derivative series of a quotient by long division.
+graph map of a small graph, the multiplied-out det(1 - z M), the
+determinant-route zeta as the quotient of those dets, a crosswise
+comparison of a zeta with a quotient, and the log-derivative series of a
+quotient by long division.
 """
 
 import math
@@ -320,6 +322,27 @@ def det_one_minus_z(m: SparseMatrix) -> list:
     for block in det_one_minus_z_blocks(m):
         out = poly_mul(out, block)
     return [_exact(c) for c in out]
+
+
+def hessenberg_quotient(spaces, t) -> tuple[list, list]:
+    """The determinant-route zeta of the map t as (num, den): the products
+    of the multiplied-out det(1 - z T_k) over odd and over even k, the
+    route that peeling replaced.  Not reduced."""
+    num, den = [1], [1]
+    for k in range(spaces.dim + 1):
+        if spaces.betti(k):
+            det = det_one_minus_z(spaces.induced_matrix(t.image, k))
+            if k % 2:
+                num = poly_mul(num, det)
+            else:
+                den = poly_mul(den, det)
+    return num, den
+
+
+def equals_quotient(f, num, den) -> bool:
+    """Is the zeta f equal to num/den?  Compared crosswise, by multiplying
+    f's expanded num and den out with the other side's."""
+    return poly_mul(list(f.num), list(den)) == poly_mul(list(num), list(f.den))
 
 
 def log_derivative_series(num, den, count: int) -> list:

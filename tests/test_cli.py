@@ -83,6 +83,18 @@ def test_analyze_endomorphism_reports_attractor(capsys, tmp_path):
     assert m["brouwer_witness"] is not None
 
 
+def test_identity_on_many_vertices_prints_a_short_det_check(capsys):
+    """The det route's zeta prints as factors, not multiplied out: on 3000
+    isolated vertices the identity's check line is short, where the
+    expanded (1 - z)^3000 took about 2 MB."""
+    code, out, err = run(capsys, "analyze", "--named", "discrete:3000",
+                         "--map", ",".join(map(str, range(3000))))
+    assert code == 0 and err == ""
+    lines = [line for line in out.splitlines() if "zeta_det_equals_product" in line]
+    assert lines == ["  PASS zeta_det_equals_product: (1-z)^-3000 vs (1-z)^-3000"]
+    assert len(lines[0].encode()) < 100
+
+
 def test_text_output_has_pass_lines_and_is_stable(capsys):
     code1, out1, err1 = run(capsys, "analyze", "--named", "octahedron")
     code2, out2, err2 = run(capsys, "analyze", "--named", "octahedron")
@@ -161,7 +173,8 @@ def test_analyze_computes_each_per_map_input_once(capsys, monkeypatch):
                                    "--named", "wheel:5", "--map", "1,2,3,4,0,5")
     assert report["map"]["kind"] == "automorphism"
     assert "brouwer_witness" in report["map"]
-    assert len(report["checks"]) == 10
+    # no attractor check: an automorphism is its own attractor
+    assert len(report["checks"]) == 9
     assert calls == ["attractor", "orbit_census"]
 
 
@@ -348,6 +361,36 @@ def test_random_needs_a_mode(capsys):
     code, _, err = run(capsys, "random", "--n", "3", "--samples", "2",
                        "--p", "2/0")
     assert code == 1 and "probability" in err
+
+
+_NOT_A_PLAIN_RATIONAL = "give N, N/D with D > 0, or N.D, in ASCII digits"
+_OUT_OF_RANGE = "edge probability must be between 0 and 1"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1_0/30", _NOT_A_PLAIN_RATIONAL),    # a digit separator
+    (" 1/2 ", _NOT_A_PLAIN_RATIONAL),     # surrounding blanks
+    ("\u0663/4", _NOT_A_PLAIN_RATIONAL),  # a non-ASCII digit
+    ("+1/2", _NOT_A_PLAIN_RATIONAL),      # a plus sign
+    ("1e-1", _NOT_A_PLAIN_RATIONAL),      # an exponent
+    (".5", _NOT_A_PLAIN_RATIONAL),        # no digit before the point
+    ("1/2/3", _NOT_A_PLAIN_RATIONAL),
+    ("2/00", _NOT_A_PLAIN_RATIONAL),      # a zero denominator
+    ("-1/2", _OUT_OF_RANGE),
+    ("1.5", _OUT_OF_RANGE),
+])
+def test_random_refuses_an_edge_probability_that_is_not_a_plain_rational(
+        capsys, text, message):
+    code, out, err = run(capsys, "random", "--n", "3", "--samples", "1", f"--p={text}")
+    assert code == 1 and out == ""
+    assert err.startswith("lefgraph: error: ") and err.endswith(message + "\n")
+
+
+@pytest.mark.parametrize("text, encoded", [
+    ("1/03", {"num": 1, "den": 3}), ("0.25", {"num": 1, "den": 4}), ("1", 1), ("0", 0)])
+def test_random_reads_a_plain_rational_edge_probability(capsys, text, encoded):
+    code, report = run_json(capsys, "random", "--n", "3", "--samples", "1", f"--p={text}")
+    assert code == 0 and report["edge_probability"] == encoded
 
 
 def test_random_samples_above_the_automorphism_cap_is_an_input_error(capsys, monkeypatch):

@@ -421,18 +421,10 @@ def test_cyclotomic_exponents_peel_products_of_cyclotomic_factors():
         for d, e in exponents.items():
             a = poly_mul(a, poly_pow(cyclotomic_factor(d), e))
         assert cyclotomic_exponents(a, order) == (exponents, rest), (order, exponents, rest)
-
-
-def test_cyclotomic_exponents_without_an_order_peel_every_factor():
-    """With no order every F_d of degree at most deg a is tried, on integer
-    and rational coefficients and any constant term; what is left keeps
-    that constant term."""
-    f = poly_mul(poly_mul(cyclotomic_factor(7), cyclotomic_factor(8)), [1, 1])
-    assert cyclotomic_exponents(f) == ({2: 1, 7: 1, 8: 1}, [1])
-    assert cyclotomic_exponents(f, 14) == ({2: 1, 7: 1}, cyclotomic_factor(8))
-    assert cyclotomic_exponents([-3, 0, 3]) == ({1: 1, 2: 1}, [-3])
+    # rational coefficients and any constant term, which what is left keeps
+    assert cyclotomic_exponents([-3, 0, 3], 2) == ({1: 1, 2: 1}, [-3])
     half = poly_mul([1, Fraction(-1, 2)], [1, 0, -1])
-    assert cyclotomic_exponents(half) == ({1: 1, 2: 1}, [1, Fraction(-1, 2)])
+    assert cyclotomic_exponents(half, 2) == ({1: 1, 2: 1}, [1, Fraction(-1, 2)])
 
 
 @pytest.mark.parametrize("rows, cols, data, scale", [

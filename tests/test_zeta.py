@@ -39,7 +39,7 @@ from lefgraph.linalg import (
     poly_pow,
 )
 from lefgraph.symmetry import automorphism_group
-from lefgraph.verification import named_corpus, run_corpus_suite, zeta_checks
+from lefgraph.verification import CorpusReport, named_corpus, run_corpus_suite, zeta_checks
 from lefgraph.zeta import (
     OrbitCensus,
     RationalFunctionZ,
@@ -53,71 +53,93 @@ from lefgraph.zeta import (
 
 
 def test_quotient_normalization():
-    f = RationalFunctionZ([2, 2], [2])
-    assert f.num == (1, 1) and f.den == (1,)
-    # common polynomial factor dropped
-    f = RationalFunctionZ([1, 0, -1], [1, -1])
-    assert f.num == (1, 1) and f.den == (1,)
-    # sign fixed jointly so den(0) > 0
-    f = RationalFunctionZ([-1, -1], [-1])
-    assert f.num == (1, 1) and f.den == (1,)
+    """num and den are read off the vector: the F_d with a positive
+    exponent above, the others below, and no exponent zero is kept."""
+    f = RationalFunctionZ({4: -1, 1: 0, 2: 1})
+    assert f.cyclotomic == {2: 1, 4: -1}
+    assert f.num == (1, 1) and f.den == (1, 0, 1)
+    f = RationalFunctionZ({1: 1, 2: 1})
+    assert f.num == (1, 0, -1) and f.den == (1,)
 
 
 def test_value_at_zero_must_be_one():
-    with pytest.raises(ZetaError):
-        RationalFunctionZ([1, 1], [2])
-    with pytest.raises(ZetaError):
-        RationalFunctionZ([2, 1], [1])
-    with pytest.raises(ZetaError):
-        RationalFunctionZ([1], [0])
+    """Every F_d and every rest has constant term 1, so num(0) = den(0),
+    also when a rest with fractions is scaled to integers."""
+    for f in (RationalFunctionZ({}), RationalFunctionZ({1: -3, 6: 2}),
+              RationalFunctionZ({2: -1}, rest=((1, Fraction(-1, 2)), (1, -2)))):
+        assert f.num[0] == f.den[0] != 0, f.cyclotomic
 
 
 def test_equality_is_cross_multiplied():
-    a = RationalFunctionZ([1, 1], [1, -1])
+    """Vectors without a rest; with a rest, num and den crosswise.  The
+    functions are values, not dict keys: they have no hash."""
+    a = RationalFunctionZ({1: -1, 2: 1}, rest=((1, -2), (1, -2)))
     b = RationalFunctionZ.from_factors({1: (-1, 1)})
-    assert a == b
-    assert hash(a) == hash(b)
-    assert a != RationalFunctionZ.one()
+    assert a == b and b == a
+    assert a != RationalFunctionZ({})
+    with pytest.raises(TypeError):
+        hash(b)
 
 
-def test_a_rest_is_compared_by_value_and_hashed_alike():
+def test_a_rest_is_compared_by_value():
     """1 - 2z has no root of unity as a root, so it stays in the rest,
-    unreduced; equality and the hash still go by the function's value."""
-    same = RationalFunctionZ([1, -2], [1, -2])
-    assert same.rest == ((1, -2), (1, -2)) and same.cyclotomic == {}
-    assert same == RationalFunctionZ.one() and same.is_one()
-    assert hash(same) == hash(RationalFunctionZ.one())
-    square = RationalFunctionZ(poly_pow([1, -2], 2), [1, -2])
-    line = RationalFunctionZ([1, -2], [1])
-    assert square.rest == ((1, -4, 4), (1, -2)) and line.rest == ((1, -2), (1,))
-    assert square == line and hash(square) == hash(line)
+    unreduced; equality still goes by the function's value."""
+    same = RationalFunctionZ({}, rest=((1, -2), (1, -2)))
+    assert same == RationalFunctionZ({})
+    square = RationalFunctionZ({}, rest=((1, -4, 4), (1, -2)))
+    line = RationalFunctionZ({}, rest=((1, -2), (1,)))
+    assert square == line
     assert square.num == (1, -4, 4) and square.den == (1, -2)
-    assert line != RationalFunctionZ.one()
-    # a rest beside cyclotomic factors, with a constant term other than 1
-    mixed = RationalFunctionZ(poly_mul([2, -1], [1, 1]), [2, 0, -2])
-    assert mixed.cyclotomic == {1: -1} and mixed.rest == ((1, Fraction(-1, 2)), (1,))
+    assert line != RationalFunctionZ({})
+    # a rest beside cyclotomic factors, with fractions scaled out of num/den
+    mixed = RationalFunctionZ({1: -1}, rest=((1, Fraction(-1, 2)), (1,)))
     assert mixed.num == (2, -1) and mixed.den == (2, -2)
-    assert mixed.log_derivative_series(4) == dense.log_derivative_series([2, -1], [2, -2], 4)
+    assert mixed != RationalFunctionZ({1: -1})
+
+
+def test_a_rest_has_no_log_derivative_series():
+    """The series is read off the vector only; a rest, which only a wrong
+    T_k leaves, is refused rather than expanded."""
+    with pytest.raises(ZetaError):
+        RationalFunctionZ({1: -1}, rest=((1, -2), (1,))).log_derivative_series(4)
+    assert RationalFunctionZ({1: -1}).log_derivative_series(4) == [1, 1, 1, 1]
 
 
 def test_multiplication():
-    grow = RationalFunctionZ.from_factors({1: (-1, 0)})   # 1/(1-z)
-    shrink = RationalFunctionZ.from_factors({1: (1, 0)})  # 1-z
-    assert (grow * shrink).is_one()
-    # factored times factored keeps a factored form
-    prod = grow * RationalFunctionZ.from_factors({2: (1, 0)})
-    assert prod.factors == ((1, -1, 0), (2, 1, 0))
-    # quotient route still multiplies correctly
-    q = RationalFunctionZ([1, 1], [1, -1])
-    assert q * q == RationalFunctionZ([1, 2, 1], [1, -2, 1])
+    """Zetas are multiplied by merging their censuses, as `graph_zeta`
+    does: the merged census's product is the product of the two, with
+    num and den multiplied out."""
+    a = OrbitCensus(a={1: 1}, b={1: 2}, c={}, d={})
+    b = OrbitCensus(a={2: 3}, b={1: 1}, c={1: 5}, d={})
+    fa, fb, merged = (zeta_product(c) for c in (a, b, a.merged(b)))
+    assert merged.factors == ((1, -2, 5), (2, 3, 0))
+    assert dense.equals_quotient(merged, poly_mul(list(fa.num), list(fb.num)),
+                                 poly_mul(list(fa.den), list(fb.den)))
+
+
+def test_periodic_exponents_are_the_moebius_inversion():
+    assert RationalFunctionZ({}).periodic_exponents() == {}
+    # (1+z)/(1-z) = (1-z^2) (1-z)^-2
+    assert RationalFunctionZ({1: -1, 2: 1}).periodic_exponents() == {1: -2, 2: 1}
+    # F_6 = (1-z)(1-z^6) / ((1-z^2)(1-z^3))
+    assert RationalFunctionZ({6: 1}).periodic_exponents() == {1: 1, 2: -1, 3: -1, 6: 1}
+    # 1 + z^3 = (1-z^6) / (1-z^3)
+    plus = RationalFunctionZ.from_factors({3: (0, 1)})
+    assert plus.periodic_exponents() == {3: -1, 6: 1}
 
 
 def test_factored_text_layout():
     f = RationalFunctionZ.from_factors({1: (0, -1), 2: (1, 1)})
     assert f.text() == "(1+z)^-1 (1-z^2) (1+z^2)"
     assert RationalFunctionZ.from_factors({}).text() == "1"
-    assert RationalFunctionZ([1, 1], [1, -1]).text() == \
-        "(1 + z) / (1 - z)"
+    # without census factors: the (1 - z^m)^(a_m) of the vector
+    assert RationalFunctionZ({1: -1, 2: 1}).text() == "(1-z)^-2 (1-z^2)"
+    assert RationalFunctionZ({}).text() == "1"
+    # a rest other than 1 follows the factors, its fractions in parentheses
+    assert RationalFunctionZ({2: -1}, rest=((1,), (1, -2))).text() == \
+        "(1-z) (1-z^2)^-1 (1 - 2z)^-1"
+    assert RationalFunctionZ({}, rest=((1, Fraction(-1, 2)), (1, 0, Fraction(3, 2)))).text() == \
+        "(1 - (1/2)z) (1 + (3/2)z^2)^-1"
 
 
 def test_to_json_shape():
@@ -194,19 +216,18 @@ def test_zeta_identity_is_one_minus_z_to_minus_euler():
 def test_zeta_golden_values():
     c4 = cycle_graph(4)
     rotation = validate_map(c4, (1, 2, 3, 0))
-    assert zeta_det(c4, rotation).is_one()
-    assert zeta_product(orbit_census(build_complex(c4), rotation)).is_one()
-    ratio = RationalFunctionZ([1, 1], [1, -1])
+    one = RationalFunctionZ({})
+    assert zeta_det(c4, rotation) == one
+    assert zeta_product(orbit_census(build_complex(c4), rotation)) == one
     for n, image in [(4, (0, 3, 2, 1)), (4, (1, 0, 3, 2)),
                      (5, (0, 4, 3, 2, 1)), (6, (0, 5, 4, 3, 2, 1))]:
         g = cycle_graph(n)
-        assert zeta_det(g, validate_map(g, image)) == ratio
-    single = RationalFunctionZ([1], [1, -1])
+        assert dense.equals_quotient(zeta_det(g, validate_map(g, image)), [1, 1], [1, -1])
     for n in (2, 3, 4, 5):
         g = complete_graph(n)
         perm = list(range(1, n)) + [0]
-        assert zeta_det(g, validate_map(g, perm)) == single
-        assert zeta_det(g, GraphMap.identity(g)) == single
+        assert dense.equals_quotient(zeta_det(g, validate_map(g, perm)), [1], [1, -1])
+        assert dense.equals_quotient(zeta_det(g, GraphMap.identity(g)), [1], [1, -1])
 
 
 def test_zeta_routes_agree_exhaustively_small():
@@ -239,7 +260,7 @@ def test_series_consistency_rejects_perturbed_series():
     assert series == [2, 0, 2, 0]
     assert zeta.log_derivative_series(4) == series
     assert zeta.log_derivative_series(4) != [2, 0, 2, 1]
-    assert RationalFunctionZ.one().log_derivative_series(4) != series
+    assert RationalFunctionZ({}).log_derivative_series(4) != series
 
 
 def test_log_derivative_series_of_identity_is_constant_euler():
@@ -254,9 +275,11 @@ def test_zeta_multiplicative_over_disjoint_union():
     t_left = validate_map(left, (1, 2, 0))
     t_right = validate_map(right, (0, 3, 2, 1))
     t_union = validate_map(union, (1, 2, 0, 3, 6, 5, 4))
-    product = zeta_det(left, t_left) * zeta_det(right, t_right)
-    assert zeta_det(union, t_union) == product
-    assert zeta_product(orbit_census(build_complex(union), t_union)) == product
+    a, b = zeta_det(left, t_left), zeta_det(right, t_right)
+    num, den = poly_mul(list(a.num), list(b.num)), poly_mul(list(a.den), list(b.den))
+    assert dense.equals_quotient(zeta_det(union, t_union), num, den)
+    assert dense.equals_quotient(zeta_product(orbit_census(build_complex(union), t_union)),
+                                 num, den)
 
 
 def test_zeta_rejects_endomorphisms():
@@ -275,7 +298,7 @@ def test_census_walks_the_tails_of_an_endomorphism():
     assert census_dict(census) == {"a": {1: 1}, "b": {1: 2}, "c": {}, "d": {}}
     assert [r.simplex for r in census.fixed] == [(0,), (1,), (0, 1)]
     assert census.total_weight() == 3 < len(cx)
-    assert zeta_product(census) == RationalFunctionZ([1], [1, -1])
+    assert dense.equals_quotient(zeta_product(census), [1], [1, -1])
 
 
 def zeta_of_graph(g):
@@ -284,9 +307,8 @@ def zeta_of_graph(g):
 
 def test_graph_zeta_cycles():
     for n in (4, 5, 6):
-        expected = RationalFunctionZ(
-            poly_pow([1, 1], n), poly_pow([1, -1], n))
-        assert zeta_of_graph(cycle_graph(n)) == expected
+        assert dense.equals_quotient(zeta_of_graph(cycle_graph(n)),
+                                     poly_pow([1, 1], n), poly_pow([1, -1], n))
     assert zeta_of_graph(cycle_graph(5)).text() == "(1-z)^-5 (1+z)^5"
 
 
@@ -400,20 +422,6 @@ def test_census_series_closed_form_equals_long_division():
             dense.log_derivative_series(product.num, product.den, order), (name, t.image)
 
 
-def _hessenberg_quotient(spaces, t):
-    """zeta_det as the quotient of the multiplied-out det polynomials: the
-    route that peeling replaced."""
-    num, den = [1], [1]
-    for k in range(spaces.dim + 1):
-        if spaces.betti(k):
-            det = dense.det_one_minus_z(spaces.induced_matrix(t.image, k))
-            if k % 2:
-                num = poly_mul(num, det)
-            else:
-                den = poly_mul(den, det)
-    return RationalFunctionZ(num, den)
-
-
 def _cycle_union(lengths):
     edges, image, offset = [], [], 0
     for n in lengths:
@@ -456,9 +464,36 @@ def test_peeled_det_expands_to_the_hessenberg_quotient():
     for name, g, spaces, t in cases:
         peeled = zeta_det(g, t, spaces)
         assert peeled.rest == ((1,), (1,)), (name, t.image)
-        oracle = _hessenberg_quotient(spaces, t)
-        assert (peeled.num, peeled.den) == (oracle.num, oracle.den), (name, t.image)
-        assert peeled == oracle
+        assert dense.equals_quotient(peeled, *dense.hessenberg_quotient(spaces, t)), \
+            (name, t.image)
+
+
+def test_periodic_exponents_multiply_out_to_num_over_den():
+    """prod_m (1 - z^m)^(a_m), each power multiplied out, equals num/den
+    crosswise on every corpus automorphism and on the block unions."""
+    cases = [(name, g, spaces, t) for name, g, cx, spaces, t in _corpus_automorphisms()]
+    for name, g, spaces, t in cases + _block_cases():
+        zeta = zeta_det(g, t, spaces)
+        sides = {1: [1], -1: [1]}
+        for m, a in zeta.periodic_exponents().items():
+            power = poly_pow([1] + [0] * (m - 1) + [-1], abs(a))
+            sides[1 if a > 0 else -1] = poly_mul(sides[1 if a > 0 else -1], power)
+        assert dense.equals_quotient(zeta, sides[1], sides[-1]), (name, t.image)
+
+
+def test_det_text_is_the_census_text_without_plus_factors():
+    """Both routes print (1 - z^p)^e factors.  Where the census has no
+    (1 + z^p) factor its text is that of the det route's vector, character
+    for character; the vector does not give the (1 + z^p) back."""
+    same = plus = 0
+    for name, g, cx, spaces, t in _corpus_automorphisms():
+        product = zeta_product(orbit_census(cx, t))
+        if any(e_plus for _, _, e_plus in product.factors):
+            plus += 1
+        else:
+            assert zeta_det(g, t, spaces).text() == product.text(), (name, t.image)
+            same += 1
+    assert (same, plus) == (1710, 320)
 
 
 def test_integer_induced_maps_equal_the_dense_fraction_route():
@@ -509,13 +544,13 @@ def test_block_peel_equals_the_peel_of_the_whole_det():
 
 def test_corpus_suite_needs_no_fraction_in_cohomology_or_zeta(monkeypatch):
     """Every basis scale on the corpus is 1, so T_k, its traces and its
-    dets stay in ints: the Fraction names of both modules are never
-    called."""
+    dets stay in ints: the Fraction name of cohomology is never called,
+    and zeta has none."""
     def refuse(*args):
         raise AssertionError("a Fraction was built")
 
-    for module in (cohomology, zeta):
-        monkeypatch.setattr(module, "Fraction", refuse)
+    assert not hasattr(zeta, "Fraction")
+    monkeypatch.setattr(cohomology, "Fraction", refuse)
     report = run_corpus_suite(1, 0)
     assert report.passed
     assert (report.graphs, report.maps, report.checks) == (32, 2062, 10495)
@@ -595,7 +630,7 @@ def test_a_wrong_induced_matrix_fails_the_det_check_with_both_texts(monkeypatch,
     check = zeta_checks(CochainSpaces(cx), t, zeta_product(orbit_census(cx, t)))[0]
     assert check.name == "zeta_det_equals_product" and not check.passed
     assert check.lhs.rest == ((1,), (1, -2))
-    expected = "FAIL zeta_det_equals_product: (1) / (1 - z - 2z^2) vs (1-z^2)^-1"
+    expected = "FAIL zeta_det_equals_product: (1-z) (1-z^2)^-1 (1 - 2z)^-1 vs (1-z^2)^-1"
     assert check.describe() == expected
     assert main(["analyze", "--named", "octahedron", "--map", "3,4,5,0,1,2"]) == 2
     captured = capsys.readouterr()
@@ -636,9 +671,10 @@ def test_wrong_induced_matrices_get_the_verdict_of_the_multiplied_dets(monkeypat
             for k in range(cx.dim + 1):
                 if spaces.betti(k) and rng.random() < 0.6:
                     fake[k] = dense.sparse(draw(spaces.betti(k)))
-            peeled, oracle = zeta_det(g, t, spaces), _hessenberg_quotient(spaces, t)
-            assert (peeled == product) == (oracle == product), (g, t.image, fake)
-            assert peeled == oracle, (g, t.image, fake)
+            peeled, oracle = zeta_det(g, t, spaces), dense.hessenberg_quotient(spaces, t)
+            assert (peeled == product) == dense.equals_quotient(product, *oracle), \
+                (g, t.image, fake)
+            assert dense.equals_quotient(peeled, *oracle), (g, t.image, fake)
             outcomes.add((peeled == product, peeled.rest != ((1,), (1,))))
     assert {(True, False), (False, False), (False, True)} <= outcomes
 
@@ -655,12 +691,13 @@ def test_rests_that_cancel_across_degrees_pass_the_det_check(monkeypatch):
     check = zeta_checks(CochainSpaces(cx), t, zeta_product(orbit_census(cx, t)))[0]
     assert check.name == "zeta_det_equals_product" and check.passed
     assert check.lhs.rest == ((1, -2), (1, -2)) and check.lhs.cyclotomic == {}
-    assert check.rhs.is_one()
+    assert check.rhs == RationalFunctionZ({})
 
 
 def test_corpus_suite_multiplies_no_polynomials(monkeypatch):
     """Both zeta routes of every corpus automorphism are compared as
-    exponent vectors: no polynomial product and no polynomial gcd."""
+    exponent vectors, and every check's text is rendered as factors: no
+    polynomial product and no polynomial gcd."""
     def refuse(*args):
         raise AssertionError("a polynomial was multiplied out")
 
@@ -669,6 +706,16 @@ def test_corpus_suite_multiplies_no_polynomials(monkeypatch):
             for attr in ("poly_gcd", "poly_mul"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
+    lines = []
+    absorb = CorpusReport.absorb
+
+    def rendering(self, label, checks):
+        lines.extend(c.describe() for c in checks)
+        absorb(self, label, checks)
+
+    monkeypatch.setattr(CorpusReport, "absorb", rendering)
     report = run_corpus_suite(1, 0)
     assert report.passed
     assert (report.graphs, report.maps, report.checks) == (32, 2062, 10495)
+    assert len(lines) == 10495
+    assert sum(line.startswith("PASS zeta_det_equals_product: ") for line in lines) == 2030
