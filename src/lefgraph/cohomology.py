@@ -45,6 +45,8 @@ one scale per degree, the product of the two, and T_k is a
 `linalg.SparseMatrix` over that scale.  A trace is the integer diagonal
 sum divided by the scale once, and `zeta.zeta_det` reduces the integer rows
 themselves.  Where the scale is 1, as on most graphs, no Fraction is built.
+The subspace of H^k fixed by a set of maps has dimension b_k minus one
+`rank` of the rows of M - scale * I stacked over their T_k = M / scale.
 """
 
 from __future__ import annotations
@@ -501,6 +503,32 @@ class CochainSpaces:
                         out[i][j] = total
             self._induced[k] = SparseMatrix(b, b, out, basis.scale)
         return self._induced[k]
+
+    def fixed_betti_numbers(self, images) -> tuple[int, ...]:
+        """For each k, the dimension of the subspace of H^k fixed by the
+        maps induced by every vertex map in `images`.
+
+        A class is fixed by T_k = M / scale exactly when M - scale * I
+        kills it, so the dimension is b_k minus the rank of the integer
+        rows of M - scale * I stacked over the maps.  With no maps it is
+        b_k.
+        """
+        betti = self.betti_numbers()
+        stacked: list[list[dict[int, int]]] = [[] for _ in betti]
+        for image in images:
+            for k, b in enumerate(betti):
+                if not b:
+                    continue
+                m = self.induced_matrix(image, k)
+                for i, entries in enumerate(m.data):
+                    row = dict(entries)
+                    row[i] = row.get(i, 0) - m.scale
+                    if not row[i]:
+                        del row[i]
+                    if row:
+                        stacked[k].append(row)
+        return tuple(b - rank(SparseMatrix(len(rows), b, rows)) if rows else b
+                     for b, rows in zip(betti, stacked))
 
     def lefschetz_number(self, image: tuple[int, ...]) -> int:
         """sum_k (-1)^k tr(T_k) over the maps T_k induced on H^k.

@@ -6,7 +6,10 @@ an isomorphism invariant, so it is computed once per isomorphism class and
 weighted by the class's number of labeled graphs.  The sampling mode reaches
 past the exhaustive cap, up to the automorphism search's cap of
 `GROUP_CAP` (12) vertices, since each sample's L(G) averages over
-its automorphism group; it never replaces the exhaustive runs.
+its automorphism group; it never replaces the exhaustive runs.  Each L(G)
+is read off the subspaces of H^k that the group's coset representatives
+fix (`symmetry.average_lefschetz`), so neither mode multiplies out a
+group's elements: K_12 takes 66 representatives, not 12! elements.
 """
 
 from __future__ import annotations
@@ -64,14 +67,15 @@ def expectation_sampled(n: int, edge_probability: Fraction, samples: int,
                         seed: int) -> Fraction:
     """Empirical mean of L(G) over seeded Erdos-Renyi samples, exact rational.
 
-    Every sample's automorphism group is enumerated, so n above that
-    search's cap is refused before any sample is drawn."""
+    Every sample's automorphism group is searched for its coset
+    representatives, so n above that search's cap is refused before any
+    sample is drawn."""
     if samples < 1:
         raise ValueError("need at least one sample")
     if n > GROUP_CAP:
         raise ValueError(
-            f"sampling needs each sample's automorphism group, and automorphism "
-            f"enumeration is capped at {GROUP_CAP} vertices (got {n})")
+            f"sampling needs each sample's automorphism group, and the automorphism "
+            f"search is capped at {GROUP_CAP} vertices (got {n})")
     rng = random.Random(seed)
     total = 0
     for _ in range(samples):

@@ -1,25 +1,31 @@
 """Automorphism groups and what they average.
 
-Covers group enumeration, orbits and stabilizers of simplices, Lefschetz
-curvature, the average Lefschetz number, the orbigraph quotient, and a
-verifier for the three averaging identities (curvature sum, quotient Euler
-characteristic, Burnside count).
+Covers the automorphism search, orbits and stabilizers of simplices,
+Lefschetz curvature, the average Lefschetz number, the orbigraph quotient,
+and a verifier for the three averaging identities (curvature sum, quotient
+Euler characteristic, Burnside count).
 
-The curvature and Burnside count fold in one fixed-simplex list per group
-element (`FixedSimplexSweep`).
+The search finds a stabilizer chain: coset representatives, not every
+element (Seress, *Permutation Group Algorithms*, 2003).  The average
+Lefschetz number is read off the subspaces of H^k that the representatives
+fix, so it needs no other element.  The elements are multiplied out from
+the representatives only where something iterates the group.  Wherever
+every element's L(T) is computed anyway, as in the averaging verifier,
+their mean must equal that average.  The curvature and Burnside count fold
+in one fixed-simplex list per group element (`FixedSimplexSweep`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .complexes import CliqueComplex, Simplex, build_complex
 from .cohomology import CochainSpaces
 from .dynamics import FixedSimplexRecord, GraphMap, fixed_simplices
 from .graphs import Graph
-from .linalg import LinearAlgebraError
-from .reporting import TheoremCheck
+from .reporting import TheoremCheck, VerificationError
 
 # The automorphism search's largest graph, in vertices.
 GROUP_CAP = 12
@@ -30,26 +36,52 @@ class SymmetryError(ValueError):
 
 
 class AutomorphismGroup:
-    """All automorphisms of a graph, identity first, sorted by image tuple."""
+    """A group of automorphisms of a graph, kept as a stabilizer chain.
 
-    __slots__ = ("graph", "elements")
+    Level i holds coset representatives of the automorphisms fixing 0..i
+    among those fixing 0..i-1: one for each image of i other than i.  Each
+    element is t_0 o t_1 o ... with t_i the identity or a representative
+    of level i, in exactly one way, so the order is the product over the
+    levels of 1 + the number of representatives, and the representatives
+    generate the group.  The elements are multiplied out only when
+    something iterates the group: each is composed once, validated as a
+    `GraphMap` and kept, sorted by image tuple, so the identity is first.
+    """
 
-    def __init__(self, graph: Graph, elements: tuple[GraphMap, ...]):
+    __slots__ = ("graph", "levels", "_elements")
+
+    def __init__(self, graph: Graph, levels: tuple[tuple[GraphMap, ...], ...]):
         self.graph = graph
-        self.elements = elements
+        self.levels = levels
+        self._elements: tuple[GraphMap, ...] | None = None
+
+    @property
+    def representatives(self) -> tuple[GraphMap, ...]:
+        """The coset representatives of every level, level by level."""
+        return tuple(t for level in self.levels for t in level)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return prod(1 + len(level) for level in self.levels)
+
+    @property
+    def elements(self) -> tuple[GraphMap, ...]:
+        if self._elements is None:
+            images = [tuple(range(self.graph.n))]
+            for level in reversed(self.levels):
+                images += [tuple(t.image[v] for v in s) for t in level for s in images]
+            images.sort()
+            self._elements = tuple(GraphMap(self.graph, im) for im in images)
+        return self._elements
 
     def identity(self) -> GraphMap:
-        return self.elements[0]
+        return GraphMap.identity(self.graph)
 
     def __iter__(self):
         return iter(self.elements)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.order
 
     def __repr__(self) -> str:
         return f"AutomorphismGroup(order={self.order})"
@@ -69,45 +101,53 @@ class AutomorphismGroup:
 
 
 def automorphism_group(g: Graph) -> AutomorphismGroup:
-    """Enumerate Aut(g) by backtracking over vertices.
+    """Aut(g) as a stabilizer chain, found by backtracking over vertices.
 
-    Candidate images must have the same degree and must map every
-    already-assigned neighbor to a neighbor (and non-neighbor to
-    non-neighbor), which prunes hard enough for desk-scale graphs: up to
-    `GROUP_CAP` vertices, and a larger graph raises SymmetryError.
+    Level i fixes 0..i-1 and, for each u != i, runs the search from the
+    prefix 0, ..., i-1, u, stopping at the first automorphism it finds: the
+    coset representative for i -> u, or none if i and u lie in different
+    orbits of that stabilizer.  Candidate images must have the same degree
+    and must map every already-assigned neighbor to a neighbor (and
+    non-neighbor to non-neighbor).  These searches visit disjoint subtrees
+    of the tree that enumerating every element walks, and stop each
+    successful one at its first leaf.  That prunes hard enough for
+    desk-scale graphs: up to `GROUP_CAP` vertices, and a larger graph
+    raises SymmetryError.
     """
     if g.n > GROUP_CAP:
         raise SymmetryError(
-            f"automorphism enumeration capped at {GROUP_CAP} vertices (got {g.n})")
+            f"automorphism search capped at {GROUP_CAP} vertices (got {g.n})")
     n = g.n
     degrees = [g.degree(v) for v in range(n)]
     image = [-1] * n
     used = [False] * n
-    found: list[tuple[int, ...]] = []
 
-    def extend(v: int):
+    def extend(v: int, candidates) -> bool:
         if v == n:
-            found.append(tuple(image))
-            return
+            return True
         dv = degrees[v]
-        for u in range(n):
+        for u in candidates:
             if used[u] or degrees[u] != dv:
                 continue
-            ok = True
-            for w in range(v):
-                if g.adjacent(v, w) != g.adjacent(u, image[w]):
-                    ok = False
-                    break
-            if ok:
-                image[v] = u
-                used[u] = True
-                extend(v + 1)
-                used[u] = False
-                image[v] = -1
+            if any(g.adjacent(v, w) != g.adjacent(u, image[w]) for w in range(v)):
+                continue
+            image[v] = u
+            used[u] = True
+            if extend(v + 1, range(n)):
+                return True
+            used[u] = False
+        return False
 
-    extend(0)
-    found.sort()
-    return AutomorphismGroup(g, tuple(GraphMap(g, im) for im in found))
+    levels = []
+    for i in range(n):
+        found = []
+        for u in range(i + 1, n):
+            image[:i] = range(i)
+            used[:] = [v < i for v in range(n)]
+            if extend(i, (u,)):
+                found.append(GraphMap(g, image))
+        levels.append(tuple(found))
+    return AutomorphismGroup(g, tuple(levels))
 
 
 def simplex_orbits_under_group(cx: CliqueComplex,
@@ -208,17 +248,15 @@ def lefschetz_multiset(spaces: CochainSpaces, group: AutomorphismGroup) -> dict[
 
 
 def average_lefschetz(spaces: CochainSpaces, group: AutomorphismGroup) -> int:
-    """Mean of L(T) over the automorphism group.
+    """Mean of L(T) over the automorphism group, from its generators.
 
-    The average of a trace over a finite group is the dimension of the
-    subspace the group fixes, so the mean is the alternating sum of the
-    dimensions of the fixed subspaces of H^k; LinearAlgebraError is raised
-    if it is not an integer."""
-    values = lefschetz_numbers(spaces, group)
-    avg = Fraction(sum(values), len(values))
-    if avg.denominator != 1:
-        raise LinearAlgebraError(f"average Lefschetz number {avg} is not an integer")
-    return avg.numerator
+    The mean of a trace over a finite group is the dimension of the
+    subspace the group fixes, and the group fixes exactly what its coset
+    representatives fix.  So the mean is the alternating sum over k of the
+    dimensions of the subspaces of H^k that the representatives fix, an
+    integer by construction, and no other element is built."""
+    fixed = spaces.fixed_betti_numbers([t.image for t in group.representatives])
+    return sum(-d if k % 2 else d for k, d in enumerate(fixed))
 
 
 @dataclass(frozen=True)
@@ -267,15 +305,23 @@ def verify_averaging_theorems(spaces: CochainSpaces, group: AutomorphismGroup,
 
     The curvature table and the Burnside count come from one fixed-simplex
     scan per group element, folded into `sweep`; SymmetryError is raised
-    unless it scanned exactly the group's elements, each once.  Per-orbit
-    curvature sums outside {+1, -1} are reported as findings, not failures:
-    the averaged identities are the reliable statements.
+    unless it scanned exactly the group's elements, each once.  The average
+    Lefschetz number comes from the representatives (`average_lefschetz`);
+    VerificationError is raised unless it equals the mean of every
+    element's L(T), the cross-check of that route.  Per-orbit curvature
+    sums outside {+1, -1} are reported as findings, not failures: the
+    averaged identities are the reliable statements.
     """
     cx = spaces.cx
     if sweep.scanned != {t.image for t in group}:
         raise SymmetryError(f"the fixed-simplex sweep scanned {len(sweep.scanned)} "
                             f"elements, not the {group.order} of the group")
     avg = average_lefschetz(spaces, group)
+    mean = Fraction(sum(lefschetz_numbers(spaces, group)), group.order)
+    if mean != avg:
+        raise VerificationError(
+            f"the mean of L(T) over the {group.order} group elements is {mean}, "
+            f"but the subspaces of H^k their generators fix give {avg}")
     table = sweep.curvature(group.order)
     quotient = orbigraph(group)
     quotient_chi = build_complex(quotient.graph).euler_characteristic()

@@ -9,7 +9,8 @@ the induced-map route that read dense representatives into dense Fraction
 matrices live here too, as oracles.  The orbit walk of a single automorphism
 is kept here as well, in its plain set-of-tuples form, and so are the
 scan of a map's fixed simplices that tests every simplex on its own, every
-graph map of a small graph, the multiplied-out det(1 - z M), the
+graph map of a small graph, every automorphism by a search that enumerates
+them all, the multiplied-out det(1 - z M), the
 determinant-route zeta as the quotient of those dets, a crosswise
 comparison of a zeta with a quotient, and the log-derivative series of a
 quotient by long division.
@@ -312,6 +313,36 @@ def graph_maps(g):
                 yield from extend(v + 1)
 
     yield from extend(0)
+
+
+def automorphism_images(g) -> list[tuple[int, ...]]:
+    """Every automorphism of g as an image tuple, sorted: the backtracking
+    search over vertices in order that the stabilizer-chain search prunes,
+    run to every leaf.  A candidate image must have the same degree and
+    must map every assigned neighbor to a neighbor and every assigned
+    non-neighbor to a non-neighbor."""
+    n = g.n
+    degrees = [g.degree(v) for v in range(n)]
+    image = [-1] * n
+    used = [False] * n
+    found = []
+
+    def extend(v):
+        if v == n:
+            found.append(tuple(image))
+            return
+        for u in range(n):
+            if used[u] or degrees[u] != degrees[v]:
+                continue
+            if all(g.adjacent(v, w) == g.adjacent(u, image[w]) for w in range(v)):
+                image[v] = u
+                used[u] = True
+                extend(v + 1)
+                used[u] = False
+                image[v] = -1
+
+    extend(0)
+    return sorted(found)
 
 
 def det_one_minus_z(m: SparseMatrix) -> list:

@@ -353,6 +353,14 @@ def test_random_sampled_is_deterministic(capsys):
     assert report1["edge_probability"] == {"num": 1, "den": 3}
 
 
+def test_random_samples_the_complete_graph_at_the_automorphism_cap(capsys):
+    """K_12 has 12! automorphisms; a sample's L(G) reads the subspaces of
+    H^k fixed by its 66 coset representatives and multiplies out none."""
+    code, out, err = run(capsys, "random", "--n", "12", "--samples", "2", "--p", "1")
+    assert code == 0 and err == ""
+    assert "expected_lefschetz_text: 1" in out.splitlines()
+
+
 def test_random_needs_a_mode(capsys):
     code, _, err = run(capsys, "random", "--n", "3")
     assert code == 1 and "--exhaustive or --samples" in err
@@ -576,6 +584,19 @@ def test_internal_linear_algebra_failure_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "lefgraph: error: target is not in the span\n"
+
+
+def test_aut_exits_2_when_the_element_mean_differs_from_the_invariant_route(
+        capsys, monkeypatch):
+    """`aut` computes every element's L(T); a wrong average from the
+    representatives' fixed subspaces is caught by their mean."""
+    from lefgraph import symmetry
+
+    monkeypatch.setattr(symmetry, "average_lefschetz", lambda spaces, group: 2)
+    code, out, err = run(capsys, "aut", "--named", "petersen")
+    assert code == 2 and out == ""
+    assert err == ("lefgraph: error: the mean of L(T) over the 120 group elements "
+                   "is 1, but the subspaces of H^k their generators fix give 2\n")
 
 
 def test_a_closed_output_pipe_exits_1_quietly(monkeypatch, capsys):

@@ -721,6 +721,14 @@ def _face_map(faces, perm, extra=()):
     return tuple(index[frozenset(perm[v] for v in f)] for f in faces) + tuple(extra)
 
 
+def dense_fixed_dimension(spaces, images, k) -> int:
+    """b_k minus the rank of the dense T_k - I stacked over the maps."""
+    b = spaces.betti(k)
+    rows = [[dense_induced_matrix(spaces, image, k)[i, j] - (i == j) for j in range(b)]
+            for image in images for i in range(b)]
+    return b - rank(RationalMatrix.from_rows(rows)) if rows else b
+
+
 def test_integer_induced_maps_equal_the_dense_route_over_scales_above_one():
     """Torsion in the integral cohomology makes a basis scale above 1, and
     both places a scale comes from are reached.
@@ -731,7 +739,9 @@ def test_integer_induced_maps_equal_the_dense_route_over_scales_above_one():
     cone triangle last the image RREF in degree 2 has entries 1/2 and its
     denominator makes the scale 2.  On both, T_k over its scale equals the
     dense Fraction route, the Lefschetz number is the dense traces summed,
-    and an automorphism's det route equals its orbit product."""
+    and an automorphism's det route equals its orbit product.  The
+    dimensions of the subspaces fixed by each map, and by all of them,
+    equal those of the dense T_k - I."""
     n = len(RP2_FACES)
     with_cycle = disjoint_union(_subdivision(RP2_FACES), cycle_graph(4))
     c4 = [n, n + 1, n + 2, n + 3]
@@ -771,7 +781,12 @@ def test_integer_induced_maps_equal_the_dense_route_over_scales_above_one():
             assert spaces.lefschetz_number(image) == total
             if t.is_automorphism():
                 assert zeta_det(g, t, spaces) == zeta_product(orbit_census(cx, t))
+            assert spaces.fixed_betti_numbers([image]) == tuple(
+                dense_fixed_dimension(spaces, [image], k) for k in range(cx.dim + 1))
         assert {2, -2} <= signs
+        assert spaces.fixed_betti_numbers(images) == tuple(
+            dense_fixed_dimension(spaces, images, k) for k in range(cx.dim + 1))
+        assert spaces.fixed_betti_numbers([]) == spaces.betti_numbers()
 
 
 def test_a_pullback_that_breaks_a_cocycle_is_refused():
@@ -847,11 +862,12 @@ OPTIMIZED_CHECKS = textwrap.dedent("""
     from lefgraph import build_complex, named_graph, symmetry
     from lefgraph.cohomology import CochainSpaces
     from lefgraph.linalg import LinearAlgebraError, SparseMatrix
+    from lefgraph.reporting import VerificationError
 
     def outcome(call):
         try:
             return f"returned {call()}"
-        except LinearAlgebraError as exc:
+        except (LinearAlgebraError, VerificationError) as exc:
             return f"raised {exc}"
 
     print("debug", __debug__)
@@ -867,8 +883,9 @@ OPTIMIZED_CHECKS = textwrap.dedent("""
     print(outcome(lambda: CochainSpaces(cx).lefschetz_number((1, 2, 3, 4, 0))))
     CochainSpaces.induced_matrix = real
     symmetry.lefschetz_numbers = lambda spaces, group: [0, 1]
-    print(outcome(lambda: symmetry.average_lefschetz(
-        CochainSpaces(cx), symmetry.automorphism_group(cx.graph))))
+    group = symmetry.automorphism_group(cx.graph)
+    print(outcome(lambda: symmetry.verify_averaging_theorems(
+        CochainSpaces(cx), group, symmetry.fixed_simplex_sweep(cx, group))))
     CochainSpaces.betti = lambda self, k: 2
     print(outcome(lambda: CochainSpaces(cx).representatives(1)))
 """)
@@ -883,6 +900,7 @@ def test_integrality_and_representative_count_are_checked_under_optimization():
     assert proc.stdout.splitlines() == [
         "debug False",
         "raised cohomological trace sum 1/2 is not an integer",
-        "raised average Lefschetz number 1/2 is not an integer",
+        "raised the mean of L(T) over the 10 group elements is 1/10, "
+        "but the subspaces of H^k their generators fix give 1",
         "raised H^1: 1 representatives but Betti number 2",
     ]

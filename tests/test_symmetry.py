@@ -11,11 +11,13 @@ from lefgraph.cohomology import CochainSpaces
 from lefgraph.complexes import build_complex
 from lefgraph.dynamics import fixed_simplices, validate_map
 from lefgraph.graphs import (
+    Graph,
     all_graphs,
     complete_graph,
     cycle_graph,
     discrete_graph,
     disjoint_union,
+    isomorphism_classes,
     octahedron_graph,
     path_graph,
     petersen_graph,
@@ -99,6 +101,64 @@ def test_group_cap():
     with pytest.raises(SymmetryError, match="capped"):
         automorphism_group(discrete_graph(13))
     assert automorphism_group(path_graph(12)).order == 2
+
+
+def class_representatives(n):
+    return [rep for rep, _ in isomorphism_classes(n)]
+
+
+def closure(n, generators):
+    """Every composite of the generating image tuples, with the identity."""
+    members = {tuple(range(n))}
+    frontier = list(members)
+    while frontier:
+        s = frontier.pop()
+        for t in generators:
+            ts = tuple(t[v] for v in s)
+            if ts not in members:
+                members.add(ts)
+                frontier.append(ts)
+    return members
+
+
+def assert_chain_matches_the_enumeration(g):
+    group = automorphism_group(g)
+    found = dense.automorphism_images(g)
+    assert closure(g.n, [t.image for t in group.representatives]) == set(found), g
+    assert group.order == len(found) == len(group), g
+    assert tuple(t.image for t in group.elements) == tuple(found), g
+
+
+def test_chain_search_matches_the_enumeration():
+    """The coset representatives generate exactly the automorphisms that
+    the enumerating search finds, their chain gives its count, and the
+    elements multiplied out from them are its sorted list: on every
+    isomorphism class with at most 6 vertices, and the corpus."""
+    for n in range(7):
+        for g in class_representatives(n):
+            assert_chain_matches_the_enumeration(g)
+    for _, g in named_corpus():
+        assert_chain_matches_the_enumeration(g)
+
+
+@pytest.mark.slow
+def test_chain_search_matches_the_enumeration_on_seven_vertices():
+    for g in class_representatives(7):
+        assert_chain_matches_the_enumeration(g)
+
+
+def test_chain_levels_are_coset_representatives():
+    """Level i holds one automorphism per image of i other than i, each
+    fixing 0..i-1; K_12 needs 11 + 10 + ... + 1 = 66 of them."""
+    for g in [petersen_graph(), octahedron_graph(), wheel_graph(5), complete_graph(12)]:
+        group = automorphism_group(g)
+        assert len(group.levels) == g.n
+        for i, level in enumerate(group.levels):
+            targets = [t.image[i] for t in level]
+            assert targets == sorted(set(targets)) and i not in targets
+            assert all(t.image[:i] == tuple(range(i)) for t in level)
+    assert len(group.representatives) == 66
+    assert group.order == math.factorial(12)
 
 
 def test_vertex_orbits():
@@ -226,6 +286,52 @@ def test_lefschetz_numbers_and_multiset():
     assert lefschetz_multiset(spaces, group) == {0: 4, 2: 4}
     _, spaces, group = handles(petersen_graph())
     assert lefschetz_multiset(spaces, group) == {-5: 1, 0: 24, 1: 80, 3: 15}
+
+
+# The 8 graphs on 7 vertices on which avg L = 0 but the orbigraph G/A has
+# Euler characteristic 1 (ROADMAP item 1); the two averages still agree.
+AVERAGE_NOT_QUOTIENT_EULER = [
+    [(0, 2), (0, 3), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4), (1, 6), (2, 5), (3, 4)],
+    [(0, 3), (0, 5), (0, 6), (1, 2), (1, 4), (1, 6), (2, 3), (2, 5), (3, 4)],
+    [(0, 1), (0, 3), (0, 5), (0, 6), (1, 2), (1, 4), (1, 6), (2, 3), (2, 5), (3, 4)],
+    [(0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 4), (1, 5), (1, 6), (2, 3), (2, 5),
+     (3, 4)],
+    [(0, 2), (0, 3), (0, 4), (0, 6), (1, 2), (1, 4), (1, 6), (2, 4), (2, 5), (3, 4),
+     (3, 5)],
+    [(0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 4), (1, 5), (1, 6), (2, 4), (2, 6),
+     (3, 4), (3, 5)],
+    [(0, 2), (0, 4), (0, 5), (0, 6), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 6),
+     (3, 4), (3, 5)],
+    [(0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4),
+     (2, 6), (3, 4), (3, 5)],
+]
+
+
+def invariant_and_element_mean(g):
+    """L(G) from the subspaces the representatives fix, and the mean of
+    L(T) over every element."""
+    _, spaces, group = handles(g)
+    return (average_lefschetz(spaces, group),
+            Fraction(sum(lefschetz_numbers(spaces, group)), group.order))
+
+
+def test_invariant_route_equals_the_element_mean():
+    for n in range(7):
+        for g in class_representatives(n):
+            invariant, mean = invariant_and_element_mean(g)
+            assert invariant == mean, g
+    for edges in AVERAGE_NOT_QUOTIENT_EULER:
+        g = Graph(7, edges)
+        assert invariant_and_element_mean(g) == (0, 0), g
+        quotient = orbigraph(automorphism_group(g)).graph
+        assert build_complex(quotient).euler_characteristic() == 1, g
+
+
+@pytest.mark.slow
+def test_invariant_route_equals_the_element_mean_on_seven_vertices():
+    for g in class_representatives(7):
+        invariant, mean = invariant_and_element_mean(g)
+        assert invariant == mean, g
 
 
 def test_average_lefschetz_examples():

@@ -37,7 +37,7 @@ from lefgraph.graphs import (
     petersen_graph,
 )
 from lefgraph.reporting import TheoremCheck, VerificationError
-from lefgraph.symmetry import AutomorphismGroup, automorphism_group
+from lefgraph.symmetry import AutomorphismGroup, automorphism_group, lefschetz_numbers
 from lefgraph.zeta import zeta_product
 from lefgraph.verification import (
     CorpusReport,
@@ -144,31 +144,41 @@ def test_average_lefschetz_is_an_isomorphism_invariant(pair):
 
 
 def test_graph_average_lefschetz_uses_a_given_group():
+    """A group built from its own coset representatives: the rotations of
+    C_5 move 0 to each other vertex, and D_5 adds the reflection fixing 0."""
     g = cycle_graph(5)
-    group = automorphism_group(g)
-    assert graph_average_lefschetz(group) == 1
+    rotations = tuple(validate_map(g, [(v + s) % 5 for v in range(5)]) for s in range(1, 5))
+    reflection = validate_map(g, [-v % 5 for v in range(5)])
+    cyclic = AutomorphismGroup(g, (rotations, (), (), (), ()))
+    dihedral = AutomorphismGroup(g, (rotations, (reflection,), (), (), ()))
+    assert (cyclic.order, dihedral.order) == (5, 10)
+    assert {t.image for t in dihedral} == {t.image for t in automorphism_group(g)}
     # The rotations alone average L = 0: the five reflections carry L = 2.
-    rotations = AutomorphismGroup(g, tuple(
-        t for t in group if all((t.image[v] - t.image[0]) % 5 == v for v in range(5))))
-    assert rotations.order == 5
-    assert graph_average_lefschetz(rotations) == 0
+    assert graph_average_lefschetz(cyclic) == 0
+    assert graph_average_lefschetz(dihedral) == 1
+    spaces = CochainSpaces(build_complex(g))
+    for group in (cyclic, dihedral):
+        assert Fraction(sum(lefschetz_numbers(spaces, group)), group.order) == \
+            graph_average_lefschetz(group)
 
 
-def _drop_one_element(monkeypatch):
-    """Make the automorphism search of the expectations lose its last element."""
+def _drop_one_representative(monkeypatch):
+    """Make the automorphism search of the expectations lose the last coset
+    representative of its first level."""
     def short(g):
-        group = automorphism_group(g)
-        return AutomorphismGroup(g, group.elements[:-1])
+        first, *rest = automorphism_group(g).levels
+        return AutomorphismGroup(g, (first[:-1], *rest))
 
     monkeypatch.setattr(experiments, "automorphism_group", short)
 
 
 def test_orbit_stabilizer_mismatch_raises_with_both_values(monkeypatch):
-    _drop_one_element(monkeypatch)
+    _drop_one_representative(monkeypatch)
     with pytest.raises(VerificationError) as info:
         expectation_exhaustive(4)
-    # The first class is the discrete graph: one labeled graph, |Aut| = 24.
-    assert "orbit size 1 times |Aut| 23 is 23, not 4! = 24" in str(info.value)
+    # The first class is the discrete graph: one labeled graph, |Aut| = 24
+    # = 4 * 3 * 2 * 1 by the chain, which loses a coset of its first level.
+    assert "orbit size 1 times |Aut| 18 is 18, not 4! = 24" in str(info.value)
 
 
 def test_missing_class_raises_with_both_counts(monkeypatch):
@@ -180,21 +190,22 @@ def test_missing_class_raises_with_both_counts(monkeypatch):
 
 
 def test_orbit_stabilizer_mismatch_exits_2(monkeypatch, capsys):
-    _drop_one_element(monkeypatch)
+    _drop_one_representative(monkeypatch)
     assert main(["random", "--n", "4", "--exhaustive"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "is 23, not 4! = 24" in captured.err
+    assert "is 18, not 4! = 24" in captured.err
 
 
 OPTIMIZED_MISMATCH = textwrap.dedent("""
     import sys
     from lefgraph import experiments
     from lefgraph.cli import main
-    from lefgraph.symmetry import AutomorphismGroup, automorphism_group
+    from lefgraph.symmetry import AutomorphismGroup, automorphism_group, lefschetz_numbers
 
     def short(g):
-        return AutomorphismGroup(g, automorphism_group(g).elements[:-1])
+        first, *rest = automorphism_group(g).levels
+        return AutomorphismGroup(g, (first[:-1], *rest))
 
     experiments.automorphism_group = short
     sys.exit(main(["random", "--n", "4", "--exhaustive"]))
@@ -208,7 +219,7 @@ def test_orbit_stabilizer_mismatch_exits_2_under_optimization():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert "is 23, not 4! = 24" in proc.stderr
+    assert "is 18, not 4! = 24" in proc.stderr
 
 
 def test_expectation_cap():
