@@ -54,7 +54,6 @@ from .symmetry import (
     lefschetz_curvature,
     lefschetz_multiset,
     orbigraph,
-    stabilizer,
     verify_averaging_theorems,
 )
 from .zeta import (

@@ -25,14 +25,15 @@ collision (two terms on one column, from a corrupt pullback or corrupt face
 rows) or the sides differ.
 
 Cohomology takes two routes, both through the one sparse fraction-free
-kernel of `linalg`, each with its own elimination of the sparse integer
-d_k.  Betti numbers come from rank-nullity on `rank(d_k)`.  The maps
-induced on H^k come from free-column coordinates: one `rref` of d_k, and
-a cocycle's values on the free columns are its coordinates in
-ker(d_k).  The rows of d_{k-1} at the free k-simplices span im(d_{k-1}) in
-those coordinates; one sparse `rref` of them picks the representatives (its
-non-pivot columns) and reads a cocycle's class (reduction modulo its rows).
-The two routes must agree on the number of representatives.
+kernel of `linalg`.  Betti numbers come from rank-nullity on
+`rank(d_k)`, the pivot count of d_k's forward pass.  The maps induced on
+H^k come from free-column coordinates: `rref(d_k)`, back-substituted
+from that same forward pass, which is kept on the shared d_k, and a
+cocycle's values on the free columns are its coordinates in ker(d_k).
+The rows of d_{k-1} at the free k-simplices span im(d_{k-1}) in those
+coordinates; one sparse `rref` of them picks the representatives (its
+non-pivot columns) and reads a cocycle's class (reduction modulo its
+rows).  The two routes must agree on the number of representatives.
 
 The induced maps stay sparse and integer from end to end.  A representative
 is a {simplex: int} dict, nonzero on its free column and the pivot columns
@@ -242,12 +243,12 @@ class CochainSpaces:
     transposes (the coface index), the extension tables the pullbacks are
     read through, the sparse integer coboundaries and their ranks (behind
     the Betti numbers), and for each H^k its representatives with the
-    functionals that read a class.  Those come from one `rref` of d_k, in
+    functionals that read a class.  Those come from the `rref` of d_k, in
     free-column coordinates, and one of the image rows (see the module
-    docstring); every pulled-back representative is checked to be a
-    cocycle before it is read.  A function that reads cochain data takes an
-    instance, so anything that iterates over many maps of the same graph
-    shares one.
+    docstring); the rank and the RREF of d_k share its one forward pass.
+    Every pulled-back representative is checked to be a cocycle before it
+    is read.  A function that reads cochain data takes an instance, so
+    anything that iterates over many maps of the same graph shares one.
 
     Kept for the latest map only, so memory does not grow with the number of
     maps: its pullbacks P_k (with their cycle tables and preimage lists)
@@ -261,7 +262,6 @@ class CochainSpaces:
         self._cofaces: dict[int, list[list[tuple[int, int]]]] = {}
         self._extension: dict[int, list[dict[int, tuple[int, int]]]] = {}
         self._d: dict[int, SparseMatrix] = {}
-        self._rank: dict[int, int] = {}
         self._betti: tuple[int, ...] | None = None
         self._basis: dict[int, _CohomologyBasis] = {}
         # Pullbacks and induced matrices of the map `_image` only.
@@ -372,14 +372,6 @@ class CochainSpaces:
             self._d[k] = SparseMatrix(len(rows), self.cx.count(k), rows)
         return self._d[k]
 
-    def coboundary_rank(self, k: int) -> int:
-        """rank(d_k); zero outside 0..dim."""
-        if not 0 <= k <= self.dim:
-            return 0
-        if k not in self._rank:
-            self._rank[k] = rank(self.coboundary(k))
-        return self._rank[k]
-
     def betti(self, k: int) -> int:
         if not 0 <= k <= self.dim:
             return 0
@@ -388,9 +380,9 @@ class CochainSpaces:
     def betti_numbers(self) -> tuple[int, ...]:
         """b_k = count(k) - rank(d_k) - rank(d_{k-1}), computed on first ask."""
         if self._betti is None:
-            self._betti = tuple(
-                self.cx.count(k) - self.coboundary_rank(k) - self.coboundary_rank(k - 1)
-                for k in range(self.dim + 1))
+            ranks = [rank(self.coboundary(k)) for k in range(self.dim + 1)]
+            self._betti = tuple(self.cx.count(k) - ranks[k] - (ranks[k - 1] if k else 0)
+                                for k in range(self.dim + 1))
         return self._betti
 
     def _cohomology_basis(self, k: int) -> _CohomologyBasis:

@@ -160,13 +160,6 @@ class OrbitCensus:
     def periods(self) -> list[int]:
         return sorted(set(self.a) | set(self.b) | set(self.c) | set(self.d))
 
-    def total_weight(self) -> int:
-        """Sum of p * (orbit count at p): the number of periodic simplices,
-        all of them for an automorphism."""
-        return sum(p * (self.a.get(p, 0) + self.b.get(p, 0)
-                        + self.c.get(p, 0) + self.d.get(p, 0))
-                   for p in self.periods())
-
     def merged(self, other: "OrbitCensus") -> "OrbitCensus":
         out = OrbitCensus(dict(self.a), dict(self.b), dict(self.c), dict(self.d))
         for mine, theirs in ((out.a, other.a), (out.b, other.b),

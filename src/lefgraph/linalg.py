@@ -8,11 +8,15 @@ scale the elimination gives them, so no Fraction is built on the way to a
 trace or a determinant.  A dense `RationalMatrix` of Fractions is kept as
 the tests' reference type; no route of the package builds one.
 
-Every elimination runs through one kernel, `_eliminate`: Bareiss's
-fraction-free Gauss-Jordan elimination on sparse integer rows.  `rank`
-counts its pivots, and `rref` returns its rows over its scale as they are.
-Bases are canonical: they come from the reduced row echelon form, so equal
-inputs give identical bases.
+Every elimination runs through one kernel in two phases.  The forward pass
+is Bareiss's fraction-free forward elimination on sparse integer rows; it
+runs once per `SparseMatrix` and is kept on it, since matrices are shared
+and never modified.  `rank` counts its pivots.  `rref` back-substitutes
+from it, in reverse pivot order, to the rows, scale and pivots that
+Bareiss's Gauss-Jordan elimination with the same pivot rule gives, so a
+rank and a RREF of one matrix share one forward pass.  Bases are
+canonical: they come from the reduced row echelon form, so equal inputs
+give identical bases.
 
 `det_one_minus_z_blocks` reduces a square `SparseMatrix` to Hessenberg form
 by similarity, on its sparse rows, and reads the characteristic polynomial
@@ -46,9 +50,12 @@ def _exact(x: int | Fraction) -> int | Fraction:
 class SparseMatrix:
     """A matrix with explicit shape kept as sparse integer rows over one
     positive integer scale: entry (i, j) is data[i].get(j, 0) / scale, zero
-    entries left out.  Equal when the shapes, the scales and the rows are."""
+    entries left out.  Equal when the shapes, the scales and the rows are.
 
-    __slots__ = ("rows", "cols", "data", "scale")
+    Its forward pass is kept on it once run (see `rank` and `rref`), so a
+    matrix must not be modified after either has read it."""
+
+    __slots__ = ("rows", "cols", "data", "scale", "_forward")
 
     def __init__(self, rows: int, cols: int, data: list[dict[int, int]], scale: int = 1):
         if type(scale) is not int or scale < 1 or len(data) != rows or any(
@@ -59,6 +66,7 @@ class SparseMatrix:
         self.cols = cols
         self.data = data
         self.scale = scale
+        self._forward: tuple[list[dict[int, int]], list[int]] | None = None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):
@@ -134,53 +142,57 @@ class RationalMatrix:
         return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
 
 
-def _eliminate(rows: list[dict[int, int]], ncols: int) -> tuple[int, list[int]]:
-    """Fraction-free Gauss-Jordan elimination of sparse integer rows.
+def _bareiss_forward(data: list[dict[int, int]],
+                     ncols: int) -> tuple[list[dict[int, int]], list[int]]:
+    """Fraction-free forward elimination of sparse integer rows.
 
-    The list is reordered and its rows replaced; no row dict is modified,
-    so the caller's rows may be shared.  Each pivot is taken from the first
-    remaining row with a nonzero entry in its column, and that row is moved
-    up to follow the earlier pivot rows; a negative pivot's row is negated
-    first.  With p the new pivot, prev the one before it (1 at the start),
-    y the pivot row and f a row's entry in the pivot column, every other
-    row x becomes (p*x - f*y) // prev; a row with f = 0 becomes p*x // prev,
-    which leaves it as it is while p == prev.  By Sylvester's identity every
-    entry stays a minor of the input (with the negated rows negated), so
-    each division is exact (Bareiss, Math. Comp. 22, 1968).  Coboundary
-    pivots are almost always 1, so a step usually touches only the rows
-    with a nonzero in its column.
+    No row dict of `data` is modified, so the rows may be shared.  Each
+    pivot is taken from the first remaining row with a nonzero entry in its
+    column, and that row swaps places with the row at the next pivot
+    position; a negative pivot's row is negated first.  With p the new
+    pivot, prev the one before it (1 at the start), y the pivot row and f a
+    row's entry in the pivot column, every row below it becomes
+    (p*x - f*y) // prev; a row with f = 0 becomes p*x // prev, which leaves
+    it as it is while p == prev.  By Sylvester's identity every entry stays
+    a minor of the input (with the negated rows negated), so each division
+    is exact (Bareiss, Math. Comp. 22, 1968).  Coboundary pivots are almost
+    always 1, so a step usually touches only the rows below with a nonzero
+    in its column; a pivot row is never touched again.
 
-    Returns (scale, pivot columns), scale being the last pivot: the first
-    len(pivots) rows divided by scale are the reduced row echelon form, and
-    the remaining rows are empty.
+    Returns (pivot rows, pivot columns): pivot row i, as it was when it was
+    chosen, holds the pivot pivot_rows[i][pivots[i]] > 0 and no entry in
+    the earlier pivot columns.
     """
+    rows = list(data)
     nrows = len(rows)
     # Rows keep their input index i; order[r] is the row at position r.
     order = list(range(nrows))
     position = list(range(nrows))
-    holders: dict[int, set[int]] = {}  # column -> rows with a nonzero there
+    holders: dict[int, set[int]] = {}  # column -> rows below with a nonzero there
     for i, row in enumerate(rows):
         for c in row:
             holders.setdefault(c, set()).add(i)
+    pivot_rows: list[dict[int, int]] = []
     pivots: list[int] = []
     prev = 1
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
             break
-        candidates = [position[i] for i in holders.get(c, ()) if position[i] >= r]
-        if not candidates:
+        if not holders.get(c):
             continue
-        at = min(candidates)
+        at = min(position[i] for i in holders[c])
         piv = order[at]
         order[r], order[at] = piv, order[r]
         position[piv], position[order[at]] = r, at
         y = rows[piv]
         p = y[c]
         if p < 0:
-            y = rows[piv] = {col: -a for col, a in y.items()}
+            y = {col: -a for col, a in y.items()}
             p = -p
-        hit = holders[c] - {piv}
+        for col in y:
+            holders[col].discard(piv)
+        hit = set(holders[c])
         for i in hit:
             x = rows[i]
             f = x[c]
@@ -201,30 +213,71 @@ def _eliminate(rows: list[dict[int, int]], ncols: int) -> tuple[int, list[int]]:
                     holders[col].discard(i)
             rows[i] = new
         if p != prev:
-            for i, x in enumerate(rows):
-                if x and i != piv and i not in hit:
+            for i in order[r + 1:]:
+                x = rows[i]
+                if x and i not in hit:
                     rows[i] = {col: p * a // prev for col, a in x.items()}
+        pivot_rows.append(y)
         pivots.append(c)
         prev = p
-    rows[:] = [rows[i] for i in order]
-    return prev, pivots
+    return pivot_rows, pivots
+
+
+def _forward_pass(m: SparseMatrix) -> tuple[list[dict[int, int]], list[int]]:
+    """The forward pass of m, run on first use and kept on m."""
+    if m._forward is None:
+        m._forward = _bareiss_forward(m.data, m.cols)
+    return m._forward
 
 
 def rref(m: SparseMatrix) -> tuple[SparseMatrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns: the kernel's
-    rows over the kernel's scale, whatever the scale of m.
+    """Reduced row echelon form and the list of pivot columns, as integer
+    rows over the scale D, the last pivot of the forward pass, whatever the
+    scale of m.
 
-    RREF is unique, so the result does not depend on the pivot rows chosen;
-    its rows and scale are the kernel's, not reduced to lowest terms.
+    Back substitution from m's forward pass, in reverse pivot order: with
+    E_i the pivot row that has p_i in column c_i, RREF row i is
+    R_i = (D*E_i - sum_(j>i) E_i[c_j] R_j) / p_i, an exact division.  R_i
+    is D at c_i and 0 at every other pivot column, so only the other
+    columns of each R_j are read.  These are the rows, scale and pivots
+    that Bareiss Gauss-Jordan elimination with the same pivot rule ends
+    with: the rows below each pivot change as they do there.  The rows
+    past the rank are empty.
     """
-    rows = list(m.data)
-    scale, pivots = _eliminate(rows, m.cols)
-    return SparseMatrix(m.rows, m.cols, rows, scale), pivots
+    pivot_rows, pivots = _forward_pass(m)
+    scale = pivot_rows[-1][pivots[-1]] if pivots else 1
+    index = {c: i for i, c in enumerate(pivots)}
+    out: list[dict[int, int]] = [{} for _ in range(m.rows)]
+    for i in range(len(pivots) - 1, -1, -1):
+        c = pivots[i]
+        new: dict[int, int] = {}
+        later = []
+        for col, a in pivot_rows[i].items():
+            j = index.get(col)
+            if j is None:
+                new[col] = scale * a
+            elif j > i:
+                later.append((a, j))
+        for f, j in later:
+            cj = pivots[j]
+            for col, b in out[j].items():
+                if col != cj:
+                    a = new.get(col, 0) - f * b
+                    if a:
+                        new[col] = a
+                    else:
+                        del new[col]
+        p = pivot_rows[i][c]
+        if p != 1:
+            new = {col: a // p for col, a in new.items()}
+        new[c] = scale
+        out[i] = new
+    return SparseMatrix(m.rows, m.cols, out, scale), pivots
 
 
 def rank(m: SparseMatrix) -> int:
-    """Number of pivots of the kernel's elimination of m."""
-    return len(_eliminate(list(m.data), m.cols)[1])
+    """Number of pivots of m's forward pass."""
+    return len(_forward_pass(m)[1])
 
 
 def _put(h: list[dict], held: list[set[int]], r: int, j: int, x) -> None:

@@ -1,9 +1,9 @@
 """Automorphism groups and what they average.
 
-Covers the automorphism search, orbits and stabilizers of simplices,
-Lefschetz curvature, the average Lefschetz number, the orbigraph quotient,
-and a verifier for the three averaging identities (curvature sum, quotient
-Euler characteristic, Burnside count).
+Covers the automorphism search, orbits of simplices, Lefschetz curvature,
+the average Lefschetz number, the orbigraph quotient, and a verifier for
+the three averaging identities (curvature sum, quotient Euler
+characteristic, Burnside count).
 
 The search finds a stabilizer chain: coset representatives, not every
 element (Seress, *Permutation Group Algorithms*, 2003).  The average
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
 from .complexes import CliqueComplex, Simplex, build_complex
 from .cohomology import CochainSpaces
@@ -29,6 +29,9 @@ from .reporting import TheoremCheck, VerificationError
 
 # The automorphism search's largest graph, in vertices.
 GROUP_CAP = 12
+# The largest group whose elements are multiplied out and walked one by one:
+# K_9's 9! elements take minutes, and each vertex more costs 10-15x.
+ELEMENT_CAP = factorial(9)
 
 
 class SymmetryError(ValueError):
@@ -46,6 +49,8 @@ class AutomorphismGroup:
     generate the group.  The elements are multiplied out only when
     something iterates the group: each is composed once, validated as a
     `GraphMap` and kept, sorted by image tuple, so the identity is first.
+    A group of order above `ELEMENT_CAP` raises SymmetryError instead,
+    before any element is built.
     """
 
     __slots__ = ("graph", "levels", "_elements")
@@ -67,6 +72,10 @@ class AutomorphismGroup:
     @property
     def elements(self) -> tuple[GraphMap, ...]:
         if self._elements is None:
+            if self.order > ELEMENT_CAP:
+                raise SymmetryError(
+                    f"|Aut| = {self.order} is above {ELEMENT_CAP}, the largest "
+                    "group whose elements are walked one by one")
             images = [tuple(range(self.graph.n))]
             for level in reversed(self.levels):
                 images += [tuple(t.image[v] for v in s) for t in level for s in images]
@@ -163,11 +172,6 @@ def simplex_orbits_under_group(cx: CliqueComplex,
             visited |= orbit
             orbits.append(tuple(sorted(orbit)))
     return orbits
-
-
-def stabilizer(group: AutomorphismGroup, x: Simplex) -> list[GraphMap]:
-    """Elements fixing the simplex setwise, in group order."""
-    return [t for t in group if t.image_simplex(x) == x]
 
 
 @dataclass(frozen=True)

@@ -2,18 +2,19 @@
 
 lefgraph computes on sparse integer rows and signed permutations.  These
 helpers rebuild the same objects as dense `linalg.RationalMatrix`es
-straight from the complex, and multiply them by the textbook definition, so
-the tests can check the sparse code against plain matrix algebra.  The
-dense `rank`, `rref` and `nullspace`, the dense pull-back of a cochain, and
-the induced-map route that read dense representatives into dense Fraction
-matrices live here too, as oracles.  The orbit walk of a single automorphism
-is kept here as well, in its plain set-of-tuples form, and so are the
-scan of a map's fixed simplices that tests every simplex on its own, every
-graph map of a small graph, every automorphism by a search that enumerates
-them all, the multiplied-out det(1 - z M), the
-determinant-route zeta as the quotient of those dets, a crosswise
-comparison of a zeta with a quotient, and the log-derivative series of a
-quotient by long division.
+straight from the complex, and multiply them by the textbook definition,
+so the tests can check the sparse code against plain matrix algebra.
+The dense `rank`, `rref` and `nullspace`, the sparse Bareiss
+Gauss-Jordan elimination that `linalg.rref` must match row for row, the
+dense pull-back of a cochain, and the induced-map route that read dense
+representatives into dense Fraction matrices live here too, as oracles.
+The orbit walk of a single automorphism is kept here as well, in its
+plain set-of-tuples form, and so are the scan of a map's fixed simplices
+that tests every simplex on its own, every graph map of a small graph,
+every automorphism by a search that enumerates them all, the
+multiplied-out det(1 - z M), the determinant-route zeta as the quotient
+of those dets, a crosswise comparison of a zeta with a quotient, and the
+log-derivative series of a quotient by long division.
 """
 
 import math
@@ -86,6 +87,75 @@ def nullspace(m: RationalMatrix) -> list[list[Fraction]]:
             v[c] = -reduced.data[r][f]
         basis.append(v)
     return basis
+
+
+def gauss_jordan(m: SparseMatrix) -> tuple[SparseMatrix, list[int]]:
+    """The RREF of m by Bareiss's fraction-free Gauss-Jordan elimination on
+    sparse integer rows, as integer rows over the last pivot, with its
+    pivot columns.
+
+    Each pivot is taken from the first remaining row with a nonzero entry
+    in its column, and that row swaps places with the row at the next pivot
+    position; a negative pivot's row is negated first.  With p the new
+    pivot, prev the one before it (1 at the start), y the pivot row and f a
+    row's entry in the pivot column, every other row x, above the pivot or
+    below it, becomes (p*x - f*y) // prev; a row with f = 0 becomes
+    p*x // prev.  By Sylvester's identity every division is exact (Bareiss,
+    Math. Comp. 22, 1968).  This was the library's one kernel before the
+    forward pass and back substitution replaced it.
+    """
+    rows = list(m.data)
+    nrows = len(rows)
+    order = list(range(nrows))
+    position = list(range(nrows))
+    holders: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            holders.setdefault(c, set()).add(i)
+    pivots: list[int] = []
+    prev = 1
+    for c in range(m.cols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        candidates = [position[i] for i in holders.get(c, ()) if position[i] >= r]
+        if not candidates:
+            continue
+        at = min(candidates)
+        piv = order[at]
+        order[r], order[at] = piv, order[r]
+        position[piv], position[order[at]] = r, at
+        y = rows[piv]
+        p = y[c]
+        if p < 0:
+            y = rows[piv] = {col: -a for col, a in y.items()}
+            p = -p
+        hit = holders[c] - {piv}
+        for i in hit:
+            x = rows[i]
+            f = x[c]
+            new = {col: p * a for col, a in x.items()}
+            for col, b in y.items():
+                a = new.get(col, 0) - f * b
+                if a:
+                    new[col] = a
+                else:
+                    del new[col]
+            new = {col: a // prev for col, a in new.items()}
+            for col in y:
+                if col in new:
+                    if col not in x:
+                        holders.setdefault(col, set()).add(i)
+                elif col in x:
+                    holders[col].discard(i)
+            rows[i] = new
+        if p != prev:
+            for i, x in enumerate(rows):
+                if x and i != piv and i not in hit:
+                    rows[i] = {col: p * a // prev for col, a in x.items()}
+        pivots.append(c)
+        prev = p
+    return SparseMatrix(m.rows, m.cols, [rows[i] for i in order], prev), pivots
 
 
 def pullback_apply(pb: Pullback, f: list) -> list:

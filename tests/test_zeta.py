@@ -155,13 +155,21 @@ def census_dict(census):
     return {"a": census.a, "b": census.b, "c": census.c, "d": census.d}
 
 
+def total_weight(census):
+    """Sum of p * (orbit count at p): the number of periodic simplices,
+    all of them for an automorphism."""
+    return sum(p * (census.a.get(p, 0) + census.b.get(p, 0)
+                    + census.c.get(p, 0) + census.d.get(p, 0))
+               for p in census.periods())
+
+
 def test_census_vertex_fixing_reflection():
     g = cycle_graph(4)
     cx = build_complex(g)
     census = orbit_census(cx, validate_map(g, (0, 3, 2, 1)))
     assert census_dict(census) == \
         {"a": {2: 2}, "b": {1: 2, 2: 1}, "c": {}, "d": {}}
-    assert census.total_weight() == len(cx)
+    assert total_weight(census) == len(cx)
 
 
 def test_census_edge_fixing_reflection():
@@ -191,7 +199,7 @@ def test_census_weight_accounts_for_every_simplex():
     cx = build_complex(g)
     group = list(automorphism_group(g))
     for t in rng.sample(group, 10):
-        assert orbit_census(cx, t).total_weight() == len(cx)
+        assert total_weight(orbit_census(cx, t)) == len(cx)
 
 
 def test_census_merge():
@@ -297,7 +305,7 @@ def test_census_walks_the_tails_of_an_endomorphism():
     census = orbit_census(cx, validate_map(g, (0, 1, 1, 1)))
     assert census_dict(census) == {"a": {1: 1}, "b": {1: 2}, "c": {}, "d": {}}
     assert [r.simplex for r in census.fixed] == [(0,), (1,), (0, 1)]
-    assert census.total_weight() == 3 < len(cx)
+    assert total_weight(census) == 3 < len(cx)
     assert dense.equals_quotient(zeta_product(census), [1], [1, -1])
 
 
@@ -609,7 +617,7 @@ def test_census_matches_the_scan_and_the_iterates_on_every_small_map():
                 assert census.fixed == dense.fixed_simplices(cx, t), (g, t.image)
                 assert zeta_product(census).log_derivative_series(12) == \
                     lefschetz_iterates(spaces, t, 12), (g, t.image)
-                assert (census.total_weight() == len(cx)) == t.is_automorphism()
+                assert (total_weight(census) == len(cx)) == t.is_automorphism()
                 maps += 1
     assert maps == 6493
 
