@@ -46,8 +46,17 @@ one scale per degree, the product of the two, and T_k is a
 `linalg.SparseMatrix` over that scale.  A trace is the integer diagonal
 sum divided by the scale once, and `zeta.zeta_det` reduces the integer rows
 themselves.  Where the scale is 1, as on most graphs, no Fraction is built.
-The subspace of H^k fixed by a set of maps has dimension b_k minus one
-`rank` of the rows of M - scale * I stacked over their T_k = M / scale.
+
+The subspace H^k(G)^A fixed by a group A of automorphisms needs no induced
+map.  Over Q, averaging the pullbacks over A projects the cochains onto the
+invariant cochains C^*(G)^A and commutes with d, so H^k(C^*(G)^A) is
+H^k(G)^A (the rational transfer).  An invariant cochain is one number per
+simplex orbit, up to the signs the pullbacks carry, found by a signed
+union-find (`SignedOrbits`) over the shared pullbacks of A's generators; an
+orbit whose stabilizer reverses orientation carries only the zero cochain.
+Its dimension is then c_k minus the integer ranks of the orbit coboundaries,
+exact with no division.  The transfer holds for a group only, so every map
+given must be a bijection of the vertices.
 """
 
 from __future__ import annotations
@@ -177,6 +186,86 @@ class Pullback:
             for n in range(p, count + 1, p):
                 out[n - 1] += w * s ** (n // p)
         return out
+
+
+class SignedOrbits:
+    """Orbits of the points 0..size-1 under relations f(x) = s * f(y),
+    s = +-1, kept by a signed union-find.
+
+    Each point keeps a parent and the sign with f(x) = sign * f(parent).
+    The root of an orbit is its smallest member, and `labels` reads every
+    relation as f(x) = sigma(x) * f(root).  A relation that closes a loop
+    with the other sign forces f(root) = -f(root): the orbit is not
+    orientable, and the only f it admits is zero on it.  Relations without
+    signs give the plain orbits of the group the maps x -> targets[x]
+    generate.
+    """
+
+    __slots__ = ("parent", "sign", "flipped")
+
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+        self.sign = [1] * size
+        self.flipped = [False] * size
+
+    def relate(self, targets, signs=None):
+        """Add f(x) = signs[x] * f(targets[x]) for every point x, with every
+        sign +1 when `signs` is None."""
+        parent, sign, flipped = self.parent, self.sign, self.flipped
+
+        def find(x: int) -> tuple[int, int]:
+            path = []
+            while parent[x] != x:
+                path.append(x)
+                x = parent[x]
+            s = 1
+            for y in reversed(path):
+                s *= sign[y]
+                sign[y] = s
+                parent[y] = x
+            return x, sign[path[0]] if path else 1
+
+        for x, y in enumerate(targets):
+            s = 1 if signs is None else signs[x]
+            if y == x and s > 0:
+                continue
+            rx, sx = (x, 1) if parent[x] == x else find(x)
+            ry, sy = (y, 1) if parent[y] == y else find(y)
+            s *= sx * sy
+            if rx == ry:
+                if s < 0:
+                    flipped[rx] = True
+            elif rx < ry:
+                parent[ry], sign[ry] = rx, s
+                flipped[rx] = flipped[rx] or flipped[ry]
+            else:
+                parent[rx], sign[rx] = ry, s
+                flipped[ry] = flipped[ry] or flipped[rx]
+
+    def labels(self) -> tuple[list[int], list[int]]:
+        """The root and sigma of every point, with f(x) = sigma(x) * f(root)."""
+        parent, sign = self.parent, self.sign
+        roots, sigma = [], []
+        for x, p in enumerate(parent):
+            # Roots are smallest members, so parent p < x is labeled already.
+            if p == x:
+                roots.append(x)
+                sigma.append(1)
+            else:
+                roots.append(roots[p])
+                sigma.append(sign[x] * sigma[p])
+        return roots, sigma
+
+    def orientable(self, root: int) -> bool:
+        """Whether the orbit of `root` admits a nonzero f."""
+        return not self.flipped[root]
+
+    def orbits(self) -> list[tuple[int, ...]]:
+        """The orbits, each ascending, ordered by their smallest member."""
+        members: dict[int, list[int]] = {}
+        for x, r in enumerate(self.labels()[0]):
+            members.setdefault(r, []).append(x)
+        return [tuple(m) for m in members.values()]
 
 
 def verify_chain_map(spaces: CochainSpaces, image: tuple[int, ...]) -> bool:
@@ -497,30 +586,62 @@ class CochainSpaces:
         return self._induced[k]
 
     def fixed_betti_numbers(self, images) -> tuple[int, ...]:
-        """For each k, the dimension of the subspace of H^k fixed by the
-        maps induced by every vertex map in `images`.
+        """For each k, the dimension of H^k(G)^A, the subspace of H^k fixed
+        by the group A that the automorphisms `images` generate.
 
-        A class is fixed by T_k = M / scale exactly when M - scale * I
-        kills it, so the dimension is b_k minus the rank of the integer
-        rows of M - scale * I stacked over the maps.  With no maps it is
-        b_k.
+        Read off the invariant cochain complex C^*(G)^A, with no Betti rank,
+        no H^k basis and no induced matrix.  Over Q the average of the
+        pullbacks over A is a projection onto C^*(G)^A that commutes with d,
+        so H^k(C^*(G)^A) is H^k(G)^A (the rational transfer; Bredon,
+        *Introduction to Compact Transformation Groups*, ch. III), and
+        every rank below is an exact integer rank.  A cochain is invariant
+        when f(x) = sign_k(x) * f(target_k(x)) under every image; per degree
+        these relations go into one `SignedOrbits`, read straight off the
+        pullbacks, with the images outermost, since only the latest map's
+        pullbacks are kept.  An orbit whose relations conflict carries only
+        the zero cochain; each other orbit carries one basis cochain, equal
+        to sigma(x) on its members.  The invariant coboundary has one row
+        per orientable (k+1)-orbit, read at its root z as the sum of
+        (-1)^i sigma(face_i z) on the orbits of the faces, and
+        dim H^k(G)^A = c_k - rank d^A_k - rank d^A_{k-1}, c_k the number of
+        orientable k-orbits.  With no images it is the Betti numbers.
+
+        The transfer needs a group: ValueError is raised, naming the first
+        image that is not a bijection of the vertices, before any of its
+        relations is read.
         """
-        betti = self.betti_numbers()
-        stacked: list[list[dict[int, int]]] = [[] for _ in betti]
+        n = self.cx.count(0)
+        vertices = set(range(n))
+        orbits = [SignedOrbits(self.cx.count(k)) for k in range(self.dim + 1)]
         for image in images:
-            for k, b in enumerate(betti):
-                if not b:
-                    continue
-                m = self.induced_matrix(image, k)
-                for i, entries in enumerate(m.data):
-                    row = dict(entries)
-                    row[i] = row.get(i, 0) - m.scale
-                    if not row[i]:
-                        del row[i]
-                    if row:
-                        stacked[k].append(row)
-        return tuple(b - rank(SparseMatrix(len(rows), b, rows)) if rows else b
-                     for b, rows in zip(betti, stacked))
+            image = tuple(image)
+            if len(image) != n or set(image) != vertices:
+                raise ValueError(
+                    f"{image} is not a bijection of the {n} vertices, so it is not an "
+                    "automorphism; the invariant cochains need a group")
+            self.pullback(image, self.dim)  # and P_0..P_{dim-1} on the way
+            for k, relations in enumerate(orbits):
+                pb = self._pullbacks[k]
+                relations.relate(pb.target_index, pb.sign)
+        labels = [relations.labels() for relations in orbits]
+        columns = []  # per degree, orientable root -> its basis cochain's column
+        for relations, (roots, _) in zip(orbits, labels):
+            kept = [x for x, r in enumerate(roots) if r == x and relations.orientable(x)]
+            columns.append({x: j for j, x in enumerate(kept)})
+        ranks = []
+        for k in range(self.dim):
+            roots, sigma = labels[k]
+            column, faces = columns[k], self.face_rows(k)
+            rows = []
+            for z in columns[k + 1]:
+                row = _sparse_row((column[roots[f]], -sigma[f] if i % 2 else sigma[f])
+                                  for i, f in enumerate(faces[z]) if roots[f] in column)
+                if row:
+                    rows.append(row)
+            ranks.append(rank(SparseMatrix(len(rows), len(column), rows)) if rows else 0)
+        ranks.append(0)
+        return tuple(len(column) - ranks[k] - (ranks[k - 1] if k else 0)
+                     for k, column in enumerate(columns))
 
     def lefschetz_number(self, image: tuple[int, ...]) -> int:
         """sum_k (-1)^k tr(T_k) over the maps T_k induced on H^k.

@@ -7,9 +7,15 @@ weighted by the class's number of labeled graphs.  The sampling mode reaches
 past the exhaustive cap, up to the automorphism search's cap of
 `GROUP_CAP` (12) vertices, since each sample's L(G) averages over
 its automorphism group; it never replaces the exhaustive runs.  Each L(G)
-is read off the subspaces of H^k that the group's coset representatives
-fix (`symmetry.average_lefschetz`), so neither mode multiplies out a
-group's elements: K_12 takes 66 representatives, not 12! elements.
+is the Euler characteristic of the cochains invariant under Aut(G)
+(`symmetry.average_lefschetz`): a signed union-find over the pullbacks of
+the group's coset representatives gives one cochain per simplex orbit
+whose stabilizer keeps orientation, an orbit it reverses carries none, and
+the integer ranks of the orbit coboundaries give dim H^k(G)^A.  Over Q the
+group average commutes with d, so this is exact; it holds because every
+representative is an automorphism.  Neither mode multiplies out a group's
+elements or builds an induced map: K_12 takes 66 representatives, not 12!
+elements.
 """
 
 from __future__ import annotations

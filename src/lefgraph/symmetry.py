@@ -7,9 +7,11 @@ characteristic, Burnside count).
 
 The search finds a stabilizer chain: coset representatives, not every
 element (Seress, *Permutation Group Algorithms*, 2003).  The average
-Lefschetz number is read off the subspaces of H^k that the representatives
-fix, so it needs no other element.  The elements are multiplied out from
-the representatives only where something iterates the group.  Wherever
+Lefschetz number is read off the invariant cochain complex of the group
+the representatives generate, and the orbits of vertices and simplices are
+found from the representatives by one union-find, so none of these needs
+another element.  The elements are multiplied out from the representatives
+only where something iterates the group.  Wherever
 every element's L(T) is computed anyway, as in the averaging verifier,
 their mean must equal that average.  The curvature and Burnside count fold
 in one fixed-simplex list per group element (`FixedSimplexSweep`).
@@ -22,7 +24,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .complexes import CliqueComplex, Simplex, build_complex
-from .cohomology import CochainSpaces
+from .cohomology import CochainSpaces, SignedOrbits
 from .dynamics import FixedSimplexRecord, GraphMap, fixed_simplices
 from .graphs import Graph
 from .reporting import TheoremCheck, VerificationError
@@ -96,17 +98,13 @@ class AutomorphismGroup:
         return f"AutomorphismGroup(order={self.order})"
 
     def vertex_orbits(self) -> list[tuple[int, ...]]:
-        """Vertex orbits, each sorted, ordered by smallest member."""
-        seen = [False] * self.graph.n
-        orbits = []
-        for v in range(self.graph.n):
-            if seen[v]:
-                continue
-            orbit = {t.image[v] for t in self.elements}
-            for u in orbit:
-                seen[u] = True
-            orbits.append(tuple(sorted(orbit)))
-        return orbits
+        """Vertex orbits, each sorted, ordered by smallest member: the
+        orbits of the group the representatives generate, found without
+        multiplying out any element."""
+        orbits = SignedOrbits(self.graph.n)
+        for t in self.representatives:
+            orbits.relate(t.image)
+        return orbits.orbits()
 
 
 def automorphism_group(g: Graph) -> AutomorphismGroup:
@@ -115,10 +113,12 @@ def automorphism_group(g: Graph) -> AutomorphismGroup:
     Level i fixes 0..i-1 and, for each u != i, runs the search from the
     prefix 0, ..., i-1, u, stopping at the first automorphism it finds: the
     coset representative for i -> u, or none if i and u lie in different
-    orbits of that stabilizer.  Candidate images must have the same degree
-    and must map every already-assigned neighbor to a neighbor (and
-    non-neighbor to non-neighbor).  These searches visit disjoint subtrees
-    of the tree that enumerating every element walks, and stop each
+    orbits of that stabilizer.  A candidate u for v must be unused, have
+    v's degree, and pass one mask test, adj[u] & placed == wanted: placed
+    is the set of images of 0..v-1 and wanted the set of images of v's
+    earlier neighbors, so every earlier neighbor goes to a neighbor and
+    every earlier non-neighbor to a non-neighbor.  These searches visit
+    disjoint subtrees of the tree that enumerating every element walks, and stop each
     successful one at its first leaf.  That prunes hard enough for
     desk-scale graphs: up to `GROUP_CAP` vertices, and a larger graph
     raises SymmetryError.
@@ -127,24 +127,27 @@ def automorphism_group(g: Graph) -> AutomorphismGroup:
         raise SymmetryError(
             f"automorphism search capped at {GROUP_CAP} vertices (got {g.n})")
     n = g.n
+    adj = g.adj
     degrees = [g.degree(v) for v in range(n)]
     image = [-1] * n
-    used = [False] * n
 
-    def extend(v: int, candidates) -> bool:
+    def extend(v: int, candidates, placed: int) -> bool:
+        """Map v, v + 1, ... on from the images of 0..v-1, whose set is placed."""
         if v == n:
             return True
         dv = degrees[v]
+        wanted = 0  # the images of v's earlier neighbors
+        m = adj[v] & ((1 << v) - 1)
+        while m:
+            low = m & -m
+            wanted |= 1 << image[low.bit_length() - 1]
+            m ^= low
         for u in candidates:
-            if used[u] or degrees[u] != dv:
-                continue
-            if any(g.adjacent(v, w) != g.adjacent(u, image[w]) for w in range(v)):
+            if placed >> u & 1 or degrees[u] != dv or adj[u] & placed != wanted:
                 continue
             image[v] = u
-            used[u] = True
-            if extend(v + 1, range(n)):
+            if extend(v + 1, range(n), placed | 1 << u):
                 return True
-            used[u] = False
         return False
 
     levels = []
@@ -152,8 +155,7 @@ def automorphism_group(g: Graph) -> AutomorphismGroup:
         found = []
         for u in range(i + 1, n):
             image[:i] = range(i)
-            used[:] = [v < i for v in range(n)]
-            if extend(i, (u,)):
+            if extend(i, (u,), (1 << i) - 1):
                 found.append(GraphMap(g, image))
         levels.append(tuple(found))
     return AutomorphismGroup(g, tuple(levels))
@@ -161,17 +163,17 @@ def automorphism_group(g: Graph) -> AutomorphismGroup:
 
 def simplex_orbits_under_group(cx: CliqueComplex,
                                group: AutomorphismGroup) -> list[tuple[Simplex, ...]]:
-    """Orbits of all simplices under the full group, sorted within and between."""
-    orbits = []
-    visited = set()
-    for level in cx.by_dim:
-        for x in level:
-            if x in visited:
-                continue
-            orbit = {t.image_simplex(x) for t in group}
-            visited |= orbit
-            orbits.append(tuple(sorted(orbit)))
-    return orbits
+    """Orbits of all simplices under the full group, sorted within and
+    between, found from the coset representatives alone: in each dimension,
+    the orbits of the maps they induce on the simplices."""
+    out = []
+    for k, level in enumerate(cx.by_dim):
+        index = cx.index[k]
+        orbits = SignedOrbits(len(level))
+        for t in group.representatives:
+            orbits.relate([index[t.image_simplex(x)] for x in level])
+        out += [tuple(level[i] for i in orbit) for orbit in orbits.orbits()]
+    return out
 
 
 @dataclass(frozen=True)
@@ -255,10 +257,15 @@ def average_lefschetz(spaces: CochainSpaces, group: AutomorphismGroup) -> int:
     """Mean of L(T) over the automorphism group, from its generators.
 
     The mean of a trace over a finite group is the dimension of the
-    subspace the group fixes, and the group fixes exactly what its coset
-    representatives fix.  So the mean is the alternating sum over k of the
-    dimensions of the subspaces of H^k that the representatives fix, an
-    integer by construction, and no other element is built."""
+    subspace the group fixes, so the mean is the alternating sum over k of
+    dim H^k(G)^A, an integer by construction.  `fixed_betti_numbers` reads
+    those dimensions off the invariant cochains of the group the coset
+    representatives generate: one cochain per simplex orbit whose
+    stabilizer keeps orientation (an orbit it reverses carries none), and
+    the integer ranks of the orbit coboundaries.  That is exact over Q,
+    where averaging over the group commutes with d (the rational transfer);
+    it needs a group, which the representatives, all automorphisms, give.
+    No induced map and no other element is built."""
     fixed = spaces.fixed_betti_numbers([t.image for t in group.representatives])
     return sum(-d if k % 2 else d for k, d in enumerate(fixed))
 

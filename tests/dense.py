@@ -7,9 +7,12 @@ so the tests can check the sparse code against plain matrix algebra.
 The dense `rank`, `rref` and `nullspace`, the sparse Bareiss
 Gauss-Jordan elimination that `linalg.rref` must match row for row, the
 dense pull-back of a cochain, and the induced-map route that read dense
-representatives into dense Fraction matrices live here too, as oracles.
+representatives into dense Fraction matrices live here too, as oracles,
+with the dimension of the subspace of H^k that a set of maps fixes, read
+off the stacked dense T_k - I.
 The orbit walk of a single automorphism is kept here as well, in its
-plain set-of-tuples form, and so are the scan of a map's fixed simplices
+plain set-of-tuples form, and so are the orbits of a group walked over
+every element, the scan of a map's fixed simplices
 that tests every simplex on its own, every graph map of a small graph,
 every automorphism by a search that enumerates them all, the
 multiplied-out det(1 - z M), the determinant-route zeta as the quotient
@@ -227,6 +230,16 @@ def induced_matrix(spaces, image: tuple[int, ...], k: int) -> RationalMatrix:
     return out
 
 
+def fixed_dimension(spaces, images, k) -> int:
+    """dim of the subspace of H^k fixed by every map in `images`: b_k minus
+    the rank of the dense T_k - I stacked over the maps, T_k read by
+    `induced_matrix`."""
+    b = spaces.betti(k)
+    rows = [[induced_matrix(spaces, image, k)[i, j] - (i == j) for j in range(b)]
+            for image in images for i in range(b)]
+    return b - rank(RationalMatrix.from_rows(rows)) if rows else b
+
+
 def matmul(a, b) -> RationalMatrix:
     """The product a * b of two matrices of either kind."""
     a, b = dense(a), dense(b)
@@ -347,6 +360,19 @@ def simplex_orbits_under_map(cx, t) -> list[MapOrbit]:
                 mapped = [t.image[v] for v in mapped]
             orbits.append(MapOrbit(x, len(members), tuple(members),
                                    permutation_parity_sign(mapped)))
+    return orbits
+
+
+def orbits_by_elements(points, group, image) -> list[tuple]:
+    """The orbits of `points` under `group`, each sorted, in the order of
+    their first point, walked over every element; image(t, x) is the image
+    of x under the element t."""
+    orbits, visited = [], set()
+    for x in points:
+        if x not in visited:
+            orbit = {image(t, x) for t in group}
+            visited |= orbit
+            orbits.append(tuple(sorted(orbit)))
     return orbits
 
 

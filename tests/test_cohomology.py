@@ -3,6 +3,7 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from lefgraph.cohomology import (
     CochainSpaces,
     Pullback,
+    SignedOrbits,
     coboundary_squares_to_zero,
     permutation_parity_sign,
     pullbacks_commute,
@@ -28,6 +30,7 @@ from dense import (
     apply,
     coboundary_matrix,
     dense,
+    fixed_dimension as dense_fixed_dimension,
     induced_matrix as dense_induced_matrix,
     matmul,
     rank,
@@ -53,6 +56,7 @@ from lefgraph.graphs import (
     cycle_graph,
     discrete_graph,
     disjoint_union,
+    isomorphism_classes,
     octahedron_graph,
     path_graph,
     petersen_graph,
@@ -721,27 +725,15 @@ def _face_map(faces, perm, extra=()):
     return tuple(index[frozenset(perm[v] for v in f)] for f in faces) + tuple(extra)
 
 
-def dense_fixed_dimension(spaces, images, k) -> int:
-    """b_k minus the rank of the dense T_k - I stacked over the maps."""
-    b = spaces.betti(k)
-    rows = [[dense_induced_matrix(spaces, image, k)[i, j] - (i == j) for j in range(b)]
-            for image in images for i in range(b)]
-    return b - rank(RationalMatrix.from_rows(rows)) if rows else b
-
-
-def test_integer_induced_maps_equal_the_dense_route_over_scales_above_one():
-    """Torsion in the integral cohomology makes a basis scale above 1, and
-    both places a scale comes from are reached.
+def torsion_cases():
+    """Two graphs whose cohomology bases have scale 2, each with the degree
+    of that scale and some of its maps, the automorphisms first.
 
     RP^2 + C_4: H^2(RP^2; Z) = Z/2, so every maximal minor of d_1 is even
-    and the kernel's scale in degree 1 is 2.  RP^2 with a projective line
-    coned off: the generator of H_2 = Z covers the cone twice, so with a
-    cone triangle last the image RREF in degree 2 has entries 1/2 and its
-    denominator makes the scale 2.  On both, T_k over its scale equals the
-    dense Fraction route, the Lefschetz number is the dense traces summed,
-    and an automorphism's det route equals its orbit product.  The
-    dimensions of the subspaces fixed by each map, and by all of them,
-    equal those of the dense T_k - I."""
+    and the kernel's scale in degree 1 is 2; its last map folds the C_4
+    onto an edge.  RP^2 with a projective line coned off: the generator of
+    H_2 = Z covers the cone twice, so with a cone triangle last the image
+    RREF in degree 2 has entries 1/2 and its denominator makes the scale 2."""
     n = len(RP2_FACES)
     with_cycle = disjoint_union(_subdivision(RP2_FACES), cycle_graph(4))
     c4 = [n, n + 1, n + 2, n + 3]
@@ -754,7 +746,7 @@ def test_integer_induced_maps_equal_the_dense_route_over_scales_above_one():
     back = [frozenset({1, 3}), frozenset({0, 3})]
     faces = front + [f for f in RP2_FACES if f not in front + back] + back
     coned = _subdivision(faces, loop)
-    cases = [
+    return [
         (with_cycle, 1, [_face_map(RP2_FACES, same, c4),
                          _face_map(RP2_FACES, fivefold, c4[1:] + c4[:1]),
                          _face_map(RP2_FACES, same, [c4[0], c4[3], c4[2], c4[1]]),
@@ -763,11 +755,24 @@ def test_integer_induced_maps_equal_the_dense_route_over_scales_above_one():
                     _face_map(faces, (1, 3, 5, 0, 2, 4), [n]),
                     _face_map(faces, (0, 3, 2, 1, 5, 4), [n])]),
     ]
-    for g, k_scaled, images in cases:
+
+
+def test_integer_induced_maps_equal_the_dense_route_over_scales_above_one():
+    """Torsion in the integral cohomology makes a basis scale above 1, and
+    both places a scale comes from are reached (`torsion_cases`).  On both,
+    T_k over its scale equals the dense Fraction route, the Lefschetz number
+    is the dense traces summed, and an automorphism's det route equals its
+    orbit product.  The dimensions of the subspaces fixed by each
+    automorphism, and by all of them, equal those of the dense T_k - I.
+    The map that folds the C_4 is no bijection, so the invariant cochains
+    refuse it, naming it."""
+    folds = 0
+    for g, k_scaled, images in torsion_cases():
         cx = build_complex(g)
         spaces = CochainSpaces(cx)
         assert spaces.betti(k_scaled) == 1
         signs = set()
+        automorphisms = []
         for image in images:
             t = GraphMap(g, image)
             total = 0
@@ -779,14 +784,68 @@ def test_integer_induced_maps_equal_the_dense_route_over_scales_above_one():
                 total += (-1) ** k * oracle.trace()
             signs.add(spaces.induced_matrix(image, k_scaled).data[0].get(0, 0))
             assert spaces.lefschetz_number(image) == total
-            if t.is_automorphism():
-                assert zeta_det(g, t, spaces) == zeta_product(orbit_census(cx, t))
+            if not t.is_automorphism():
+                with pytest.raises(ValueError, match=re.escape(f"{image} is not a bijection")):
+                    spaces.fixed_betti_numbers(images)
+                folds += 1
+                continue
+            automorphisms.append(image)
+            assert zeta_det(g, t, spaces) == zeta_product(orbit_census(cx, t))
             assert spaces.fixed_betti_numbers([image]) == tuple(
                 dense_fixed_dimension(spaces, [image], k) for k in range(cx.dim + 1))
         assert {2, -2} <= signs
-        assert spaces.fixed_betti_numbers(images) == tuple(
-            dense_fixed_dimension(spaces, images, k) for k in range(cx.dim + 1))
+        assert spaces.fixed_betti_numbers(automorphisms) == tuple(
+            dense_fixed_dimension(spaces, automorphisms, k) for k in range(cx.dim + 1))
         assert spaces.fixed_betti_numbers([]) == spaces.betti_numbers()
+    assert folds == 1
+
+
+def test_signed_orbits_mark_an_orbit_whose_relations_conflict():
+    """f(0) = f(1), f(1) = -f(2) and f(2) = -f(0) leave one orientable orbit
+    with sigma = (1, 1, -1); f(3) = -f(4) twice over is consistent, but
+    f(4) = -f(4) forces f = 0 on {3, 4}.  Roots are smallest members, and
+    without signs the relations give the plain orbits."""
+    orbits = SignedOrbits(6)
+    orbits.relate([1, 2, 0, 4, 3, 5], [1, -1, -1, -1, -1, 1])
+    assert orbits.labels() == ([0, 0, 0, 3, 3, 5], [1, 1, -1, 1, -1, 1])
+    assert [orbits.orientable(r) for r in (0, 3, 5)] == [True, True, True]
+    orbits.relate([0, 1, 2, 3, 4, 5], [1, 1, 1, 1, -1, 1])
+    assert [orbits.orientable(r) for r in (0, 3, 5)] == [True, False, True]
+    assert orbits.orbits() == [(0, 1, 2), (3, 4), (5,)]
+    plain = SignedOrbits(5)
+    plain.relate([4, 1, 0, 3, 2])
+    assert plain.orbits() == [(0, 2, 4), (1,), (3,)]
+    assert all(plain.orientable(r) for r in (0, 1, 3))
+
+
+def assert_fixed_betti_numbers_equal_the_dense_route(g, images):
+    spaces = CochainSpaces(build_complex(g))
+    assert spaces.fixed_betti_numbers(images) == tuple(
+        dense_fixed_dimension(spaces, images, k) for k in range(spaces.dim + 1)), g
+
+
+def test_invariant_cochains_give_the_fixed_subspaces_degree_by_degree():
+    """dim H^k(G)^A from the invariant cochain complex equals b_k minus the
+    rank of the dense T_k - I stacked over the coset representatives, in
+    every degree: on every isomorphism class with at most 6 vertices, the
+    corpus, and the two torsion cases under their automorphisms."""
+    for n in range(7):
+        for g, _ in isomorphism_classes(n):
+            assert_fixed_betti_numbers_equal_the_dense_route(
+                g, [t.image for t in automorphism_group(g).representatives])
+    for _, g in named_corpus():
+        assert_fixed_betti_numbers_equal_the_dense_route(
+            g, [t.image for t in automorphism_group(g).representatives])
+    for g, _, images in torsion_cases():
+        assert_fixed_betti_numbers_equal_the_dense_route(
+            g, [image for image in images if GraphMap(g, image).is_automorphism()])
+
+
+@pytest.mark.slow
+def test_invariant_cochains_give_the_fixed_subspaces_on_seven_vertices():
+    for g, _ in isomorphism_classes(7):
+        assert_fixed_betti_numbers_equal_the_dense_route(
+            g, [t.image for t in automorphism_group(g).representatives])
 
 
 def test_a_pullback_that_breaks_a_cocycle_is_refused():

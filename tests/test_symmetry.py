@@ -9,7 +9,7 @@ import pytest
 import dense
 from lefgraph.cohomology import CochainSpaces
 from lefgraph.complexes import build_complex
-from lefgraph.dynamics import fixed_simplices, validate_map
+from lefgraph.dynamics import GraphMap, fixed_simplices, validate_map
 from lefgraph.graphs import (
     Graph,
     all_graphs,
@@ -167,6 +167,20 @@ def test_vertex_orbits():
         [(0,), (1, 2, 3)]
     assert automorphism_group(wheel_graph(5)).vertex_orbits() == \
         [(0, 1, 2, 3, 4), (5,)]
+
+
+def test_orbits_from_representatives_equal_the_element_walk():
+    """The vertex and simplex orbits found from the coset representatives
+    by the union-find are those that walking every element finds, in the
+    same order: on every isomorphism class with at most 6 vertices, and the
+    corpus."""
+    graphs = [g for n in range(7) for g in class_representatives(n)]
+    for g in graphs + [g for _, g in named_corpus()]:
+        cx, _, group = handles(g)
+        assert group.vertex_orbits() == \
+            dense.orbits_by_elements(range(g.n), group, lambda t, v: t.image[v]), g
+        assert simplex_orbits_under_group(cx, group) == \
+            dense.orbits_by_elements(cx, group, GraphMap.image_simplex), g
 
 
 def test_simplex_orbits_under_map():
