@@ -24,6 +24,14 @@ shared signed row of d_k; it builds no summed row unless there is a
 collision (two terms on one column, from a corrupt pullback or corrupt face
 rows) or the sides differ.
 
+A map's chain data is one record, `MapChain`, which `CochainSpaces.chain`
+builds for the latest map only: P_0..P_dim, built together, each with the
+cycle table of one walk, and, on first use, the matrices induced on H^k
+and the chain-map verdict.  The chain-map check, the chain-level trace,
+the iterates L(T^n), the cohomological trace, the zeta determinant and the
+invariant cochains of a map all read that record, so none of it is built
+twice for one map, and no map's pullbacks are composed from another's.
+
 Cohomology takes two routes, both through the one sparse fraction-free
 kernel of `linalg`.  Betti numbers come from rank-nullity on
 `rank(d_k)`, the pivot count of d_k's forward pass.  The maps induced on
@@ -143,29 +151,39 @@ class Pullback:
         """{(length p, sign s): simplices on such cycles} over the closed
         cycles of the signed map, s being the product of a cycle's signs.
 
-        P is a signed functional graph x -> target(x).  One walk visits each
-        simplex once: a simplex is new (0), on the current walk (1) or done
-        (2).  Simplices on a tail (of a non-injective map) are on no cycle.
+        P is a signed functional graph x -> target(x).  One walk from each
+        unvisited simplex marks what it visits with the walk's number, and
+        stops at the first marked simplex: back at its start, the walk was
+        a cycle (every walk of a permutation is); at another simplex marked
+        by this walk, a tail led into a cycle through it, which is walked
+        once more for its length and sign; at an earlier walk's simplex, it
+        found no new cycle.  Simplices on a tail (of a non-injective map)
+        are on no cycle.
         """
         if self._cycles is None:
-            state = [0] * self.size
+            target, sign = self.target_index, self.sign
+            walk = [0] * self.size
             weight: dict[tuple[int, int], int] = {}
             for start in range(self.size):
-                walk = []
-                x = start
-                while state[x] == 0:
-                    state[x] = 1
-                    walk.append(x)
-                    x = self.target_index[x]
-                if state[x] == 1:
-                    cycle = walk[walk.index(x):]
-                    s = 1
-                    for y in cycle:
-                        s *= self.sign[y]
-                    key = (len(cycle), s)
-                    weight[key] = weight.get(key, 0) + len(cycle)
-                for y in walk:
-                    state[y] = 2
+                if walk[start]:
+                    continue
+                mark = start + 1
+                x, p, s = start, 0, 1
+                while not walk[x]:
+                    walk[x] = mark
+                    p += 1
+                    s *= sign[x]
+                    x = target[x]
+                if x != start:
+                    if walk[x] != mark:
+                        continue
+                    y, p, s = target[x], 1, sign[x]
+                    while y != x:
+                        p += 1
+                        s *= sign[y]
+                        y = target[y]
+                key = (p, s)
+                weight[key] = weight.get(key, 0) + p
             self._cycles = weight
         return self._cycles
 
@@ -269,10 +287,14 @@ class SignedOrbits:
 
 
 def verify_chain_map(spaces: CochainSpaces, image: tuple[int, ...]) -> bool:
-    """Check d_k P_k == P_{k+1} d_k in every degree, on the map's pullbacks
-    and the face rows and coboundaries kept by `spaces`."""
-    return pullbacks_commute([spaces.pullback(image, k) for k in range(spaces.dim + 1)],
-                             spaces.face_rows, lambda k: spaces.coboundary(k).data)
+    """Check d_k P_k == P_{k+1} d_k in every degree, on the map's record
+    (`CochainSpaces.chain`) and the face rows and coboundaries kept by
+    `spaces`.  The record keeps the verdict."""
+    chain = spaces.chain(image)
+    if chain._commutes is None:
+        chain._commutes = pullbacks_commute(chain.pullbacks, spaces.face_rows,
+                                            lambda k: spaces.coboundary(k).data)
+    return chain._commutes
 
 
 def signed_rows(faces: list[tuple[int, ...]]) -> list[dict[int, int]]:
@@ -313,6 +335,28 @@ def pullbacks_commute(pullbacks: list[Pullback], face_rows, coboundary_rows) -> 
     return True
 
 
+class MapChain:
+    """One map's chain data, built once and read by every route of that map.
+
+    `pullbacks` holds P_0..P_dim, built together by `CochainSpaces.chain`;
+    each keeps the cycle table that `trace` and `power_traces` read and the
+    preimage lists the representatives are pulled back through, from first
+    use.  The matrices induced on H^k (`CochainSpaces.induced_matrix`) and
+    the chain-map verdict (`verify_chain_map`) are kept here once built.
+    The record holds no reference back to its spaces, so a spaces that is
+    dropped is freed at once, record and all.  It is shared: callers must
+    not modify it.
+    """
+
+    __slots__ = ("image", "pullbacks", "_matrices", "_commutes")
+
+    def __init__(self, image: tuple[int, ...], pullbacks: list[Pullback]):
+        self.image = image
+        self.pullbacks = pullbacks
+        self._matrices: list[SparseMatrix] | None = None
+        self._commutes: bool | None = None
+
+
 class _CohomologyBasis(NamedTuple):
     """Representatives h_j of H^k, integer cocycles kept as {k-simplex:
     value} dicts without zero values, and the functionals reading classes,
@@ -340,9 +384,11 @@ class CochainSpaces:
     anything that iterates over many maps of the same graph shares one.
 
     Kept for the latest map only, so memory does not grow with the number of
-    maps: its pullbacks P_k (with their cycle tables and preimage lists)
-    and the matrices it induces on H^k, each degree built when first asked
-    for.  Every map's Lefschetz number is kept, as one integer.
+    maps: its record (`chain`), which holds its pullbacks P_0..P_dim, built
+    together, with their cycle tables and preimage lists, and, once asked
+    for, the matrices it induces on H^k and its chain-map verdict.  Asking
+    for another map replaces the record.  Every map's Lefschetz number is
+    kept, as one integer.
     """
 
     def __init__(self, cx: CliqueComplex):
@@ -353,10 +399,7 @@ class CochainSpaces:
         self._d: dict[int, SparseMatrix] = {}
         self._betti: tuple[int, ...] | None = None
         self._basis: dict[int, _CohomologyBasis] = {}
-        # Pullbacks and induced matrices of the map `_image` only.
-        self._image: tuple[int, ...] | None = None
-        self._pullbacks: dict[int, Pullback] = {}
-        self._induced: dict[int, SparseMatrix] = {}
+        self._chain: MapChain | None = None
         self._lefschetz: dict[tuple[int, ...], int] = {}
 
     @property
@@ -402,47 +445,41 @@ class CochainSpaces:
             self._extension[k] = table
         return self._extension[k]
 
-    def _select_map(self, image: tuple[int, ...]):
-        """Make `image` the latest map, dropping the previous map's data."""
-        if image != self._image:
-            self._image = image
-            self._pullbacks = {}
-            self._induced = {}
+    def chain(self, image: tuple[int, ...]) -> MapChain:
+        """The record of the vertex map `image`, shared by every caller that
+        asks for the same map until another map is asked for.
 
-    def pullback(self, image: tuple[int, ...], k: int) -> Pullback:
-        """The pullback P_k of the vertex map, shared by every caller that
-        asks for the same map until another map is asked for.  The result
-        is shared: callers must not modify it.
-
-        This is the one pullback builder.  P_0 is read off the image.  For
-        j >= 1, row x of P_j is read off row x[:-1] (the last face of x) of
-        P_{j-1}: the extension table's entry for (the prefix's target,
-        T(last vertex of x)) is the target of x and the parity the prefix's
-        sign is multiplied by.  So P_k is built after P_0..P_{k-1}.  A
-        missing entry means the image of x is not a simplex; KeyError is
-        raised naming that sorted image, for the first such simplex of the
-        lowest degree.
+        This is the one pullback builder; it builds P_0..P_dim together.
+        P_0 is read off the image.  For k >= 1, row x of P_k is read off row
+        x[:-1] (the last face of x) of P_{k-1}: the extension table's entry
+        for (the prefix's target, T(last vertex of x)) is the target of x
+        and the parity the prefix's sign is multiplied by.  A missing entry
+        means the image of x is not a simplex; KeyError is raised naming
+        that sorted image, for the first such simplex of the lowest degree,
+        and the previous record is kept.
         """
-        self._select_map(tuple(image))
-        built, image, cx = self._pullbacks, self._image, self.cx
-        for j in range(min(k, 0), k + 1):
-            if j in built:
-                continue
-            simplices = cx.simplices(j)
+        image = tuple(image)
+        chain = self._chain
+        if chain is not None and chain.image == image:
+            return chain
+        cx = self.cx
+        pullbacks: list[Pullback] = []
+        for k in range(self.dim + 1):
+            simplices = cx.simplices(k)
             targets: list[int] = []
             signs: list[int] = []
             add_target, add_sign = targets.append, signs.append
             try:
-                if j == 0 and simplices:
+                if k == 0:
                     index = cx.index[0]
                     for (v,) in simplices:
                         add_target(index[image[v],])
                         add_sign(1)
-                elif simplices:
-                    lower = built[j - 1]
+                else:
+                    lower = pullbacks[k - 1]
                     lower_target, lower_sign = lower.target_index, lower.sign
-                    table = self.extension_table(j)
-                    for x, faces in zip(simplices, self.face_rows(j - 1)):
+                    table = self.extension_table(k)
+                    for x, faces in zip(simplices, self.face_rows(k - 1)):
                         p = faces[-1]
                         t, s = table[lower_target[p]][image[x[-1]]]
                         add_target(t)
@@ -450,8 +487,9 @@ class CochainSpaces:
             except KeyError:
                 y = tuple(sorted(image[v] for v in simplices[len(targets)]))
                 raise KeyError(f"{y} is not a simplex of the complex") from None
-            built[j] = Pullback(j, len(targets), targets, signs)
-        return built[k]
+            pullbacks.append(Pullback(k, len(targets), targets, signs))
+        self._chain = MapChain(image, pullbacks)
+        return self._chain
 
     def coboundary(self, k: int) -> SparseMatrix:
         """d_k as sparse integer rows, one per (k+1)-simplex, over the
@@ -541,7 +579,10 @@ class CochainSpaces:
 
     def induced_matrix(self, image: tuple[int, ...], k: int) -> SparseMatrix:
         """Matrix of the map induced on H^k by pulling back along the vertex
-        map, as integer rows over the basis's scale.
+        map, as integer rows over the basis's scale, 0 x 0 where b_k = 0.
+        The first call for a map builds the matrices of every degree into
+        its record (`chain`).  The result is shared: callers must not
+        modify it.
 
         Column j holds the coordinates of [P_k h_j] in the representative
         basis, read off the free-column values of P_k h_j modulo the image
@@ -551,39 +592,38 @@ class CochainSpaces:
         d_k P_k h_j is first summed through `coface_rows` from that support,
         which reaches every row of d_k with a face in it; every other row
         is zero.  NotInSpanError is raised if a row is not.
-
-        The matrices of the latest map are kept until another map is asked
-        for, so the trace and the determinant of one map share one reading.
-        The result is shared: callers must not modify it.
         """
-        b = self.betti(k)
-        if b == 0:
+        if not self.betti(k):
             return SparseMatrix(0, 0, [])
-        self._select_map(tuple(image))
-        if k not in self._induced:
-            pb = self.pullback(self._image, k)
-            preimages, sign = pb.preimages(), pb.sign
-            basis = self._cohomology_basis(k)
-            cofaces = self.coface_rows(k)
-            out: list[dict[int, int]] = [{} for _ in range(b)]
-            for j, h in enumerate(basis.reps):
-                w = {x: a if sign[x] > 0 else -a for y, a in h.items() for x in preimages[y]}
-                dw: dict[int, int] = {}
-                for f, a in w.items():
-                    for r, s in cofaces[f]:
-                        dw[r] = dw.get(r, 0) + s * a
-                if any(dw.values()):
-                    raise NotInSpanError(
-                        f"the pullback of an H^{k} representative is not a cocycle")
-                column: dict[int, int] = {}
-                for x, a in w.items():
-                    for i, c in basis.readers.get(x, ()):
-                        column[i] = column.get(i, 0) + c * a
-                for i, total in column.items():
-                    if total:
-                        out[i][j] = total
-            self._induced[k] = SparseMatrix(b, b, out, basis.scale)
-        return self._induced[k]
+        chain = self.chain(image)
+        if chain._matrices is None:
+            chain._matrices = [self._induce(pb, b) if b else SparseMatrix(0, 0, [])
+                               for pb, b in zip(chain.pullbacks, self.betti_numbers())]
+        return chain._matrices[k]
+
+    def _induce(self, pb: Pullback, b: int) -> SparseMatrix:
+        k = pb.k
+        preimages, sign = pb.preimages(), pb.sign
+        basis = self._cohomology_basis(k)
+        cofaces = self.coface_rows(k)
+        out: list[dict[int, int]] = [{} for _ in range(b)]
+        for j, h in enumerate(basis.reps):
+            w = {x: a if sign[x] > 0 else -a for y, a in h.items() for x in preimages[y]}
+            dw: dict[int, int] = {}
+            for f, a in w.items():
+                for r, s in cofaces[f]:
+                    dw[r] = dw.get(r, 0) + s * a
+            if any(dw.values()):
+                raise NotInSpanError(
+                    f"the pullback of an H^{k} representative is not a cocycle")
+            column: dict[int, int] = {}
+            for x, a in w.items():
+                for i, c in basis.readers.get(x, ()):
+                    column[i] = column.get(i, 0) + c * a
+            for i, total in column.items():
+                if total:
+                    out[i][j] = total
+        return SparseMatrix(b, b, out, basis.scale)
 
     def fixed_betti_numbers(self, images) -> tuple[int, ...]:
         """For each k, the dimension of H^k(G)^A, the subspace of H^k fixed
@@ -597,12 +637,13 @@ class CochainSpaces:
         every rank below is an exact integer rank.  A cochain is invariant
         when f(x) = sign_k(x) * f(target_k(x)) under every image; per degree
         these relations go into one `SignedOrbits`, read straight off the
-        pullbacks, with the images outermost, since only the latest map's
-        pullbacks are kept.  An orbit whose relations conflict carries only
-        the zero cochain; each other orbit carries one basis cochain, equal
-        to sigma(x) on its members.  The invariant coboundary has one row
-        per orientable (k+1)-orbit, read at its root z as the sum of
-        (-1)^i sigma(face_i z) on the orbits of the faces, and
+        pullbacks of each image's record (`chain`), with the images
+        outermost, since only the latest map's record is kept.  An orbit
+        whose relations conflict carries only the zero cochain; each other
+        orbit carries one basis cochain, equal to sigma(x) on its members.
+        The invariant coboundary has one row per orientable (k+1)-orbit,
+        read at its root z as the sum of (-1)^i sigma(face_i z) on the
+        orbits of the faces, and
         dim H^k(G)^A = c_k - rank d^A_k - rank d^A_{k-1}, c_k the number of
         orientable k-orbits.  With no images it is the Betti numbers.
 
@@ -619,9 +660,7 @@ class CochainSpaces:
                 raise ValueError(
                     f"{image} is not a bijection of the {n} vertices, so it is not an "
                     "automorphism; the invariant cochains need a group")
-            self.pullback(image, self.dim)  # and P_0..P_{dim-1} on the way
-            for k, relations in enumerate(orbits):
-                pb = self._pullbacks[k]
+            for relations, pb in zip(orbits, self.chain(image).pullbacks):
                 relations.relate(pb.target_index, pb.sign)
         labels = [relations.labels() for relations in orbits]
         columns = []  # per degree, orientable root -> its basis cochain's column
@@ -654,8 +693,8 @@ class CochainSpaces:
         image = tuple(image)
         if image not in self._lefschetz:
             total = 0
-            for k in range(self.dim + 1):
-                if self.betti(k):
+            for k, b in enumerate(self.betti_numbers()):
+                if b:
                     m = self.induced_matrix(image, k)
                     trace = m.diagonal_sum()
                     total += (-1) ** k * (trace if m.scale == 1 else Fraction(trace, m.scale))

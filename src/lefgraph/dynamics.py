@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .complexes import CliqueComplex, Simplex, build_complex
 from .cohomology import CochainSpaces, permutation_parity_sign
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph, connected_components, induced_subgraph
 from .reporting import VerificationError
 
 
@@ -244,10 +244,10 @@ def fixed_index_sum(cx: CliqueComplex, t: GraphMap) -> int:
 
 def lefschetz_chain(spaces: CochainSpaces, t: GraphMap) -> int:
     """Alternating sum of chain-level pullback traces, sum_k (-1)^k tr(P_k),
-    on the map's pullbacks kept by `spaces`."""
+    on the pullbacks of the map's record (`CochainSpaces.chain`)."""
     total = 0
-    for k in range(spaces.dim + 1):
-        total += (-1) ** k * spaces.pullback(t.image, k).trace()
+    for k, pb in enumerate(spaces.chain(t.image).pullbacks):
+        total += -pb.trace() if k % 2 else pb.trace()
     return total
 
 
@@ -290,7 +290,7 @@ def attractor(t: GraphMap) -> Attractor:
 
 def is_star_shaped(spaces: CochainSpaces) -> bool:
     """True when all cohomology above degree 0 vanishes."""
-    return all(spaces.betti(k) == 0 for k in range(1, spaces.dim + 1))
+    return not any(spaces.betti_numbers()[1:])
 
 
 @dataclass(frozen=True)
@@ -318,36 +318,119 @@ def brouwer_check(spaces: CochainSpaces, t: GraphMap,
 def random_endomorphism(g: Graph, rng: random.Random) -> GraphMap:
     """A uniform-ish random endomorphism found by randomized backtracking.
 
-    Vertices are assigned in a shuffled order; each assignment must keep all
-    already-mapped neighbors adjacent.  The identity always exists, so the
-    search cannot fail outright.  The search keeps its own stack, one
-    iterator over the shuffled candidates per assigned vertex, so its depth
-    is not bounded by Python's recursion limit.
+    A connected component maps into one component, so each component, in
+    the order of `connected_components`, is searched on its own, in
+    rounds.  A round draws a root, then draws image components without
+    replacement, each searched with a budget of assignments
+    (`_map_component`), until one takes the component.  The budget of
+    round i is the component's size times the i-th term of Luby's sequence
+    1, 1, 2, 1, 1, 2, 4, ...: a backtracking search's run time is
+    heavy-tailed (on the 58-vertex component of a sparse random graph, one
+    seed's search took thousands of times longer than most), and these
+    restarts keep the expected cost within a log factor of the best fixed
+    budget's (Luby, Sinclair and Zuckerman, Inf. Process. Lett. 47, 1993).
+    The budgets grow without bound, and the component itself always takes
+    it (the identity), so some round succeeds.
     """
-    order = list(range(g.n))
-    rng.shuffle(order)
+    components = connected_components(g)
     image = [-1] * g.n
-    full = (1 << g.n) - 1
-    stack = []
-    while len(stack) < g.n:
-        v = order[len(stack)]
-        allowed = full
-        for w in g.neighbors(v):
-            if image[w] >= 0:
-                allowed &= g.adj[image[w]]
-        candidates = [u for u in range(g.n) if allowed >> u & 1]
-        rng.shuffle(candidates)
-        stack.append(iter(candidates))
-        # Take the next candidate of the deepest vertex that has one left,
-        # unassigning the vertices whose candidates ran out.
-        while stack:
-            v = order[len(stack) - 1]
-            u = next(stack[-1], None)
-            if u is not None:
-                image[v] = u
-                break
-            image[v] = -1
-            stack.pop()
-        if not stack:
-            raise VerificationError(f"no endomorphism of {g} found, not even the identity")
+    pool = list(range(len(components)))
+    for component in components:
+        mapped, i = False, 0
+        while not mapped:
+            i += 1
+            budget = len(component) * _luby(i)
+            root = component[rng.randrange(len(component))]
+            for j in range(len(pool)):
+                r = rng.randrange(j, len(pool))
+                pool[j], pool[r] = pool[r], pool[j]
+                mapped = _map_component(g, root, components[pool[j]], image, rng, budget)
+                if mapped:
+                    break
     return GraphMap(g, image)
+
+
+def _luby(i: int) -> int:
+    """The i-th term (i >= 1) of Luby's sequence 1, 1, 2, 1, 1, 2, 4, ...:
+    2^(k-1) when i = 2^k - 1, else the term at i - 2^(k-1) + 1 for the
+    largest k with 2^(k-1) <= i."""
+    while True:
+        k = i.bit_length()
+        if i == (1 << k) - 1:
+            return 1 << (k - 1)
+        i -= (1 << (k - 1)) - 1
+
+
+def _set_bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _map_component(g: Graph, root: int, target: tuple[int, ...], image: list[int],
+                   rng: random.Random, budget: int) -> bool:
+    """Map the component of `root` into the component `target`, writing
+    `image`, by backtracking with forward checking, trying at most `budget`
+    assignments; on failure every vertex of the component is left at -1.
+
+    The frontier holds the root and every unassigned vertex with an
+    assigned neighbor, each with its domain: the common neighbors of its
+    assigned neighbors' images, as a bit mask.  The next vertex is the
+    frontier's vertex with the smallest domain, the smallest vertex among
+    equals, so every vertex after the root has an assigned neighbor and a
+    vertex left one candidate or none is taken at once.  Its candidates, in
+    ascending order, are shuffled.  Assigning u narrows the domain of each
+    unassigned neighbor to adj[u], and an empty domain rejects u.  The
+    search keeps its own stack, one frame per assigned vertex (the vertex,
+    its domain, an iterator over its shuffled candidates, and the domains
+    its assignment changed), so its depth is not bounded by Python's
+    recursion limit.
+    """
+    adj = g.adj
+    frontier = {root: sum(1 << v for v in target)}
+    stack = []
+    while frontier:
+        v = min(frontier, key=lambda w: (frontier[w].bit_count(), w))
+        domain = frontier.pop(v)
+        candidates = _set_bits(domain)
+        rng.shuffle(candidates)
+        stack.append((v, domain, iter(candidates), []))
+        # Take the next candidate of the deepest vertex that has one left
+        # and leaves no empty domain, unassigning the vertices whose
+        # candidates ran out.
+        while stack:
+            v, domain, remaining, changed = stack[-1]
+            for w, old in reversed(changed):
+                if old is None:
+                    del frontier[w]
+                else:
+                    frontier[w] = old
+            changed.clear()
+            u = next(remaining, None)
+            if u is None:
+                image[v] = -1
+                frontier[v] = domain
+                stack.pop()
+                continue
+            if not budget:
+                for frame in stack:
+                    image[frame[0]] = -1
+                return False
+            budget -= 1
+            image[v] = u
+            for w in g.neighbors(v):
+                if image[w] < 0:
+                    old = frontier.get(w)
+                    changed.append((w, old))
+                    frontier[w] = narrowed = adj[u] if old is None else old & adj[u]
+                    if not narrowed:
+                        break
+            else:
+                break
+        if not stack:
+            return False
+    return True

@@ -302,9 +302,12 @@ def _hessenberg(h: list[dict]) -> None:
     m, u = h[i][m-1] / h[m][m-1], and column m gains u times column i, which
     undoes the row operation's effect on the eigenvalues.  A column index
     finds those rows, so zero entries cost nothing: a permutation matrix or
-    a block diagonal matrix is cheap, and the identity costs O(n).
+    a block diagonal matrix is cheap, and the identity costs O(n).  A
+    matrix of order below 3 is already Hessenberg and is left as it is.
     """
     n = len(h)
+    if n < 3:
+        return
     held: list[set[int]] = [set() for _ in range(n)]
     for r, row in enumerate(h):
         for j in row:

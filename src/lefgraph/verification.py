@@ -161,10 +161,15 @@ class CorpusReport:
     failures: list[str] = field(default_factory=list)
     findings: list[str] = field(default_factory=list)
 
-    def absorb(self, label: str, new_checks: list[TheoremCheck]):
+    def absorb(self, label: str | tuple, new_checks: list[TheoremCheck]):
+        """Count the checks and keep each failing one as "label: check".  A
+        label given as a tuple of parts is joined by spaces only when a
+        check fails, so a sweep that passes formats no label."""
         self.checks += len(new_checks)
         for c in new_checks:
             if not c.passed:
+                if not isinstance(label, str):
+                    label = " ".join(map(str, label))
                 self.failures.append(f"{label}: {c.describe()}")
 
     @property
@@ -201,10 +206,9 @@ def run_corpus_suite(endomorphisms_per_graph: int = 25,
             report.maps += 1
             census = orbit_census(cx, t)
             sweep.add(t, census.fixed)
-            report.absorb(f"{name} aut {t.image}",
-                          lefschetz_checks(spaces, t, census.fixed))
-            report.absorb(f"{name} aut {t.image}",
-                          zeta_checks(spaces, t, zeta_product(census)))
+            label = (name, "aut", t.image)
+            report.absorb(label, lefschetz_checks(spaces, t, census.fixed))
+            report.absorb(label, zeta_checks(spaces, t, zeta_product(census)))
         averaging = verify_averaging_theorems(spaces, group, sweep)
         report.absorb(name, averaging.checks)
         report.findings.extend(f"{name}: {f}" for f in averaging.findings)
@@ -212,12 +216,12 @@ def run_corpus_suite(endomorphisms_per_graph: int = 25,
             t = random_endomorphism(g, rng)
             report.maps += 1
             fixed = orbit_census(cx, t).fixed
-            report.absorb(f"{name} endo {t.image}", lefschetz_checks(spaces, t, fixed))
-            report.absorb(f"{name} endo {t.image}",
-                          attractor_checks(spaces, t, attractor(t)))
+            label = (name, "endo", t.image)
+            report.absorb(label, lefschetz_checks(spaces, t, fixed))
+            report.absorb(label, attractor_checks(spaces, t, attractor(t)))
             br = brouwer_check(spaces, t, fixed)
             if br.applicable:
-                report.absorb(f"{name} endo {t.image}", [
+                report.absorb(label, [
                     TheoremCheck("brouwer_fixed_clique_exists",
                                  br.fixed_count > 0, br.fixed_count, "> 0")])
     return report

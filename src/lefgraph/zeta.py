@@ -287,8 +287,8 @@ def zeta_det(g: Graph, t: GraphMap,
     order = t.order()
     exponents: dict[int, int] = {}
     rest = [[1], [1]]  # the leftovers of even k, then of odd k
-    for k in range(spaces.dim + 1):
-        if spaces.betti(k) == 0:
+    for k, b in enumerate(spaces.betti_numbers()):
+        if b == 0:
             continue
         for det in det_one_minus_z_blocks(spaces.induced_matrix(t.image, k)):
             found, left = cyclotomic_exponents(det, order)
@@ -302,15 +302,15 @@ def zeta_det(g: Graph, t: GraphMap,
 def lefschetz_iterates(spaces: CochainSpaces, t: GraphMap, count: int) -> list[int]:
     """L(T^n) for n = 1..count, by the chain-trace route.
 
-    L(T^n) = sum_k (-1)^k tr(P_k^n) on the map's pullbacks P_k kept by
-    `spaces`.  Each P_k is a signed functional graph on the k-simplices,
-    and `Pullback.power_traces` reads every tr(P_k^n) off its cycles in one
-    walk, so no power of T or of P_k is built.
+    L(T^n) = sum_k (-1)^k tr(P_k^n) on the pullbacks P_k of the map's
+    record (`CochainSpaces.chain`).  Each P_k is a signed functional graph
+    on the k-simplices, and `Pullback.power_traces` reads every tr(P_k^n)
+    off its cycles in one walk, so no power of T or of P_k is built.
     """
     out = [0] * count
-    for k in range(spaces.dim + 1):
+    for k, pb in enumerate(spaces.chain(t.image).pullbacks):
         sign = -1 if k % 2 else 1
-        for i, x in enumerate(spaces.pullback(t.image, k).power_traces(count)):
+        for i, x in enumerate(pb.power_traces(count)):
             out[i] += sign * x
     return out
 

@@ -208,7 +208,7 @@ def induced_matrix(spaces, image: tuple[int, ...], k: int) -> RationalMatrix:
         for row, q in zip(reduced.data, image_pivots):
             readers[free[q]] = [(class_of[i], -Fraction(x, reduced.scale))
                                 for i, x in row.items() if i != q]
-    pb = spaces.pullback(image, k)
+    pb = sorted_pullback(spaces.cx, image, k)
     faces = spaces.face_rows(k)
     out = RationalMatrix(b, b)
     for j, i in enumerate(kept):

@@ -1,5 +1,6 @@
 """Coboundary operators, pullbacks, Betti numbers, induced maps on cohomology."""
 
+import gc
 import itertools
 import os
 import random
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -152,14 +154,13 @@ def test_pullback_identity_is_identity():
 
 
 def test_pullbacks_in_degrees_without_simplices_are_empty():
-    """Below degree 0, above the dimension, and in every degree of the empty
-    complex, the pullback has no rows."""
+    """A map's record holds one pullback per degree 0..dim, none below
+    degree 0 or above the dimension, and none for the empty complex."""
     for g, image in [(Graph(0, []), ()), (path_graph(2), (1, 0))]:
         cx = build_complex(g)
-        spaces = CochainSpaces(cx)
-        for k in (-1, cx.dim + 1, cx.dim + 3):
-            for pb in (spaces.pullback(image, k), CochainSpaces(cx).pullback(image, k)):
-                assert (pb.k, pb.size, pb.target_index, pb.sign) == (k, 0, [], []), (g, k)
+        pullbacks = CochainSpaces(cx).chain(image).pullbacks
+        assert [(pb.k, pb.size) for pb in pullbacks] == \
+            [(k, cx.count(k)) for k in range(cx.dim + 1)], g
 
 
 def test_pullback_edge_swap_flips_sign():
@@ -185,7 +186,7 @@ def test_pullback_trace_matches_matrix_trace():
     spaces = CochainSpaces(cx)
     image = (3, 4, 5, 0, 1, 2)  # antipodal map
     for k in range(cx.dim + 1):
-        pb = spaces.pullback(image, k)
+        pb = spaces.chain(image).pullbacks[k]
         assert pb.trace() == pullback_matrix(cx, image, k).trace()
 
 
@@ -279,8 +280,31 @@ def _corpus_maps(endomorphisms_per_graph):
             yield name, cx, spaces, random_endomorphism(g, rng)
 
 
+def _class_maps():
+    """Every automorphism and one seeded endomorphism of each isomorphism
+    class with at most 5 vertices, each graph's maps sharing one
+    CochainSpaces."""
+    rng = random.Random(29)
+    for n in range(6):
+        for g, _ in isomorphism_classes(n):
+            cx = build_complex(g)
+            spaces = CochainSpaces(cx)
+            for t in automorphism_group(g):
+                yield f"class {g.edges}", cx, spaces, t
+            yield f"class {g.edges}", cx, spaces, random_endomorphism(g, rng)
+
+
+def _record_cases():
+    """Every automorphism of each corpus graph and of each isomorphism class
+    with at most 5 vertices, with three seeded endomorphisms per corpus
+    graph and one per class."""
+    return itertools.chain(_corpus_maps(3), _class_maps())
+
+
 def test_sparse_chain_map_check_matches_dense_reference():
-    for name, cx, spaces, t in _corpus_maps(3):
+    """The chain-map verdict of every map of `_record_cases` is the dense
+    d P == P d."""
+    for name, cx, spaces, t in _record_cases():
         dense = [pullback_matrix(cx, t.image, k) for k in range(cx.dim + 1)]
         sparse = verify_chain_map(spaces, t.image)
         assert sparse == _dense_commutes(cx, dense), (name, t.image)
@@ -293,7 +317,7 @@ def test_sparse_chain_map_check_matches_dense_reference_on_corrupted_pullbacks()
     for i, (name, cx, spaces, t) in enumerate(_corpus_maps(3)):
         if i % 5 or cx.dim < 0:
             continue
-        pullbacks = [spaces.pullback(t.image, k) for k in range(cx.dim + 1)]
+        pullbacks = list(spaces.chain(t.image).pullbacks)
         k = rng.randrange(cx.dim + 1)
         pullbacks[k] = _flipped(pullbacks[k], rng.randrange(pullbacks[k].size))
         sparse = _commute(pullbacks, spaces.face_rows)
@@ -306,7 +330,7 @@ def test_sparse_chain_map_check_matches_dense_reference_on_corrupted_pullbacks()
 def test_chain_map_check_detects_every_single_sign_flip():
     spaces = CochainSpaces(build_complex(octahedron_graph()))
     for image in [(3, 4, 5, 0, 1, 2), (1, 2, 0, 4, 5, 3), tuple(range(6))]:
-        pullbacks = [spaces.pullback(image, k) for k in range(spaces.dim + 1)]
+        pullbacks = list(spaces.chain(image).pullbacks)
         assert _commute(pullbacks, spaces.face_rows)
         for k, p in enumerate(pullbacks):
             for row in range(p.size):
@@ -333,7 +357,7 @@ def test_chain_map_check_sums_pullbacks_that_collide():
     whether they cancel or add up, as in the matrix product."""
     cx = build_complex(complete_graph(3))
     spaces = CochainSpaces(cx)
-    identity = [spaces.pullback((0, 1, 2), k) for k in range(cx.dim + 1)]
+    identity = list(spaces.chain((0, 1, 2)).pullbacks)
     cases = []
     # every vertex to vertex 0: each edge's two terms cancel
     cases.append([Pullback(0, 3, [0, 0, 0], [1, 1, 1])] + identity[1:])
@@ -348,7 +372,7 @@ def test_chain_map_check_sums_pullbacks_that_collide():
     for name, cx, spaces, t in _corpus_maps(1):
         if cx.dim < 1 or rng.random() < 0.8:
             continue
-        pullbacks = [spaces.pullback(t.image, k) for k in range(cx.dim + 1)]
+        pullbacks = list(spaces.chain(t.image).pullbacks)
         k = rng.randrange(cx.dim + 1)
         p = pullbacks[k]
         targets = list(p.target_index)
@@ -411,9 +435,9 @@ def test_pullback_product_is_pullback_of_composite():
             s, t = rng.choice(elements), rng.choice(elements)
             composite = s.compose(t)  # apply t first, then s
             for k in range(cx.dim + 1):
-                product = pullback_product(spaces.pullback(t.image, k),
-                                           spaces.pullback(s.image, k))
-                direct = spaces.pullback(composite.image, k)
+                product = pullback_product(spaces.chain(t.image).pullbacks[k],
+                                           spaces.chain(s.image).pullbacks[k])
+                direct = spaces.chain(composite.image).pullbacks[k]
                 assert (product.target_index, product.sign) == \
                     (direct.target_index, direct.sign)
                 assert to_matrix(product) == \
@@ -454,7 +478,7 @@ def test_pullback_apply_matches_matrix():
     signs = set()
     for k in range(cx.dim + 1):
         f = [Fraction(i + 1, 3) for i in range(cx.count(k))]
-        pb = spaces.pullback(image, k)
+        pb = spaces.chain(image).pullbacks[k]
         assert pullback_apply(pb, f) == apply(pullback_matrix(cx, image, k), f)
         signs.update(pb.sign)
     assert signs == {1, -1}
@@ -475,6 +499,8 @@ def test_shared_induced_matrices_equal_fresh_ones():
 
 
 def test_stored_induced_matrices_stay_bounded():
+    """The spaces hold one record, the latest map's, with one induced
+    matrix per degree."""
     g = petersen_graph()
     spaces = CochainSpaces(build_complex(g))
     group = automorphism_group(g)
@@ -482,7 +508,9 @@ def test_stored_induced_matrices_stay_bounded():
     for t in group:
         zeta_det(g, t, spaces)
     lefschetz_numbers(spaces, group)
-    assert len(spaces._induced) <= spaces.dim + 1
+    last = list(group)[-1].image
+    assert spaces._chain.image == last
+    assert len(spaces.chain(last)._matrices) == spaces.dim + 1
 
 
 def _same_pullback(a, b):
@@ -493,27 +521,54 @@ def test_shared_pullbacks_equal_fresh_ones():
     for name, cx, spaces, t in _corpus_maps(3):
         fresh_spaces = CochainSpaces(cx)
         for k in list(range(cx.dim, -1, -1)) + [0, cx.dim]:
-            shared = spaces.pullback(t.image, k)
-            fresh = fresh_spaces.pullback(t.image, k)
+            shared = spaces.chain(t.image).pullbacks[k]
+            fresh = fresh_spaces.chain(t.image).pullbacks[k]
             assert _same_pullback(shared, fresh), (name, t.image, k)
         assert verify_chain_map(spaces, t.image), (name, t.image)
 
 
+def _diagonal_sum(pb):
+    """The trace of the matrix of a signed map: the signs of its fixed rows."""
+    return sum(s for x, (y, s) in enumerate(zip(pb.target_index, pb.sign)) if x == y)
+
+
 def test_extension_pullbacks_equal_the_sorted_oracle_on_the_corpus():
-    """Every corpus automorphism and one seeded endomorphism per corpus
-    graph: each P_k read off P_{k-1} through the extension table has the
-    targets and signs of the sort-and-parity definition, built on shared
-    spaces and on fresh ones alike."""
+    """The record of each map of `_record_cases`, against dense oracles.
+    Its pullbacks, each P_k read off P_{k-1} through the extension table,
+    have the targets and signs of the sort-and-parity definition, on
+    shared spaces and on fresh ones alike.  Its chain-map verdict, which
+    `test_sparse_chain_map_check_matches_dense_reference` compares with the
+    dense d P == P d on the same maps, holds.  tr(P_k) is the dense matrix
+    trace, and tr(P_k^n) the diagonal of the n-fold product, n <= 8.  Its induced matrices are
+    those of the dense route (`dense.induced_matrix`).  Asking for the map
+    replaces the record of the map before, and asking again returns it."""
     maps = 0
-    for name, cx, spaces, t in _corpus_maps(1):
-        fresh_spaces = CochainSpaces(cx)
-        for k in range(cx.dim + 1):
-            expected = sorted_pullback(cx, t.image, k)
-            assert _same_pullback(spaces.pullback(t.image, k), expected), (name, t.image, k)
-            assert _same_pullback(fresh_spaces.pullback(t.image, k), expected), \
-                (name, t.image, k)
+    held_by, held = None, None
+    for name, cx, spaces, t in _record_cases():
+        chain = spaces.chain(t.image)
+        assert (chain is held) == (held_by is spaces and held.image == t.image), \
+            (name, t.image)
+        assert spaces.chain(t.image) is chain
+        fresh = CochainSpaces(cx).chain(t.image)
+        expected = [sorted_pullback(cx, t.image, k) for k in range(cx.dim + 1)]
+        assert len(chain.pullbacks) == len(fresh.pullbacks) == cx.dim + 1
+        for k, (pb, oracle) in enumerate(zip(chain.pullbacks, expected)):
+            assert _same_pullback(pb, oracle), (name, t.image, k)
+            assert _same_pullback(fresh.pullbacks[k], oracle), (name, t.image, k)
+            assert pb.trace() == to_matrix(oracle).trace(), (name, t.image, k)
+            power, traces = oracle, []
+            for _ in range(8):
+                traces.append(_diagonal_sum(power))
+                power = pullback_product(power, oracle)
+            assert pb.power_traces(8) == traces, (name, t.image, k)
+            assert dense(spaces.induced_matrix(t.image, k)) == \
+                dense_induced_matrix(spaces, t.image, k), (name, t.image, k)
+        assert verify_chain_map(spaces, t.image), (name, t.image)
+        assert spaces.chain(t.image) is chain
+        held_by, held = spaces, chain
         maps += 1
-    assert maps == 2030 + 32
+    assert maps == 2030 + 3 * 32 + sum(
+        automorphism_group(g).order + 1 for n in range(6) for g, _ in isomorphism_classes(n))
 
 
 @st.composite
@@ -532,7 +587,8 @@ def test_extension_pullbacks_equal_the_sorted_oracle_on_random_graphs(case):
     cx = build_complex(g)
     spaces = CochainSpaces(cx)
     for k in range(cx.dim + 1):
-        assert _same_pullback(spaces.pullback(t.image, k), sorted_pullback(cx, t.image, k)), k
+        assert _same_pullback(spaces.chain(t.image).pullbacks[k],
+                              sorted_pullback(cx, t.image, k)), k
 
 
 def test_extension_table_entries():
@@ -556,12 +612,12 @@ def test_extension_table_entries():
                 cx.simplices(k)
 
 
-def _oracle_error(cx, image, k):
-    """The sorted build's KeyError message at the lowest degree <= k at which
-    it fails, or None."""
-    for j in range(k + 1):
+def _oracle_error(cx, image):
+    """The sorted build's KeyError message at the lowest degree at which it
+    fails, or None."""
+    for k in range(cx.dim + 1):
         try:
-            sorted_pullback(cx, image, j)
+            sorted_pullback(cx, image, k)
         except KeyError as exc:
             return str(exc)
     return None
@@ -570,7 +626,8 @@ def _oracle_error(cx, image, k):
 def test_non_graph_map_images_raise_the_sorted_builds_key_error():
     """An image that is not a graph map raises KeyError naming the sorted
     image of the first simplex, lowest degree first, that does not map to a
-    simplex: the message of the sorted build at that degree."""
+    simplex: the message of the sorted build at that degree.  Shared spaces
+    keep the record they held before."""
     cases = [
         (octahedron_graph(), (0, 0, 1, 2, 3, 4)),   # an edge to a vertex
         (octahedron_graph(), (0, 3, 1, 2, 4, 5)),   # an edge to a non-edge
@@ -582,19 +639,17 @@ def test_non_graph_map_images_raise_the_sorted_builds_key_error():
     for g, image in cases:
         cx = build_complex(g)
         spaces = CochainSpaces(cx)
-        for k in range(cx.dim + 1):
-            expected = _oracle_error(cx, image, k)
-            for build in (lambda: spaces.pullback(image, k),
-                          lambda: CochainSpaces(cx).pullback(image, k)):
-                if expected is None:
-                    build()
-                    continue
-                with pytest.raises(KeyError) as exc:
-                    build()
-                assert str(exc.value) == expected, (image, k)
-                assert "is not a simplex of the complex" in expected
-                raised += 1
-    assert raised >= 10
+        identity = tuple(range(g.n))
+        held = spaces.chain(identity)
+        expected = _oracle_error(cx, image)
+        assert "is not a simplex of the complex" in expected
+        for build in (lambda: spaces.chain(image), lambda: CochainSpaces(cx).chain(image)):
+            with pytest.raises(KeyError) as exc:
+                build()
+            assert str(exc.value) == expected, image
+            raised += 1
+        assert spaces.chain(identity) is held
+    assert raised == 10
 
 
 def test_one_held_spaces_serves_many_maps(monkeypatch):
@@ -616,7 +671,7 @@ def test_one_held_spaces_serves_many_maps(monkeypatch):
         assert lefschetz_chain(spaces, t) == fixed_index_sum(cx, t)
         assert verify_chain_map(spaces, t.image)
         for k in range(cx.dim + 1):
-            assert _same_pullback(spaces.pullback(t.image, k),
+            assert _same_pullback(spaces.chain(t.image).pullbacks[k],
                                   sorted_pullback(cx, t.image, k))
     assert built == [cx]
 
@@ -635,31 +690,50 @@ def test_face_rows_are_built_once_and_match_the_coboundary():
 
 
 def test_stored_pullbacks_stay_bounded():
+    """Asking for a map replaces the record of the map before: the spaces
+    hold one record, with one pullback per degree.  The record refers to
+    no spaces, so dropping the spaces frees it at once, without waiting
+    for the cycle collector."""
     g = petersen_graph()
     cx = build_complex(g)
     spaces = CochainSpaces(cx)
     group = automorphism_group(g)
     assert group.order == 120
+    before = None
     for t in group:
         assert verify_chain_map(spaces, t.image)
         zeta_det(g, t, spaces)
-        assert len(spaces._pullbacks) <= spaces.dim + 1
-    assert len(spaces._pullbacks) == spaces.dim + 1
-    assert len(spaces._induced) <= spaces.dim + 1
+        chain = spaces.chain(t.image)
+        assert chain is spaces._chain and chain is not before
+        assert len(chain.pullbacks) == spaces.dim + 1
+        before = chain
+    held = weakref.ref(spaces)
+    gc.disable()
+    try:
+        del spaces
+        assert held() is None
+    finally:
+        gc.enable()
 
 
 def test_chain_map_check_reads_the_shared_pullbacks():
+    """The verdict is taken on the record's pullbacks: a sign flipped in one
+    before the check fails it, and asking for another map and back builds a
+    clean record."""
     cx = build_complex(octahedron_graph())
     spaces = CochainSpaces(cx)
-    image = (1, 2, 0, 4, 5, 3)
+    image, other = (1, 2, 0, 4, 5, 3), tuple(range(6))
     for k in range(cx.dim + 1):
         assert verify_chain_map(spaces, image)
-        stored = spaces.pullback(image, k)
-        for row in (0, stored.size - 1):
+        size = spaces.chain(image).pullbacks[k].size
+        for row in (0, size - 1):
+            spaces.chain(other)
+            stored = spaces.chain(image).pullbacks[k]
             stored.sign[row] = -stored.sign[row]
             assert not verify_chain_map(spaces, image), (k, row)
             assert verify_chain_map(CochainSpaces(cx), image), (k, row)
-            stored.sign[row] = -stored.sign[row]
+            spaces.chain(other)
+            assert verify_chain_map(spaces, image), (k, row)
 
 
 def _image_columns(cx, k):
@@ -691,7 +765,7 @@ def test_induced_matrix_is_the_pullback_modulo_coboundaries():
                 assert len(reps) == spaces.betti(k)
                 assert _rank_modulo(columns, base_rank, reps) == len(reps), (name, k)
             m = dense(spaces.induced_matrix(t.image, k))
-            pb = spaces.pullback(t.image, k)
+            pb = spaces.chain(t.image).pullbacks[k]
             residues = []
             for j, h in enumerate(reps):
                 pulled = pullback_apply(pb, h)
@@ -852,7 +926,7 @@ def test_a_pullback_that_breaks_a_cocycle_is_refused():
     g = octahedron_graph()
     spaces = CochainSpaces(build_complex(g))
     image = (1, 2, 0, 4, 5, 3)
-    stored = spaces.pullback(image, 0)
+    stored = spaces.chain(image).pullbacks[0]
     for row in range(stored.size):
         stored.sign[row] = -stored.sign[row]
         with pytest.raises(NotInSpanError):
@@ -879,12 +953,13 @@ def test_a_sign_flip_inside_the_pulled_back_support_is_refused():
         spaces = CochainSpaces(build_complex(g))
         assert spaces.betti(k) == 1
         expected = spaces.induced_matrix(image, k)
-        stored = spaces.pullback(image, k)
+        chain = spaces.chain(image)
+        stored = chain.pullbacks[k]
         support = {x for y in spaces.representatives(k)[0]
                    for x in stored.preimages()[y]}
         for x in sorted(support):
             stored.sign[x] = -stored.sign[x]
-            spaces._induced.clear()
+            chain._matrices = None
             breaks = bool(spaces.coface_rows(k)[x])
             if breaks:
                 with pytest.raises(NotInSpanError):
@@ -893,7 +968,7 @@ def test_a_sign_flip_inside_the_pulled_back_support_is_refused():
                 assert spaces.induced_matrix(image, k) != expected
             outcomes.append(breaks)
             stored.sign[x] = -stored.sign[x]
-        spaces._induced.clear()
+        chain._matrices = None
         assert spaces.induced_matrix(image, k) == expected
     assert outcomes.count(True) == 5 + 2 + 2 and outcomes.count(False) == 1
 

@@ -1,6 +1,8 @@
 """Graph self-maps: validation, fixed simplices, Lefschetz numbers, attractors."""
 
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -22,11 +24,13 @@ from lefgraph.dynamics import (
 from lefgraph.graphs import (
     Graph,
     complete_graph,
+    connected_components,
     cycle_graph,
     discrete_graph,
     octahedron_graph,
     path_graph,
     petersen_graph,
+    random_graph,
     star_graph,
     two_triangles_shared_edge,
     wheel_graph,
@@ -249,32 +253,63 @@ def test_random_endomorphism_is_valid_and_seeded():
     assert len(seen) > 10
 
 
-def _recursive_random_endomorphism(g, rng):
-    """Recursive form of random_endomorphism's backtracking search: the
-    reference for which random numbers it draws, and in what order."""
-    order = list(range(g.n))
-    rng.shuffle(order)
-    image = [-1] * g.n
-    full = (1 << g.n) - 1
+def _luby(i):
+    """Luby's sequence 1, 1, 2, 1, 1, 2, 4, ... by its definition."""
+    k = 1
+    while (1 << k) - 1 < i:
+        k += 1
+    return 1 << (k - 1) if i == (1 << k) - 1 else _luby(i - (1 << (k - 1)) + 1)
 
-    def assign(i):
-        if i == g.n:
+
+def _recursive_random_endomorphism(g, rng):
+    """Recursive form of random_endomorphism's search: the reference for
+    which random numbers it draws, and in what order.  `extend` gives True
+    when every vertex is mapped, False when the choices so far admit no
+    map, and None when the budget is spent."""
+    image = [-1] * g.n
+    components = connected_components(g)
+    pool = list(range(len(components)))
+
+    def extend(frontier, budget):
+        if not frontier:
             return True
-        v = order[i]
-        allowed = full
-        for w in g.neighbors(v):
-            if image[w] >= 0:
-                allowed &= g.adj[image[w]]
-        candidates = [u for u in range(g.n) if allowed >> u & 1]
+        v = min(frontier, key=lambda w: (bin(frontier[w]).count("1"), w))
+        domain = frontier.pop(v)
+        candidates = [u for u in range(g.n) if domain >> u & 1]
         rng.shuffle(candidates)
         for u in candidates:
+            if budget[0] == 0:
+                return None
+            budget[0] -= 1
             image[v] = u
-            if assign(i + 1):
-                return True
+            narrowed = dict(frontier)
+            for w in g.neighbors(v):
+                if image[w] < 0:
+                    narrowed[w] = narrowed.get(w, -1) & g.adj[u]
+                    if not narrowed[w]:
+                        break
+            else:
+                outcome = extend(narrowed, budget)
+                if outcome is not False:
+                    return outcome
         image[v] = -1
         return False
 
-    assert assign(0)
+    for component in components:
+        mapped, i = False, 0
+        while not mapped:
+            i += 1
+            root = component[rng.randrange(len(component))]
+            for j in range(len(pool)):
+                r = rng.randrange(j, len(pool))
+                pool[j], pool[r] = pool[r], pool[j]
+                target = components[pool[j]]
+                budget = [len(component) * _luby(i)]
+                mapped = extend({root: sum(1 << u for u in target)}, budget)
+                if mapped:
+                    break
+                for v in component:
+                    image[v] = -1
     return tuple(image)
 
 
@@ -289,12 +324,28 @@ def test_random_endomorphism_matches_recursive_search():
                 assert random_endomorphism(g, ours).image == \
                     _recursive_random_endomorphism(g, theirs)
             assert ours.random() == theirs.random()
+    assert [_luby(i) for i in range(1, 16)] == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
 
 
 def test_random_endomorphism_on_many_vertices():
     g = Graph(1200, [])  # deeper than the default recursion limit
     t = random_endomorphism(g, random.Random(0))
     assert len(t.image) == 1200 and all(0 <= w < 1200 for w in t.image)
+    path = path_graph(1200)
+    t = random_endomorphism(path, random.Random(0))
+    assert validate_map(path, t.image) == t
+
+
+def test_random_endomorphism_returns_on_a_sparse_disconnected_graph():
+    """60 vertices, 99 edges, components of 58, 1 and 1 vertices: a search
+    over all vertices at once did not return within 20 s."""
+    g = random_graph(60, Fraction(1, 20), random.Random(0))
+    assert sorted(map(len, connected_components(g))) == [1, 1, 58]
+    for seed in range(5):
+        start = time.perf_counter()
+        t = random_endomorphism(g, random.Random(seed))
+        assert time.perf_counter() - start < 2, seed
+        assert validate_map(g, t.image) == t
 
 
 def test_map_equality_and_hash():

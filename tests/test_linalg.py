@@ -421,6 +421,9 @@ def square_matrices(draw):
 @example([[0, 0, 1], [1, 0, 0], [0, 1, 0]])  # a 3-cycle: det(I - zM) = 1 - z^3
 @example([[1, 0, 0], [0, 1, 0], [0, 0, 1]])  # zero subdiagonal throughout
 @example([[1, 2], [2, 4]])  # singular
+@example([[3]])  # orders 1 and 2 are already Hessenberg: no reduction
+@example([[0, 1], [-1, 0]])
+@example([[Fraction(1, 2), 0], [3, -2]])
 @example([])
 def test_det_one_minus_z_matches_leibniz_expansion(rows):
     assert det_one_minus_z(sparse(rows)) == leibniz_det_one_minus_z(rows)
@@ -435,6 +438,11 @@ def test_det_blocks_split_at_zero_subdiagonal_entries():
         [[1, -1]] * 3000
     three_cycle = SparseMatrix(4, 4, [{1: 2}, {2: 2}, {0: 2}, {3: -2}], 2)
     assert det_one_minus_z_blocks(three_cycle) == [[1, 0, 0, -1], [1, 1]]
+    # Orders 1 and 2 skip the reduction; they split at a zero subdiagonal.
+    assert det_one_minus_z_blocks(SparseMatrix(1, 1, [{0: -3}], 2)) == [[1, Fraction(3, 2)]]
+    assert det_one_minus_z_blocks(SparseMatrix(2, 2, [{0: 1, 1: 2}, {1: 5}])) == \
+        [[1, -1], [1, -5]]
+    assert det_one_minus_z_blocks(SparseMatrix(2, 2, [{1: 1}, {0: -1}])) == [[1, 0, 1]]
     assert det_one_minus_z(SparseMatrix(0, 0, [])) == [1]
 
 

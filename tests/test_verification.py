@@ -1,6 +1,7 @@
 """Corpus sweeps and the expectation-over-random-graphs experiments."""
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -21,6 +22,7 @@ from lefgraph.dynamics import (
     fixed_simplices,
     lefschetz_cohomological,
     orbit_census,
+    random_endomorphism,
     validate_map,
 )
 from lefgraph.experiments import (
@@ -98,6 +100,34 @@ def test_corpus_report_accounting():
     report.absorb("y", [TheoremCheck("bad", False, 1, 2)])
     assert not report.passed
     assert report.failures == ["y: FAIL bad: 1 vs 2"]
+
+
+def test_corpus_failures_are_labeled_by_graph_kind_and_map(monkeypatch):
+    """The suite formats a map's label only when one of its checks fails,
+    as "<graph> aut <image>" or "<graph> endo <image>": a check planted on
+    every map of the two-vertex graphs fails with those labels, in order."""
+    import lefgraph.verification as verification
+
+    planted = TheoremCheck("planted", False, 1, 2)
+    real = verification.lefschetz_checks
+
+    def lefschetz(spaces, t, fixed):
+        checks = real(spaces, t, fixed)
+        return checks + [planted] if t.graph.n == 2 else checks
+
+    monkeypatch.setattr(verification, "lefschetz_checks", lefschetz)
+    report = run_corpus_suite(endomorphisms_per_graph=1, seed=0)
+    rng = random.Random(0)
+    expected = []
+    for name, g in named_corpus():
+        drawn = random_endomorphism(g, rng)
+        if g.n == 2:
+            expected += [f"{name} aut {t.image}: FAIL planted: 1 vs 2"
+                         for t in automorphism_group(g)]
+            expected.append(f"{name} endo {drawn.image}: FAIL planted: 1 vs 2")
+    assert len(expected) == 9
+    assert report.failures == expected
+    assert report.checks == 10495 + len(expected)
 
 
 def test_small_corpus_suite_runs_clean():
