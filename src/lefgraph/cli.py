@@ -50,6 +50,7 @@ from .symmetry import (
 )
 from .verification import (
     attractor_checks,
+    group_zeta_checks,
     lefschetz_checks,
     run_corpus_suite,
     structural_checks,
@@ -307,8 +308,10 @@ def cmd_zeta(args) -> int:
         report["zeta"] = product.to_json()
     else:
         group = automorphism_group(g)
+        zeta = graph_zeta(cx, group)
+        checks += group_zeta_checks(spaces, group, zeta)
         report["group"] = {"order": group.order}
-        report["zeta"] = graph_zeta(cx, group).to_json()
+        report["zeta"] = zeta.to_json()
     report["checks"] = [_check_dict(c) for c in checks]
     _emit(report, args.format)
     return _exit_code(report["checks"])

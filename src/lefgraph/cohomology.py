@@ -62,13 +62,19 @@ H^k(G)^A (the rational transfer).  An invariant cochain is one number per
 simplex orbit, up to the signs the pullbacks carry, found by a signed
 union-find (`SignedOrbits`) over the shared pullbacks of A's generators; an
 orbit whose stabilizer reverses orientation carries only the zero cochain.
-Its dimension is then c_k minus the integer ranks of the orbit coboundaries,
-exact with no division.  The transfer holds for a group only, so every map
-given must be a bijection of the vertices.
+Those orbits are built once, by `CochainSpaces.invariant_orbits`.  The
+dimension of H^k(G)^A is then c_k, the number of orientable k-orbits, minus
+the integer ranks of the orbit coboundaries in degrees k and k - 1, exact
+with no division.  The alternating sum of these dimensions, the mean of
+L(T) over A, needs no rank: each rank enters it once with each sign, so it
+is sum_k (-1)^k c_k (`CochainSpaces.invariant_euler_characteristic`).
+The transfer holds for a group only, so every map given must be a
+bijection of the vertices.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -243,12 +249,25 @@ class SignedOrbits:
                 parent[y] = x
             return x, sign[path[0]] if path else 1
 
-        for x, y in enumerate(targets):
-            s = 1 if signs is None else signs[x]
+        # A root, or a point whose parent is its root, is read without a call.
+        pairs = zip(targets, itertools.repeat(1) if signs is None else signs)
+        for x, (y, s) in enumerate(pairs):
             if y == x and s > 0:
                 continue
-            rx, sx = (x, 1) if parent[x] == x else find(x)
-            ry, sy = (y, 1) if parent[y] == y else find(y)
+            rx = parent[x]
+            if rx == x:
+                sx = 1
+            elif parent[rx] == rx:
+                sx = sign[x]
+            else:
+                rx, sx = find(x)
+            ry = parent[y]
+            if ry == y:
+                sy = 1
+            elif parent[ry] == ry:
+                sy = sign[y]
+            else:
+                ry, sy = find(y)
             s *= sx * sy
             if rx == ry:
                 if s < 0:
@@ -274,9 +293,10 @@ class SignedOrbits:
                 sigma.append(sign[x] * sigma[p])
         return roots, sigma
 
-    def orientable(self, root: int) -> bool:
-        """Whether the orbit of `root` admits a nonzero f."""
-        return not self.flipped[root]
+    def orientable_roots(self) -> list[int]:
+        """The roots of the orbits that admit a nonzero f, ascending."""
+        flipped = self.flipped
+        return [x for x, p in enumerate(self.parent) if p == x and not flipped[x]]
 
     def orbits(self) -> list[tuple[int, ...]]:
         """The orbits, each ascending, ordered by their smallest member."""
@@ -625,31 +645,22 @@ class CochainSpaces:
                     out[i][j] = total
         return SparseMatrix(b, b, out, basis.scale)
 
-    def fixed_betti_numbers(self, images) -> tuple[int, ...]:
-        """For each k, the dimension of H^k(G)^A, the subspace of H^k fixed
-        by the group A that the automorphisms `images` generate.
+    def invariant_orbits(self, images) -> list[SignedOrbits]:
+        """Per degree k, the orbits of the k-simplices under the group A that
+        the automorphisms `images` generate, with the signs of the cochains
+        invariant under A.
 
-        Read off the invariant cochain complex C^*(G)^A, with no Betti rank,
-        no H^k basis and no induced matrix.  Over Q the average of the
-        pullbacks over A is a projection onto C^*(G)^A that commutes with d,
-        so H^k(C^*(G)^A) is H^k(G)^A (the rational transfer; Bredon,
-        *Introduction to Compact Transformation Groups*, ch. III), and
-        every rank below is an exact integer rank.  A cochain is invariant
-        when f(x) = sign_k(x) * f(target_k(x)) under every image; per degree
-        these relations go into one `SignedOrbits`, read straight off the
-        pullbacks of each image's record (`chain`), with the images
-        outermost, since only the latest map's record is kept.  An orbit
-        whose relations conflict carries only the zero cochain; each other
-        orbit carries one basis cochain, equal to sigma(x) on its members.
-        The invariant coboundary has one row per orientable (k+1)-orbit,
-        read at its root z as the sum of (-1)^i sigma(face_i z) on the
-        orbits of the faces, and
-        dim H^k(G)^A = c_k - rank d^A_k - rank d^A_{k-1}, c_k the number of
-        orientable k-orbits.  With no images it is the Betti numbers.
+        A cochain is invariant when f(x) = sign_k(x) * f(target_k(x)) under
+        every image; per degree these relations go into one `SignedOrbits`,
+        read straight off the pullbacks of each image's record (`chain`),
+        with the images outermost, since only the latest map's record is
+        kept.  An orbit whose relations conflict (its stabilizer reverses
+        orientation) carries only the zero cochain; each other orbit carries
+        one basis cochain, equal to sigma(x) on its members.
 
-        The transfer needs a group: ValueError is raised, naming the first
-        image that is not a bijection of the vertices, before any of its
-        relations is read.
+        The orbits serve the rational transfer, which needs a group:
+        ValueError is raised, naming the first image that is not a bijection
+        of the vertices, before any of its relations is read.
         """
         n = self.cx.count(0)
         vertices = set(range(n))
@@ -662,11 +673,48 @@ class CochainSpaces:
                     "automorphism; the invariant cochains need a group")
             for relations, pb in zip(orbits, self.chain(image).pullbacks):
                 relations.relate(pb.target_index, pb.sign)
+        return orbits
+
+    def invariant_euler_characteristic(self, images) -> int:
+        """sum_k (-1)^k dim H^k(G)^A for the group A that the automorphisms
+        `images` generate, with no rank.
+
+        It is sum_k (-1)^k c_k, c_k the number of orientable k-orbits of
+        `invariant_orbits`: the Euler characteristic of the invariant
+        cochain complex C^*(G)^A equals that of its cohomology, which is
+        H^*(G)^A (see `fixed_betti_numbers`).  In the alternating sum of
+        c_k - rank d^A_k - rank d^A_{k-1} each rank appears once with each
+        sign, and rank d^A_dim = 0, so the ranks cancel.
+        """
+        total = 0
+        for k, relations in enumerate(self.invariant_orbits(images)):
+            c = len(relations.orientable_roots())
+            total += -c if k % 2 else c
+        return total
+
+    def fixed_betti_numbers(self, images) -> tuple[int, ...]:
+        """For each k, the dimension of H^k(G)^A, the subspace of H^k fixed
+        by the group A that the automorphisms `images` generate.
+
+        Read off the invariant cochain complex C^*(G)^A of
+        `invariant_orbits`, with no Betti rank, no H^k basis and no induced
+        matrix.  Over Q the average of the pullbacks over A is a projection
+        onto C^*(G)^A that commutes with d, so H^k(C^*(G)^A) is H^k(G)^A
+        (the rational transfer; Bredon, *Introduction to Compact
+        Transformation Groups*, ch. III), and every rank below is an exact
+        integer rank.  The invariant coboundary has one row per orientable
+        (k+1)-orbit, read at its root z as the sum of (-1)^i sigma(face_i z)
+        on the orbits of the faces, and
+        dim H^k(G)^A = c_k - rank d^A_k - rank d^A_{k-1}, c_k the number of
+        orientable k-orbits.  With no images it is the Betti numbers.  The
+        ValueError of `invariant_orbits` is raised for an image that is not
+        a bijection.
+        """
+        orbits = self.invariant_orbits(images)
         labels = [relations.labels() for relations in orbits]
-        columns = []  # per degree, orientable root -> its basis cochain's column
-        for relations, (roots, _) in zip(orbits, labels):
-            kept = [x for x, r in enumerate(roots) if r == x and relations.orientable(x)]
-            columns.append({x: j for j, x in enumerate(kept)})
+        # per degree, orientable root -> its basis cochain's column
+        columns = [{x: j for j, x in enumerate(relations.orientable_roots())}
+                   for relations in orbits]
         ranks = []
         for k in range(self.dim):
             roots, sigma = labels[k]

@@ -11,11 +11,13 @@ is the Euler characteristic of the cochains invariant under Aut(G)
 (`symmetry.average_lefschetz`): a signed union-find over the pullbacks of
 the group's coset representatives gives one cochain per simplex orbit
 whose stabilizer keeps orientation, an orbit it reverses carries none, and
-the integer ranks of the orbit coboundaries give dim H^k(G)^A.  Over Q the
-group average commutes with d, so this is exact; it holds because every
-representative is an automorphism.  Neither mode multiplies out a group's
-elements or builds an induced map: K_12 takes 66 representatives, not 12!
-elements.
+L(G) is the signed count of those orbits, sum_k (-1)^k c_k.  The integer
+ranks of the orbit coboundaries would split it into the dimensions of
+H^k(G)^A, but they cancel in the alternating sum, so none is computed.
+Over Q the group average commutes with d, so this is exact; it holds
+because every representative is an automorphism.  Neither mode multiplies
+out a group's elements, builds an induced map or runs an elimination:
+K_12 takes 66 representatives, not 12! elements.
 """
 
 from __future__ import annotations

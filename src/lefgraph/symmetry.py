@@ -7,14 +7,17 @@ characteristic, Burnside count).
 
 The search finds a stabilizer chain: coset representatives, not every
 element (Seress, *Permutation Group Algorithms*, 2003).  The average
-Lefschetz number is read off the invariant cochain complex of the group
-the representatives generate, and the orbits of vertices and simplices are
-found from the representatives by one union-find, so none of these needs
-another element.  The elements are multiplied out from the representatives
-only where something iterates the group.  Wherever
-every element's L(T) is computed anyway, as in the averaging verifier,
-their mean must equal that average.  The curvature and Burnside count fold
-in one fixed-simplex list per group element (`FixedSimplexSweep`).
+Lefschetz number is the Euler characteristic of the invariant cochain
+complex of the group the representatives generate: the signed count of
+the simplex orbits whose stabilizer keeps orientation, with no rank, since
+the ranks of the orbit coboundaries cancel in an alternating sum.  The
+orbits of vertices and simplices are found from the representatives by one
+union-find, so none of these needs another element.  The elements are
+multiplied out from the representatives only where something iterates the
+group.  Wherever every element's L(T) is computed anyway, as in the
+averaging verifier, their mean must equal that average.  The curvature and
+Burnside count fold in one fixed-simplex list per group element
+(`FixedSimplexSweep`).
 """
 
 from __future__ import annotations
@@ -258,16 +261,17 @@ def average_lefschetz(spaces: CochainSpaces, group: AutomorphismGroup) -> int:
 
     The mean of a trace over a finite group is the dimension of the
     subspace the group fixes, so the mean is the alternating sum over k of
-    dim H^k(G)^A, an integer by construction.  `fixed_betti_numbers` reads
-    those dimensions off the invariant cochains of the group the coset
-    representatives generate: one cochain per simplex orbit whose
-    stabilizer keeps orientation (an orbit it reverses carries none), and
-    the integer ranks of the orbit coboundaries.  That is exact over Q,
-    where averaging over the group commutes with d (the rational transfer);
-    it needs a group, which the representatives, all automorphisms, give.
-    No induced map and no other element is built."""
-    fixed = spaces.fixed_betti_numbers([t.image for t in group.representatives])
-    return sum(-d if k % 2 else d for k, d in enumerate(fixed))
+    dim H^k(G)^A, an integer by construction.  Over Q, averaging over the
+    group commutes with d (the rational transfer), so that sum is the Euler
+    characteristic of the invariant cochains, and an Euler characteristic
+    is read off the cochains alone: the ranks of the orbit coboundaries
+    cancel in it.  `CochainSpaces.invariant_euler_characteristic` counts,
+    per degree, the simplex orbits of the group the coset representatives
+    generate whose stabilizer keeps orientation (an orbit it reverses
+    carries no invariant cochain).  It needs a group, which the
+    representatives, all automorphisms, give.  No induced map, no
+    elimination and no other element is built."""
+    return spaces.invariant_euler_characteristic([t.image for t in group.representatives])
 
 
 @dataclass(frozen=True)

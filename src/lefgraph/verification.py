@@ -24,8 +24,10 @@ from .dynamics import (
 from .graphs import Graph, connected_components, named_graph
 from .reporting import TheoremCheck
 from .symmetry import (
+    AutomorphismGroup,
     FixedSimplexSweep,
     automorphism_group,
+    average_lefschetz,
     verify_averaging_theorems,
 )
 from .zeta import (
@@ -58,7 +60,15 @@ def named_corpus() -> list[tuple[str, Graph]]:
 
 
 def structural_checks(spaces: CochainSpaces) -> list[TheoremCheck]:
-    """d∘d = 0, Euler-Poincare, and b_0 = component count."""
+    """d∘d = 0, Euler-Poincare, and b_0 = component count.
+
+    `euler_poincare` cannot fail: each b_k is read as
+    c_k - rank d_k - rank d_{k-1}, c_k the number of k-simplices
+    (`CochainSpaces.betti_numbers`), and in the alternating sum every rank
+    appears once with each sign, so the sum telescopes to
+    chi = sum_k (-1)^k c_k whatever the ranks are.  A wrong rank does not
+    show here.
+    """
     checks = []
     checks.append(TheoremCheck("d_squared_zero", coboundary_squares_to_zero(spaces),
                                "d(k+1)*d(k)", "0"))
@@ -149,6 +159,25 @@ def zeta_checks(spaces: CochainSpaces, t: GraphMap,
         TheoremCheck("zeta_series_consistent", actual == expected,
                      actual, expected),
     ]
+
+
+def group_zeta_checks(spaces: CochainSpaces, group: AutomorphismGroup,
+                      zeta: RationalFunctionZ) -> list[TheoremCheck]:
+    """The graph zeta's first log-derivative coefficient against the
+    average Lefschetz number.
+
+    `zeta` is zeta_G, the product of zeta_T over the group.  Its logarithm
+    is sum_T sum_n L(T^n) z^n / n, so the first coefficient of
+    zeta_G'/zeta_G is sum_T L(T), which is |A| times the mean of L(T)
+    (`symmetry.average_lefschetz`).  The two sides share no step: the
+    product is built from the merged orbit censuses of the elements, which
+    walk the simplices, and the average from the pullbacks of the coset
+    representatives.
+    """
+    first = zeta.log_derivative_series(1)[0]
+    expected = group.order * average_lefschetz(spaces, group)
+    return [TheoremCheck("graph_zeta_lefschetz_sum_equals_order_times_average",
+                         first == expected, first, expected)]
 
 
 @dataclass

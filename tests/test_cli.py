@@ -640,6 +640,80 @@ def test_aut_exits_2_when_the_element_mean_differs_from_the_invariant_route(
                    "is 1, but the subspaces of H^k their generators fix give 2\n")
 
 
+def _merge_the_first_two_orbits(simplex_orbits_under_group):
+    def merged(cx, group):
+        orbits = simplex_orbits_under_group(cx, group)
+        return [orbits[0] + orbits[1]] + orbits[2:]
+    return merged
+
+
+def _drop_a_quotient_edge(orbigraph):
+    from lefgraph.graphs import Graph
+    from lefgraph.symmetry import Orbigraph
+
+    def dropped(group):
+        quotient = orbigraph(group)
+        edges = sorted(quotient.graph.edges)[1:]
+        return Orbigraph(Graph(quotient.graph.n, edges), quotient.classes, quotient.projection)
+    return dropped
+
+
+def _lose_a_record_of_the_identity(fixed_simplices):
+    def lossy(cx, t):
+        fixed = fixed_simplices(cx, t)
+        return fixed[:-1] if t.image == tuple(range(len(t.image))) else fixed
+    return lossy
+
+
+@pytest.mark.parametrize("name, fault, line", [
+    ("simplex_orbits_under_group", _merge_the_first_two_orbits,
+     "FAIL burnside_orbit_count: 3 vs 2"),
+    ("orbigraph", _drop_a_quotient_edge,
+     "FAIL average_lefschetz_equals_orbigraph_euler: 1 vs 2"),
+    ("fixed_simplices", _lose_a_record_of_the_identity,
+     "FAIL curvature_sum_equals_average_lefschetz: 3/2 vs 1"),
+])
+def test_a_planted_fault_fails_its_averaging_check(capsys, monkeypatch, name, fault, line):
+    """Each averaging check of `aut` can fail: a fault planted in the
+    computation behind one side, never in the check, prints that check's
+    FAIL line and exits 2.  On path:3 the swap of the ends has orbits
+    {0, 2}, {1} and the two edges, and the quotient is one edge."""
+    from lefgraph import symmetry
+
+    monkeypatch.setattr(symmetry, name, fault(getattr(symmetry, name)))
+    code, out, err = run(capsys, "aut", "--named", "path:3")
+    assert code == 2 and err == ""
+    assert f"  {line}" in out.splitlines()
+
+
+def test_zeta_group_checks_the_lefschetz_sum(capsys, monkeypatch):
+    """The graph zeta's first log-derivative coefficient is the sum of L(T)
+    over the group, checked against |A| times the average: 48 on the
+    octahedron.  A product that leaves out the identity's census, whose
+    L is chi = 2, fails the check and exits 2."""
+    from lefgraph import cli
+    from lefgraph.dynamics import OrbitCensus, orbit_census
+    from lefgraph.zeta import zeta_product
+
+    code, out, err = run(capsys, "zeta", "--named", "octahedron", "--group")
+    assert code == 0 and err == ""
+    assert out.endswith("checks:\n  PASS graph_zeta_lefschetz_sum_equals_order_times_average: "
+                        "48 vs 48\n")
+
+    def without_the_identity(cx, group):
+        combined = OrbitCensus()
+        for t in group:
+            if t.image != tuple(range(len(t.image))):
+                combined = combined.merged(orbit_census(cx, t))
+        return zeta_product(combined)
+
+    monkeypatch.setattr(cli, "graph_zeta", without_the_identity)
+    code, out, err = run(capsys, "zeta", "--named", "octahedron", "--group")
+    assert code == 2 and err == ""
+    assert out.endswith("checks:\n  FAIL graph_zeta_lefschetz_sum_equals_order_times_average: "
+                        "46 vs 48\n")
+
+
 def test_a_closed_output_pipe_exits_1_quietly(monkeypatch, capsys):
     """A reader that closes the pipe early (`| head -1`) is not an error:
     nothing goes to stderr, the exit code is 1, and stdout then points at

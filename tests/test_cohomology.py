@@ -26,6 +26,7 @@ from lefgraph.cohomology import (
     signed_rows,
     verify_chain_map,
 )
+from lefgraph import cohomology, linalg
 from lefgraph.complexes import build_complex
 from dense import (
     RationalMatrix,
@@ -65,7 +66,8 @@ from lefgraph.graphs import (
     star_graph,
 )
 from lefgraph.linalg import NotInSpanError, SparseMatrix
-from lefgraph.symmetry import automorphism_group, lefschetz_numbers
+from lefgraph.symmetry import automorphism_group, average_lefschetz, lefschetz_numbers
+from lefgraph.experiments import expectation_exhaustive
 from lefgraph.verification import named_corpus
 from lefgraph.zeta import orbit_census, zeta_det, zeta_product
 
@@ -882,44 +884,92 @@ def test_signed_orbits_mark_an_orbit_whose_relations_conflict():
     orbits = SignedOrbits(6)
     orbits.relate([1, 2, 0, 4, 3, 5], [1, -1, -1, -1, -1, 1])
     assert orbits.labels() == ([0, 0, 0, 3, 3, 5], [1, 1, -1, 1, -1, 1])
-    assert [orbits.orientable(r) for r in (0, 3, 5)] == [True, True, True]
+    assert orbits.orientable_roots() == [0, 3, 5]
     orbits.relate([0, 1, 2, 3, 4, 5], [1, 1, 1, 1, -1, 1])
-    assert [orbits.orientable(r) for r in (0, 3, 5)] == [True, False, True]
+    assert orbits.orientable_roots() == [0, 5]
     assert orbits.orbits() == [(0, 1, 2), (3, 4), (5,)]
     plain = SignedOrbits(5)
     plain.relate([4, 1, 0, 3, 2])
     assert plain.orbits() == [(0, 2, 4), (1,), (3,)]
-    assert all(plain.orientable(r) for r in (0, 1, 3))
+    assert plain.orientable_roots() == [0, 1, 3]
 
 
-def assert_fixed_betti_numbers_equal_the_dense_route(g, images):
+def assert_invariant_cochains_equal_the_dense_route(g, images):
+    """Degree by degree, and in the alternating sum that the orbit count
+    gives with no rank."""
     spaces = CochainSpaces(build_complex(g))
-    assert spaces.fixed_betti_numbers(images) == tuple(
-        dense_fixed_dimension(spaces, images, k) for k in range(spaces.dim + 1)), g
+    fixed = spaces.fixed_betti_numbers(images)
+    oracle = tuple(dense_fixed_dimension(spaces, images, k) for k in range(spaces.dim + 1))
+    assert fixed == oracle, g
+    count = spaces.invariant_euler_characteristic(images)
+    assert count == sum(-d if k % 2 else d for k, d in enumerate(fixed)), g
+    assert count == sum(-d if k % 2 else d for k, d in enumerate(oracle)), g
 
 
 def test_invariant_cochains_give_the_fixed_subspaces_degree_by_degree():
     """dim H^k(G)^A from the invariant cochain complex equals b_k minus the
     rank of the dense T_k - I stacked over the coset representatives, in
-    every degree: on every isomorphism class with at most 6 vertices, the
-    corpus, and the two torsion cases under their automorphisms."""
+    every degree, and the signed count of orientable orbits equals the
+    alternating sum of both: on every isomorphism class with at most 6
+    vertices, the corpus, and the two torsion cases under their
+    automorphisms."""
     for n in range(7):
         for g, _ in isomorphism_classes(n):
-            assert_fixed_betti_numbers_equal_the_dense_route(
+            assert_invariant_cochains_equal_the_dense_route(
                 g, [t.image for t in automorphism_group(g).representatives])
     for _, g in named_corpus():
-        assert_fixed_betti_numbers_equal_the_dense_route(
+        assert_invariant_cochains_equal_the_dense_route(
             g, [t.image for t in automorphism_group(g).representatives])
     for g, _, images in torsion_cases():
-        assert_fixed_betti_numbers_equal_the_dense_route(
+        assert_invariant_cochains_equal_the_dense_route(
             g, [image for image in images if GraphMap(g, image).is_automorphism()])
 
 
 @pytest.mark.slow
 def test_invariant_cochains_give_the_fixed_subspaces_on_seven_vertices():
     for g, _ in isomorphism_classes(7):
-        assert_fixed_betti_numbers_equal_the_dense_route(
+        assert_invariant_cochains_equal_the_dense_route(
             g, [t.image for t in automorphism_group(g).representatives])
+
+
+def test_planted_faults_in_the_invariant_orbits_change_the_average(monkeypatch):
+    """L(G) counts orientable orbits, so it must see the signs and every
+    generator.  Relating without signs makes every orbit orientable, which
+    changes L(G) on 72 of the 209 classes with at most 6 vertices (K_2,
+    whose swap reverses its edge: 1 -> 0); dropping the last coset
+    representative changes it on 31."""
+    classes = [g for n in range(7) for g, _ in isomorphism_classes(n)]
+
+    def averages():
+        return {g: average_lefschetz(CochainSpaces(build_complex(g)), automorphism_group(g))
+                for g in classes}
+
+    honest = averages()
+    relate, orbits = SignedOrbits.relate, CochainSpaces.invariant_orbits
+    with monkeypatch.context() as m:
+        m.setattr(SignedOrbits, "relate",
+                  lambda self, targets, signs=None: relate(self, targets))
+        unsigned = averages()
+    with monkeypatch.context() as m:
+        m.setattr(CochainSpaces, "invariant_orbits",
+                  lambda self, images: orbits(self, list(images)[:-1]))
+        dropped = averages()
+    assert len(classes) == 209
+    assert sum(honest[g] != unsigned[g] for g in classes) == 72
+    assert (honest[complete_graph(2)], unsigned[complete_graph(2)]) == (1, 0)
+    assert sum(honest[g] != dropped[g] for g in classes) == 31
+
+
+def test_the_average_runs_no_elimination(monkeypatch):
+    """E_5 is summed from 34 values of L(G), each a count of orbits: with
+    every rank and forward elimination refused, it is still 1319/1024."""
+    def refuse(*args):
+        raise AssertionError("an elimination ran")
+
+    for module, name in ((linalg, "rank"), (cohomology, "rank"),
+                         (linalg, "_bareiss_forward")):
+        monkeypatch.setattr(module, name, refuse)
+    assert expectation_exhaustive(5) == Fraction(1319, 1024)
 
 
 def test_a_pullback_that_breaks_a_cocycle_is_refused():
