@@ -14,9 +14,10 @@ its prefix x[:-1] plus its last vertex w, so image(x) is image(x[:-1]) plus
 T(w), and appending T(w) to the prefix's sorted image and sorting again
 multiplies the prefix's sign by (-1)^(vertices of image(x[:-1]) above T(w)).
 One lookup in the complex's extension table, (y, w) -> (index of y + {w},
-that parity), gives both.  The orbit census walks the simplices
-themselves, sorting their images, so it shares no step with this build;
-its orbits of period 1 are the fixed simplices of the index sum.  The
+that parity), gives both.  The orbit census finds images by its own
+prime-product keys (`CliqueComplex.census_tables`) and signs on the map's
+vertex cycles, so it shares no table and no step with this build; its
+orbits of period 1 are the fixed simplices of the index sum.  The
 chain-map identity and d o d = 0 are checked on these integer rows in
 O(nonzeros).  Per row of d_k, the chain-map check reads the left side,
 times the row's pullback sign, into k+2 keys and compares it with the
@@ -108,20 +109,6 @@ def coboundary_squares_to_zero(spaces: CochainSpaces) -> bool:
                            for j, col in enumerate(inner[f])):
                 return False
     return True
-
-
-def permutation_parity_sign(seq) -> int:
-    """Sign of the permutation that sorts seq (distinct entries) ascending."""
-    n = len(seq)
-    if n < 3:
-        return -1 if n == 2 and seq[0] > seq[1] else 1
-    inversions = 0
-    for i in range(n - 1):
-        a = seq[i]
-        for b in seq[i + 1:]:
-            if a > b:
-                inversions += 1
-    return -1 if inversions % 2 else 1
 
 
 class Pullback:

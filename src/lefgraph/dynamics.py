@@ -4,8 +4,10 @@ A graph endomorphism is a vertex map sending edges to edges; that forces it
 to be injective on every clique, so it acts simplicially on the clique
 complex.  The Lefschetz number is computed two independent ways (traces on
 cohomology, signed count of fixed simplices) plus the chain-level trace sum,
-and all three must agree.  The orbit census walks a map's simplices once:
-its orbits of period 1 are the fixed simplices of the signed count.
+and all three must agree.  The orbit census walks a map's simplices once,
+each by one multiply and one lookup on a prime-product key, and reads the
+sign of each periodic orbit off the map's vertex cycles; its orbits of
+period 1 are the fixed simplices of the signed count.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 
 from .complexes import CliqueComplex, Simplex, build_complex
-from .cohomology import CochainSpaces, permutation_parity_sign
+from .cohomology import CochainSpaces
 from .graphs import Graph, connected_components, induced_subgraph
 from .reporting import VerificationError
 
@@ -179,58 +181,116 @@ def orbit_census(cx: CliqueComplex, t: GraphMap) -> OrbitCensus:
     """Classify every periodic orbit of a graph map, in one walk.
 
     An orbit of minimal period p is classed by the dimension of its
-    representative x and the signature of T^p on x.  Each untagged simplex
-    x, in stored order, starts a walk that applies t to the vertices of x
-    itself and tags each sorted image with the walk's number, until it
-    comes back to x (the unsorted vertex list then holds T^p on x, whose
-    sort parity is the sign) or meets a tag: an earlier walk's ends a tail,
-    which adds nothing; its own enters a cycle behind a tail, walked once
-    more from there.  Orbits of period 1 are kept in `fixed`, in stored
-    order, so a fixed simplex met by a tail is untagged and left to the
-    loop.  The pullbacks are never read: this route must stay apart from
-    the chain traces it is checked against.
+    representative x and the signature of T^p on x.  Each k-simplex is
+    addressed by its key in `cx.census_tables()`, and the image key of x is
+    the image key of its prefix x[:-1] times the prime of T(x[-1]), so one
+    multiply and one lookup give its target position.  Each untagged
+    position, in stored order, starts a walk over the targets that tags
+    each position it reaches with the walk's start, until it comes back to
+    its start or meets a tag: an earlier walk's ends a tail, which adds
+    nothing; its own enters a cycle behind a tail, walked once more from
+    there.  The sign of T^p on x is read off the vertex cycles of T
+    (`_even_cycle_marks`), with no sort.  Orbits of period 1 are kept in
+    `fixed`, in stored order, so a fixed simplex met by a tail is untagged
+    and left to the loop.  The pullbacks are never read: this route must
+    stay apart from the chain traces it is checked against.
     """
+    primes, tables = cx.census_tables()
     image = t.image
+    image_prime = [primes[w] for w in image]
     census = OrbitCensus()
     fixed = census.fixed
-    for dim, (level, index) in enumerate(zip(cx.by_dim, cx.index)):
+    cycles = None  # the map's vertex cycles of even length, found on first use
+    marks: dict[int, frozenset[int]] = {}
+    keys = image_prime
+    for dim, (level, table) in enumerate(zip(cx.by_dim, tables)):
         plus, minus = (census.a, census.c) if dim % 2 else (census.b, census.d)
-        walked = [0] * len(level)
-        for i, x in enumerate(level):
+        if table is None:
+            target = image  # the vertex v is stored at position v
+        else:
+            prefix, last, position = table
+            keys = [keys[q] * image_prime[v] for q, v in zip(prefix, last)]
+            target = [position[key] for key in keys]
+        walked = [None] * len(level)  # each walk's tag is its start simplex
+        for i, j in enumerate(target):
             if walked[i]:
                 continue
-            walked[i] = walk = i + 1
-            mapped = [image[v] for v in x]
-            y = tuple(sorted(mapped))
+            walked[i] = walk = level[i]
             p = 1
-            while y != x:
-                j = index[y]
-                if walked[j]:
-                    break
+            while j != i and not walked[j]:
                 walked[j] = walk
                 p += 1
-                mapped = [image[v] for v in mapped]
-                y = tuple(sorted(mapped))
-            if y != x:
-                if walked[j] != walk:
+                j = target[j]
+            x = i
+            if j != i:
+                if walked[j] is not walk:
                     continue  # a tail into an earlier walk
-                x = y  # a cycle behind this walk's tail, entered at y
-                mapped = [image[v] for v in x]
-                y = tuple(sorted(mapped))
-                if y == x:
-                    walked[j] = 0  # fixed, and stored later: counted there
+                x = j  # a cycle behind this walk's tail, entered at j
+                j = target[x]
+                if j == x:
+                    walked[x] = None  # fixed, and stored later: counted there
                     continue
                 p = 1
-                while y != x:
+                while j != x:
                     p += 1
-                    mapped = [image[v] for v in mapped]
-                    y = tuple(sorted(mapped))
-            sign = permutation_parity_sign(mapped)
+                    j = target[j]
+            simplex = level[x]
+            marked = marks.get(p)
+            if marked is None:
+                if cycles is None:
+                    cycles = _even_vertex_cycles(image)
+                marked = marks[p] = _even_cycle_marks(cycles, image, p)
+            sign = -1 if marked and len(marked.intersection(simplex)) % 2 else 1
             counts = plus if sign > 0 else minus
             counts[p] = counts.get(p, 0) + 1
             if p == 1:
-                fixed.append(FixedSimplexRecord(x, dim, sign, -sign if dim % 2 else sign))
+                fixed.append(FixedSimplexRecord(simplex, dim, sign,
+                                                -sign if dim % 2 else sign))
     return census
+
+
+def _even_vertex_cycles(image: tuple[int, ...]) -> dict[int, list[int]]:
+    """The cycles of even length of a vertex map, as lists of one vertex
+    of each, by length; vertices on tails lie on no cycle."""
+    state = bytearray(len(image))  # 1: on this walk, 2: walked before
+    cycles: dict[int, list[int]] = {}
+    for start in range(len(image)):
+        v = start
+        while not state[v]:
+            state[v] = 1
+            v = image[v]
+        if state[v] == 1:  # a cycle through v that no earlier walk met
+            length, w = 1, image[v]
+            while w != v:
+                length += 1
+                w = image[w]
+            if length % 2 == 0:
+                cycles.setdefault(length, []).append(v)
+        v = start
+        while state[v] == 1:
+            state[v] = 2
+            v = image[v]
+    return cycles
+
+
+def _even_cycle_marks(cycles: dict[int, list[int]], image: tuple[int, ...],
+                      p: int) -> frozenset[int]:
+    """One vertex of each cycle of even length of T^p, so that T^p has
+    signature (-1)^(marked vertices in x) on every simplex x it maps to
+    itself, x being a union of its cycles.  T^p splits a T-cycle
+    c_0 .. c_(l-1), c_(i+1) = T(c_i), into the g = gcd(l, p) cycles
+    {c_i : i = r mod g}, each of length l/g, and c_0 .. c_(g-1) lie one
+    on each.  Only even l gives even l/g, so `cycles`, which gives c_0 of
+    each T-cycle by length, may hold only those of even length."""
+    marked = set()
+    for length, starts in cycles.items():
+        g = math.gcd(length, p)
+        if length // g % 2 == 0:
+            for v in starts:
+                for _ in range(g):
+                    marked.add(v)
+                    v = image[v]
+    return frozenset(marked)
 
 
 def fixed_simplices(cx: CliqueComplex, t: GraphMap) -> list[FixedSimplexRecord]:

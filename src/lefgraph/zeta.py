@@ -20,8 +20,9 @@ log-derivative series is read off the vector in closed form.
 The series side, L(T^n) = sum_k (-1)^k tr(P_k^n), is read off the cycles of
 the map's signed chain pullbacks P_k: a cycle of length p whose signs
 multiply to s adds p * s^(n/p) at every multiple n of p.  The orbit census
-(`dynamics.orbit_census`) finds its orbits and signs on the simplices
-themselves, never through the pullbacks, so the two sides share no input.
+(`dynamics.orbit_census`) finds its orbits by walking the simplices' own
+prime-product keys, and reads the sign of T^p on an orbit off the vertex
+cycles of T, never through the pullbacks, so the two sides share no input.
 Agreement on min(2 order(T), 2 |cx|) terms proves agreement for every n
 (see `verification.zeta_checks`).
 """

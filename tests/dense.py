@@ -10,8 +10,12 @@ dense pull-back of a cochain, and the induced-map route that read dense
 representatives into dense Fraction matrices live here too, as oracles,
 with the dimension of the subspace of H^k that a set of maps fixes, read
 off the stacked dense T_k - I.
-The orbit walk of a single automorphism is kept here as well, in its
-plain set-of-tuples form, and so are the orbits of a group walked over
+The sort-parity sign of a vertex list is kept here too, as the oracle's
+own route to the signs that `lefgraph` reads off extension tables and
+vertex cycles.
+The orbit walk of a single graph map is kept here as well, in its
+plain set-of-tuples form, with the census counts read off it, and so are
+the orbits of a group walked over
 every element, the scan of a map's fixed simplices
 that tests every simplex on its own, every graph map of a small graph,
 every automorphism by a search that enumerates them all, the
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from lefgraph import linalg
-from lefgraph.cohomology import Pullback, permutation_parity_sign
+from lefgraph.cohomology import Pullback
 from lefgraph.dynamics import FixedSimplexRecord, GraphMap
 from lefgraph.linalg import (
     LinearAlgebraError,
@@ -37,7 +41,6 @@ from lefgraph.linalg import (
     poly_mul,
     poly_trim,
 )
-from lefgraph.symmetry import SymmetryError
 
 
 def dense(m):
@@ -291,6 +294,20 @@ def to_matrix(pb: Pullback) -> RationalMatrix:
     return m
 
 
+def permutation_parity_sign(seq) -> int:
+    """Sign of the permutation that sorts seq (distinct entries) ascending."""
+    n = len(seq)
+    if n < 3:
+        return -1 if n == 2 and seq[0] > seq[1] else 1
+    inversions = 0
+    for i in range(n - 1):
+        a = seq[i]
+        for b in seq[i + 1:]:
+            if a > b:
+                inversions += 1
+    return -1 if inversions % 2 else 1
+
+
 def pullback_product(a: Pullback, b: Pullback) -> Pullback:
     """The matrix product a * b of two signed functional maps, row by row.
 
@@ -326,7 +343,7 @@ def pullback_matrix(cx, image: tuple[int, ...], k: int) -> RationalMatrix:
 
 @dataclass(frozen=True)
 class MapOrbit:
-    """A periodic orbit of one automorphism: representative, period, members,
+    """A periodic orbit of one graph map: representative, period, members,
     and the signature of T^period on the representative's vertices."""
 
     representative: tuple[int, ...]
@@ -336,12 +353,13 @@ class MapOrbit:
 
 
 def simplex_orbits_under_map(cx, t) -> list[MapOrbit]:
-    """The t-orbits of all simplices, walked on simplex tuples with a set of
-    the visited ones: ordered by representative, members in visit order.
-    An orbit's sign applies t p times to the representative's vertices, p
-    its period, and counts the parity of the result."""
-    if not t.is_automorphism():
-        raise SymmetryError("periodic orbits need an automorphism")
+    """The t-orbits of the periodic simplices, walked on simplex tuples
+    with a set of the visited ones: ordered by representative, members in
+    visit order.  A simplex is periodic when its iterates come back to it,
+    which takes at most as many steps as its dimension has simplices; the
+    simplices on tails, whose iterates never do, lie on no orbit.  An
+    orbit's sign applies t p times to the representative's vertices, p its
+    period, and counts the parity of the result."""
     orbits = []
     visited = set()
     for level in cx.by_dim:
@@ -349,18 +367,30 @@ def simplex_orbits_under_map(cx, t) -> list[MapOrbit]:
             if x in visited:
                 continue
             members = [x]
-            visited.add(x)
             y = t.image_simplex(x)
-            while y != x:
-                visited.add(y)
+            while y != x and len(members) < len(level):
                 members.append(y)
                 y = t.image_simplex(y)
+            if y != x:
+                continue  # on a tail
+            visited.update(members)
             mapped = list(x)
             for _ in members:
                 mapped = [t.image[v] for v in mapped]
             orbits.append(MapOrbit(x, len(members), tuple(members),
                                    permutation_parity_sign(mapped)))
     return orbits
+
+
+def census_counts(orbits) -> dict[str, dict[int, int]]:
+    """The counts a(p), b(p), c(p), d(p) of an orbit census, read off
+    `simplex_orbits_under_map`: odd or even dimension, sign +1 or -1."""
+    counts = {"a": {}, "b": {}, "c": {}, "d": {}}
+    for orbit in orbits:
+        odd = len(orbit.representative) % 2 == 0  # dimension = vertex count - 1
+        row = counts[("a" if odd else "b") if orbit.sign > 0 else ("c" if odd else "d")]
+        row[orbit.period] = row.get(orbit.period, 0) + 1
+    return counts
 
 
 def orbits_by_elements(points, group, image) -> list[tuple]:

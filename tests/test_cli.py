@@ -686,6 +686,42 @@ def test_a_planted_fault_fails_its_averaging_check(capsys, monkeypatch, name, fa
     assert f"  {line}" in out.splitlines()
 
 
+def test_a_census_without_its_even_cycle_marks_fails_the_index_sum(capsys, monkeypatch):
+    """The census reads the sign of T^p off the marked vertices of the even
+    cycles of T^p.  With no vertex marked, the swap of K_2 keeps the
+    orientation of its edge, so the index sum reads -1 against L = 1."""
+    from lefgraph import dynamics
+
+    monkeypatch.setattr(dynamics, "_even_cycle_marks", lambda cycles, image, p: frozenset())
+    code, out, err = run(capsys, "analyze", "--named", "path:2", "--map", "1,0")
+    assert code == 2 and err == ""
+    assert "  FAIL lefschetz_cohomological_equals_index_sum: 1 vs -1" in out.splitlines()
+
+
+def test_a_census_key_table_with_two_positions_swapped_fails_the_corpus(capsys, monkeypatch):
+    """Two entries of the edges' key-to-position table of every complex are
+    swapped when it is built: the census then walks wrong targets, and the
+    corpus reports named FAIL lines and exits 2, with no traceback.  On
+    K_3 the identity's census sees the edges (0, 1) and (0, 2) swap."""
+    from lefgraph.complexes import CliqueComplex
+
+    real = CliqueComplex.census_tables
+
+    def swapped(cx):
+        fresh = cx._census_tables is None
+        primes, levels = real(cx)
+        if fresh and len(levels) > 1 and len(levels[1][2]) > 1:
+            position = levels[1][2]
+            a, b = list(position)[:2]
+            position[a], position[b] = position[b], position[a]
+        return primes, levels
+
+    monkeypatch.setattr(CliqueComplex, "census_tables", swapped)
+    code, out, err = run(capsys, "verify-corpus", "--endomorphisms", "1")
+    assert code == 2 and err == ""
+    assert "K_3 aut (0, 1, 2): FAIL lefschetz_index_sum_equals_chain_trace: 3 vs 1" in out
+
+
 def test_zeta_group_checks_the_lefschetz_sum(capsys, monkeypatch):
     """The graph zeta's first log-derivative coefficient is the sum of L(T)
     over the group, checked against |A| times the average: 48 on the

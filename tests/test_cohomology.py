@@ -21,7 +21,6 @@ from lefgraph.cohomology import (
     Pullback,
     SignedOrbits,
     coboundary_squares_to_zero,
-    permutation_parity_sign,
     pullbacks_commute,
     signed_rows,
     verify_chain_map,
@@ -36,6 +35,7 @@ from dense import (
     fixed_dimension as dense_fixed_dimension,
     induced_matrix as dense_induced_matrix,
     matmul,
+    permutation_parity_sign,
     rank,
     pullback_matrix,
     pullback_apply,

@@ -24,10 +24,12 @@ from lefgraph.graphs import (
     all_graphs,
     complete_graph,
     cycle_graph,
+    discrete_graph,
     disjoint_union,
     isomorphism_classes,
     octahedron_graph,
     parse_edge_list,
+    path_graph,
     petersen_graph,
     star_graph,
 )
@@ -587,11 +589,7 @@ def test_orbit_census_counts_the_dense_orbits_on_the_corpus():
     (`dense.simplex_orbits_under_map`)."""
     maps = 0
     for name, g, cx, spaces, t in _corpus_automorphisms():
-        expected = {"a": {}, "b": {}, "c": {}, "d": {}}
-        for orbit in dense.simplex_orbits_under_map(cx, t):
-            odd = len(orbit.representative) % 2 == 0  # dimension = vertex count - 1
-            counts = expected[("a" if odd else "b") if orbit.sign > 0 else ("c" if odd else "d")]
-            counts[orbit.period] = counts.get(orbit.period, 0) + 1
+        expected = dense.census_counts(dense.simplex_orbits_under_map(cx, t))
         assert census_dict(orbit_census(cx, t)) == expected, (name, t.image)
         maps += 1
     assert maps == 2030
@@ -604,9 +602,11 @@ def test_census_carries_the_fixed_simplex_scan():
 
 def test_census_matches_the_scan_and_the_iterates_on_every_small_map():
     """On every graph map of every graph on 1 to 5 vertices, one class
-    representative each: the census's fixed simplices are the scan's, in
-    the scan's order, its product's series is L(T^n) for n = 1..12, and
-    every simplex lies on an orbit exactly for an automorphism."""
+    representative each: the census counts the orbits of the tuple-set
+    walk on the periodic simplices, per period, dimension parity and sign,
+    its fixed simplices are the scan's, in the scan's order, its product's
+    series is L(T^n) for n = 1..12, and every simplex lies on an orbit
+    exactly for an automorphism."""
     maps = 0
     for n in range(1, 6):
         for g, _ in isomorphism_classes(n):
@@ -614,12 +614,38 @@ def test_census_matches_the_scan_and_the_iterates_on_every_small_map():
             spaces = CochainSpaces(cx)
             for t in dense.graph_maps(g):
                 census = orbit_census(cx, t)
+                assert census_dict(census) == \
+                    dense.census_counts(dense.simplex_orbits_under_map(cx, t)), (g, t.image)
                 assert census.fixed == dense.fixed_simplices(cx, t), (g, t.image)
                 assert zeta_product(census).log_derivative_series(12) == \
                     lefschetz_iterates(spaces, t, 12), (g, t.image)
                 assert (total_weight(census) == len(cx)) == t.is_automorphism()
                 maps += 1
     assert maps == 6493
+
+
+@pytest.mark.parametrize("graph, image, counts, fixed", [
+    # Vertex v > 0 goes to v - 1: a tail of 299 steps into the fixed vertex 0.
+    (discrete_graph(300), lambda v: max(v - 1, 0),
+     {"a": {}, "b": {1: 1}, "c": {}, "d": {}}, [((0,), 1)]),
+    # The path folds onto its first edge, which the map flips: the vertex
+    # orbit {0, 1} of period 2, and the edge (0, 1) fixed with sign -1.
+    (path_graph(60), lambda v: abs(v - 1),
+     {"a": {}, "b": {2: 1}, "c": {1: 1}, "d": {}}, [((0, 1), -1)]),
+], ids=["discrete:300", "path:60"])
+def test_census_walks_long_tails_once(graph, image, counts, fixed):
+    """Endomorphisms whose simplices lie nearly all on long tails: the census
+    counts the dense walk's orbits, its fixed simplices are the scan's, and
+    its product's series is L(T^n) for n = 1..12."""
+    cx = build_complex(graph)
+    t = validate_map(graph, [image(v) for v in range(graph.n)])
+    census = orbit_census(cx, t)
+    assert census_dict(census) == counts
+    assert census_dict(census) == dense.census_counts(dense.simplex_orbits_under_map(cx, t))
+    assert [(r.simplex, r.perm_sign) for r in census.fixed] == fixed
+    assert census.fixed == dense.fixed_simplices(cx, t)
+    assert zeta_product(census).log_derivative_series(12) == \
+        lefschetz_iterates(CochainSpaces(cx), t, 12)
 
 
 def test_a_wrong_induced_matrix_fails_the_det_check_with_both_texts(monkeypatch, capsys):
