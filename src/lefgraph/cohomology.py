@@ -26,12 +26,13 @@ collision (two terms on one column, from a corrupt pullback or corrupt face
 rows) or the sides differ.
 
 A map's chain data is one record, `MapChain`, which `CochainSpaces.chain`
-builds for the latest map only: P_0..P_dim, built together, each with the
-cycle table of one walk, and, on first use, the matrices induced on H^k
-and the chain-map verdict.  The chain-map check, the chain-level trace,
-the iterates L(T^n), the cohomological trace, the zeta determinant and the
-invariant cochains of a map all read that record, so none of it is built
-twice for one map, and no map's pullbacks are composed from another's.
+builds for the latest map only: P_0..P_dim, built together, and, on first
+use, one signed cycle table merged over the degrees (one walk of each
+P_k), the matrices induced on H^k and the chain-map verdict.  The
+chain-map check, the chain-level trace, the iterates L(T^n), the
+cohomological trace, the zeta determinant and the invariant cochains of a
+map all read that record, so none of it is built twice for one map, and
+no map's pullbacks are composed from another's.
 
 Cohomology takes two routes, both through the one sparse fraction-free
 kernel of `linalg`.  Betti numbers come from rank-nullity on
@@ -84,9 +85,14 @@ from .linalg import (
     LinearAlgebraError,
     NotInSpanError,
     SparseMatrix,
+    cyclotomic_exponents,
+    det_one_minus_z_blocks,
     rank,
     rref,
 )
+
+# The matrix induced on H^k where b_k = 0, one for every map and degree.
+_EMPTY = SparseMatrix(0, 0, [])
 
 
 def _sparse_row(terms) -> dict[int, int]:
@@ -116,19 +122,19 @@ class Pullback:
 
     Row x carries exactly one entry: (P_k f)(x) = sign(x) * f(image(x)),
     where image(x) is the ascending image simplex and sign(x) is the parity
-    of sorting the image vertex list.  Its cycle table and its preimage
-    lists are built on first use and kept, so its targets must not change
-    after either is read, nor its signs after the cycle table is.
+    of sorting the image vertex list.  Its preimage lists are built on
+    first use and kept, so its targets must not change after they are
+    read.  Its cycle table is walked afresh on each call; the map's record
+    keeps the signed sum of its degrees' tables (`MapChain.cycles`).
     """
 
-    __slots__ = ("k", "size", "target_index", "sign", "_cycles", "_preimages")
+    __slots__ = ("k", "size", "target_index", "sign", "_preimages")
 
     def __init__(self, k: int, size: int, target_index: list[int], sign: list[int]):
         self.k = k
         self.size = size
         self.target_index = target_index
         self.sign = sign
-        self._cycles: dict[tuple[int, int], int] | None = None
         self._preimages: list[list[int]] | None = None
 
     def preimages(self) -> list[list[int]]:
@@ -152,51 +158,35 @@ class Pullback:
         once more for its length and sign; at an earlier walk's simplex, it
         found no new cycle.  Simplices on a tail (of a non-injective map)
         are on no cycle.
-        """
-        if self._cycles is None:
-            target, sign = self.target_index, self.sign
-            walk = [0] * self.size
-            weight: dict[tuple[int, int], int] = {}
-            for start in range(self.size):
-                if walk[start]:
-                    continue
-                mark = start + 1
-                x, p, s = start, 0, 1
-                while not walk[x]:
-                    walk[x] = mark
-                    p += 1
-                    s *= sign[x]
-                    x = target[x]
-                if x != start:
-                    if walk[x] != mark:
-                        continue
-                    y, p, s = target[x], 1, sign[x]
-                    while y != x:
-                        p += 1
-                        s *= sign[y]
-                        y = target[y]
-                key = (p, s)
-                weight[key] = weight.get(key, 0) + p
-            self._cycles = weight
-        return self._cycles
-
-    def trace(self) -> int:
-        """The signs of the fixed simplices summed: the cycles of length 1."""
-        weight = self.cycles()
-        return weight.get((1, 1), 0) - weight.get((1, -1), 0)
-
-    def power_traces(self, count: int) -> list[int]:
-        """tr(P^n) for n = 1..count, from the cycles of the signed map.
 
         The diagonal entry (P^n)_xx is nonzero only on a closed cycle, and
-        a cycle of length p whose signs multiply to s adds p * s^(n/p) at
-        every n = p, 2p, ...
+        a cycle of length p whose signs multiply to s adds p * s^(n/p) to
+        tr(P^n) at every n = p, 2p, ...; the table gives every tr(P^n).
         """
-        out = [0] * count
-        for (p, s), w in self.cycles().items():
-            for n in range(p, count + 1, p):
-                out[n - 1] += w * s ** (n // p)
-        return out
+        target, sign = self.target_index, self.sign
+        walk = [0] * self.size
+        weight: dict[tuple[int, int], int] = {}
+        for start in range(self.size):
+            if walk[start]:
+                continue
+            mark = start + 1
+            x, p, s = start, 0, 1
+            while not walk[x]:
+                walk[x] = mark
+                p += 1
+                s *= sign[x]
+                x = target[x]
+            if x != start:
+                if walk[x] != mark:
+                    continue
+                y, p, s = target[x], 1, sign[x]
+                while y != x:
+                    p += 1
+                    s *= sign[y]
+                    y = target[y]
+            key = (p, s)
+            weight[key] = weight.get(key, 0) + p
+        return weight
 
 
 class SignedOrbits:
@@ -346,22 +336,40 @@ class MapChain:
     """One map's chain data, built once and read by every route of that map.
 
     `pullbacks` holds P_0..P_dim, built together by `CochainSpaces.chain`;
-    each keeps the cycle table that `trace` and `power_traces` read and the
-    preimage lists the representatives are pulled back through, from first
-    use.  The matrices induced on H^k (`CochainSpaces.induced_matrix`) and
-    the chain-map verdict (`verify_chain_map`) are kept here once built.
-    The record holds no reference back to its spaces, so a spaces that is
+    each keeps the preimage lists the representatives are pulled back
+    through, from first use.  The signed cycle table (`cycles`), the
+    matrices induced on H^k (`CochainSpaces.induced_matrix`) and the
+    chain-map verdict (`verify_chain_map`) are kept here once built.  The
+    record holds no reference back to its spaces, so a spaces that is
     dropped is freed at once, record and all.  It is shared: callers must
     not modify it.
     """
 
-    __slots__ = ("image", "pullbacks", "_matrices", "_commutes")
+    __slots__ = ("image", "pullbacks", "_cycles", "_matrices", "_commutes")
 
     def __init__(self, image: tuple[int, ...], pullbacks: list[Pullback]):
         self.image = image
         self.pullbacks = pullbacks
+        self._cycles: dict[tuple[int, int], int] | None = None
         self._matrices: list[SparseMatrix] | None = None
         self._commutes: bool | None = None
+
+    def cycles(self) -> dict[tuple[int, int], int]:
+        """sum_k (-1)^k of the cycle tables of the P_k (`Pullback.cycles`),
+        {(length p, sign s): signed weight}, with no weight zero.
+
+        sum_k (-1)^k tr(P_k^n), which is L(T^n), adds w * s^(n/p) for each
+        entry at every n = p, 2p, ...; the fixed simplices are the entries
+        of length 1, so L(T) = w(1, +1) - w(1, -1).  Built on first use and
+        kept; the result is shared: callers must not modify it.
+        """
+        if self._cycles is None:
+            merged: dict[tuple[int, int], int] = {}
+            for k, pb in enumerate(self.pullbacks):
+                for key, w in pb.cycles().items():
+                    merged[key] = merged.get(key, 0) + (-w if k % 2 else w)
+            self._cycles = {key: w for key, w in merged.items() if w}
+        return self._cycles
 
 
 class _CohomologyBasis(NamedTuple):
@@ -392,10 +400,12 @@ class CochainSpaces:
 
     Kept for the latest map only, so memory does not grow with the number of
     maps: its record (`chain`), which holds its pullbacks P_0..P_dim, built
-    together, with their cycle tables and preimage lists, and, once asked
-    for, the matrices it induces on H^k and its chain-map verdict.  Asking
-    for another map replaces the record.  Every map's Lefschetz number is
-    kept, as one integer.
+    together, with their preimage lists, and, once asked for, its signed
+    cycle table, the matrices it induces on H^k and its chain-map verdict.
+    Asking for another map replaces the record.  Every map's Lefschetz
+    number is kept, as one integer, and so is the peeled det(1 - z T_k) of
+    each distinct exact input (`peeled_det`), so that maps of one graph
+    with equal induced matrices and orders share one peeling.
     """
 
     def __init__(self, cx: CliqueComplex):
@@ -408,6 +418,7 @@ class CochainSpaces:
         self._basis: dict[int, _CohomologyBasis] = {}
         self._chain: MapChain | None = None
         self._lefschetz: dict[tuple[int, ...], int] = {}
+        self._peeled: dict[tuple, tuple[dict[int, int], tuple[list, ...]]] = {}
 
     @property
     def dim(self) -> int:
@@ -601,10 +612,10 @@ class CochainSpaces:
         is zero.  NotInSpanError is raised if a row is not.
         """
         if not self.betti(k):
-            return SparseMatrix(0, 0, [])
+            return _EMPTY
         chain = self.chain(image)
         if chain._matrices is None:
-            chain._matrices = [self._induce(pb, b) if b else SparseMatrix(0, 0, [])
+            chain._matrices = [self._induce(pb, b) if b else _EMPTY
                                for pb, b in zip(chain.pullbacks, self.betti_numbers())]
         return chain._matrices[k]
 
@@ -738,3 +749,31 @@ class CochainSpaces:
                     f"cohomological trace sum {total} is not an integer")
             self._lefschetz[image] = total.numerator
         return self._lefschetz[image]
+
+    def peeled_det(self, m: SparseMatrix, order: int) -> tuple[dict[int, int], tuple[list, ...]]:
+        """det(1 - z M) peeled into the F_d with d dividing `order`, for the
+        matrix M that m stands for: the exponents {d: e_d} summed over the
+        diagonal blocks of its Hessenberg form
+        (`linalg.det_one_minus_z_blocks`), each peeled on its own
+        (`linalg.cyclotomic_exponents`), and what each block left other
+        than 1, in block order.
+
+        A pure function of m's shape, scale and rows (read sorted) and of
+        `order`, kept per such input, so the maps of this graph that
+        induce equal matrices and have equal orders peel them once.  The
+        result is shared: callers must not modify it.
+        """
+        key = (m.rows, m.cols, m.scale,
+               tuple(tuple(sorted(row.items())) for row in m.data), order)
+        peeled = self._peeled.get(key)
+        if peeled is None:
+            found: dict[int, int] = {}
+            lefts = []
+            for det in det_one_minus_z_blocks(m):
+                exponents, left = cyclotomic_exponents(det, order)
+                for d, e in exponents.items():
+                    found[d] = found.get(d, 0) + e
+                if left != [1]:
+                    lefts.append(left)
+            peeled = self._peeled[key] = (found, tuple(lefts))
+        return peeled

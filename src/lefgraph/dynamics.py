@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .complexes import CliqueComplex, Simplex, build_complex
 from .cohomology import CochainSpaces
@@ -132,8 +133,7 @@ def validate_map(g: Graph, image) -> GraphMap:
     return GraphMap(g, image)
 
 
-@dataclass(frozen=True)
-class FixedSimplexRecord:
+class FixedSimplexRecord(NamedTuple):
     """A simplex fixed setwise, with the sign data of the restriction."""
 
     simplex: Simplex
@@ -304,11 +304,11 @@ def fixed_index_sum(cx: CliqueComplex, t: GraphMap) -> int:
 
 def lefschetz_chain(spaces: CochainSpaces, t: GraphMap) -> int:
     """Alternating sum of chain-level pullback traces, sum_k (-1)^k tr(P_k),
-    on the pullbacks of the map's record (`CochainSpaces.chain`)."""
-    total = 0
-    for k, pb in enumerate(spaces.chain(t.image).pullbacks):
-        total += -pb.trace() if k % 2 else pb.trace()
-    return total
+    on the pullbacks of the map's record (`CochainSpaces.chain`): the
+    fixed simplices of its signed cycle table (`MapChain.cycles`), those
+    of sign +1 less those of sign -1."""
+    weight = spaces.chain(t.image).cycles()
+    return weight.get((1, 1), 0) - weight.get((1, -1), 0)
 
 
 def lefschetz_cohomological(g: Graph, t: GraphMap,

@@ -3,11 +3,10 @@ and the error raised when a check inside a computation fails."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
+class TheoremCheck(NamedTuple):
     """One verified identity: pass/fail plus the two compared values."""
 
     name: str

@@ -218,6 +218,14 @@ def run_corpus_suite(endomorphisms_per_graph: int = 25,
     also the averaging sweep for an automorphism and the Brouwer check for
     an endomorphism; an automorphism's census also gives its orbit product.
     A negative count of endomorphisms is refused with ValueError.
+
+    Many elements of a group share a census exponent vector, so the orbit
+    product, with its log-derivative series, is built once per distinct
+    vector of the graph; the per-graph `CochainSpaces` keeps the peeled
+    det(1 - z T_k) per distinct (T_k, order) the same way
+    (`CochainSpaces.peeled_det`).  Both keys are the exact inputs, and both
+    memos go with the graph.  Every check is still made on each element's
+    own T_k, census and pullbacks.
     """
     if endomorphisms_per_graph < 0:
         raise ValueError("the number of endomorphisms per graph must be at "
@@ -231,13 +239,18 @@ def run_corpus_suite(endomorphisms_per_graph: int = 25,
         report.absorb(name, structural_checks(spaces))
         group = automorphism_group(g)
         sweep = FixedSimplexSweep(cx)
+        products: dict[tuple, RationalFunctionZ] = {}  # by census exponents
         for t in group:
             report.maps += 1
             census = orbit_census(cx, t)
             sweep.add(t, census.fixed)
             label = (name, "aut", t.image)
             report.absorb(label, lefschetz_checks(spaces, t, census.fixed))
-            report.absorb(label, zeta_checks(spaces, t, zeta_product(census)))
+            key = tuple(census.exponents().items())
+            product = products.get(key)
+            if product is None:
+                product = products[key] = zeta_product(census)
+            report.absorb(label, zeta_checks(spaces, t, product))
         averaging = verify_averaging_theorems(spaces, group, sweep)
         report.absorb(name, averaging.checks)
         report.findings.extend(f"{name}: {f}" for f in averaging.findings)

@@ -19,12 +19,24 @@ log-derivative series is read off the vector in closed form.
 
 The series side, L(T^n) = sum_k (-1)^k tr(P_k^n), is read off the cycles of
 the map's signed chain pullbacks P_k: a cycle of length p whose signs
-multiply to s adds p * s^(n/p) at every multiple n of p.  The orbit census
+multiply to s adds p * s^(n/p) at every multiple n of p.  The map's record
+keeps one table of these weights, summed over the degrees with the sign
+(-1)^k (`cohomology.MapChain.cycles`), and the series is expanded from it
+once.  The orbit census
 (`dynamics.orbit_census`) finds its orbits by walking the simplices' own
 prime-product keys, and reads the sign of T^p on an orbit off the vertex
 cycles of T, never through the pullbacks, so the two sides share no input.
 Agreement on min(2 order(T), 2 |cx|) terms proves agreement for every n
 (see `verification.zeta_checks`).
+
+Both routes' polynomial work is a pure function of an exact input, and
+many maps of one graph share an input, so it is kept for one graph and no
+longer: the peeled det(1 - z T_k) per (T_k's shape, scale and sorted rows,
+order) on the graph's `CochainSpaces` (`CochainSpaces.peeled_det`), the
+orbit product per census exponent vector in the corpus loop
+(`verification.run_corpus_suite`), and each function's log-derivative
+series per number of terms on the function itself.  Each check still reads
+its own map's T_k, census and pullbacks.
 """
 
 from __future__ import annotations
@@ -37,9 +49,7 @@ from .dynamics import GraphMap, OrbitCensus, orbit_census
 from .graphs import Graph
 from .linalg import (
     binomial_power,
-    cyclotomic_exponents,
     cyclotomic_factor,
-    det_one_minus_z_blocks,
     mobius,
     one_minus_z_to_the,
     one_plus_z_to_the,
@@ -105,7 +115,7 @@ class RationalFunctionZ:
     are expanded only when read, for the JSON report and for a rest.
     """
 
-    __slots__ = ("cyclotomic", "factors", "rest", "_num", "_den")
+    __slots__ = ("cyclotomic", "factors", "rest", "_num", "_den", "_series")
 
     def __init__(self, exponents: dict[int, int],
                  factors: tuple[tuple[int, int, int], ...] | None = None,
@@ -116,6 +126,7 @@ class RationalFunctionZ:
         self.factors = factors
         self.rest = rest
         self._num = self._den = None
+        self._series: dict[int, list[int]] | None = None
 
     @classmethod
     def from_factors(cls, exponents: dict[int, tuple[int, int]]) -> "RationalFunctionZ":
@@ -198,14 +209,20 @@ class RationalFunctionZ:
         the a_m of `periodic_exponents`, l_n = -sum over m | n of m a_m.
         A zeta with a rest is refused with ZetaError: only a wrong T_k
         leaves one, and the series is read only off the orbit product.
+        Kept per `count`, so the result is shared: callers must not modify
+        it.
         """
         if self.rest != _NO_REST:
             raise ZetaError("the log-derivative series of a zeta with an unpeeled "
                             "rest is not computed")
-        series = [0] * count
-        for m, a in self.periodic_exponents().items():
-            for n in range(m - 1, count, m):
-                series[n] -= m * a
+        if self._series is None:
+            self._series = {}
+        series = self._series.get(count)
+        if series is None:
+            series = self._series[count] = [0] * count
+            for m, a in self.periodic_exponents().items():
+                for n in range(m - 1, count, m):
+                    series[n] -= m * a
         return series
 
     def to_json(self) -> dict:
@@ -276,7 +293,9 @@ def zeta_det(g: Graph, t: GraphMap,
     exponents on its own (`linalg.cyclotomic_exponents`), and the result
     is the exponent vector.  What a factor leaves, which only a wrong T_k
     gives, is multiplied into the rest of its side, the numerator for odd
-    k and the denominator for even k.
+    k and the denominator for even k.  The peeling of each distinct
+    (T_k, order) is kept on `spaces` (`CochainSpaces.peeled_det`), and the
+    sign (-1)^(k+1) is applied after it is looked up.
 
     The graph argument and the optional `spaces` are kept because the
     benchmark under `bench/` calls this function with them.
@@ -291,12 +310,11 @@ def zeta_det(g: Graph, t: GraphMap,
     for k, b in enumerate(spaces.betti_numbers()):
         if b == 0:
             continue
-        for det in det_one_minus_z_blocks(spaces.induced_matrix(t.image, k)):
-            found, left = cyclotomic_exponents(det, order)
-            for d, e in found.items():
-                exponents[d] = exponents.get(d, 0) + (e if k % 2 else -e)
-            if left != [1]:
-                rest[k % 2] = poly_mul(rest[k % 2], left)
+        found, lefts = spaces.peeled_det(spaces.induced_matrix(t.image, k), order)
+        for d, e in found.items():
+            exponents[d] = exponents.get(d, 0) + (e if k % 2 else -e)
+        for left in lefts:
+            rest[k % 2] = poly_mul(rest[k % 2], left)
     return RationalFunctionZ(exponents, rest=(tuple(rest[1]), tuple(rest[0])))
 
 
@@ -305,14 +323,15 @@ def lefschetz_iterates(spaces: CochainSpaces, t: GraphMap, count: int) -> list[i
 
     L(T^n) = sum_k (-1)^k tr(P_k^n) on the pullbacks P_k of the map's
     record (`CochainSpaces.chain`).  Each P_k is a signed functional graph
-    on the k-simplices, and `Pullback.power_traces` reads every tr(P_k^n)
-    off its cycles in one walk, so no power of T or of P_k is built.
+    on the k-simplices, and the record's signed cycle table
+    (`MapChain.cycles`), summed over the degrees, gives every L(T^n): an
+    entry (p, s) of weight w adds w * s^(n/p) at every n = p, 2p, ...  The
+    table is expanded once, so no power of T or of P_k is built.
     """
     out = [0] * count
-    for k, pb in enumerate(spaces.chain(t.image).pullbacks):
-        sign = -1 if k % 2 else 1
-        for i, x in enumerate(pb.power_traces(count)):
-            out[i] += sign * x
+    for (p, s), w in spaces.chain(t.image).cycles().items():
+        for n in range(p, count + 1, p):
+            out[n - 1] += w * s ** (n // p)
     return out
 
 

@@ -10,6 +10,8 @@ dense pull-back of a cochain, and the induced-map route that read dense
 representatives into dense Fraction matrices live here too, as oracles,
 with the dimension of the subspace of H^k that a set of maps fixes, read
 off the stacked dense T_k - I.
+The trace and the power traces of one pullback, read off its cycle
+table, are kept here for the per-degree tests.
 The sort-parity sign of a vertex list is kept here too, as the oracle's
 own route to the signs that `lefgraph` reads off extension tables and
 vertex cycles.
@@ -292,6 +294,24 @@ def to_matrix(pb: Pullback) -> RationalMatrix:
     for r, (s, t) in enumerate(zip(pb.sign, pb.target_index)):
         m.data[r][t] = Fraction(s)
     return m
+
+
+def trace(pb: Pullback) -> int:
+    """tr(P): the signs of the fixed simplices summed, the cycles of
+    length 1 of `Pullback.cycles`."""
+    weight = pb.cycles()
+    return weight.get((1, 1), 0) - weight.get((1, -1), 0)
+
+
+def power_traces(pb: Pullback, count: int) -> list[int]:
+    """tr(P^n) for n = 1..count, from the cycles of the signed map: a
+    cycle of length p whose signs multiply to s adds p * s^(n/p) at every
+    n = p, 2p, ...."""
+    out = [0] * count
+    for (p, s), w in pb.cycles().items():
+        for n in range(p, count + 1, p):
+            out[n - 1] += w * s ** (n // p)
+    return out
 
 
 def permutation_parity_sign(seq) -> int:

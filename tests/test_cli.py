@@ -722,6 +722,67 @@ def test_a_census_key_table_with_two_positions_swapped_fails_the_corpus(capsys, 
     assert "K_3 aut (0, 1, 2): FAIL lefschetz_index_sum_equals_chain_trace: 3 vs 1" in out
 
 
+def _drop_a_fixed_vertex(cycles):
+    """P_0's cycle table with one fixed vertex of sign +1 fewer."""
+    def dropped(pb):
+        weight = cycles(pb)
+        if pb.k == 0 and weight.get((1, 1)):
+            weight[(1, 1)] -= 1
+        return weight
+    return dropped
+
+
+def _one_more_cycle(cycles):
+    """P_0's cycle table with one more cycle of its first length above 1."""
+    def grown(pb):
+        weight = cycles(pb)
+        key = next((key for key in weight if key[0] > 1), None)
+        if pb.k == 0 and key:
+            weight[key] += key[0]
+        return weight
+    return grown
+
+
+def _flip_a_sign_of_p1(chain):
+    """Each newly built record with the sign of row 0 of P_1 flipped."""
+    def flipped(spaces, image):
+        before = spaces._chain
+        record = chain(spaces, image)
+        if record is not before and len(record.pullbacks) > 1:
+            record.pullbacks[1].sign[0] *= -1
+        return record
+    return flipped
+
+
+@pytest.mark.parametrize("owner, name, fault, argv, line", [
+    ("Pullback", "cycles", _drop_a_fixed_vertex,
+     ("verify-corpus", "--endomorphisms", "1"),
+     "K_1 aut (0,): FAIL lefschetz_index_sum_equals_chain_trace: 1 vs 0"),
+    ("Pullback", "cycles", _one_more_cycle,
+     ("analyze", "--named", "path:2", "--map", "1,0"),
+     "  FAIL zeta_series_consistent: [1, 1, 1, 1] vs [1, 3, 1, 3]\n"),
+    ("CochainSpaces", "chain", _flip_a_sign_of_p1,
+     ("analyze", "--named", "octahedron", "--map", "3,4,5,0,1,2"),
+     "  FAIL chain_map_commutes: d*P vs P*d\n"),
+])
+def test_a_planted_chain_fault_fails_its_per_map_check(capsys, monkeypatch, owner, name,
+                                                       fault, argv, line):
+    """Each per-map check on the chain pullbacks can fail: a fault planted
+    in a built P_k, never in the check, prints that check's FAIL and exits
+    2.  The merged cycle table (`MapChain.cycles`) sums the per-degree
+    tables, so a fixed simplex dropped from P_0's reaches the chain trace,
+    and one more 2-cycle in P_0's reaches L(T^2), not L(T).  The flipped
+    sign is in P_1 of the octahedron, where b_1 = 0, so no induced matrix
+    reads it before the chain-map check does."""
+    from lefgraph import cohomology
+
+    cls = getattr(cohomology, owner)
+    monkeypatch.setattr(cls, name, fault(getattr(cls, name)))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and err == ""
+    assert line in out
+
+
 def test_zeta_group_checks_the_lefschetz_sum(capsys, monkeypatch):
     """The graph zeta's first log-derivative coefficient is the sum of L(T)
     over the group, checked against |A| times the average: 48 on the

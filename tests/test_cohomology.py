@@ -36,6 +36,7 @@ from dense import (
     induced_matrix as dense_induced_matrix,
     matmul,
     permutation_parity_sign,
+    power_traces,
     rank,
     pullback_matrix,
     pullback_apply,
@@ -43,6 +44,7 @@ from dense import (
     sorted_pullback,
     summed_coboundary,
     to_matrix,
+    trace,
 )
 from lefgraph.dynamics import (
     GraphMap,
@@ -69,7 +71,7 @@ from lefgraph.linalg import NotInSpanError, SparseMatrix
 from lefgraph.symmetry import automorphism_group, average_lefschetz, lefschetz_numbers
 from lefgraph.experiments import expectation_exhaustive
 from lefgraph.verification import named_corpus
-from lefgraph.zeta import orbit_census, zeta_det, zeta_product
+from lefgraph.zeta import lefschetz_iterates, orbit_census, zeta_det, zeta_product
 
 
 def test_permutation_parity_sign():
@@ -189,7 +191,7 @@ def test_pullback_trace_matches_matrix_trace():
     image = (3, 4, 5, 0, 1, 2)  # antipodal map
     for k in range(cx.dim + 1):
         pb = spaces.chain(image).pullbacks[k]
-        assert pb.trace() == pullback_matrix(cx, image, k).trace()
+        assert trace(pb) == pullback_matrix(cx, image, k).trace()
 
 
 def test_chain_map_commutes():
@@ -470,7 +472,7 @@ def test_power_traces_match_repeated_products(pb, count):
     for _ in range(count):
         expected.append(to_matrix(power).trace())
         power = pullback_product(power, pb)
-    assert pb.power_traces(count) == expected
+    assert power_traces(pb, count) == expected
 
 
 def test_pullback_apply_matches_matrix():
@@ -557,12 +559,12 @@ def test_extension_pullbacks_equal_the_sorted_oracle_on_the_corpus():
         for k, (pb, oracle) in enumerate(zip(chain.pullbacks, expected)):
             assert _same_pullback(pb, oracle), (name, t.image, k)
             assert _same_pullback(fresh.pullbacks[k], oracle), (name, t.image, k)
-            assert pb.trace() == to_matrix(oracle).trace(), (name, t.image, k)
+            assert trace(pb) == to_matrix(oracle).trace(), (name, t.image, k)
             power, traces = oracle, []
             for _ in range(8):
                 traces.append(_diagonal_sum(power))
                 power = pullback_product(power, oracle)
-            assert pb.power_traces(8) == traces, (name, t.image, k)
+            assert power_traces(pb, 8) == traces, (name, t.image, k)
             assert dense(spaces.induced_matrix(t.image, k)) == \
                 dense_induced_matrix(spaces, t.image, k), (name, t.image, k)
         assert verify_chain_map(spaces, t.image), (name, t.image)
@@ -571,6 +573,28 @@ def test_extension_pullbacks_equal_the_sorted_oracle_on_the_corpus():
         maps += 1
     assert maps == 2030 + 3 * 32 + sum(
         automorphism_group(g).order + 1 for n in range(6) for g, _ in isomorphism_classes(n))
+
+
+def test_the_merged_cycle_table_is_the_signed_sum_of_the_degrees():
+    """The record's one cycle table is sum_k (-1)^k of the tables of its
+    P_k, with no zero weight, for every map of `_record_cases`.  The chain
+    trace and the iterates read off it are the signed sums of the
+    per-degree traces and power traces."""
+    for name, cx, spaces, t in _record_cases():
+        pullbacks = spaces.chain(t.image).pullbacks
+        expected = {}
+        for k, pb in enumerate(pullbacks):
+            for key, w in pb.cycles().items():
+                expected[key] = expected.get(key, 0) + (-1) ** k * w
+        merged = spaces.chain(t.image).cycles()
+        assert merged == {key: w for key, w in expected.items() if w}, (name, t.image)
+        assert 0 not in merged.values()
+        assert lefschetz_chain(spaces, t) == \
+            sum((-1) ** k * trace(pb) for k, pb in enumerate(pullbacks)), (name, t.image)
+        per_degree = [power_traces(pb, 8) for pb in pullbacks]
+        assert lefschetz_iterates(spaces, t, 8) == \
+            [sum((-1) ** k * x[n] for k, x in enumerate(per_degree)) for n in range(8)], \
+            (name, t.image)
 
 
 @st.composite

@@ -30,6 +30,7 @@ from lefgraph.experiments import (
     expectation_sampled,
     graph_average_lefschetz,
 )
+from lefgraph.linalg import SparseMatrix
 from lefgraph.graphs import (
     Graph,
     GraphError,
@@ -330,3 +331,93 @@ def test_corpus_suite_scans_each_map_once(monkeypatch):
     report = run_corpus_suite(endomorphisms_per_graph=1, seed=3)
     assert report.passed and report.maps == 2062
     assert len(walked) == 2062
+
+
+ANTIPODE = (3, 4, 5, 0, 1, 2)
+
+
+def test_a_wrong_t2_fails_only_its_own_element(monkeypatch):
+    """The det route's peelings are kept per exact (T_k, order) on the
+    graph's spaces.  T_2 negated for the antipode alone fails its det
+    check, and every other element of the octahedron passes: those of
+    order 2 whose correct T_2 is the antipode's, met before and after it,
+    and those whose correct T_2 is the antipode's wrong one."""
+    g = named_graph("octahedron")
+    cx = build_complex(g)
+    spaces = CochainSpaces(cx)
+    real = CochainSpaces.induced_matrix
+
+    def planted(self, image, k):
+        m = real(self, image, k)
+        if image == ANTIPODE and k == 2:
+            return SparseMatrix(m.rows, m.cols,
+                                [{c: -x for c, x in row.items()} for row in m.data], m.scale)
+        return m
+
+    group = list(automorphism_group(g))
+    t2 = {t.image: spaces.induced_matrix(t.image, 2).data for t in group}
+    at = [t.image for t in group].index(ANTIPODE)
+    peers = [i for i, t in enumerate(group)
+             if t.order() == 2 and t2[t.image] == t2[ANTIPODE] and i != at]
+    assert min(peers) < at < max(peers)
+    assert any(t.order() == 2 and t2[t.image] == [{0: 1}] for t in group)
+    monkeypatch.setattr(CochainSpaces, "induced_matrix", planted)
+    failed = []
+    for t in group:
+        for check in zeta_checks(spaces, t, zeta_product(orbit_census(cx, t))):
+            if not check.passed:
+                failed.append((t.image, check.name))
+    assert failed == [(ANTIPODE, "zeta_det_equals_product")]
+
+
+def test_a_shifted_census_fails_only_its_own_elements_zeta_checks(monkeypatch):
+    """The corpus loop builds one orbit product per census exponent
+    vector.  The census of the octahedron's reflection (2, 1, 0, 5, 4, 3)
+    with one more even-dimensional orbit of period 2 and sign +1 fails its
+    two zeta checks and nothing else, though five other elements, before
+    and after it, share its correct vector."""
+    import dataclasses
+
+    import lefgraph.verification as verification
+
+    monkeypatch.setattr(verification, "named_corpus",
+                        lambda: [("octahedron", named_graph("octahedron"))])
+    flip = (2, 1, 0, 5, 4, 3)
+    cx = build_complex(named_graph("octahedron"))
+    vectors = [orbit_census(cx, t).exponents() for t in automorphism_group(cx.graph)]
+    images = [t.image for t in automorphism_group(cx.graph)]
+    at = images.index(flip)
+    peers = [i for i, v in enumerate(vectors) if v == vectors[at] and i != at]
+    assert min(peers) < at < max(peers)
+
+    def shifted(cx, t):
+        census = orbit_census(cx, t)
+        if t.image != flip:
+            return census
+        return dataclasses.replace(census, b={**census.b, 2: census.b.get(2, 0) + 1})
+
+    monkeypatch.setattr(verification, "orbit_census", shifted)
+    report = run_corpus_suite(endomorphisms_per_graph=0, seed=0)
+    prefix = f"octahedron aut {flip}: FAIL "
+    assert all(f.startswith(prefix) for f in report.failures)
+    assert [f[len(prefix):].split(":")[0] for f in report.failures] == [
+        "zeta_det_equals_product", "zeta_series_consistent"]
+
+
+def test_the_corpus_report_does_not_depend_on_the_order_of_the_elements(monkeypatch):
+    """Each graph's memos are keyed by exact inputs, so visiting every
+    group's elements in reverse order gives the same report."""
+    import lefgraph.verification as verification
+
+    forward = run_corpus_suite(endomorphisms_per_graph=1, seed=0)
+    real = verification.automorphism_group
+
+    def reversed_group(g):
+        group = real(g)
+        group._elements = tuple(reversed(group.elements))
+        return group
+
+    monkeypatch.setattr(verification, "automorphism_group", reversed_group)
+    backward = run_corpus_suite(endomorphisms_per_graph=1, seed=0)
+    assert backward == forward
+    assert (forward.maps, forward.checks, len(forward.findings)) == (2062, 10495, 38)
